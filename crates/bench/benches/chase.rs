@@ -8,8 +8,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use youtopia_concurrency::{
-    EngineBuilder, ParallelRun, ResolverPump, SchedulerConfig, SpeculationMode, TrackerKind,
-    UpdateExchange,
+    EngineBuilder, ParallelRun, ResolverPump, SchedulerConfig, TrackerKind, UpdateExchange,
 };
 use youtopia_core::{ChaseMode, InitialOp, RandomResolver, UnifyResolver, UpdateExecution};
 use youtopia_mappings::MappingSet;
@@ -359,64 +358,6 @@ fn bench_parallel_scheduler(c: &mut Criterion) {
     group.finish();
 }
 
-/// Speculative execution on the deterministic sequencer: the same batch with
-/// speculation on versus off, on a mostly-disjoint workload (`DeepCascade` —
-/// little inter-update conflict, so most speculations validate and commit)
-/// and a contended one (`Skewed` — 80% of operations on one hot relation, so
-/// most speculations are invalidated and discarded). The acceptance bar is
-/// that `on` is no slower than `off` on the disjoint workload; on the
-/// contended one the numbers document the cost of wasted speculation.
-fn bench_speculative(c: &mut Criterion) {
-    let mut config = ExperimentConfig::quick();
-    config.initial_tuples = 200;
-    config.workload_updates = 24;
-    let fixture = build_fixture(&config).expect("fixture builds");
-    let first_number = config.initial_tuples as u64 + 1_000;
-
-    let mut group = c.benchmark_group("chase/speculative");
-    group.sample_size(10);
-    for (kind, kind_label) in
-        [(WorkloadKind::DeepCascade, "disjoint"), (WorkloadKind::Skewed, "contended")]
-    {
-        let ops = generate_workload(
-            &config,
-            &fixture.schema,
-            &fixture.initial_db,
-            &fixture.mappings,
-            kind,
-            0,
-        );
-        for (mode, mode_label) in [(SpeculationMode::Eager, "on"), (SpeculationMode::Off, "off")] {
-            group.bench_with_input(BenchmarkId::new(kind_label, mode_label), &mode, |b, &mode| {
-                b.iter_batched(
-                    || {
-                        let scheduler = SchedulerConfig {
-                            tracker: TrackerKind::Coarse,
-                            workers: 4,
-                            deterministic: true,
-                            ..SchedulerConfig::default()
-                        }
-                        .with_speculation(mode);
-                        ParallelRun::new(
-                            fixture.initial_db.clone(),
-                            fixture.mappings.clone(),
-                            ops.clone(),
-                            first_number,
-                            scheduler,
-                        )
-                    },
-                    |mut run| {
-                        let metrics = run.run(&mut RandomResolver::seeded(7)).unwrap();
-                        black_box(metrics.steps)
-                    },
-                    criterion::BatchSize::LargeInput,
-                )
-            });
-        }
-    }
-    group.finish();
-}
-
 /// `chains` disjoint copy chains R{j}_0(x) → R{j}_1(x) → … → R{j}_depth(x):
 /// updates on different chains share no relations, so any cross-update cost
 /// is pure violation-detection bookkeeping, not real conflict.
@@ -499,7 +440,6 @@ criterion_group!(
     bench_end_to_end,
     bench_end_to_end_mapping_graph,
     bench_parallel_scheduler,
-    bench_speculative,
     bench_shared_index
 );
 criterion_main!(benches);

@@ -1,12 +1,11 @@
 //! [`EngineBuilder`]: the one configuration surface for long-lived engines.
 //!
-//! Engine knobs used to be spread across three field structs —
-//! [`SchedulerConfig`] (chase/scheduling), [`EngineConfig`] (service
-//! lifecycle) and [`ExchangeConfig`](crate::ExchangeConfig) (the
-//! single-update facade's redeclaration of two of them) — and wiring a
-//! durable engine meant assembling all of them plus a
-//! [`DurabilityConfig`] by hand. The builder subsumes the triplication: every
-//! knob appears exactly once, the assembled [`EngineConfig`] remains the
+//! Engine knobs used to be spread across field structs — [`SchedulerConfig`]
+//! (chase/scheduling) and [`EngineConfig`] (service lifecycle) — and wiring a
+//! durable engine meant assembling both plus a [`DurabilityConfig`] by hand.
+//! The builder subsumes them (the single-update facade takes one too:
+//! [`UpdateExchange::with_builder`](crate::UpdateExchange::with_builder)):
+//! every knob appears exactly once, the assembled [`EngineConfig`] remains the
 //! single input to the durable config fingerprint (via
 //! [`EngineBuilder::config`]), and the terminals pick the right engine
 //! constructor for you.
@@ -36,7 +35,7 @@ use youtopia_storage::Database;
 use crate::deps::TrackerKind;
 use crate::durable::{DurabilityConfig, RecoveryError};
 use crate::engine::{EngineConfig, ExchangeEngine};
-use crate::scheduler::{SchedulerConfig, SchedulingPolicy, SpeculationMode};
+use crate::scheduler::{SchedulerConfig, SchedulingPolicy};
 
 /// Fluent construction of an [`ExchangeEngine`] (durable or not). See the
 /// [module docs](self); every setter documents which historical field it
@@ -56,8 +55,12 @@ impl EngineBuilder {
 
     // ---- chase / scheduling (historically `SchedulerConfig`) ----
 
-    /// Worker threads (0 = one per core). Replaces
-    /// [`SchedulerConfig::workers`].
+    /// Worker threads of a **free-running** engine (0 = one per core).
+    /// A deterministic engine — the default, and what durability, replication
+    /// and inline mode imply — commits steps in one fixed serial order, so it
+    /// starts exactly one sequencer thread for any value: its results are
+    /// byte-identical at every `workers` setting and extra threads would only
+    /// queue on the commit cursor. Replaces [`SchedulerConfig::workers`].
     pub fn workers(mut self, workers: usize) -> EngineBuilder {
         self.config.scheduler.workers = workers;
         self
@@ -87,13 +90,6 @@ impl EngineBuilder {
     /// [`SchedulerConfig::violation_state`]; see [`crate::viewmaint`].
     pub fn violation_state(mut self, mode: ViolationStateMode) -> EngineBuilder {
         self.config.scheduler.violation_state = mode;
-        self
-    }
-
-    /// Speculative pre-execution mode for deterministic multi-worker
-    /// engines. Replaces [`SchedulerConfig::speculation`].
-    pub fn speculation(mut self, mode: SpeculationMode) -> EngineBuilder {
-        self.config.scheduler.speculation = mode;
         self
     }
 
@@ -129,8 +125,8 @@ impl EngineBuilder {
     }
 
     /// Per-update step budget (the runaway update fails alone). Replaces
-    /// [`EngineConfig::max_steps_per_update`] and
-    /// [`ExchangeConfig::max_steps_per_update`](crate::ExchangeConfig::max_steps_per_update).
+    /// [`EngineConfig::max_steps_per_update`]; the single-update facade takes
+    /// it through [`UpdateExchange::with_builder`](crate::UpdateExchange::with_builder).
     pub fn max_steps_per_update(mut self, limit: usize) -> EngineBuilder {
         self.config.max_steps_per_update = limit;
         self
@@ -267,7 +263,6 @@ mod tests {
             .policy(SchedulingPolicy::StratumRoundRobin)
             .chase_mode(ChaseMode::FullRecheck)
             .violation_state(ViolationStateMode::PerUpdate)
-            .speculation(SpeculationMode::Off)
             .frontier_delay_rounds(2)
             .max_total_steps(99)
             .first_update_number(10)
@@ -284,7 +279,6 @@ mod tests {
         assert_eq!(c.scheduler.policy, SchedulingPolicy::StratumRoundRobin);
         assert_eq!(c.scheduler.chase_mode, ChaseMode::FullRecheck);
         assert_eq!(c.scheduler.violation_state, ViolationStateMode::PerUpdate);
-        assert_eq!(c.scheduler.speculation, SpeculationMode::Off);
         assert_eq!(c.scheduler.frontier_delay_rounds, 2);
         assert_eq!(c.scheduler.max_total_steps, 99);
         assert_eq!(c.first_update_number, 10);

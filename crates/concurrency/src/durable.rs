@@ -312,8 +312,8 @@ pub fn decode_record(payload: &[u8]) -> Result<WalRecord, RecoveryError> {
         REC_SUBMIT => {
             let first = r.take_u64()?;
             let stamp = r.take_u64()?;
-            let count = r.take_u32()?;
-            let mut ops = Vec::with_capacity(count as usize);
+            let count = r.take_count()?;
+            let mut ops = Vec::with_capacity(count);
             for _ in 0..count {
                 ops.push(decode_initial_op(&mut r)?);
             }
@@ -403,8 +403,8 @@ pub(crate) fn encode_snapshot(meta: &SnapshotMeta, db: &Database) -> Vec<u8> {
         m.steps,
         m.frontier_ops,
         m.changes,
-        // Replay-stable (recounted from logged answer origins), unlike the
-        // speculation counters and `re_asks` — those restart at zero.
+        // Replay-stable (recounted from logged answer origins), unlike
+        // `re_asks`, which restarts at zero.
         m.auto_resolutions,
     ] {
         w.put_u64(counter as u64);
@@ -457,13 +457,12 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<(SnapshotMeta, Database), 
         changes: counters[6],
         auto_resolutions: counters[7],
         wall_time: std::time::Duration::ZERO,
-        // Speculation counters and `re_asks` are wall-clock observability,
-        // not replayed state: like wall_time they restart at zero after a
-        // recovery.
+        // `re_asks` is live observability, not replayed state: like
+        // wall_time it restarts at zero after a recovery.
         ..RunMetrics::default()
     };
-    let slot_count = r.take_u32()?;
-    let mut slots = Vec::with_capacity(slot_count as usize);
+    let slot_count = r.take_count()?;
+    let mut slots = Vec::with_capacity(slot_count);
     for _ in 0..slot_count {
         let id = r.take_u64()?;
         let initial = decode_initial_op(&mut r)?;
@@ -589,7 +588,7 @@ mod tests {
         assert_eq!(decoded.metrics.steps, 11);
         assert_eq!(decoded.metrics.aborts, 2);
         assert_eq!(decoded.metrics.auto_resolutions, 3, "auto-resolutions survive the snapshot");
-        assert_eq!(decoded.metrics.re_asks, 0, "re-asks restart at zero, like speculation");
+        assert_eq!(decoded.metrics.re_asks, 0, "re-asks restart at zero");
         assert_eq!(decoded.slots.len(), 2);
         assert_eq!(decoded.slots[0].id, 7);
         assert!(decoded.slots[0].terminated);
@@ -604,6 +603,114 @@ mod tests {
             "database survives the snapshot byte-identically"
         );
         assert!(decode_snapshot(&bytes[..bytes.len() - 2]).is_err());
+    }
+
+    /// Hostile input: every collection count a decoder reads off the wire or
+    /// the disk is attacker-controlled (CRC32 is integrity, not
+    /// authentication). Each row takes a buffer the real encoder produced,
+    /// overwrites one count field with `0xFFFF_FFFF` (re-sealing the checksum
+    /// where there is one) and expects a typed `Corrupt` — not a
+    /// multi-gigabyte `Vec::with_capacity` that aborts the process.
+    #[test]
+    fn oversized_counts_are_typed_errors_in_every_decoder() {
+        use youtopia_core::replication::{
+            decode_delta_batch, encode_delta_batch, DeltaBatch, DeltaEntry, NodeId,
+            ReplicationEvent,
+        };
+        use youtopia_core::{decode_decision, encode_decision, encode_initial_op, PositiveAction};
+        use youtopia_storage::{crc32, deserialize_database, ByteWriter, TupleId, WalError};
+
+        type Decode = fn(&[u8]) -> Result<(), RecoveryError>;
+
+        let insert =
+            InitialOp::Insert { relation: RelationId(0), values: vec![Value::constant("v")] };
+        let mut db = Database::new();
+        db.add_relation("R", ["a"]).unwrap();
+        db.insert_by_name("R", &["v"], UpdateId(5));
+        let db_bytes = serialize_database(&db);
+        let op_bytes = {
+            let mut w = ByteWriter::new();
+            encode_initial_op(&insert, &mut w);
+            w.into_bytes()
+        };
+        let decision_bytes = |decision: FrontierDecision| {
+            let mut w = ByteWriter::new();
+            encode_decision(&decision, &mut w);
+            w.into_bytes()
+        };
+        let batch_bytes = encode_delta_batch(&DeltaBatch {
+            entries: vec![DeltaEntry {
+                origin: NodeId(0),
+                first_seq: 0,
+                events: vec![ReplicationEvent::Submit { lamport: 1, op: insert.clone() }],
+            }],
+        });
+        let snapshot_bytes = encode_snapshot(
+            &SnapshotMeta {
+                fingerprint: 1,
+                records: 1,
+                actions: 0,
+                next_token: 0,
+                slot_base: 0,
+                slots: vec![SlotSummary {
+                    id: 7,
+                    initial: insert.clone(),
+                    stats: UpdateStats::default(),
+                    terminated: true,
+                    failed: None,
+                }],
+                metrics: RunMetrics::default(),
+            },
+            &db,
+        );
+
+        let database: Decode = |b| Ok(deserialize_database(b).map(drop)?);
+        let initial_op: Decode = |b| Ok(decode_initial_op(&mut ByteReader::new(b)).map(drop)?);
+        let decision: Decode = |b| Ok(decode_decision(&mut ByteReader::new(b)).map(drop)?);
+        let delta_batch: Decode = |b| Ok(decode_delta_batch(b).map(drop)?);
+        let record: Decode = |b| decode_record(b).map(drop);
+        let snapshot: Decode = |b| decode_snapshot(b).map(drop);
+
+        // (what, well-formed bytes, offset of the u32 count, checksummed, decoder)
+        let table: Vec<(&str, Vec<u8>, usize, bool, Decode)> = vec![
+            ("snapshot relation count", db_bytes.clone(), 0, false, database),
+            ("snapshot attribute count", db_bytes.clone(), 9, false, database),
+            ("snapshot tuple value count", db_bytes, 79, false, database),
+            ("initial-op value count", op_bytes, 5, false, initial_op),
+            (
+                "positive decision action count",
+                decision_bytes(FrontierDecision::Positive(vec![PositiveAction::Expand])),
+                1,
+                false,
+                decision,
+            ),
+            (
+                "negative decision tuple count",
+                decision_bytes(FrontierDecision::Negative(vec![TupleId(9)])),
+                1,
+                false,
+                decision,
+            ),
+            ("delta batch entry count", batch_bytes.clone(), 12, true, delta_batch),
+            ("delta batch event count", batch_bytes, 28, true, delta_batch),
+            ("wal submit op count", encode_submit(100, 42, &[insert]), 17, false, record),
+            ("engine snapshot slot count", snapshot_bytes, 112, false, snapshot),
+        ];
+        for (what, mut bytes, at, checksummed, decode) in table {
+            decode(&bytes).unwrap_or_else(|e| panic!("{what}: pristine buffer must decode: {e}"));
+            assert_eq!(bytes[at..at + 4], 1u32.to_le_bytes(), "{what}: offset names the count");
+            bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            if checksummed {
+                let crc = crc32(&bytes[12..]);
+                bytes[8..12].copy_from_slice(&crc.to_le_bytes());
+            }
+            match decode(&bytes) {
+                Err(RecoveryError::Wal(WalError::Corrupt { reason, .. })) => {
+                    assert!(reason.contains("exceeds"), "{what}: rejected by the bound: {reason}")
+                }
+                other => panic!("{what}: expected a typed Corrupt error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

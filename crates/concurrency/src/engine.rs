@@ -30,10 +30,12 @@
 //! `RwLock<Database>`, lock-striped logs, owner-performed aborts with
 //! validated rollbacks — but keeps it alive across submissions. The two modes
 //! carry over ([`SchedulerConfig::deterministic`]): the deterministic
-//! sequencer executes the exact round-robin loop of `ConcurrentRun` (a batch
-//! submitted before anything steps is byte-identical to the reference at any
-//! worker count — pinned by `tests/engine_equivalence.rs`), and free-running
-//! mode drops the sequencer for throughput.
+//! sequencer executes the exact round-robin loop of `ConcurrentRun` on one
+//! thread, whatever `workers` says — the schedule is serial, so extra threads
+//! would only queue on the cursor (a batch submitted before anything steps is
+//! byte-identical to the reference at any `workers` value — pinned by
+//! `tests/engine_equivalence.rs`), and free-running mode drops the sequencer
+//! and runs `workers` threads for throughput.
 //!
 //! Unlike the inline resolvers of the batch world, an answer can arrive long
 //! after the snapshot the user looked at: writes may commit in between. That
@@ -62,7 +64,7 @@ use youtopia_core::{
 };
 use youtopia_mappings::MappingSet;
 use youtopia_storage::wal::{read_wal, write_file_atomic, WalWriter};
-use youtopia_storage::{Database, SpeculationReadSet, SpeculativeDb, TupleChange, UpdateId, Write};
+use youtopia_storage::{Database, TupleChange, UpdateId};
 
 use crate::deps::DependencyTracker;
 use crate::durable::{
@@ -71,7 +73,7 @@ use crate::durable::{
     SlotSummary, SnapshotMeta, WalRecord,
 };
 use crate::metrics::RunMetrics;
-use crate::scheduler::{SchedulerConfig, SchedulingPolicy, SpeculationMode};
+use crate::scheduler::{SchedulerConfig, SchedulingPolicy};
 use crate::striped::{StripedReadLog, StripedWriteLog};
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -403,22 +405,8 @@ impl Signal {
     }
 }
 
-/// One pre-executed chase step, parked on its slot until the sequencer
-/// reaches it: the advanced execution clone, the buffered step outcome
-/// (writes still unapplied to the base), and everything the step observed,
-/// reduced to the integer compares that decide commit vs discard.
-struct Speculation {
-    exec: UpdateExecution,
-    outcome: StepOutcome,
-    reads: SpeculationReadSet,
-}
-
 pub(crate) struct Slot {
     pub(crate) exec: UpdateExecution,
-    /// A speculatively pre-executed next step (deterministic mode with
-    /// [`SpeculationMode::Eager`] only). The sequencer validates it at the
-    /// slot's commit point; aborts and failures clear it.
-    speculation: Option<Speculation>,
     /// Rounds remaining before a pending frontier request is published
     /// (deterministic mode only; free-running has no notion of rounds).
     frontier_wait: usize,
@@ -492,8 +480,7 @@ pub(crate) struct PendingEntry {
     /// escalation reset it). The deadline unit of [`EscalationPolicy`].
     age: u64,
     /// `ReAsk` re-publications (plus failed auto-resolutions) so far.
-    /// Observability only — rebuilt entries start at zero after recovery,
-    /// like the speculation counters.
+    /// Observability only — rebuilt entries start at zero after recovery.
     escalations: u32,
 }
 
@@ -552,21 +539,6 @@ pub(crate) struct EngineShared {
     /// Threadless mode: the deterministic sequencer runs on whichever thread
     /// pumps or waits (see [`EngineConfig::inline`]).
     pub(crate) inline: bool,
-    /// Whether workers losing the cursor race pre-execute upcoming steps
-    /// speculatively: deterministic multi-worker engines with
-    /// [`SpeculationMode::Eager`]. Inline and free-running engines never
-    /// speculate, nor does a single worker (it owns the cursor anyway).
-    speculate: bool,
-    /// The sequencer's published position: the slot index after the one it
-    /// last acted on. Speculators scan live slots from here — these are the
-    /// steps the sequencer will want next.
-    spec_next: AtomicUsize,
-    /// Adaptive speculation throttle: a discarded speculation sets this to
-    /// [`EngineShared::SPEC_DISCARD_PENALTY`] and each would-be speculator
-    /// decrements it and declines instead, so a contention storm (where every
-    /// epoch the overlay read is stale by commit time) stops burning cycles
-    /// on doomed steps. A committed speculation resets it to zero.
-    spec_penalty: AtomicUsize,
     /// Growable (and front-compacted) slot table; index = update number −
     /// `first_update_number`.
     pub(crate) slots: RwLock<SlotTable>,
@@ -611,10 +583,6 @@ pub(crate) struct EngineShared {
 }
 
 impl EngineShared {
-    /// How many speculation attempts sit out after a validation failure
-    /// before workers try again (see [`EngineShared::spec_penalty`]).
-    const SPEC_DISCARD_PENALTY: usize = 8;
-
     /// Deficit at which a repeatedly rejected client becomes *starving* and
     /// freed capacity is reserved for it. Deficit grows by the priority
     /// weight per rejection, so a `High` client starves (and is rescued)
@@ -795,7 +763,6 @@ impl EngineShared {
                             self.config.scheduler.chase_mode,
                             self.config.scheduler.violation_state,
                         ),
-                        speculation: None,
                         frontier_wait: 0,
                         parked: false,
                         published: None,
@@ -956,14 +923,6 @@ impl EngineShared {
     /// the consolidated abort set — the caller decides how to execute the
     /// aborts (synchronously in deterministic mode, via flags when
     /// free-running).
-    ///
-    /// A speculation parked on the slot *is* the step, already executed
-    /// against a snapshot: if every epoch and allocator it observed is
-    /// unchanged, its buffered writes are re-applied for real (regenerating
-    /// sequence numbers at the commit point) and its advanced execution clone
-    /// grafted in — byte-identical to executing the step here, minus all the
-    /// analysis. An invalidated speculation is discarded and the step
-    /// re-executes directly.
     fn step_and_validate(
         &self,
         slot: &mut Slot,
@@ -976,51 +935,12 @@ impl EngineShared {
                 limit: self.config.scheduler.max_total_steps,
             });
         }
-        let mut committed: Option<StepOutcome> = None;
-        if let Some(mut spec) = slot.speculation.take() {
+        let applied = {
             let mut db = self.db.write().unwrap_or_else(|e| e.into_inner());
-            if spec.reads.still_valid(&db) {
-                // The writes re-apply against the same visible state the
-                // overlay shadowed (that is what validation established), so
-                // they cannot fail and they allocate the very tuple ids the
-                // buffered outcome and grafted execution already embed.
-                let writes: Vec<Write> = spec.outcome.writes.drain(..).map(|aw| aw.write).collect();
-                let applied = db.apply_all_owned(writes, slot.exec.id())?;
-                spec.reads.commit_allocators(&db);
-                slot.exec = spec.exec;
-                // The grafted execution's delta cursor was advanced against
-                // the overlay's *projected* sequence; re-anchor it to the real
-                // one while the write lock still excludes interleaved commits.
-                // Any delta the jump skips is either this update's own
-                // re-applied write (epochs already stamped in the grafted
-                // queue) or a relation its queue does not watch — anything
-                // else would have failed validation, because the overlay feed
-                // pinned every watched relation as an epoch read.
-                slot.exec.sync_delta_cursor(youtopia_storage::ViolationFeed::delta_seq(&*db));
-                committed = Some(StepOutcome { writes: applied, ..spec.outcome });
-                lock(&self.metrics).speculations_committed += 1;
-                self.spec_penalty.store(0, Ordering::Relaxed);
-            } else {
-                lock(&self.metrics).speculations_discarded += 1;
-                self.spec_penalty.store(Self::SPEC_DISCARD_PENALTY, Ordering::Relaxed);
-            }
-        }
-        let applied = match committed {
-            Some(_) => None,
-            None => {
-                let mut db = self.db.write().unwrap_or_else(|e| e.into_inner());
-                Some(slot.exec.begin_step(&mut *db)?)
-            }
+            slot.exec.begin_step(&mut db)?
         };
         let db = self.db.read().unwrap_or_else(|e| e.into_inner());
-        let outcome = match committed {
-            Some(outcome) => outcome,
-            None => slot.exec.finish_step(
-                &*db,
-                &self.mappings,
-                applied.expect("direct path applied its writes"),
-            )?,
-        };
+        let outcome = slot.exec.finish_step(&db, &self.mappings, applied)?;
         {
             let mut metrics = lock(&self.metrics);
             metrics.steps += 1;
@@ -1177,9 +1097,6 @@ impl EngineShared {
             lock(&self.pending).remove(&token.0);
             self.unanswered.fetch_sub(1, Ordering::SeqCst);
         }
-        // A parked speculation pre-executed the state this abort is wiping
-        // out; discard it.
-        let stale_speculation = slot.speculation.take().is_some();
         slot.exec.reset_for_restart();
         slot.frontier_wait = 0;
         self.read_log.clear(victim);
@@ -1189,13 +1106,7 @@ impl EngineShared {
             tracker.note_abort(victim);
             tracker.clear_update(victim);
         }
-        {
-            let mut metrics = lock(&self.metrics);
-            metrics.aborts += 1;
-            if stale_speculation {
-                metrics.speculations_discarded += 1;
-            }
-        }
+        lock(&self.metrics).aborts += 1;
         let undone_readers = self.validate_rollback(victim, &rolled_back);
         cell.abort_requested.store(false, Ordering::SeqCst);
         if revive {
@@ -1230,9 +1141,6 @@ impl EngineShared {
         self.read_log.clear(victim);
         self.write_log.remove_update(victim);
         lock(&self.tracker).clear_update(victim);
-        if slot.speculation.take().is_some() {
-            lock(&self.metrics).speculations_discarded += 1;
-        }
         slot.failed = Some(error);
         slot.parked = true;
         self.active.fetch_sub(1, Ordering::SeqCst);
@@ -1273,11 +1181,10 @@ impl EngineShared {
         // The shared violation index's delta backlog is dead for the same
         // reason: only live executions hold cursors into it, and there are
         // none. Dropping it (rather than letting the cap drain it lazily)
-        // means a burst of speculative discards or a huge quiescent workload
-        // cannot leave buffered deltas pinned across idle periods; any
-        // later-admitted update starts at the post-truncation sequence, and a
-        // stale cursor would surface as a gap (all-dirty fallback), not a
-        // missed delta.
+        // means a huge quiescent workload cannot leave buffered deltas pinned
+        // across idle periods; any later-admitted update starts at the
+        // post-truncation sequence, and a stale cursor would surface as a gap
+        // (all-dirty fallback), not a missed delta.
         crate::viewmaint::clear(&mut self.db.write().unwrap_or_else(|e| e.into_inner()));
         self.compact_locked(&mut slots);
         // Quiescence is a durability point: any group-commit window still
@@ -1530,28 +1437,11 @@ impl EngineShared {
             // generation and makes the wait below return immediately; any
             // event before it is visible to `det_action`. No lost wakeups.
             let gen = self.signal.current();
-            // Speculative mode turns cursor contention into useful work: a
-            // worker that would otherwise queue on the sequencer pre-executes
-            // an upcoming step against a snapshot instead. With nothing left
-            // to pre-execute it falls back to *blocking* on the cursor — the
-            // mutex handoff is what keeps it live across releases that are
-            // not followed by a signal bump (a durable `submit`/`answer`
-            // holds the cursor from the caller's thread and releases it
-            // silently).
-            let mut cur = if self.speculate {
-                match self.cursor.try_lock() {
-                    Ok(cur) => cur,
-                    Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-                    Err(std::sync::TryLockError::WouldBlock) => {
-                        if self.try_speculate() {
-                            continue;
-                        }
-                        lock(&self.cursor)
-                    }
-                }
-            } else {
-                lock(&self.cursor)
-            };
+            // A *blocking* lock, never `try_lock` + sleep: the mutex handoff
+            // is what keeps the sequencer live across releases that are not
+            // followed by a signal bump (a durable `submit`/`answer` holds
+            // the cursor from the caller's thread and releases it silently).
+            let mut cur = lock(&self.cursor);
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
@@ -1568,82 +1458,6 @@ impl EngineShared {
                 }
             }
         }
-    }
-
-    /// Pre-executes one upcoming chase step against a read-locked snapshot,
-    /// parking the buffered result on its slot for the sequencer to validate
-    /// at the commit point. Scans the live window from the sequencer's
-    /// published position; every filter is a `try_lock` or a cheap check —
-    /// a speculator never blocks another worker. Returns whether a
-    /// speculation ran (even one that errored — the slot was claimed and
-    /// progress made), so the caller knows whether to sleep.
-    fn try_speculate(&self) -> bool {
-        const SPEC_SCAN_WINDOW: usize = 32;
-        // Back off while the penalty runs down: recent validation failures
-        // mean commits are landing faster than overlays stay fresh, so a
-        // speculative step here would almost certainly be discarded too.
-        if self
-            .spec_penalty
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |p| p.checked_sub(1))
-            .is_ok()
-        {
-            return false;
-        }
-        let (base, total) = {
-            let slots = self.slots.read().unwrap_or_else(|e| e.into_inner());
-            (slots.base, slots.total())
-        };
-        let span = total - base;
-        if span == 0 {
-            return false;
-        }
-        let hint = self.spec_next.load(Ordering::Relaxed).clamp(base, total - 1);
-        for k in 0..span.min(SPEC_SCAN_WINDOW) {
-            let idx = base + (hint - base + k) % span;
-            let Some(cell) = self.slot_cell(idx) else { continue };
-            if cell.abort_requested.load(Ordering::SeqCst) {
-                continue;
-            }
-            let Ok(mut slot) = cell.slot.try_lock() else { continue };
-            if slot.failed.is_some()
-                || slot.speculation.is_some()
-                || slot.exec.state() != UpdateState::Ready
-                || slot.exec.stats().steps >= self.config.max_steps_per_update
-            {
-                continue;
-            }
-            lock(&self.metrics).speculations_started += 1;
-            let mut exec = slot.exec.clone();
-            let id = exec.id();
-            // One read-lock session covers the whole speculative step: the
-            // overlay shadows this exact committed state, and the read set
-            // proves at commit time that it is still the state the sequencer
-            // sees. The slot lock is held throughout — the sequencer reaching
-            // this slot queues behind the speculation it is about to consume.
-            let speculation = {
-                let db = self.db.read().unwrap_or_else(|e| e.into_inner());
-                let mut overlay = SpeculativeDb::new(&db, id);
-                let stepped = exec
-                    .begin_step(&mut overlay)
-                    .and_then(|applied| exec.finish_step(&overlay, &self.mappings, applied));
-                match stepped {
-                    Ok(outcome) => {
-                        Some(Speculation { exec, outcome, reads: overlay.into_read_set() })
-                    }
-                    // A speculative error (e.g. a poisoned plan) is not acted
-                    // on — the sequencer re-executes directly and surfaces it
-                    // at the committed point, keeping error reports identical
-                    // to a non-speculative run.
-                    Err(_) => None,
-                }
-            };
-            match speculation {
-                Some(spec) => slot.speculation = Some(spec),
-                None => lock(&self.metrics).speculations_discarded += 1,
-            }
-            return true;
-        }
-        false
     }
 
     /// Drives the deterministic sequencer on the calling thread (inline mode:
@@ -1695,16 +1509,11 @@ impl EngineShared {
             None => {
                 // Round boundary.
                 cur.next = 0;
-                self.spec_next.store(0, Ordering::Relaxed);
                 self.bump_action();
                 return Ok(DetProgress::Acted);
             }
         };
         cur.next = idx + 1;
-        // Published for speculators before the action executes: while this
-        // slot commits, the profitable speculation targets are the ones after
-        // it.
-        self.spec_next.store(cur.next, Ordering::Relaxed);
         let Some(cell) = self.slot_cell(idx) else {
             // Compaction (which runs under this same cursor) evicted a slot a
             // stale live entry still names; evicted slots are terminal, so
@@ -2225,7 +2034,6 @@ impl ExchangeEngine {
             cells.push_back(Arc::new(SlotCell {
                 slot: Mutex::new(Slot {
                     exec,
-                    speculation: None,
                     frontier_wait: 0,
                     parked: true,
                     published: None,
@@ -2295,18 +2103,11 @@ impl ExchangeEngine {
         // Replication does too — the canonical fold *is* a schedule.
         let inline = config.inline;
         let deterministic = config.scheduler.deterministic || inline || config.replica.is_some();
-        let speculate = deterministic
-            && !inline
-            && workers >= 2
-            && config.scheduler.speculation == SpeculationMode::Eager;
         Arc::new(EngineShared {
             mappings,
             db: RwLock::new(db),
             deterministic,
             inline,
-            speculate,
-            spec_next: AtomicUsize::new(0),
-            spec_penalty: AtomicUsize::new(0),
             slots: RwLock::new(slots),
             all_ids: Mutex::new(all_ids),
             read_log: StripedReadLog::default(),
@@ -2333,11 +2134,16 @@ impl ExchangeEngine {
         })
     }
 
+    /// Starts the engine's threads: none inline, **one** sequencer thread for
+    /// a deterministic engine whatever `workers` says (the schedule is serial;
+    /// extra threads would only queue on the cursor mutex), and one worker
+    /// per run queue when free-running.
     fn spawn_workers(shared: &Arc<EngineShared>) -> Vec<JoinHandle<()>> {
         if shared.inline {
             return Vec::new();
         }
-        (0..shared.queues.len())
+        let threads = if shared.deterministic { 1 } else { shared.queues.len() };
+        (0..threads)
             .map(|me| {
                 let shared = Arc::clone(shared);
                 std::thread::Builder::new()
@@ -3058,5 +2864,90 @@ impl<'e, 'r> ResolverPump<'e, 'r> {
 impl std::fmt::Debug for ResolverPump<'_, '_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResolverPump").field("engine", &self.engine).finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use youtopia_core::RandomResolver;
+    use youtopia_storage::Value;
+
+    use super::*;
+    use crate::builder::EngineBuilder;
+
+    /// `C(c) -> ∃a,l. S(a, l, c)` over a seeded `S(ITH, NY, Ithaca)`: inserting
+    /// `C(x)` for a labeled null `x` generates `S(a, l, x)`, which the seeded
+    /// tuple is more specific than — so every such update blocks on a
+    /// frontier question.
+    fn frontier_fixture(updates: usize) -> (Database, MappingSet, Vec<InitialOp>) {
+        let mut db = Database::new();
+        let c = db.add_relation("C", ["city"]).unwrap();
+        db.add_relation("S", ["code", "location", "city_served"]).unwrap();
+        let mut mappings = MappingSet::new();
+        mappings.add_parsed(db.catalog(), "sigma1: C(c) -> exists a, l. S(a, l, c)").unwrap();
+        db.insert_by_name("S", &["ITH", "NY", "Ithaca"], UpdateId(0));
+        let ops = (0..updates)
+            .map(|_| InitialOp::Insert { relation: c, values: vec![Value::Null(db.fresh_null())] })
+            .collect();
+        (db, mappings, ops)
+    }
+
+    #[test]
+    fn deterministic_engines_run_one_sequencer_thread_free_running_runs_n() {
+        for workers in [1usize, 2, 4] {
+            let (db, mappings, _) = frontier_fixture(0);
+            let det = EngineBuilder::new().workers(workers).build(db, mappings).unwrap();
+            assert_eq!(det.threads.len(), 1, "deterministic, workers({workers})");
+            det.shutdown();
+
+            let (db, mappings, _) = frontier_fixture(0);
+            let free =
+                EngineBuilder::new().workers(workers).free_running().build(db, mappings).unwrap();
+            assert_eq!(free.threads.len(), workers, "free-running, workers({workers})");
+            free.shutdown();
+        }
+        let (db, mappings, _) = frontier_fixture(0);
+        let inline = EngineBuilder::new().workers(4).inline().build(db, mappings).unwrap();
+        assert!(inline.threads.is_empty(), "inline engines are caller-driven");
+        inline.shutdown();
+    }
+
+    /// A durable `submit`/`answer` holds the commit cursor on the *caller's*
+    /// thread and releases it without a signal bump; the sequencer must pick
+    /// the cursor up by mutex handoff, not by waiting for a wake-up that
+    /// never comes. Many one-update waves, each with a frontier answered from
+    /// the caller thread, give that window every chance to open; a watchdog
+    /// turns a hang into a failure.
+    #[test]
+    fn durable_workers_4_engine_stays_live_under_caller_thread_submit_and_answer() {
+        let dir = std::env::temp_dir().join(format!("yt-engine-live-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (db, mappings, ops) = frontier_fixture(200);
+        let engine = EngineBuilder::new()
+            .workers(4)
+            .durable(DurabilityConfig::new(&dir))
+            .build(db, mappings)
+            .unwrap();
+        let (tx, rx) = mpsc::channel();
+        let driver = std::thread::spawn(move || {
+            let mut resolver = RandomResolver::seeded(11);
+            for op in ops {
+                engine.submit(op).unwrap();
+                ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
+            }
+            let quiescent = engine.is_quiescent();
+            let (_, _, metrics) = engine.shutdown();
+            let _ = tx.send((quiescent, metrics.frontier_ops));
+        });
+        let (quiescent, answered) = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("deterministic workers(4) durable engine hung: sequencer never resumed");
+        driver.join().unwrap();
+        assert!(quiescent);
+        assert_eq!(answered, 200, "every update asked (and was answered) exactly once");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

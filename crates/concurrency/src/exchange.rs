@@ -17,43 +17,12 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::{RwLockReadGuard, RwLockWriteGuard};
 
-use youtopia_core::{
-    ChaseError, ChaseMode, FrontierResolver, InitialOp, UpdateReport, UpdateStats,
-};
+use youtopia_core::{ChaseError, FrontierResolver, InitialOp, UpdateReport, UpdateStats};
 use youtopia_mappings::{satisfies_all, MappingSet};
 use youtopia_storage::{Database, NullId, RelationId, TupleId, UpdateId, Value};
 
 use crate::builder::EngineBuilder;
 use crate::engine::{ExchangeEngine, ResolverPump, UpdateHandle, UpdateStatus};
-
-/// Configuration of the single-update exchange.
-///
-/// Superseded by [`EngineBuilder`](crate::EngineBuilder), the one
-/// configuration surface for all engines — this struct survives for existing
-/// `with_config` callers and is translated into a builder internally. New
-/// knobs are added to the builder only.
-#[deprecated(
-    since = "0.1.0",
-    note = "configure an EngineBuilder and use UpdateExchange::with_builder instead"
-)]
-#[derive(Clone, Copy, Debug)]
-pub struct ExchangeConfig {
-    /// Safety valve: the maximum number of chase steps a single update may
-    /// take. Chases driven by resolvers that never unify (e.g.
-    /// `ExpandResolver` under cyclic mappings) would otherwise run forever.
-    pub max_steps_per_update: usize,
-    /// How executions maintain their violation queues (delta-driven by
-    /// default; [`ChaseMode::FullRecheck`] is the differential-testing /
-    /// benchmarking reference path).
-    pub chase_mode: ChaseMode,
-}
-
-#[allow(deprecated)]
-impl Default for ExchangeConfig {
-    fn default() -> Self {
-        ExchangeConfig { max_steps_per_update: 100_000, chase_mode: ChaseMode::default() }
-    }
-}
 
 /// Read access to the exchange's database: a snapshot-session guard that
 /// dereferences to [`Database`]. Chase workers (if any were mid-step) queue
@@ -119,26 +88,6 @@ impl UpdateExchange {
             .build(db, mappings)
             .expect("engine construction only fails for durable builders");
         UpdateExchange { engine }
-    }
-
-    /// Creates an exchange with a custom configuration.
-    #[deprecated(
-        since = "0.1.0",
-        note = "configure an EngineBuilder and use UpdateExchange::with_builder instead"
-    )]
-    #[allow(deprecated)]
-    pub fn with_config(
-        db: Database,
-        mappings: MappingSet,
-        config: ExchangeConfig,
-    ) -> UpdateExchange {
-        UpdateExchange::with_builder(
-            db,
-            mappings,
-            EngineBuilder::new()
-                .chase_mode(config.chase_mode)
-                .max_steps_per_update(config.max_steps_per_update),
-        )
     }
 
     /// The underlying engine — for callers that want to graduate from

@@ -74,14 +74,12 @@ pub use engine::{
     SubmitError, SweepReport, UpdateHandle, UpdateStatus,
 };
 pub use error::EngineError;
-#[allow(deprecated)] // re-exported so existing `with_config` callers keep compiling
-pub use exchange::ExchangeConfig;
 pub use exchange::{DbRef, DbRefMut, UpdateExchange};
 pub use log::{ChangeSource, ReadLog, WriteLog};
 pub use metrics::{AveragedMetrics, RunMetrics};
 pub use parallel::ParallelRun;
 pub use replicate::{SyncError, SyncReport};
-pub use scheduler::{ConcurrentRun, SchedulerConfig, SchedulingPolicy, SpeculationMode};
+pub use scheduler::{ConcurrentRun, SchedulerConfig, SchedulingPolicy};
 pub use striped::{StripedReadLog, StripedWriteLog};
 pub use viewmaint::ViolationIndexStats;
 // The violation-state knob lives in `youtopia-core` (executions own it) but

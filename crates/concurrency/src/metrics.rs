@@ -25,20 +25,9 @@ pub struct RunMetrics {
     pub frontier_ops: usize,
     /// Tuple-level changes written.
     pub changes: usize,
-    /// Chase steps the deterministic engine pre-executed speculatively
-    /// (see `SpeculationMode`). Zero outside speculative mode.
-    pub speculations_started: usize,
-    /// Speculations whose read sets validated at commit time and whose
-    /// buffered outcomes were committed without re-execution.
-    pub speculations_committed: usize,
-    /// Speculations invalidated by an earlier commit (or failed outright) and
-    /// discarded; the step re-executed at the sequencer. The discard *rate* is
-    /// `speculations_discarded / speculations_started`.
-    pub speculations_discarded: usize,
     /// Frontier requests the lifecycle sweeper re-published at higher
     /// priority (`EscalationPolicy::ReAsk`). Live observability only: re-asks
-    /// are not WAL-logged, so the counter restarts at zero after recovery
-    /// (like the speculation counters).
+    /// are not WAL-logged, so the counter restarts at zero after recovery.
     pub re_asks: usize,
     /// Frontier requests the system answered on deadline expiry
     /// (`EscalationPolicy::AutoResolve`). Counted from the answer's logged
@@ -77,9 +66,6 @@ impl RunMetrics {
         self.steps += other.steps;
         self.frontier_ops += other.frontier_ops;
         self.changes += other.changes;
-        self.speculations_started += other.speculations_started;
-        self.speculations_committed += other.speculations_committed;
-        self.speculations_discarded += other.speculations_discarded;
         self.re_asks += other.re_asks;
         self.auto_resolutions += other.auto_resolutions;
         self.wall_time += other.wall_time;
@@ -165,18 +151,12 @@ mod tests {
                 steps: 1000,
                 frontier_ops: 50,
                 changes: 400,
-                speculations_started: 12,
-                speculations_committed: 9,
-                speculations_discarded: 3,
                 re_asks: 2,
                 auto_resolutions: 1,
                 wall_time: Duration::from_millis(500),
             });
         }
         assert_eq!(total.aborts, 32);
-        assert_eq!(total.speculations_started, 48);
-        assert_eq!(total.speculations_committed, 36);
-        assert_eq!(total.speculations_discarded, 12);
         assert_eq!(total.re_asks, 8);
         assert_eq!(total.auto_resolutions, 4);
         let avg = total.averaged(4);

@@ -34,26 +34,6 @@ pub enum SchedulingPolicy {
     StratumRoundRobin,
 }
 
-/// Whether the deterministic engine runs chase steps speculatively.
-///
-/// With speculation on, idle workers execute Ready slots' steps against
-/// epoch-stamped snapshot reads *before* the sequencer reaches them; the
-/// sequencer still commits in its fixed round-robin order, validating each
-/// speculation's read set against the per-relation write epochs and
-/// discarding (re-executing) any that a prior commit invalidated. The
-/// committed sequence is byte-identical to [`SpeculationMode::Off`] — and to
-/// [`ConcurrentRun`] — at any worker count; only wall-clock changes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SpeculationMode {
-    /// No speculation: the PR 4/5 sequencer as it was, each step executed by
-    /// whichever worker wins the commit cursor. The differential baseline.
-    Off,
-    /// Speculate eagerly: workers that lose the commit cursor pick upcoming
-    /// Ready slots and pre-execute their steps against the current database.
-    #[default]
-    Eager,
-}
-
 /// Configuration of a concurrent run.
 ///
 /// For long-lived engines, prefer [`EngineBuilder`](crate::EngineBuilder) —
@@ -77,18 +57,15 @@ pub struct SchedulerConfig {
     /// default; [`ChaseMode::FullRecheck`] is the reference path the
     /// conflict-semantics differential tests compare against).
     pub chase_mode: ChaseMode,
-    /// Worker threads for [`crate::ParallelRun`] (ignored by the
-    /// single-threaded [`ConcurrentRun`]). `0` means one per available core.
+    /// Worker threads for a free-running [`crate::ParallelRun`] /
+    /// [`crate::ExchangeEngine`]; `0` means one per available core. Ignored
+    /// by the single-threaded [`ConcurrentRun`], and a deterministic engine
+    /// runs one sequencer thread whatever the value (its schedule is serial).
     pub workers: usize,
     /// Whether [`crate::ParallelRun`] commits steps in the fixed round-robin
     /// serialisation order (byte-identical to [`ConcurrentRun`] at any worker
     /// count) or free-runs for throughput. Ignored by [`ConcurrentRun`].
     pub deterministic: bool,
-    /// Whether deterministic multi-worker engines pre-execute steps
-    /// speculatively (see [`SpeculationMode`]). Ignored by [`ConcurrentRun`],
-    /// free-running mode, and single-worker engines, where there is nothing
-    /// to overlap.
-    pub speculation: SpeculationMode,
     /// Where executions get their change signal from: the engine-shared
     /// violation index's delta feed (the default) or per-update epoch
     /// watermarks, the differential baseline
@@ -106,7 +83,6 @@ impl Default for SchedulerConfig {
             chase_mode: ChaseMode::default(),
             workers: 1,
             deterministic: true,
-            speculation: SpeculationMode::default(),
             violation_state: ViolationStateMode::default(),
         }
     }
@@ -129,8 +105,9 @@ impl SchedulerConfig {
         self
     }
 
-    /// Replaces the worker-thread count used by [`crate::ParallelRun`] and
-    /// the [`crate::ExchangeEngine`] (0 = one per available core).
+    /// Replaces the worker-thread count of a free-running
+    /// [`crate::ParallelRun`] / [`crate::ExchangeEngine`] (0 = one per
+    /// available core; see [`SchedulerConfig::workers`]).
     pub fn with_workers(mut self, workers: usize) -> SchedulerConfig {
         self.workers = workers;
         self
@@ -152,12 +129,6 @@ impl SchedulerConfig {
     /// Replaces the violation-queue maintenance mode.
     pub fn with_chase_mode(mut self, chase_mode: ChaseMode) -> SchedulerConfig {
         self.chase_mode = chase_mode;
-        self
-    }
-
-    /// Replaces the deterministic engine's speculation mode.
-    pub fn with_speculation(mut self, speculation: SpeculationMode) -> SchedulerConfig {
-        self.speculation = speculation;
         self
     }
 

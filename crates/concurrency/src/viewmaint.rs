@@ -13,9 +13,9 @@
 //! number of *concurrent updates*, not with the amount of *change*.
 //!
 //! The violation index inverts that. The storage layer maintains **one**
-//! append-only log of committed relation mutations (the
-//! [`ViolationFeed`](youtopia_storage::ViolationFeed); one entry per write-
-//! epoch bump, in commit order). Every live execution holds a plain integer
+//! append-only log of committed relation mutations (the violation feed,
+//! [`youtopia_storage::feed`]; one entry per write-epoch bump, in commit
+//! order). Every live execution holds a plain integer
 //! cursor into the log and replays only the window it missed. The log is
 //! written once per commit regardless of how many updates are live, and each
 //! consumer's replay is proportional to the deltas *it* missed — so per-step
@@ -37,12 +37,6 @@
 //!   at the end of every dirty-check; a freshly admitted or queue-empty
 //!   execution jumps straight to the current sequence (nothing behind it can
 //!   matter — an empty queue has no watched relations).
-//! * **Speculation** — a speculative step reads the feed through the overlay
-//!   ([`SpeculativeDb`](youtopia_storage::SpeculativeDb)): base deltas plus
-//!   the overlay's own buffered mutations, with every watched relation pinned
-//!   as an epoch read so interfering commits invalidate the speculation
-//!   rather than being skipped. On commit the engine re-anchors the grafted
-//!   execution's cursor to the real sequence under the database write lock.
 //! * **Truncation** — quiescence GC clears the backlog (see [`clear`]), and
 //!   the store's backlog cap ([`youtopia_storage::DELTA_BACKLOG_CAP`] by
 //!   default, `EngineBuilder::delta_backlog_cap` to override) unconditionally
@@ -74,7 +68,7 @@ pub struct ViolationIndexStats {
 /// Observes the index backing `db`.
 pub fn stats(db: &Database) -> ViolationIndexStats {
     ViolationIndexStats {
-        delta_seq: db.version_store().delta_seq(),
+        delta_seq: db.delta_seq(),
         backlog_len: db.delta_backlog_len(),
         backlog_cap: db.version_store().delta_backlog_cap(),
     }

@@ -47,8 +47,8 @@ pub fn decode_initial_op(r: &mut ByteReader<'_>) -> Result<InitialOp, WalError> 
     match r.take_u8()? {
         0 => {
             let relation = RelationId(r.take_u32()?);
-            let count = r.take_u32()?;
-            let mut values = Vec::with_capacity(count as usize);
+            let count = r.take_count()?;
+            let mut values = Vec::with_capacity(count);
             for _ in 0..count {
                 values.push(decode_value(r)?);
             }
@@ -96,8 +96,8 @@ pub fn encode_decision(decision: &FrontierDecision, out: &mut ByteWriter) {
 pub fn decode_decision(r: &mut ByteReader<'_>) -> Result<FrontierDecision, WalError> {
     match r.take_u8()? {
         0 => {
-            let count = r.take_u32()?;
-            let mut actions = Vec::with_capacity(count as usize);
+            let count = r.take_count()?;
+            let mut actions = Vec::with_capacity(count);
             for _ in 0..count {
                 actions.push(match r.take_u8()? {
                     0 => PositiveAction::Expand,
@@ -108,8 +108,8 @@ pub fn decode_decision(r: &mut ByteReader<'_>) -> Result<FrontierDecision, WalEr
             Ok(FrontierDecision::Positive(actions))
         }
         1 => {
-            let count = r.take_u32()?;
-            let mut tuples = Vec::with_capacity(count as usize);
+            let count = r.take_count()?;
+            let mut tuples = Vec::with_capacity(count);
             for _ in 0..count {
                 tuples.push(TupleId(r.take_u64()?));
             }

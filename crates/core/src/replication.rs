@@ -336,13 +336,13 @@ pub fn decode_delta_batch(bytes: &[u8]) -> Result<DeltaBatch, WalError> {
         return Err(corrupt("sync payload checksum mismatch"));
     }
     let mut r = ByteReader::new(payload);
-    let entry_count = r.take_u32()?;
-    let mut entries = Vec::with_capacity(entry_count as usize);
+    let entry_count = r.take_count()?;
+    let mut entries = Vec::with_capacity(entry_count);
     for _ in 0..entry_count {
         let origin = NodeId(r.take_u32()?);
         let first_seq = r.take_u64()?;
-        let event_count = r.take_u32()?;
-        let mut events = Vec::with_capacity(event_count as usize);
+        let event_count = r.take_count()?;
+        let mut events = Vec::with_capacity(event_count);
         for _ in 0..event_count {
             events.push(decode_event(&mut r)?);
         }

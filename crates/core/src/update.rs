@@ -12,8 +12,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use youtopia_mappings::{violations_from_change, MappingSet, Violation, ViolationKind};
 use youtopia_storage::{
-    specialization, substitute_nulls, AppliedWrite, ChaseData, DataView, Database, NullId,
-    RelationId, TupleData, TupleId, UpdateId, Value, Write,
+    specialization, substitute_nulls, AppliedWrite, DataView, Database, NullId, RelationId,
+    TupleData, TupleId, UpdateId, Value, Write,
 };
 
 use crate::error::ChaseError;
@@ -174,12 +174,12 @@ pub enum ChaseMode {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ViolationStateMode {
     /// The engine-shared violation index (the default): the store keeps one
-    /// committed-write delta log (the
-    /// [`ViolationFeed`](youtopia_storage::ViolationFeed)) and the execution
-    /// holds a plain integer cursor into it. A step asks the feed which of
-    /// its indexed relations appear in the window its cursor missed — cost
-    /// proportional to what changed since this update's previous step, and
-    /// independent of how many updates are live on the engine.
+    /// committed-write delta log ([`Database::delta_seq`] /
+    /// [`Database::dirty_relations`]) and the execution holds a plain integer
+    /// cursor into it. A step asks the feed which of its indexed relations
+    /// appear in the window its cursor missed — cost proportional to what
+    /// changed since this update's previous step, and independent of how many
+    /// updates are live on the engine.
     #[default]
     Shared,
     /// The pre-index reference path: the execution owns per-relation epoch
@@ -246,7 +246,7 @@ pub struct UpdateExecution {
     /// This execution's cursor into the engine-shared committed-delta feed
     /// ([`ViolationStateMode::Shared`]): every delta below it has been folded
     /// into the queue's bookkeeping. Advanced at the end of each step's queue
-    /// maintenance; resynchronised by the engine after a speculative commit.
+    /// maintenance.
     delta_cursor: u64,
     pending_frontier: Option<FrontierRequest>,
     stats: UpdateStats,
@@ -330,17 +330,6 @@ impl UpdateExecution {
     /// per-update epoch watermarks).
     pub fn violation_state(&self) -> ViolationStateMode {
         self.viol_mode
-    }
-
-    /// Resynchronises the shared-feed cursor to `seq`. Called by the engine
-    /// after committing a speculative step: the overlay numbered its buffered
-    /// deltas from the read-locked base, and the commit re-applies them at the
-    /// real sequence — every delta the jump skips is either this update's own
-    /// re-applied write (its epochs are already stamped in the queue) or a
-    /// commit into a relation the queue does not watch (validation pinned all
-    /// watched relations, so interference would have discarded the outcome).
-    pub fn sync_delta_cursor(&mut self, seq: u64) {
-        self.delta_cursor = seq;
     }
 
     /// The update's priority number.
@@ -440,7 +429,7 @@ impl UpdateExecution {
     /// Enqueues a newly discovered violation (the caller has already checked
     /// `queued_set` for membership), indexing it under the relations it reads
     /// and stamping the current write epochs.
-    fn enqueue<D: ChaseData>(&mut self, db: &D, mappings: &MappingSet, violation: Violation) {
+    fn enqueue(&mut self, db: &Database, mappings: &MappingSet, violation: Violation) {
         let tgd = mappings.get(violation.mapping);
         let read_relations = violation.read_relations(tgd);
         let checked_epochs: Vec<u64> =
@@ -489,12 +478,7 @@ impl UpdateExecution {
     /// violation's checked epoch moved", and the per-entry epoch compare
     /// below filters exactly — so the final queue state is identical either
     /// way.
-    fn recheck_touched<D: ChaseData>(
-        &mut self,
-        db: &D,
-        view: &dyn DataView,
-        mappings: &MappingSet,
-    ) {
+    fn recheck_touched(&mut self, db: &Database, view: &dyn DataView, mappings: &MappingSet) {
         let dirty: Vec<RelationId> = match self.viol_mode {
             ViolationStateMode::PerUpdate => self
                 .queue_index
@@ -581,14 +565,9 @@ impl UpdateExecution {
     /// detects the new violations they cause, re-checks queued violations, and
     /// either schedules corrective writes for the next step or emits a
     /// frontier request.
-    ///
-    /// Generic over [`ChaseData`], like both halves below: the scheduler runs
-    /// steps directly against the [`Database`] and speculatively against a
-    /// `SpeculativeDb` overlay through the *same* code, which is what makes a
-    /// committed speculation byte-identical to a direct step.
-    pub fn step<D: ChaseData>(
+    pub fn step(
         &mut self,
-        db: &mut D,
+        db: &mut Database,
         mappings: &MappingSet,
     ) -> Result<StepOutcome, ChaseError> {
         let applied = self.begin_step(db)?;
@@ -602,10 +581,7 @@ impl UpdateExecution {
     /// and runs [`Self::finish_step`] under a read lock, so analysis of
     /// different updates can overlap. Calling the two halves back to back is
     /// exactly [`Self::step`].
-    pub fn begin_step<D: ChaseData>(
-        &mut self,
-        db: &mut D,
-    ) -> Result<Vec<AppliedWrite>, ChaseError> {
+    pub fn begin_step(&mut self, db: &mut Database) -> Result<Vec<AppliedWrite>, ChaseError> {
         if self.state != UpdateState::Ready {
             return Err(ChaseError::NotReady(self.id));
         }
@@ -629,9 +605,9 @@ impl UpdateExecution {
     /// the optimistic scheduler already handles — every read this half
     /// performs is returned in the [`StepOutcome`] for logging, and a later
     /// conflict check aborts this update if one of those reads was premature.
-    pub fn finish_step<D: ChaseData>(
+    pub fn finish_step(
         &mut self,
-        db: &D,
+        db: &Database,
         mappings: &MappingSet,
         applied: Vec<AppliedWrite>,
     ) -> Result<StepOutcome, ChaseError> {
@@ -644,7 +620,7 @@ impl UpdateExecution {
         //    did since its previous step); the reference mode re-checks the
         //    whole queue after detection, like the pre-optimisation chase.
         {
-            let snap = db.view(self.id);
+            let snap = db.snapshot(self.id);
             if self.mode == ChaseMode::Incremental {
                 self.recheck_touched(db, &snap, mappings);
             }
@@ -901,9 +877,9 @@ impl UpdateExecution {
     /// Computes the repair plan for one violation: either a deterministic set
     /// of corrective writes or a frontier request, together with the
     /// correction queries that were needed to decide.
-    fn plan_repair<D: ChaseData>(
+    fn plan_repair(
         &self,
-        db: &D,
+        db: &Database,
         mappings: &MappingSet,
         violation: &Violation,
     ) -> (RepairPlan, Vec<ReadQuery>) {
@@ -916,9 +892,9 @@ impl UpdateExecution {
     /// Forward repair (Section 2.2): generate the missing RHS tuples; tuples
     /// with an existing, more specific counterpart become positive frontier
     /// tuples.
-    fn plan_forward<D: ChaseData>(
+    fn plan_forward(
         &self,
-        db: &D,
+        db: &Database,
         mappings: &MappingSet,
         violation: &Violation,
     ) -> (RepairPlan, Vec<ReadQuery>) {
@@ -942,7 +918,7 @@ impl UpdateExecution {
         }
 
         // Examine each generated tuple against the database.
-        let snap = db.view(self.id);
+        let snap = db.snapshot(self.id);
         let mut reads = Vec::new();
         let mut tuples = Vec::new();
         let mut writes = Vec::new();
@@ -989,9 +965,9 @@ impl UpdateExecution {
 
     /// Backward repair (Section 2.3): delete witness tuples. Deterministic
     /// only when there is a single candidate.
-    fn plan_backward<D: ChaseData>(
+    fn plan_backward(
         &self,
-        db: &D,
+        db: &Database,
         mappings: &MappingSet,
         violation: &Violation,
     ) -> RepairPlan {
@@ -1001,7 +977,7 @@ impl UpdateExecution {
             if candidates.iter().any(|(_, existing, _)| existing == tid) {
                 continue; // self-joins repeat the same tuple
             }
-            if let Some(data) = db.visible_tuple(atom.relation, *tid, self.id) {
+            if let Some(data) = db.visible(atom.relation, *tid, self.id) {
                 candidates.push((idx, *tid, data));
             }
         }

@@ -1,12 +1,13 @@
-//! The [`ViolationFeed`]: the committed-write delta feed the engine-shared
-//! violation index is built on.
+//! The violation feed: the committed-write delta log the engine-shared
+//! violation index is built on, answered by [`Database::delta_seq`] and
+//! [`Database::dirty_relations`].
 //!
 //! The chase's delta-driven violation queue needs one question answered at the
 //! start of every step: *which of the relations my queued violations read were
 //! mutated since my previous step?* The original (per-update) answer probes
 //! every indexed relation's write epoch and compares it against a per-update
 //! watermark — cost proportional to the update's queue footprint, per update,
-//! per step. The shared answer is this trait: the store keeps **one**
+//! per step. The shared answer is this feed: the store keeps **one**
 //! append-only log of committed relation mutations ([`VersionStore`] appends
 //! exactly one entry per write-epoch bump), and every live update holds a
 //! plain integer cursor into it. A step replays only the window its cursor
@@ -16,83 +17,35 @@
 //!
 //! Truncation is always safe: when the backlog no longer reaches back to a
 //! cursor (quiescence GC cleared it, or the unconditional cap dropped old
-//! entries), [`ViolationFeed::dirty_relations`] answers `None` and the
-//! consumer treats its whole interest set as dirty — the per-violation epoch
-//! compare downstream then filters exactly what a per-update check would
-//! have, so the fallback costs time, never correctness.
+//! entries), [`Database::dirty_relations`] answers `None` and the consumer
+//! treats its whole interest set as dirty — the per-violation epoch compare
+//! downstream then filters exactly what a per-update check would have, so the
+//! fallback costs time, never correctness.
 //!
-//! Implementations:
-//!
-//! * [`Database`] — the real feed, backed by
-//!   [`VersionStore::deltas_since`](crate::VersionStore::deltas_since);
-//! * [`SpeculativeDb`](crate::SpeculativeDb) — the speculative overlay.
-//!   Its window is the base window plus the overlay's own buffered
-//!   mutations, and *every interest relation is recorded as an epoch read*:
-//!   if any other update commits into a relation the speculating update's
-//!   queue watches, validation discards the buffered outcome, so a committed
-//!   speculation's cursor advance can never skip a delta that mattered.
+//! [`VersionStore`]: crate::VersionStore
 
 use crate::database::Database;
 use crate::schema::RelationId;
-use crate::speculate::SpeculativeDb;
 
-/// A source of committed write deltas with stable, monotonically increasing
-/// sequence numbers. See the module docs for the maintenance model.
-pub trait ViolationFeed {
+impl Database {
     /// The current delta sequence number: the total number of relation
-    /// mutations committed so far (through this view).
-    fn delta_seq(&self) -> u64;
+    /// mutations committed so far.
+    pub fn delta_seq(&self) -> u64 {
+        self.version_store().delta_seq()
+    }
 
     /// The subset of `interest` (in `interest` order) mutated in the delta
     /// window `[since, delta_seq())`. Returns `None` when the backlog no
     /// longer reaches back to `since`; the caller must then treat all of
     /// `interest` as dirty.
-    fn dirty_relations(&self, since: u64, interest: &[RelationId]) -> Option<Vec<RelationId>>;
-}
-
-impl ViolationFeed for Database {
-    fn delta_seq(&self) -> u64 {
-        self.version_store().delta_seq()
-    }
-
-    fn dirty_relations(&self, since: u64, interest: &[RelationId]) -> Option<Vec<RelationId>> {
+    pub fn dirty_relations(&self, since: u64, interest: &[RelationId]) -> Option<Vec<RelationId>> {
         self.version_store().dirty_in_window(since, interest)
-    }
-}
-
-impl ViolationFeed for SpeculativeDb<'_> {
-    /// Base deltas plus the overlay's own buffered mutations: exactly where
-    /// the real sequence lands after this speculation commits (assuming no
-    /// interference, which validation guarantees).
-    fn delta_seq(&self) -> u64 {
-        self.base().version_store().delta_seq() + self.overlay_mutations()
-    }
-
-    fn dirty_relations(&self, since: u64, interest: &[RelationId]) -> Option<Vec<RelationId>> {
-        // Pin every watched relation as an epoch read: any commit into one of
-        // them between this speculation and its validation must discard the
-        // buffered outcome, because the discarded deltas would otherwise be
-        // skipped when the committed cursor jumps past them.
-        for &relation in interest {
-            self.record_read(relation);
-        }
-        let window = self.base().version_store().deltas_since(since)?;
-        let window: std::collections::HashSet<RelationId> = window.collect();
-        Some(
-            interest
-                .iter()
-                .copied()
-                .filter(|r| window.contains(r) || self.overlay_mutated(*r))
-                .collect(),
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::speculate::ChaseData;
-    use crate::value::Value as V;
     use crate::version::{UpdateId, Write};
 
     fn fixture() -> (Database, RelationId, RelationId) {
@@ -105,33 +58,33 @@ mod tests {
     #[test]
     fn deltas_record_every_mutation_in_commit_order() {
         let (mut db, r, s) = fixture();
-        assert_eq!(ViolationFeed::delta_seq(&db), 0);
+        assert_eq!(db.delta_seq(), 0);
         db.insert_by_name("R", &["a"], UpdateId(1));
         db.insert_by_name("S", &["b"], UpdateId(1));
         let t = db.insert_by_name("R", &["c"], UpdateId(1));
-        assert_eq!(ViolationFeed::delta_seq(&db), 3);
+        assert_eq!(db.delta_seq(), 3);
         let window: Vec<RelationId> = db.version_store().deltas_since(0).unwrap().collect();
         assert_eq!(window, vec![r, s, r]);
         // Deletes and rollbacks feed the log too.
         db.apply(&Write::Delete { relation: r, tuple: t }, UpdateId(2)).unwrap();
-        assert_eq!(ViolationFeed::delta_seq(&db), 4);
+        assert_eq!(db.delta_seq(), 4);
         db.rollback_update(UpdateId(2));
-        assert_eq!(ViolationFeed::delta_seq(&db), 5);
+        assert_eq!(db.delta_seq(), 5);
         // A no-op write (deleting an unknown tuple) records nothing, exactly
         // like the epoch it mirrors.
         db.apply(&Write::Delete { relation: r, tuple: crate::TupleId(99) }, UpdateId(3)).unwrap();
-        assert_eq!(ViolationFeed::delta_seq(&db), 5);
+        assert_eq!(db.delta_seq(), 5);
     }
 
     #[test]
     fn dirty_relations_filters_by_interest_and_window() {
         let (mut db, r, s) = fixture();
         db.insert_by_name("R", &["a"], UpdateId(1));
-        let cursor = ViolationFeed::delta_seq(&db);
+        let cursor = db.delta_seq();
         db.insert_by_name("S", &["b"], UpdateId(1));
         assert_eq!(db.dirty_relations(cursor, &[r, s]), Some(vec![s]));
         assert_eq!(db.dirty_relations(cursor, &[r]), Some(vec![]));
-        assert_eq!(db.dirty_relations(ViolationFeed::delta_seq(&db), &[r, s]), Some(vec![]));
+        assert_eq!(db.dirty_relations(db.delta_seq(), &[r, s]), Some(vec![]));
     }
 
     #[test]
@@ -143,39 +96,14 @@ mod tests {
         db.truncate_delta_backlog();
         assert_eq!(db.delta_backlog_len(), 0);
         // The sequence keeps counting from where it was.
-        assert_eq!(ViolationFeed::delta_seq(&db), 1);
+        assert_eq!(db.delta_seq(), 1);
         assert_eq!(db.dirty_relations(cursor, &[r]), None, "gap must be observable");
         // A cursor taken after truncation works normally again.
-        let fresh = ViolationFeed::delta_seq(&db);
+        let fresh = db.delta_seq();
         db.insert_by_name("R", &["b"], UpdateId(1));
         assert_eq!(db.dirty_relations(fresh, &[r]), Some(vec![r]));
         // A cursor from the future (e.g. a mismatched store) is a gap too.
         assert_eq!(db.dirty_relations(1_000, &[r]), None);
-    }
-
-    #[test]
-    fn speculative_feed_covers_overlay_writes_and_pins_interest() {
-        let (mut db, r, s) = fixture();
-        db.insert_by_name("S", &["b"], UpdateId(1));
-        let cursor = ViolationFeed::delta_seq(&db);
-
-        let mut spec = SpeculativeDb::new(&db, UpdateId(5));
-        spec.apply_all_owned(
-            vec![Write::Insert { relation: r, values: vec![V::constant("x")] }],
-            UpdateId(5),
-        )
-        .unwrap();
-        // The overlay's own write is dirty and advances the overlay sequence.
-        assert_eq!(ViolationFeed::delta_seq(&spec), cursor + 1);
-        assert_eq!(spec.dirty_relations(cursor, &[r, s]), Some(vec![r]));
-
-        // Asking pinned *both* interest relations as epoch reads: a commit
-        // into either invalidates the speculation.
-        let reads = spec.into_read_set();
-        assert!(reads.still_valid(&db));
-        assert_eq!(reads.relations_read(), 2);
-        db.insert_by_name("S", &["c"], UpdateId(2));
-        assert!(!reads.still_valid(&db), "interest relations are pinned");
     }
 
     #[test]

@@ -16,10 +16,8 @@
 //! * a conjunctive-query engine ([`query`]) used for violation and correction
 //!   queries, plus [`OverlaySnapshot`] for *what-if* evaluation of a single
 //!   write (used by conflict detection and the `PRECISE` tracker);
-//! * a speculative write overlay ([`SpeculativeDb`]) that runs a whole chase
-//!   step against a read-locked base and reduces its validity to an
-//!   epoch-compare [`SpeculationReadSet`] (used by the deterministic
-//!   scheduler's speculative mode).
+//! * the committed-write delta feed ([`mod@feed`]) that the chase's shared
+//!   violation index replays.
 //!
 //! Higher layers: `youtopia-mappings` (tgds and violations), `youtopia-core`
 //! (the cooperative chase) and `youtopia-concurrency` (optimistic concurrency
@@ -48,7 +46,6 @@ pub mod query;
 pub mod relation;
 pub mod schema;
 pub mod snapshot;
-pub mod speculate;
 pub mod store;
 pub mod tuple;
 pub mod value;
@@ -57,12 +54,10 @@ pub mod wal;
 
 pub use database::Database;
 pub use error::StorageError;
-pub use feed::ViolationFeed;
 pub use query::{evaluate, restrict, satisfiable, variables_of, Atom, Bindings, QueryMatch, Term};
 pub use relation::RelationStore;
 pub use schema::{Catalog, RelationId, RelationSchema};
 pub use snapshot::{DataView, OverlaySnapshot, Snapshot, TupleOverride};
-pub use speculate::{ChaseData, SpeculationReadSet, SpeculativeDb, SpeculativeView};
 pub use store::{VersionStore, DELTA_BACKLOG_CAP};
 pub use tuple::{
     contains_null, is_more_specific, nulls_of, specialization, specificity_equivalent,

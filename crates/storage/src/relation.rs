@@ -263,7 +263,10 @@ impl RelationStore {
         }
         let mut seen = Vec::new();
         let mut out = Vec::new();
-        for &tid in self.index_bucket(column, &value) {
+        // Bucket order is the index's *append* order (stale entries included).
+        let bucket =
+            self.index.get(column).and_then(|m| m.get(&value)).map_or(&[][..], Vec::as_slice);
+        for &tid in bucket {
             if seen.contains(&tid) {
                 continue;
             }
@@ -280,14 +283,6 @@ impl RelationStore {
         }
         memo.insert((reader, column, value), Arc::new(out.clone()));
         out
-    }
-
-    /// The raw column-index bucket for `value` at `column`: candidate tuple
-    /// ids in *append* order, unfiltered (stale entries included). Speculative
-    /// execution replays this exact order — bucket first, overlay appends
-    /// second — so candidate iteration matches a post-commit re-execution.
-    pub(crate) fn index_bucket(&self, column: usize, value: &Value) -> &[TupleId] {
-        self.index.get(column).and_then(|m| m.get(value)).map_or(&[], Vec::as_slice)
     }
 
     /// Removes every version created by `update`. Returns the ids of logical

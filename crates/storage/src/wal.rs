@@ -254,6 +254,21 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| self.corrupt("invalid utf-8"))
     }
 
+    /// Reads the u32 element count of a collection whose elements each occupy
+    /// at least one byte, failing when it exceeds the bytes remaining. Counts
+    /// come off the wire or the disk; this is what bounds a decoder's
+    /// `Vec::with_capacity(count)` by the size of the input it was handed.
+    pub fn take_count(&mut self) -> Result<usize, WalError> {
+        let count = self.take_u32()? as usize;
+        if count > self.remaining() {
+            return Err(self.corrupt(format!(
+                "count {count} exceeds the {} bytes remaining",
+                self.remaining()
+            )));
+        }
+        Ok(count)
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -488,12 +503,12 @@ pub fn serialize_database(db: &Database) -> Vec<u8> {
 pub fn deserialize_database(bytes: &[u8]) -> Result<Database, WalError> {
     let mut r = ByteReader::new(bytes);
     let mut db = Database::new();
-    let relation_count = r.take_u32()?;
-    let mut relation_ids = Vec::with_capacity(relation_count as usize);
+    let relation_count = r.take_count()?;
+    let mut relation_ids = Vec::with_capacity(relation_count);
     for _ in 0..relation_count {
         let name = r.take_str()?;
-        let attr_count = r.take_u32()?;
-        let mut attrs = Vec::with_capacity(attr_count as usize);
+        let attr_count = r.take_count()?;
+        let mut attrs = Vec::with_capacity(attr_count);
         for _ in 0..attr_count {
             attrs.push(r.take_str()?);
         }
@@ -523,8 +538,8 @@ pub fn deserialize_database(bytes: &[u8]) -> Result<Database, WalError> {
                 let data = match r.take_u8()? {
                     0 => None,
                     1 => {
-                        let value_count = r.take_u32()?;
-                        let mut values = Vec::with_capacity(value_count as usize);
+                        let value_count = r.take_count()?;
+                        let mut values = Vec::with_capacity(value_count);
                         for _ in 0..value_count {
                             values.push(decode_value(&mut r)?);
                         }

@@ -21,10 +21,9 @@
 # summary, so the new group is guarded from its first run — commit the seeded
 # file in the PR that adds the bench.
 #
-# The chase/parallel/*, chase/engine_ingest/* and chase/speculative/* groups
-# are exempt from the hard tier: all benchmark OS-thread worker pools (the
-# free-running scheduler, the long-lived engine, and the speculating
-# deterministic sequencer) whose medians on the 1-core shared runner are
+# The chase/parallel/* and chase/engine_ingest/* groups are exempt from the
+# hard tier: both benchmark OS-thread worker pools (the free-running scheduler
+# and the long-lived engine) whose medians on the 1-core shared runner are
 # dominated by OS scheduling of the workers, so a 2x swing there is noise,
 # not signal. The soft tier still warns on them.
 #
@@ -41,7 +40,7 @@ TARGET_DIR="$(dirname "$0")/../target"
 # Benchmark id prefixes the hard tier guards, and the exemption within them.
 # (BENCH_storage_ops.json's ids use the `storage/` prefix.)
 HARD_GROUPS='^(chase/|storage/)'
-HARD_EXEMPT='^chase/(parallel|engine_ingest|speculative)/'
+HARD_EXEMPT='^chase/(parallel|engine_ingest)/'
 
 if ! command -v jq >/dev/null 2>&1; then
     echo "jq not found; skipping bench regression check"

@@ -76,13 +76,11 @@ pub use youtopia_replication as replication;
 /// `youtopia-workload`).
 pub use youtopia_workload as workload;
 
-#[allow(deprecated)] // kept for existing `with_config` callers
-pub use youtopia_concurrency::ExchangeConfig;
 pub use youtopia_concurrency::{
     AnswerOutcome, ClientId, ConcurrentRun, DurabilityConfig, EngineBuilder, EngineConfig,
     EngineError, ExchangeEngine, ParallelRun, Priority, RecoveryError, ResolverPump, RetryAfter,
-    RunMetrics, SchedulerConfig, SpeculationMode, SubmitError, SweepReport, TrackerKind,
-    UpdateExchange, UpdateHandle, UpdateStatus, ViolationIndexStats,
+    RunMetrics, SchedulerConfig, SubmitError, SweepReport, TrackerKind, UpdateExchange,
+    UpdateHandle, UpdateStatus, ViolationIndexStats,
 };
 pub use youtopia_core::{
     AutoDecision, ChaseError, EscalationPolicy, ExpandResolver, FrontierDecision, FrontierRequest,

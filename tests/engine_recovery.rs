@@ -65,17 +65,12 @@ impl Drop for TempDir {
     }
 }
 
-/// Strips the wall-clock field — and the speculation counters, which measure
-/// *pre*-execution attempts and so vary with worker timing (and reset to zero
-/// across a recovery) — so metrics compare byte-exactly. Re-asks are likewise
+/// Strips the wall-clock field so metrics compare byte-exactly. Re-asks are
 /// advisory (never logged) and restart at zero after a crash, so they are
 /// scrubbed too; `auto_resolutions` is deliberately **not** scrubbed — system
 /// answers are WAL records, so the recovered count must match the original.
 fn scrub(mut m: RunMetrics) -> RunMetrics {
     m.wall_time = Duration::ZERO;
-    m.speculations_started = 0;
-    m.speculations_committed = 0;
-    m.speculations_discarded = 0;
     m.re_asks = 0;
     m
 }

@@ -12,10 +12,10 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
-use youtopia::concurrency::{RunMetrics, SchedulerConfig, SchedulingPolicy, SpeculationMode};
+use youtopia::concurrency::{RunMetrics, SchedulerConfig, SchedulingPolicy};
 use youtopia::mappings::satisfies_all;
 use youtopia::workload::{build_fixture, generate_workload, ExperimentConfig};
-use youtopia::{ConcurrentRun, ParallelRun, RandomResolver, TrackerKind, UpdateId, WorkloadKind};
+use youtopia::{ParallelRun, RandomResolver, TrackerKind, UpdateId, WorkloadKind};
 
 /// Runs `f` on its own thread and panics if it does not finish in `timeout`
 /// (a hung free-running scheduler would otherwise block the whole lane).
@@ -134,80 +134,6 @@ fn free_running_mixed_stratum_policy() {
         SchedulingPolicy::StratumRoundRobin,
         200,
     );
-}
-
-/// High-contention speculative determinism: every update hammers the same hot
-/// relations (skewed workload), so most speculations are invalidated by the
-/// commit immediately before them — the worst case for the OCC path. The
-/// committed sequence must nevertheless stay byte-identical to the
-/// single-threaded [`ConcurrentRun`] reference, and every started speculation
-/// must be accounted for as committed or discarded.
-#[test]
-#[ignore = "multi-thread stress lane: run with `cargo test --release -- --ignored`"]
-fn speculative_deterministic_skewed_high_contention() {
-    let label = "speculative deterministic, skewed, 4 workers";
-    with_deadline(Duration::from_secs(120), label, move || {
-        let mut config = ExperimentConfig::quick();
-        config.seed = 7;
-        config.initial_tuples = 300;
-        config.workload_updates = 200;
-        let fixture = build_fixture(&config).expect("fixture builds");
-        let ops = generate_workload(
-            &config,
-            &fixture.schema,
-            &fixture.initial_db,
-            &fixture.mappings,
-            WorkloadKind::Skewed,
-            config.seed,
-        );
-        let first_number = config.initial_tuples as u64 + 1_000;
-        let scheduler = SchedulerConfig::with_tracker(TrackerKind::Precise)
-            .with_policy(SchedulingPolicy::StepRoundRobin)
-            .with_frontier_delay_rounds(3);
-
-        let mut reference = ConcurrentRun::new(
-            fixture.initial_db.clone(),
-            fixture.mappings.clone(),
-            ops.clone(),
-            first_number,
-            scheduler,
-        );
-        let ref_metrics = reference.run(&mut RandomResolver::seeded(99)).unwrap();
-        let ref_stats = reference.update_stats();
-
-        let mut run = ParallelRun::new(
-            fixture.initial_db.clone(),
-            fixture.mappings.clone(),
-            ops,
-            first_number,
-            scheduler.with_workers(4).with_speculation(SpeculationMode::Eager),
-        );
-        let metrics = run.run(&mut RandomResolver::seeded(99)).unwrap();
-        assert_eq!(
-            metrics.speculations_started,
-            metrics.speculations_committed + metrics.speculations_discarded,
-            "{label}: speculation balance"
-        );
-        assert_eq!(metrics.steps, ref_metrics.steps, "{label}: steps");
-        assert_eq!(metrics.aborts, ref_metrics.aborts, "{label}: aborts");
-        assert_eq!(metrics.changes, ref_metrics.changes, "{label}: changes");
-        assert_eq!(run.update_stats(), ref_stats, "{label}: per-update stats");
-        let (db, mappings, _) = run.into_parts();
-        let (ref_db, _, _) = reference.into_parts();
-        let render = |db: &youtopia::Database| {
-            let mut out = String::new();
-            for relation in db.catalog().relation_ids() {
-                out.push_str(&format!(
-                    "{relation:?}: {:?}\n",
-                    db.scan(relation, UpdateId::OMNISCIENT)
-                ));
-            }
-            out.push_str(&format!("nulls: {}\n", db.null_counter()));
-            out
-        };
-        assert_eq!(render(&db), render(&ref_db), "{label}: final database state");
-        assert!(satisfies_all(&db.snapshot(UpdateId::OMNISCIENT), &mappings), "{label}");
-    });
 }
 
 /// Several back-to-back seeds at a smaller size: schedule diversity matters

@@ -11,19 +11,14 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use youtopia::chase::ChaseMode;
-use youtopia::concurrency::{RunMetrics, SchedulerConfig, SchedulingPolicy, SpeculationMode};
+use youtopia::concurrency::{RunMetrics, SchedulerConfig, SchedulingPolicy};
 use youtopia::mappings::satisfies_all;
 use youtopia::workload::{build_fixture, generate_workload, ExperimentConfig, WorkloadKind};
 use youtopia::{ConcurrentRun, InitialOp, ParallelRun, RandomResolver, TrackerKind, UpdateId};
 
-/// Strips the wall-clock field — and the speculation counters, which count
-/// *pre*-execution attempts and so depend on worker timing — so metrics
-/// compare byte-exactly on everything the runs actually committed.
+/// Strips the wall-clock field so metrics compare byte-exactly.
 fn scrub(mut m: RunMetrics) -> RunMetrics {
     m.wall_time = std::time::Duration::ZERO;
-    m.speculations_started = 0;
-    m.speculations_committed = 0;
-    m.speculations_discarded = 0;
     m
 }
 
@@ -80,39 +75,29 @@ fn schedulers_agree(
     let ref_abort_set: BTreeSet<UpdateId> =
         ref_stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect();
 
-    for speculation in [SpeculationMode::Off, SpeculationMode::Eager] {
-        for workers in [2usize, 4] {
-            let par_config = scheduler.with_workers(workers).with_speculation(speculation);
-            let mut run = ParallelRun::new(
-                fixture.initial_db.clone(),
-                fixture.mappings.clone(),
-                ops.clone(),
-                first_number,
-                par_config,
-            );
-            let metrics = run.run(&mut RandomResolver::seeded(seed ^ 0xFA11)).unwrap();
-            let label = format!(
-                "seed {seed}, {tracker}, {kind}, {policy:?}, {chase_mode:?}, \
-                 {workers} workers, {speculation:?}"
-            );
-            // Every speculation is accounted for: committed or discarded.
-            assert_eq!(
-                metrics.speculations_started,
-                metrics.speculations_committed + metrics.speculations_discarded,
-                "{label}: speculation balance"
-            );
-            if speculation == SpeculationMode::Off {
-                assert_eq!(metrics.speculations_started, 0, "{label}: no speculation when off");
-            }
-            assert_eq!(scrub(metrics), scrub(ref_metrics.clone()), "{label}: metrics");
-            let stats = run.update_stats();
-            assert_eq!(stats, ref_stats, "{label}: per-update stats");
-            let abort_set: BTreeSet<UpdateId> =
-                stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect();
-            assert_eq!(abort_set, ref_abort_set, "{label}: abort set");
-            let (db, _, _) = run.into_parts();
-            assert_eq!(render(&db), render(&ref_db), "{label}: final database state");
-        }
+    // A deterministic run commits in one serial order on one sequencer
+    // thread, so every `workers` value must be byte-identical to the reference.
+    for workers in [2usize, 4] {
+        let par_config = scheduler.with_workers(workers);
+        let mut run = ParallelRun::new(
+            fixture.initial_db.clone(),
+            fixture.mappings.clone(),
+            ops.clone(),
+            first_number,
+            par_config,
+        );
+        let metrics = run.run(&mut RandomResolver::seeded(seed ^ 0xFA11)).unwrap();
+        let label = format!(
+            "seed {seed}, {tracker}, {kind}, {policy:?}, {chase_mode:?}, {workers} workers"
+        );
+        assert_eq!(scrub(metrics), scrub(ref_metrics.clone()), "{label}: metrics");
+        let stats = run.update_stats();
+        assert_eq!(stats, ref_stats, "{label}: per-update stats");
+        let abort_set: BTreeSet<UpdateId> =
+            stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect();
+        assert_eq!(abort_set, ref_abort_set, "{label}: abort set");
+        let (db, _, _) = run.into_parts();
+        assert_eq!(render(&db), render(&ref_db), "{label}: final database state");
     }
 }
 

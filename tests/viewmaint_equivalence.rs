@@ -3,7 +3,7 @@
 //!
 //! * **Mode equivalence** — the shared violation index is a pure
 //!   representation change: for every generated workload, every tracker,
-//!   scheduling policy, chase mode, worker count and speculation mode, an
+//!   scheduling policy, chase mode and worker count, an
 //!   engine running [`ViolationStateMode::Shared`] must be byte-identical to
 //!   one running [`ViolationStateMode::PerUpdate`] *and* to the
 //!   single-threaded [`ConcurrentRun`] reference — the same final database
@@ -14,17 +14,14 @@
 //! * **Bounded backlog** — a long-lived engine cycling through tens of
 //!   thousands of trivial updates must not accumulate delta-log backlog: the
 //!   quiescence GC truncates the shared feed whenever no cursor can still
-//!   need it.
-//! * **Speculative discards** — discarded speculations buffer deltas in
-//!   their overlay; none of that may leak into (or pin) the committed feed
-//!   once the engine is quiescent.
+//!   need it — after trivial cycles and after a real chased workload alike.
 
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use youtopia::chase::ChaseMode;
-use youtopia::concurrency::{RunMetrics, SchedulerConfig, SchedulingPolicy, SpeculationMode};
+use youtopia::concurrency::{RunMetrics, SchedulerConfig, SchedulingPolicy};
 use youtopia::mappings::satisfies_all;
 use youtopia::storage::DELTA_BACKLOG_CAP;
 use youtopia::workload::{build_fixture, generate_workload, ExperimentConfig, WorkloadKind};
@@ -33,13 +30,9 @@ use youtopia::{
     ResolverPump, TrackerKind, UpdateId, UpdateStatus, Value, ViolationStateMode,
 };
 
-/// Strips the wall-clock field and the speculation counters (scheduling
-/// artefacts) so metrics compare byte-exactly.
+/// Strips the wall-clock field so metrics compare byte-exactly.
 fn scrub(mut m: RunMetrics) -> RunMetrics {
     m.wall_time = std::time::Duration::ZERO;
-    m.speculations_started = 0;
-    m.speculations_committed = 0;
-    m.speculations_discarded = 0;
     m
 }
 
@@ -56,7 +49,7 @@ fn render(db: &Database) -> String {
 
 /// Runs one generated workload through the `PerUpdate` reference scheduler,
 /// then through engines in **both** violation-state modes across the
-/// speculation × worker grid, asserting byte equality throughout.
+/// worker counts, asserting byte equality throughout.
 fn shared_matches_per_update(
     seed: u64,
     tracker: TrackerKind,
@@ -101,36 +94,34 @@ fn shared_matches_per_update(
         ref_stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect();
 
     for mode in [ViolationStateMode::Shared, ViolationStateMode::PerUpdate] {
-        for speculation in [SpeculationMode::Off, SpeculationMode::Eager] {
-            for workers in [1usize, 2, 4] {
-                let engine = EngineBuilder::new()
-                    .scheduler(scheduler.with_workers(workers).with_speculation(speculation))
-                    .violation_state(mode)
-                    .first_update_number(first_number)
-                    .build(fixture.initial_db.clone(), fixture.mappings.clone())
-                    .expect("non-durable engines build infallibly");
-                let handles = engine.submit_batch(ops.clone()).expect("uncapped submission");
-                let mut resolver = RandomResolver::seeded(seed ^ 0xE61E);
-                ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
-                let label = format!(
-                    "seed {seed}, {tracker}, {kind}, {policy:?}, {chase_mode:?}, \
-                     {mode:?}, {workers} workers, {speculation:?}"
-                );
-                for handle in &handles {
-                    assert_eq!(handle.status(), UpdateStatus::Terminated, "{label}");
-                }
-                let stats = engine.update_stats();
-                assert_eq!(stats, ref_stats, "{label}: per-update stats");
-                let abort_set: BTreeSet<UpdateId> =
-                    stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect();
-                assert_eq!(abort_set, ref_abort_set, "{label}: abort set");
-                let index = engine.violation_index();
-                assert_eq!(index.backlog_cap, DELTA_BACKLOG_CAP, "{label}: advertised cap");
-                assert!(index.backlog_len <= index.backlog_cap, "{label}: backlog within cap");
-                let (db, _, metrics) = engine.shutdown();
-                assert_eq!(scrub(metrics), scrub(ref_metrics.clone()), "{label}: metrics");
-                assert_eq!(render(&db), render(&ref_db), "{label}: final database state");
+        for workers in [1usize, 2, 4] {
+            let engine = EngineBuilder::new()
+                .scheduler(scheduler.with_workers(workers))
+                .violation_state(mode)
+                .first_update_number(first_number)
+                .build(fixture.initial_db.clone(), fixture.mappings.clone())
+                .expect("non-durable engines build infallibly");
+            let handles = engine.submit_batch(ops.clone()).expect("uncapped submission");
+            let mut resolver = RandomResolver::seeded(seed ^ 0xE61E);
+            ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
+            let label = format!(
+                "seed {seed}, {tracker}, {kind}, {policy:?}, {chase_mode:?}, \
+                 {mode:?}, {workers} workers"
+            );
+            for handle in &handles {
+                assert_eq!(handle.status(), UpdateStatus::Terminated, "{label}");
             }
+            let stats = engine.update_stats();
+            assert_eq!(stats, ref_stats, "{label}: per-update stats");
+            let abort_set: BTreeSet<UpdateId> =
+                stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect();
+            assert_eq!(abort_set, ref_abort_set, "{label}: abort set");
+            let index = engine.violation_index();
+            assert_eq!(index.backlog_cap, DELTA_BACKLOG_CAP, "{label}: advertised cap");
+            assert!(index.backlog_len <= index.backlog_cap, "{label}: backlog within cap");
+            let (db, _, metrics) = engine.shutdown();
+            assert_eq!(scrub(metrics), scrub(ref_metrics.clone()), "{label}: metrics");
+            assert_eq!(render(&db), render(&ref_db), "{label}: final database state");
         }
     }
 }
@@ -261,12 +252,13 @@ fn long_lived_engines_hold_bounded_delta_backlog() {
     assert_eq!(final_db.visible_count(k, UpdateId::OMNISCIENT), cycles as usize);
 }
 
-/// Speculative discards must not leak buffered deltas: a multi-worker eager
-/// engine discards failed speculations (whose overlays buffered their own
-/// delta views), and once quiescent the committed feed still drains to
-/// empty — nothing a discarded speculation saw pins the shared backlog.
+/// The bounded-backlog test above cycles trivial updates through a mapping-free
+/// database; this one drains a real chase — mixed inserts and deletes under
+/// PRECISE with delayed answers, so multi-step repairs and rollbacks feed the
+/// log — and the committed feed must still be empty once the engine is
+/// quiescent.
 #[test]
-fn discarded_speculations_leak_no_buffered_deltas() {
+fn chased_workload_drains_the_backlog_at_quiescence() {
     let mut config = ExperimentConfig::tiny();
     config.seed = 2_718;
     let fixture = build_fixture(&config).expect("fixture builds");
@@ -284,7 +276,6 @@ fn discarded_speculations_leak_no_buffered_deltas() {
     let engine = EngineBuilder::new()
         .tracker(TrackerKind::Precise)
         .workers(4)
-        .speculation(SpeculationMode::Eager)
         .frontier_delay_rounds(3)
         .first_update_number(config.initial_tuples as u64 + 1_000)
         .build(fixture.initial_db.clone(), fixture.mappings.clone())
@@ -292,14 +283,7 @@ fn discarded_speculations_leak_no_buffered_deltas() {
     engine.submit_batch(ops).expect("uncapped submission");
     let mut resolver = RandomResolver::seeded(config.seed ^ 0xE61E);
     ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
-    await_drained_backlog(&engine, "speculative run");
-    let (db, mappings, metrics) = engine.shutdown();
-    // Speculation bookkeeping balances: every started speculation was either
-    // committed or discarded, and discards left no residue above.
-    assert_eq!(
-        metrics.speculations_started,
-        metrics.speculations_committed + metrics.speculations_discarded,
-        "speculation counters balance"
-    );
+    await_drained_backlog(&engine, "chased workload");
+    let (db, mappings, _) = engine.shutdown();
     assert!(satisfies_all(&db.snapshot(UpdateId::OMNISCIENT), &mappings));
 }
