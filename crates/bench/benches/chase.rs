@@ -7,9 +7,7 @@
 //! path, so `BENCH_chase.json` records the step-cost-vs-queue-size win.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use youtopia_concurrency::{
-    EngineBuilder, ParallelRun, ResolverPump, SchedulerConfig, TrackerKind, UpdateExchange,
-};
+use youtopia_concurrency::{EngineBuilder, ResolverPump, TrackerKind, UpdateExchange};
 use youtopia_core::{ChaseMode, InitialOp, RandomResolver, UnifyResolver, UpdateExecution};
 use youtopia_mappings::MappingSet;
 use youtopia_storage::{Database, UpdateId, Value};
@@ -297,25 +295,24 @@ fn bench_end_to_end_mapping_graph(c: &mut Criterion) {
     group.finish();
 }
 
-/// The multi-threaded scheduler: one batch of updates through a free-running
-/// [`ParallelRun`] at 1/2/4/8 workers, on the two workloads that stress it
-/// from opposite ends — `DeepCascade` (long chases, long-lived violation
-/// queues, little inter-update conflict) and `Skewed` (80% of operations on
-/// one hot relation, so validation and the sharded queues contend).
-///
-/// On a single-core runner the medians document the coordination overhead of
-/// extra workers, not scaling; measure on multi-core hardware for the
-/// speedup numbers (see README "Scheduler architecture").
-fn bench_parallel_scheduler(c: &mut Criterion) {
+/// The free-running schedule: one batch of updates through a free-running
+/// engine (one chase thread fed from a run queue, the pump answering from the
+/// bench thread), on the two workloads that stress it from opposite ends —
+/// `DeepCascade` (long chases, long-lived violation queues, little
+/// inter-update conflict) and `Skewed` (80% of operations on one hot
+/// relation, so validation and rollbacks contend).
+fn bench_free_running(c: &mut Criterion) {
     let mut config = ExperimentConfig::quick();
     config.initial_tuples = 200;
     config.workload_updates = 24;
     let fixture = build_fixture(&config).expect("fixture builds");
     let first_number = config.initial_tuples as u64 + 1_000;
 
-    let mut group = c.benchmark_group("chase/parallel");
+    let mut group = c.benchmark_group("chase/free_running");
     group.sample_size(10);
-    for kind in [WorkloadKind::DeepCascade, WorkloadKind::Skewed] {
+    for (kind, label) in
+        [(WorkloadKind::DeepCascade, "deep_cascade"), (WorkloadKind::Skewed, "skewed")]
+    {
         let ops = generate_workload(
             &config,
             &fixture.schema,
@@ -324,36 +321,26 @@ fn bench_parallel_scheduler(c: &mut Criterion) {
             kind,
             0,
         );
-        let label = match kind {
-            WorkloadKind::DeepCascade => "deep_cascade",
-            _ => "skewed",
-        };
-        for workers in [1usize, 2, 4, 8] {
-            group.bench_with_input(BenchmarkId::new(label, workers), &workers, |b, &workers| {
-                b.iter_batched(
-                    || {
-                        let scheduler = SchedulerConfig {
-                            tracker: TrackerKind::Coarse,
-                            workers,
-                            deterministic: false,
-                            ..SchedulerConfig::default()
-                        };
-                        ParallelRun::new(
-                            fixture.initial_db.clone(),
-                            fixture.mappings.clone(),
-                            ops.clone(),
-                            first_number,
-                            scheduler,
-                        )
-                    },
-                    |mut run| {
-                        let metrics = run.run(&mut RandomResolver::seeded(7)).unwrap();
-                        black_box(metrics.steps)
-                    },
-                    criterion::BatchSize::LargeInput,
-                )
-            });
-        }
+        group.bench_function(label, |b| {
+            b.iter_batched(
+                || {
+                    EngineBuilder::new()
+                        .tracker(TrackerKind::Coarse)
+                        .free_running()
+                        .first_update_number(first_number)
+                        .build(fixture.initial_db.clone(), fixture.mappings.clone())
+                        .expect("non-durable engines build infallibly")
+                },
+                |engine| {
+                    engine.submit_batch(ops.clone()).unwrap();
+                    ResolverPump::new(&engine, &mut RandomResolver::seeded(7))
+                        .run_until_quiescent()
+                        .unwrap();
+                    black_box(engine.shutdown().2.steps)
+                },
+                criterion::BatchSize::LargeInput,
+            )
+        });
     }
     group.finish();
 }
@@ -439,7 +426,7 @@ criterion_group!(
     bench_resolver_ablation,
     bench_end_to_end,
     bench_end_to_end_mapping_graph,
-    bench_parallel_scheduler,
+    bench_free_running,
     bench_shared_index
 );
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 //!
 //! Three shapes of the same paper-scale workload:
 //!
-//! * `batch/<n>` — one atomic batch through a deterministic one-worker
+//! * `batch/<n>` — one atomic batch through a deterministic threaded
 //!   engine, pumped to quiescence: the engine-ingest analogue of the
 //!   reference scheduler, so regressions here are submit/publish/answer
 //!   overhead, not chase cost.
@@ -18,9 +18,9 @@
 //!   rejection: the fair-share bookkeeping plus the rejection/retry
 //!   round-trip a saturated deployment pays.
 //!
-//! The engine spawns OS worker threads, so single-core CI medians include
+//! The engine spawns an OS chase thread, so single-core CI medians include
 //! scheduler noise — the group is exempt from the hard regression tier the
-//! way `chase/parallel/*` is, and guarded by the soft tier.
+//! way `chase/free_running/*` is, and guarded by the soft tier.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use youtopia_concurrency::{
@@ -46,7 +46,7 @@ fn bench_engine_ingest(c: &mut Criterion) {
     );
     let engine_config = || {
         EngineConfig::default()
-            .with_scheduler(SchedulerConfig::with_tracker(TrackerKind::Coarse).with_workers(1))
+            .with_scheduler(SchedulerConfig::with_tracker(TrackerKind::Coarse))
             .with_first_update_number(first_number)
     };
 

@@ -52,10 +52,9 @@ impl Default for FigureOptions {
 ///   densities).
 /// * `--threads N` — worker threads for the sweep (0 = one per core, the
 ///   default). Results are identical at any thread count.
-/// * `--chase-threads N` — worker threads for the chase scheduler inside each
-///   run (0 = the single-threaded reference scheduler, the default; `N ≥ 1`
-///   uses the deterministic `ParallelRun`). Results are identical at any
-///   value.
+/// * `--engine` — run each chase through a deterministic `ExchangeEngine`
+///   instead of the `ConcurrentRun` reference scheduler (the default).
+///   Results are identical either way.
 /// * `--csv` — also print CSV output.
 pub fn parse_figure_options<I: IntoIterator<Item = String>>(
     args: I,
@@ -88,11 +87,7 @@ pub fn parse_figure_options<I: IntoIterator<Item = String>>(
                 options.config.worker_threads =
                     value.parse().map_err(|_| format!("bad --threads value `{value}`"))?;
             }
-            "--chase-threads" => {
-                let value = iter.next().ok_or("--chase-threads needs a value")?;
-                options.config.chase_workers =
-                    value.parse().map_err(|_| format!("bad --chase-threads value `{value}`"))?;
-            }
+            "--engine" => options.config.through_engine = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -180,12 +175,11 @@ mod tests {
     }
 
     #[test]
-    fn chase_threads_flag_sets_scheduler_workers() {
-        let options = parse_figure_options(args(&["--chase-threads", "4"])).unwrap();
-        assert_eq!(options.config.chase_workers, 4);
+    fn engine_flag_selects_the_engine_path() {
+        assert!(!parse_figure_options(args(&[])).unwrap().config.through_engine);
+        let options = parse_figure_options(args(&["--engine"])).unwrap();
+        assert!(options.config.through_engine);
         assert_eq!(options.config.worker_threads, 0, "sweep threads are independent");
-        assert!(parse_figure_options(args(&["--chase-threads", "x"])).is_err());
-        assert!(parse_figure_options(args(&["--chase-threads"])).is_err());
     }
 
     #[test]

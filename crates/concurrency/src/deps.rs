@@ -21,7 +21,7 @@ use youtopia_core::ReadQuery;
 use youtopia_mappings::MappingSet;
 use youtopia_storage::{AppliedWrite, DataView, RelationId, UpdateId};
 
-use crate::log::ChangeSource;
+use crate::log::WriteLog;
 
 /// Which dependency-tracking algorithm a run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -81,9 +81,9 @@ impl std::fmt::Display for TrackerKind {
 
 /// Tracks which updates read from which (lower-numbered) updates.
 ///
-/// `Send` so a scheduler can hand the boxed tracker to worker threads (the
-/// parallel scheduler keeps it behind a mutex — tracker updates are already a
-/// global serialisation point in the algorithm).
+/// `Send` so the engine can share the boxed tracker between its chase thread
+/// and answering caller threads (it keeps it behind a mutex — tracker updates
+/// are already a global serialisation point in the algorithm).
 pub trait DependencyTracker: Send {
     /// The algorithm's name (`NAIVE`, `COARSE`, `PRECISE`).
     fn name(&self) -> &'static str;
@@ -94,12 +94,12 @@ pub trait DependencyTracker: Send {
 
     /// Records the read dependencies created by `reader` performing `reads` on
     /// its snapshot `view`. `write_log` is the scheduler's log of prior
-    /// changes (a [`crate::WriteLog`] or its lock-striped parallel variant).
+    /// changes.
     fn record_reads(
         &mut self,
         reader: UpdateId,
         reads: &[ReadQuery],
-        write_log: &dyn ChangeSource,
+        write_log: &WriteLog,
         view: &dyn DataView,
         mappings: &MappingSet,
     );
@@ -139,7 +139,7 @@ impl DependencyTracker for NaiveTracker {
         &mut self,
         _reader: UpdateId,
         _reads: &[ReadQuery],
-        _write_log: &dyn ChangeSource,
+        _write_log: &WriteLog,
         _view: &dyn DataView,
         _mappings: &MappingSet,
     ) {
@@ -185,7 +185,7 @@ impl DependencyTracker for CoarseTracker {
         &mut self,
         reader: UpdateId,
         reads: &[ReadQuery],
-        write_log: &dyn ChangeSource,
+        write_log: &WriteLog,
         view: &dyn DataView,
         mappings: &MappingSet,
     ) {
@@ -203,15 +203,13 @@ impl DependencyTracker for CoarseTracker {
                 // Correction queries: exact, computed from the in-memory write
                 // log without touching the database. The relation-keyed log
                 // hands back only the changes the query could read.
-                write_log.for_each_change_before(
-                    reader,
-                    &read.relations_read(mappings),
-                    &mut |writer, change| {
-                        if read.affected_by(view, mappings, change) {
-                            entry.insert(writer);
-                        }
-                    },
-                );
+                for (w, change) in
+                    write_log.changes_before_touching(reader, &read.relations_read(mappings))
+                {
+                    if read.affected_by(view, mappings, change) {
+                        entry.insert(w.update);
+                    }
+                }
             }
         }
     }
@@ -257,7 +255,7 @@ impl DependencyTracker for PreciseTracker {
         &mut self,
         reader: UpdateId,
         reads: &[ReadQuery],
-        write_log: &dyn ChangeSource,
+        write_log: &WriteLog,
         view: &dyn DataView,
         mappings: &MappingSet,
     ) {
@@ -267,18 +265,13 @@ impl DependencyTracker for PreciseTracker {
             // reads; the relation-keyed write log skips everything else. An
             // empty footprint (null-occurrence queries) falls back to the full
             // log.
-            write_log.for_each_change_before(
-                reader,
-                &read.relations_read(mappings),
-                &mut |writer, change| {
-                    if entry.contains(&writer) {
-                        return;
-                    }
-                    if read.affected_by(view, mappings, change) {
-                        entry.insert(writer);
-                    }
-                },
-            );
+            for (w, change) in
+                write_log.changes_before_touching(reader, &read.relations_read(mappings))
+            {
+                if !entry.contains(&w.update) && read.affected_by(view, mappings, change) {
+                    entry.insert(w.update);
+                }
+            }
         }
     }
 
@@ -349,7 +342,7 @@ impl DependencyTracker for HybridTracker {
         &mut self,
         reader: UpdateId,
         reads: &[ReadQuery],
-        write_log: &dyn ChangeSource,
+        write_log: &WriteLog,
         view: &dyn DataView,
         mappings: &MappingSet,
     ) {
@@ -395,7 +388,6 @@ impl DependencyTracker for HybridTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::WriteLog;
     use youtopia_mappings::{ViolationQuery, ViolationSeed};
     use youtopia_storage::{Database, Value, Write};
 

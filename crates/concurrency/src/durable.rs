@@ -167,8 +167,7 @@ impl From<std::io::Error> for RecoveryError {
 /// knobs that steer the sequencer, the id assignment base, the per-update
 /// budget, the frontier escalation policy (a system auto-resolution in the
 /// log only replays correctly against the policy that produced it) and the
-/// mapping set. Deliberately excludes the worker count (the determinism suite
-/// pins worker-count independence), the admission cap and client fair-share
+/// mapping set. Deliberately excludes the admission cap and client fair-share
 /// state (rejected submissions never reach the log) and the retention horizon
 /// (eviction changes lookups, never chase behaviour).
 pub(crate) fn config_fingerprint(config: &EngineConfig, mappings: &MappingSet) -> u64 {
@@ -537,8 +536,9 @@ mod tests {
         assert!(decode_record(&[99]).is_err());
     }
 
-    #[test]
-    fn snapshot_roundtrip() {
+    /// A one-tuple database under a snapshot header with one terminated and
+    /// one failed slot.
+    fn sample_snapshot() -> (SnapshotMeta, Database) {
         let mut db = Database::new();
         db.add_relation("R", ["a"]).unwrap();
         db.insert_by_name("R", &["v"], UpdateId(5));
@@ -578,6 +578,12 @@ mod tests {
                 ..RunMetrics::default()
             },
         };
+        (meta, db)
+    }
+
+    #[test]
+    fn snapshot_roundtrip() {
+        let (meta, db) = sample_snapshot();
         let bytes = encode_snapshot(&meta, &db);
         let (decoded, db2) = decode_snapshot(&bytes).unwrap();
         assert_eq!(decoded.fingerprint, 0xABCD);
@@ -710,6 +716,123 @@ mod tests {
                 }
                 other => panic!("{what}: expected a typed Corrupt error, got {other:?}"),
             }
+        }
+    }
+
+    /// Well-formed buffers for every decoder, rich enough (several value
+    /// kinds, every op, both decision shapes, a failed slot) that a mutated
+    /// byte lands in every branch of the grammar.
+    fn pristine_buffers() -> Vec<(&'static str, Vec<u8>)> {
+        use youtopia_core::replication::{
+            encode_delta_batch, encode_state_vector, DeltaBatch, DeltaEntry, EventStamp, NodeId,
+            ReplicationEvent, StateVector,
+        };
+        use youtopia_core::PositiveAction;
+        use youtopia_storage::{ByteWriter, NullId, TupleId, Write};
+
+        // A second relation holding a null and a deleted version, so the
+        // database decoder's value tags and version chains are all present.
+        let (meta, mut db) = sample_snapshot();
+        let s = db.add_relation("S", ["c", "d"]).unwrap();
+        let with_null = vec![Value::constant("k"), Value::Null(db.fresh_null())];
+        let doomed = db.insert_by_name("S", &["x", "y"], UpdateId(6));
+        db.apply(&Write::Insert { relation: s, values: with_null.clone() }, UpdateId(6)).unwrap();
+        db.apply(&Write::Delete { relation: s, tuple: doomed }, UpdateId(7)).unwrap();
+        let ops = vec![
+            InitialOp::Insert { relation: s, values: with_null },
+            InitialOp::Delete { relation: RelationId(1), tuple: TupleId(1) },
+            InitialOp::NullReplace { null: NullId(0), replacement: Value::constant("k") },
+        ];
+        let positive = FrontierDecision::Positive(vec![
+            PositiveAction::Expand,
+            PositiveAction::Unify { with: TupleId(3) },
+        ]);
+        let negative = FrontierDecision::Negative(vec![TupleId(9), TupleId(11)]);
+        let answer = ReplicationEvent::Answer {
+            lamport: 6,
+            target: EventStamp { lamport: 1, origin: NodeId(0) },
+            position: 1,
+            decision: positive.clone(),
+            origin: ResolutionOrigin::System,
+        };
+        let submits =
+            ops.iter().map(|op| ReplicationEvent::Submit { lamport: 1, op: op.clone() }).collect();
+        let batch = encode_delta_batch(&DeltaBatch {
+            entries: vec![
+                DeltaEntry { origin: NodeId(0), first_seq: 0, events: submits },
+                DeltaEntry { origin: NodeId(2), first_seq: 4, events: vec![answer] },
+            ],
+        });
+        let mut sv = StateVector::new();
+        sv.set(NodeId(0), 3);
+        sv.set(NodeId(2), 5);
+        let mut state_vector = ByteWriter::new();
+        encode_state_vector(&sv, &mut state_vector);
+        vec![
+            ("wal header", encode_header(0xFEED, 31)),
+            ("wal submit", encode_submit(100, 42, &ops)),
+            ("wal answer (positive)", encode_answer(7, 13, &positive, ResolutionOrigin::Human)),
+            ("wal answer (negative)", encode_answer(8, 21, &negative, ResolutionOrigin::System)),
+            ("engine snapshot", encode_snapshot(&meta, &db)),
+            ("database", serialize_database(&db)),
+            ("delta batch", batch),
+            ("state vector", state_vector.into_bytes()),
+        ]
+    }
+
+    /// Decodes `bytes` with the decoder that `what` names; the typed error is
+    /// flattened to a string (the property under test is "no panic").
+    fn decode_named(what: &str, bytes: &[u8]) -> Result<(), String> {
+        use youtopia_core::replication::{decode_delta_batch, decode_state_vector};
+        match what {
+            "engine snapshot" => decode_snapshot(bytes).map(drop).map_err(|e| e.to_string()),
+            "database" => {
+                youtopia_storage::deserialize_database(bytes).map(drop).map_err(|e| e.to_string())
+            }
+            "delta batch" => decode_delta_batch(bytes).map(drop).map_err(|e| e.to_string()),
+            "state vector" => decode_state_vector(&mut ByteReader::new(bytes))
+                .map(drop)
+                .map_err(|e| e.to_string()),
+            _ => decode_record(bytes).map(drop).map_err(|e| e.to_string()),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(20_000))]
+
+        /// Hostile input, the general case: take an encoder-produced buffer
+        /// for any decoder, flip / overwrite / truncate / extend random bytes
+        /// (re-sealing the delta batch's CRC so the mutation reaches the
+        /// payload decoder), and decode. The result is `Ok` or a typed error
+        /// — a panic (slice out of range, arithmetic overflow, capacity
+        /// overflow) fails the test.
+        #[test]
+        fn mutated_buffers_never_panic_any_decoder(
+            which in 0usize..8,
+            mutations in proptest::collection::vec((0u8..5, 0usize..4096, 0u16..256), 1..5),
+            reseal in 0u8..4,
+        ) {
+            let (what, mut bytes) = pristine_buffers().swap_remove(which);
+            decode_named(what, &bytes).expect("pristine buffer decodes");
+            for (kind, at, byte) in mutations {
+                let (at, byte) = (at % (bytes.len() + 1), byte as u8);
+                match kind {
+                    0 if at < bytes.len() => bytes[at] ^= byte | 1,
+                    1 if at < bytes.len() => bytes[at] = byte,
+                    // The extreme values a length or count field can take.
+                    2 if at + 4 <= bytes.len() => {
+                        let extreme = if byte % 2 == 0 { u32::MAX } else { u32::MAX / 2 + 1 };
+                        bytes[at..at + 4].copy_from_slice(&extreme.to_le_bytes());
+                    }
+                    3 => bytes.truncate(at),
+                    _ => bytes.extend(std::iter::repeat(byte).take(at % 24 + 1)),
+                }
+            }
+            if what == "delta batch" && reseal > 0 && bytes.len() >= 12 {
+                let crc = youtopia_storage::crc32(&bytes[12..]);
+                bytes[8..12].copy_from_slice(&crc.to_le_bytes());
+            }
+            let _ = decode_named(what, &bytes);
         }
     }
 

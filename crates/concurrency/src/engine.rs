@@ -1,11 +1,11 @@
 //! The long-lived update-exchange service: [`ExchangeEngine`].
 //!
-//! The batch schedulers ([`ConcurrentRun`](crate::ConcurrentRun),
-//! [`ParallelRun`](crate::ParallelRun)) take every update up front and run to
-//! completion with a synchronous resolver callback. The paper's chase is not
-//! shaped like that: updates arrive continuously and block on frontier
-//! questions that humans answer asynchronously (Youtopia §3–5). The engine is
-//! the service form of the same machinery:
+//! The batch scheduler ([`ConcurrentRun`](crate::ConcurrentRun)) takes every
+//! update up front and runs to completion with a synchronous resolver
+//! callback. The paper's chase is not shaped like that: updates arrive
+//! continuously and block on frontier questions that humans answer
+//! asynchronously (Youtopia §3–5). The engine is the service form of the same
+//! machinery:
 //!
 //! * **Open-world submission** — [`ExchangeEngine::submit`] accepts an update
 //!   at any time, including while earlier updates are mid-chase or blocked on
@@ -25,17 +25,27 @@
 //!   last-committed database state (a read-lock session), the way a serving
 //!   tier would answer queries while chases run.
 //!
-//! Internally the engine owns the worker pool that used to live inside
-//! `ParallelRun` — sharded run queues, two-phase steps over an
-//! `RwLock<Database>`, lock-striped logs, owner-performed aborts with
-//! validated rollbacks — but keeps it alive across submissions. The two modes
-//! carry over ([`SchedulerConfig::deterministic`]): the deterministic
-//! sequencer executes the exact round-robin loop of `ConcurrentRun` on one
-//! thread, whatever `workers` says — the schedule is serial, so extra threads
-//! would only queue on the cursor (a batch submitted before anything steps is
-//! byte-identical to the reference at any `workers` value — pinned by
-//! `tests/engine_equivalence.rs`), and free-running mode drops the sequencer
-//! and runs `workers` threads for throughput.
+//! An engine owns **at most one chase thread**. The paper's concurrency is
+//! logical — updates interleave at chase-step granularity because humans are
+//! slow at frontiers, and Algorithm 4 validates every step's writes against
+//! the stored reads — so nothing needs chase steps on several OS threads, and
+//! a measured second thread only queued on the `RwLock<Database>`. What does
+//! run concurrently with the chase thread is the *callers*: `submit`,
+//! `answer`, `read` and the status accessors arrive from any thread, which is
+//! why steps stay two-phase over an `RwLock<Database>`, the logs sit behind
+//! mutexes and free-running rollbacks are validated. Three execution shapes
+//! ([`SchedulerConfig::deterministic`], [`EngineConfig::inline`]):
+//!
+//! * **inline** — no thread; the deterministic sequencer runs on whichever
+//!   caller thread pumps or waits;
+//! * **one sequencer thread** (the default) — the exact round-robin loop of
+//!   `ConcurrentRun`, which stops at a published frontier until it is
+//!   answered (a batch submitted before anything steps is byte-identical to
+//!   the reference — pinned by `tests/engine_equivalence.rs`);
+//! * **one free-running thread** — a run queue instead of the round-robin
+//!   cursor: an update blocked on a frontier parks and the others keep
+//!   stepping, so the schedule depends on when answers arrive (consistent,
+//!   not reproducible).
 //!
 //! Unlike the inline resolvers of the batch world, an answer can arrive long
 //! after the snapshot the user looked at: writes may commit in between. That
@@ -46,11 +56,14 @@
 //!
 //! Lock order (outermost first): cursor → slots table → admission → slot →
 //! pending → resolver (in [`ResolverPump`]) → database → tracker → metrics →
-//! all-ids → log stripes. A worker never blocks on a second slot lock while holding one
-//! (victim slots are `try_lock`ed; on failure the victim is flagged and its
-//! owner acts). Durable engines additionally hold a WAL writer mutex, nested
-//! innermost; every append happens while the cursor is held (durability
-//! implies the deterministic sequencer), so it is uncontended in practice.
+//! all-ids → read log / write log. Only the chase thread ever holds two slot
+//! locks (its own, then an abort victim's — always a higher-numbered update,
+//! taken with a plain blocking lock); every other slot-lock holder is a
+//! caller thread inside `apply_answer` or a status accessor, which never
+//! waits on a second slot, so the victim lock cannot deadlock. Durable
+//! engines additionally hold a WAL writer mutex, nested innermost; every
+//! append happens while the cursor is held (durability implies the
+//! deterministic sequencer), so it is uncontended in practice.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -66,15 +79,16 @@ use youtopia_mappings::MappingSet;
 use youtopia_storage::wal::{read_wal, write_file_atomic, WalWriter};
 use youtopia_storage::{Database, TupleChange, UpdateId};
 
+use crate::conflict::direct_conflicts;
 use crate::deps::DependencyTracker;
 use crate::durable::{
     config_fingerprint, decode_record, decode_snapshot, encode_answer, encode_header,
     encode_snapshot, encode_submit, DurabilityConfig, DurableEngineState, RecoveryError,
     SlotSummary, SnapshotMeta, WalRecord,
 };
+use crate::log::{ReadLog, WriteLog};
 use crate::metrics::RunMetrics;
 use crate::scheduler::{SchedulerConfig, SchedulingPolicy};
-use crate::striped::{StripedReadLog, StripedWriteLog};
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
@@ -109,8 +123,8 @@ fn invert_change(change: &TupleChange) -> TupleChange {
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// The scheduler knobs the engine inherits from the batch world: tracker,
-    /// policy, chase mode, worker count, deterministic/free mode, the global
-    /// step valve and the frontier delay (deterministic mode only).
+    /// policy, chase mode, deterministic/free mode, the global step valve and
+    /// the frontier delay (deterministic mode only).
     pub scheduler: SchedulerConfig,
     /// Priority number of the first submitted update; later submissions count
     /// up from here in arrival order (the paper's timestamp prioritisation).
@@ -130,7 +144,7 @@ pub struct EngineConfig {
     /// report [`LookupError::SlotEvicted`]. `usize::MAX` (the default)
     /// disables compaction and reproduces the historical grow-forever table.
     pub retention_horizon: usize,
-    /// Inline mode: spawn **no** worker threads and drive the deterministic
+    /// Inline mode: spawn **no** chase thread and drive the deterministic
     /// sequencer on whichever thread pumps the engine ([`ResolverPump`],
     /// [`UpdateHandle::wait`], [`ExchangeEngine::wait_quiescent`]). The
     /// submit/poll/answer API is unchanged, but every cross-thread handoff
@@ -319,7 +333,8 @@ pub enum SubmitError {
     /// [`ExchangeEngine::error`]).
     ShutDown,
     /// The engine is durable and appending the submission record to the
-    /// write-ahead log failed; nothing was admitted.
+    /// write-ahead log failed; nothing was admitted and the engine has
+    /// fail-stopped (see [`ExchangeEngine::error`]).
     Durability(String),
     /// The engine is a replica: plain submissions would bypass the replicated
     /// event log and silently diverge the node from its peers. Use
@@ -410,9 +425,10 @@ pub(crate) struct Slot {
     /// Rounds remaining before a pending frontier request is published
     /// (deterministic mode only; free-running has no notion of rounds).
     frontier_wait: usize,
-    /// Unowned and in no run queue: terminated, blocked on a published
-    /// frontier, or failed. Parked slots are re-enqueued by whoever changes
-    /// their state (an answer, an abort).
+    /// In neither the run queue nor the chase thread's hands (free-running
+    /// mode): terminated, blocked on a published frontier, or failed. Parked
+    /// slots are re-enqueued by whoever changes their state (an answer, an
+    /// abort).
     parked: bool,
     /// Token of the published-but-unanswered frontier request, if any.
     pub(crate) published: Option<FrontierToken>,
@@ -420,13 +436,7 @@ pub(crate) struct Slot {
     pub(crate) failed: Option<ChaseError>,
 }
 
-pub(crate) struct SlotCell {
-    pub(crate) slot: Mutex<Slot>,
-    /// Set by a validator that could not lock this slot (its owner holds it);
-    /// the owner executes the abort at its next commit point. Cleared only by
-    /// whoever performs the abort, under the slot lock.
-    abort_requested: AtomicBool,
-}
+pub(crate) type SlotCell = Mutex<Slot>;
 
 /// The slot table: a sliding window of update records. `base` counts slots
 /// evicted by compaction; slot index `i` (= update number −
@@ -512,8 +522,8 @@ struct ClientAdmission {
     weight: u64,
 }
 
-/// Lives for the whole body of a worker thread. A worker that exits its loop
-/// normally does so only on `stop` (or after `fail` set it); a worker that
+/// Lives for the whole body of the chase thread. A thread that exits its loop
+/// normally does so only on `stop` (or after `fail` set it); one that
 /// unwinds from a panic would otherwise leave pumps and `wait()`ers blocked
 /// forever on a signal nobody will bump — this guard's drop turns that into a
 /// visible engine failure instead.
@@ -525,7 +535,7 @@ impl Drop for WorkerGuard<'_> {
     fn drop(&mut self) {
         if !self.shared.stop.load(Ordering::SeqCst) {
             self.shared.fail(ChaseError::InvalidDecision(
-                "engine worker exited unexpectedly (panic in a chase step?)".into(),
+                "engine chase thread exited unexpectedly (panic in a chase step?)".into(),
             ));
         }
     }
@@ -543,12 +553,14 @@ pub(crate) struct EngineShared {
     /// `first_update_number`.
     pub(crate) slots: RwLock<SlotTable>,
     all_ids: Mutex<Vec<UpdateId>>,
-    read_log: StripedReadLog,
-    write_log: StripedWriteLog,
+    /// The reference scheduler's logs, behind mutexes: the chase thread and
+    /// answering caller threads both record reads.
+    read_log: Mutex<ReadLog>,
+    write_log: Mutex<WriteLog>,
     tracker: Mutex<Box<dyn DependencyTracker>>,
     metrics: Mutex<RunMetrics>,
-    /// Sharded run queues of slot indices (free-running mode).
-    queues: Vec<Mutex<VecDeque<usize>>>,
+    /// Run queue of ready slot indices (free-running mode).
+    queue: Mutex<VecDeque<usize>>,
     /// Deterministic sequencer state.
     pub(crate) cursor: Mutex<DetCursor>,
     /// Slot indices submitted since the sequencer last looked (deterministic
@@ -570,8 +582,8 @@ pub(crate) struct EngineShared {
     next_token: AtomicU64,
     /// Non-terminated, non-failed updates (admission + quiescence).
     pub(crate) active: AtomicUsize,
-    /// Workers currently processing a slot (free mode).
-    in_flight: AtomicUsize,
+    /// Whether the chase thread is processing a popped slot (free mode).
+    in_flight: AtomicBool,
     pub(crate) stop: AtomicBool,
     error: Mutex<Option<ChaseError>>,
     pub(crate) signal: Signal,
@@ -596,7 +608,7 @@ impl EngineShared {
         match slots.get(idx) {
             None => true,
             Some(cell) => {
-                let slot = lock(&cell.slot);
+                let slot = lock(cell);
                 slot.failed.is_some() || slot.exec.is_terminated()
             }
         }
@@ -755,21 +767,18 @@ impl EngineShared {
             let mut all_ids = lock(&self.all_ids);
             for (i, op) in ops.into_iter().enumerate() {
                 let id = UpdateId(self.config.first_update_number + (base + i) as u64);
-                let cell = Arc::new(SlotCell {
-                    slot: Mutex::new(Slot {
-                        exec: UpdateExecution::configured(
-                            id,
-                            op,
-                            self.config.scheduler.chase_mode,
-                            self.config.scheduler.violation_state,
-                        ),
-                        frontier_wait: 0,
-                        parked: false,
-                        published: None,
-                        failed: None,
-                    }),
-                    abort_requested: AtomicBool::new(false),
-                });
+                let cell = Arc::new(Mutex::new(Slot {
+                    exec: UpdateExecution::configured(
+                        id,
+                        op,
+                        self.config.scheduler.chase_mode,
+                        self.config.scheduler.violation_state,
+                    ),
+                    frontier_wait: 0,
+                    parked: false,
+                    published: None,
+                    failed: None,
+                }));
                 slots.cells.push_back(Arc::clone(&cell));
                 all_ids.push(id);
                 out.push((id, cell));
@@ -880,7 +889,7 @@ impl EngineShared {
     }
 
     // ------------------------------------------------------------------
-    // Shared step machinery (both modes) — ported from `ParallelRun`
+    // Shared step machinery (both modes)
     // ------------------------------------------------------------------
 
     /// Records the read queries a step (or frontier resolution) performed:
@@ -909,20 +918,19 @@ impl EngineShared {
             lock(&self.tracker).record_reads(
                 reader,
                 &reads,
-                &self.write_log,
+                &lock(&self.write_log),
                 &snap,
                 &self.mappings,
             );
         }
-        self.read_log.record(reader, reads, &self.mappings);
+        lock(&self.read_log).record(reader, reads, &self.mappings);
     }
 
     /// Executes one chase step for the locked slot: write half under the
     /// database write lock, read half (analysis, logging, read recording and
     /// conflict collection) under a read lock. Returns the step outcome and
-    /// the consolidated abort set — the caller decides how to execute the
-    /// aborts (synchronously in deterministic mode, via flags when
-    /// free-running).
+    /// the consolidated abort set — the caller executes the aborts (both
+    /// modes do so synchronously, on the chase thread).
     fn step_and_validate(
         &self,
         slot: &mut Slot,
@@ -949,7 +957,7 @@ impl EngineShared {
         let id = outcome.update;
 
         // Log writes (for dependency tracking) and reads (for conflicts).
-        self.write_log.push_all(&outcome.writes);
+        lock(&self.write_log).push_all(&outcome.writes);
         lock(&self.tracker).record_writes(id, &outcome.writes);
         self.record_reads_locked(&db, id, outcome.reads.clone());
 
@@ -964,8 +972,8 @@ impl EngineShared {
     /// Computes the consolidated abort set caused by a step's changes —
     /// direct conflicts plus the transitive read-dependents of each directly
     /// conflicting update — with the same candidate walk and request
-    /// accounting as the single-threaded scheduler, over the striped logs.
-    /// The caller holds the database read lock.
+    /// accounting as the single-threaded scheduler. The caller holds the
+    /// database read lock.
     fn collect_aborts_locked(
         &self,
         db: &Database,
@@ -973,30 +981,20 @@ impl EngineShared {
         changes: &[TupleChange],
     ) -> BTreeSet<UpdateId> {
         let mut pending: BTreeSet<UpdateId> = BTreeSet::new();
-        if changes.is_empty() {
+        let conflicts =
+            direct_conflicts(db, &self.mappings, writer, changes, &lock(&self.read_log));
+        if conflicts.is_empty() {
             return pending;
         }
-        let tracker = lock(&self.tracker);
-        let all_ids = lock(&self.all_ids);
         // Request counters accumulate locally so the global metrics mutex is
-        // taken once, at the end — other workers' per-step counter bumps must
-        // not queue behind this walk's query re-evaluation.
-        let mut direct_requests = 0usize;
+        // taken once, at the end — a caller's `metrics()` must not queue
+        // behind the cascade walk.
+        let direct_requests = conflicts.len();
         let mut cascading_requests = 0usize;
-        for change in changes {
-            let relation = change.relation();
-            for reader in self.read_log.readers_above_touching(writer, relation) {
-                let conflicts = {
-                    let snapshot = db.snapshot(reader);
-                    self.read_log
-                        .queries_touching(reader, relation)
-                        .iter()
-                        .any(|q| q.affected_by(&snapshot, &self.mappings, change))
-                };
-                if !conflicts {
-                    continue;
-                }
-                direct_requests += 1;
+        {
+            let tracker = lock(&self.tracker);
+            let all_ids = lock(&self.all_ids);
+            for reader in conflicts.into_iter().map(|c| c.reader) {
                 pending.insert(reader);
                 // Cascade: everyone who (transitively) read from the aborted
                 // reader must abort too; every request is counted, even when
@@ -1018,11 +1016,9 @@ impl EngineShared {
                 }
             }
         }
-        if direct_requests > 0 || cascading_requests > 0 {
-            let mut metrics = lock(&self.metrics);
-            metrics.direct_conflict_requests += direct_requests;
-            metrics.cascading_abort_requests += cascading_requests;
-        }
+        let mut metrics = lock(&self.metrics);
+        metrics.direct_conflict_requests += direct_requests;
+        metrics.cascading_abort_requests += cascading_requests;
         pending
     }
 
@@ -1037,23 +1033,13 @@ impl EngineShared {
             return undone_readers;
         }
         let db = self.db.read().unwrap_or_else(|e| e.into_inner());
-        for change in rolled_back {
-            let relation = change.relation();
-            for reader in self.read_log.readers_above_touching(victim, relation) {
-                if undone_readers.contains(&reader) {
-                    continue;
-                }
-                let snapshot = db.snapshot(reader);
-                if self
-                    .read_log
-                    .queries_touching(reader, relation)
-                    .iter()
-                    .any(|q| q.affected_by(&snapshot, &self.mappings, change))
-                {
-                    undone_readers.push(reader);
-                }
+        let read_log = lock(&self.read_log);
+        for conflict in direct_conflicts(&db, &self.mappings, victim, rolled_back, &read_log) {
+            if !undone_readers.contains(&conflict.reader) {
+                undone_readers.push(conflict.reader);
             }
         }
+        drop((read_log, db));
         if !undone_readers.is_empty() {
             // One metrics acquisition after the walk — query re-evaluation
             // must not hold the global counter mutex.
@@ -1068,13 +1054,7 @@ impl EngineShared {
     /// operation. `revive` is true when the slot had already terminated — the
     /// abort brings it back into the active count and the caller must hand it
     /// back to the scheduler (queue or live set).
-    fn execute_abort(
-        &self,
-        cell: &SlotCell,
-        slot: &mut Slot,
-        revive: bool,
-        validate: bool,
-    ) -> Vec<UpdateId> {
+    fn execute_abort(&self, slot: &mut Slot, revive: bool, validate: bool) -> Vec<UpdateId> {
         let victim = slot.exec.id();
         // `validate` captures the victim's logged changes before they go
         // away; their inverses are validated like writes. Conflict-decided
@@ -1085,7 +1065,7 @@ impl EngineShared {
         // other abort (free-running, or cascading from a budget failure)
         // validates.
         let rolled_back: Vec<TupleChange> = if validate {
-            self.write_log.changes_of(victim).iter().map(invert_change).collect()
+            lock(&self.write_log).changes_of(victim).map(invert_change).collect()
         } else {
             Vec::new()
         };
@@ -1099,8 +1079,8 @@ impl EngineShared {
         }
         slot.exec.reset_for_restart();
         slot.frontier_wait = 0;
-        self.read_log.clear(victim);
-        self.write_log.remove_update(victim);
+        lock(&self.read_log).clear(victim);
+        lock(&self.write_log).remove_update(victim);
         {
             let mut tracker = lock(&self.tracker);
             tracker.note_abort(victim);
@@ -1108,7 +1088,6 @@ impl EngineShared {
         }
         lock(&self.metrics).aborts += 1;
         let undone_readers = self.validate_rollback(victim, &rolled_back);
-        cell.abort_requested.store(false, Ordering::SeqCst);
         if revive {
             self.active.fetch_add(1, Ordering::SeqCst);
         }
@@ -1120,7 +1099,7 @@ impl EngineShared {
     /// are rolled back (validated like an abort's in free mode), its logs and
     /// bookkeeping cleared, and the error parked on the slot for its handle.
     /// Unlike an abort it does not restart.
-    fn fail_slot(&self, cell: &SlotCell, slot: &mut Slot, error: ChaseError) -> Vec<UpdateId> {
+    fn fail_slot(&self, slot: &mut Slot, error: ChaseError) -> Vec<UpdateId> {
         let victim = slot.exec.id();
         // Unlike a conflict-decided abort, a budget failure fires at an
         // arbitrary point in the schedule — in *both* modes its rollback can
@@ -1129,7 +1108,7 @@ impl EngineShared {
         // returned dependents (synchronously under the deterministic
         // sequencer, via `abort_all` when free-running).
         let rolled_back: Vec<TupleChange> =
-            self.write_log.changes_of(victim).iter().map(invert_change).collect();
+            lock(&self.write_log).changes_of(victim).map(invert_change).collect();
         {
             let mut db = self.db.write().unwrap_or_else(|e| e.into_inner());
             db.rollback_update(victim);
@@ -1138,20 +1117,19 @@ impl EngineShared {
             lock(&self.pending).remove(&token.0);
             self.unanswered.fetch_sub(1, Ordering::SeqCst);
         }
-        self.read_log.clear(victim);
-        self.write_log.remove_update(victim);
+        lock(&self.read_log).clear(victim);
+        lock(&self.write_log).remove_update(victim);
         lock(&self.tracker).clear_update(victim);
         slot.failed = Some(error);
         slot.parked = true;
         self.active.fetch_sub(1, Ordering::SeqCst);
         let undone_readers = self.validate_rollback(victim, &rolled_back);
-        cell.abort_requested.store(false, Ordering::SeqCst);
         self.signal.bump();
         undone_readers
     }
 
-    /// Quiescence garbage collection: once nothing is active, in flight or
-    /// awaiting an answer, every retained read, logged write and tracker
+    /// Quiescence garbage collection: once nothing is active or awaiting an
+    /// answer, every retained read, logged write and tracker
     /// dependency is provably dead — only a still-running lower-numbered
     /// update could ever consult them again, and there is none. Dropping
     /// them keeps a long-lived engine's per-update cost flat instead of
@@ -1162,21 +1140,18 @@ impl EngineShared {
     /// Serialised against submission by the slots write lock: a submission
     /// that won the lock first left `active > 0` (checked again inside), and
     /// one that comes after finds freshly cleared logs its update has not
-    /// touched yet. A worker cannot be mid-step here — a popped slot is
-    /// non-terminated, which keeps `active > 0` for as long as it is owned.
+    /// touched yet. No step can be in flight: whoever steps (the chase thread,
+    /// or the caller driving an inline engine) is here, between two slots.
     fn maybe_gc(&self) {
-        if self.active.load(Ordering::SeqCst) != 0 || self.in_flight.load(Ordering::SeqCst) != 0 {
+        if self.active.load(Ordering::SeqCst) != 0 {
             return;
         }
         let mut slots = self.slots.write().unwrap_or_else(|e| e.into_inner());
-        if self.active.load(Ordering::SeqCst) != 0
-            || self.in_flight.load(Ordering::SeqCst) != 0
-            || self.unanswered.load(Ordering::SeqCst) != 0
-        {
+        if self.active.load(Ordering::SeqCst) != 0 || self.unanswered.load(Ordering::SeqCst) != 0 {
             return;
         }
-        self.read_log.clear_all();
-        self.write_log.clear_all();
+        *lock(&self.read_log) = ReadLog::default();
+        *lock(&self.write_log) = WriteLog::default();
         *lock(&self.tracker) = self.config.scheduler.tracker.build();
         // The shared violation index's delta backlog is dead for the same
         // reason: only live executions hold cursors into it, and there are
@@ -1209,13 +1184,7 @@ impl EngineShared {
         let horizon = self.config.retention_horizon;
         while slots.cells.len() > horizon {
             let Some(front) = slots.cells.front() else { break };
-            // A requested abort on the front slot cannot be legitimate (its
-            // would-be writer is lower-numbered and terminal), but never
-            // evict one mid-request — the flag's owner still expects the cell.
-            if front.abort_requested.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(slot) = front.slot.try_lock() else { break };
+            let Ok(slot) = front.try_lock() else { break };
             let terminal = slot.failed.is_some() || slot.exec.is_terminated();
             if !terminal || slot.published.is_some() {
                 break;
@@ -1224,8 +1193,8 @@ impl EngineShared {
             drop(slot);
             slots.cells.pop_front();
             slots.base += 1;
-            self.read_log.clear(id);
-            self.write_log.remove_update(id);
+            lock(&self.read_log).clear(id);
+            lock(&self.write_log).remove_update(id);
             lock(&self.tracker).clear_update(id);
             let mut all_ids = lock(&self.all_ids);
             if let Ok(pos) = all_ids.binary_search(&id) {
@@ -1280,7 +1249,7 @@ impl EngineShared {
         lock(&d.wal).flush()?;
         let mut summaries = Vec::with_capacity(slots.cells.len());
         for cell in &slots.cells {
-            let slot = lock(&cell.slot);
+            let slot = lock(cell);
             summaries.push(SlotSummary {
                 id: slot.exec.id().0,
                 initial: slot.exec.initial().clone(),
@@ -1374,7 +1343,7 @@ impl EngineShared {
         origin: ResolutionOrigin,
     ) -> Result<AnswerOutcome, ChaseError> {
         let Some(cell) = self.slot_cell(entry.slot) else { return Ok(AnswerOutcome::Stale) };
-        let mut slot = lock(&cell.slot);
+        let mut slot = lock(&cell);
         if slot.published != Some(token) || slot.exec.state() != UpdateState::AwaitingFrontier {
             return Ok(AnswerOutcome::Stale);
         }
@@ -1413,10 +1382,8 @@ impl EngineShared {
             drop(slot);
         } else {
             slot.parked = false;
-            let shard = self.shard_of(&slot.exec);
             drop(slot);
-            self.enqueue(shard, entry.slot);
-            self.settle_flag(entry.slot);
+            self.enqueue(entry.slot);
         }
         self.signal.bump();
         Ok(AnswerOutcome::Applied)
@@ -1461,8 +1428,8 @@ impl EngineShared {
     }
 
     /// Drives the deterministic sequencer on the calling thread (inline mode:
-    /// there are no workers) until it goes idle or blocks on an unanswered
-    /// frontier. A step error fails the engine, exactly as a worker would.
+    /// there is no chase thread) until it goes idle or blocks on an unanswered
+    /// frontier. A step error fails the engine, exactly as the thread would.
     pub(crate) fn drive_inline(&self) -> Result<(), ChaseError> {
         let mut cur = lock(&self.cursor);
         loop {
@@ -1522,14 +1489,14 @@ impl EngineShared {
             self.bump_action();
             return Ok(DetProgress::Acted);
         };
-        let state = lock(&cell.slot).exec.state();
+        let state = lock(&cell).exec.state();
         match state {
             UpdateState::Terminated => {
                 cur.live.remove(&idx);
                 self.bump_action();
             }
             UpdateState::AwaitingFrontier => {
-                let mut slot = lock(&cell.slot);
+                let mut slot = lock(&cell);
                 if slot.frontier_wait > 0 {
                     slot.frontier_wait -= 1;
                     self.bump_action();
@@ -1564,33 +1531,22 @@ impl EngineShared {
         cell: &Arc<SlotCell>,
     ) -> Result<(), ChaseError> {
         loop {
-            let mut slot = lock(&cell.slot);
+            let mut slot = lock(cell);
             if slot.exec.stats().steps >= self.config.max_steps_per_update {
                 let err = ChaseError::StepLimitExceeded {
                     update: slot.exec.id(),
                     limit: self.config.max_steps_per_update,
                 };
-                let dependents = self.fail_slot(cell, &mut slot, err);
+                let dependents = self.fail_slot(&mut slot, err);
                 drop(slot);
-                self.det_abort_worklist(cur, dependents);
+                self.det_abort_worklist(cur, dependents, true);
                 cur.live.remove(&idx);
                 return Ok(());
             }
             let (outcome, to_abort) = self.step_and_validate(&mut slot)?;
             drop(slot);
-            for &victim in &to_abort {
-                let Some((vidx, vcell)) = self.lookup_cell(victim) else { continue };
-                let mut vslot = lock(&vcell.slot);
-                if vslot.failed.is_some() {
-                    continue;
-                }
-                let was_terminated = vslot.exec.is_terminated();
-                self.execute_abort(&vcell, &mut vslot, was_terminated, false);
-                if was_terminated {
-                    cur.live.insert(vidx);
-                }
-            }
-            let mut slot = lock(&cell.slot);
+            self.det_abort_worklist(cur, to_abort, false);
+            let mut slot = lock(cell);
             if outcome.frontier_request.is_some() {
                 slot.frontier_wait = self.config.scheduler.frontier_delay_rounds;
             }
@@ -1611,78 +1567,59 @@ impl EngineShared {
         Ok(())
     }
 
-    /// Executes a failure-triggered abort cascade under the sequencer: each
-    /// victim's rollback is validated like a write (a budget failure fires
-    /// outside any conflict validation, so readers may have slipped in
-    /// between), and victims whose own rollbacks retroactively invalidate
-    /// further reads are fed back into the worklist. Revived (previously
-    /// terminated) victims rejoin the live set.
-    fn det_abort_worklist(&self, cur: &mut DetCursor, victims: Vec<UpdateId>) {
-        let mut work: VecDeque<UpdateId> = victims.into();
+    /// Executes an abort set under the sequencer, in ascending order; revived
+    /// (previously terminated) victims rejoin the live set. A conflict-decided
+    /// set passes `validate = false` (see [`Self::execute_abort`]); a
+    /// failure-triggered cascade validates each rollback like a write (a
+    /// budget failure fires outside any conflict validation, so readers may
+    /// have slipped in between) and feeds the victims whose reads it
+    /// retroactively invalidated back into the worklist.
+    fn det_abort_worklist(
+        &self,
+        cur: &mut DetCursor,
+        victims: impl IntoIterator<Item = UpdateId>,
+        validate: bool,
+    ) {
+        let mut work: VecDeque<UpdateId> = victims.into_iter().collect();
         while let Some(victim) = work.pop_front() {
             let Some((vidx, cell)) = self.lookup_cell(victim) else { continue };
-            let mut slot = lock(&cell.slot);
+            let mut slot = lock(&cell);
             if slot.failed.is_some() {
                 continue;
             }
             let was_terminated = slot.exec.is_terminated();
-            let dependents = self.execute_abort(&cell, &mut slot, was_terminated, true);
+            work.extend(self.execute_abort(&mut slot, was_terminated, validate));
             if was_terminated {
                 cur.live.insert(vidx);
             }
-            work.extend(dependents);
         }
     }
 
     // ------------------------------------------------------------------
-    // Free-running mode: sharded queues, overlapping read halves
+    // Free-running mode: one run queue, blocked updates park
     // ------------------------------------------------------------------
 
-    /// Shard key of an update: the smallest relation its next step can touch
-    /// (pending write targets plus the violation queue's relation index), so
-    /// updates about to work on the same relations land in the same queue.
-    fn shard_of(&self, exec: &UpdateExecution) -> usize {
-        match exec.next_touched_relations().first() {
-            Some(relation) => relation.0 as usize % self.queues.len(),
-            // Unknown footprint (e.g. a pending null-replacement): spread by
-            // update number.
-            None => exec.id().0 as usize % self.queues.len(),
-        }
-    }
-
-    fn enqueue(&self, shard: usize, idx: usize) {
-        lock(&self.queues[shard % self.queues.len()]).push_back(idx);
+    fn enqueue(&self, idx: usize) {
+        lock(&self.queue).push_back(idx);
         self.signal.bump();
     }
 
-    /// Pops a ready slot, preferring the worker's own shard and stealing from
-    /// the others in ring order.
-    fn pop_slot(&self, me: usize) -> Option<usize> {
-        let n = self.queues.len();
-        for k in 0..n {
-            if let Some(idx) = lock(&self.queues[(me + k) % n]).pop_front() {
-                return Some(idx);
-            }
-        }
-        None
-    }
-
-    fn free_worker(&self, me: usize) {
+    fn free_worker(&self) {
         let _guard = WorkerGuard { shared: self };
         loop {
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
             let gen = self.signal.current();
-            let Some(idx) = self.pop_slot(me) else {
+            let Some(idx) = lock(&self.queue).pop_front() else {
                 // Long-lived engine: park instead of exiting; a submission, an
                 // answer or an abort re-enqueue bumps the generation.
                 self.signal.wait_past(gen);
                 continue;
             };
-            self.in_flight.fetch_add(1, Ordering::SeqCst);
+            self.in_flight.store(true, Ordering::SeqCst);
             let result = self.process_slot_free(idx);
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            self.in_flight.store(false, Ordering::SeqCst);
             self.maybe_gc();
             self.maybe_compact();
             self.signal.bump();
@@ -1694,28 +1631,13 @@ impl EngineShared {
     }
 
     /// Runs the popped slot until it terminates, parks on a frontier, or
-    /// (under step-level round robin) hands the update back to the queues
-    /// after one step.
+    /// (under step-level round robin) goes back to the queue after one step.
     fn process_slot_free(&self, idx: usize) -> Result<(), ChaseError> {
         let Some(cell) = self.slot_cell(idx) else { return Ok(()) };
-        let mut slot = lock(&cell.slot);
+        let mut slot = lock(&cell);
         loop {
             if self.stop.load(Ordering::SeqCst) {
                 return Ok(());
-            }
-            // A validator flagged us while we were stepping (or while the
-            // update sat in the queue): execute the abort, then continue from
-            // the fresh restart.
-            if cell.abort_requested.load(Ordering::SeqCst) {
-                if slot.failed.is_some() {
-                    cell.abort_requested.store(false, Ordering::SeqCst);
-                } else {
-                    let dependents = self.execute_abort(&cell, &mut slot, false, true);
-                    drop(slot);
-                    self.abort_all(dependents);
-                    slot = lock(&cell.slot);
-                    continue;
-                }
             }
             if slot.failed.is_some() {
                 slot.parked = true;
@@ -1725,17 +1647,13 @@ impl EngineShared {
                 UpdateState::Terminated => {
                     slot.parked = true;
                     self.active.fetch_sub(1, Ordering::SeqCst);
-                    drop(slot);
-                    self.settle_flag(idx);
                     self.signal.bump();
                     return Ok(());
                 }
                 UpdateState::AwaitingFrontier => {
-                    // Pull-based: publish the request and hand the worker
-                    // back; the answer re-enqueues the slot.
+                    // Pull-based: publish the request and move on to the next
+                    // queued update; the answer re-enqueues the slot.
                     self.publish_frontier(&mut slot, idx);
-                    drop(slot);
-                    self.settle_flag(idx);
                     return Ok(());
                 }
                 UpdateState::Ready => {
@@ -1744,28 +1662,20 @@ impl EngineShared {
                             update: slot.exec.id(),
                             limit: self.config.max_steps_per_update,
                         };
-                        let dependents = self.fail_slot(&cell, &mut slot, err);
+                        let dependents = self.fail_slot(&mut slot, err);
                         drop(slot);
                         self.abort_all(dependents);
-                        self.settle_flag(idx);
                         return Ok(());
                     }
                     let (_outcome, to_abort) = self.step_and_validate(&mut slot)?;
-                    if !to_abort.is_empty() {
-                        // Abort execution takes victim locks; ours stays held
-                        // (victims are always other, higher-numbered updates).
-                        self.abort_all(to_abort.iter().copied().collect());
-                    }
+                    // Victim locks are taken with ours still held: victims
+                    // are always other, higher-numbered updates.
+                    self.abort_all(to_abort);
                     if slot.exec.state() == UpdateState::Ready
                         && self.config.scheduler.policy == SchedulingPolicy::StepRoundRobin
                     {
-                        if cell.abort_requested.load(Ordering::SeqCst) {
-                            continue; // execute our own abort before requeueing
-                        }
-                        let shard = self.shard_of(&slot.exec);
                         drop(slot);
-                        self.enqueue(shard, idx);
-                        self.settle_flag(idx);
+                        self.enqueue(idx);
                         return Ok(());
                     }
                 }
@@ -1773,83 +1683,30 @@ impl EngineShared {
         }
     }
 
-    /// Executes (or requests) the abort of every update in the worklist,
-    /// feeding each executed abort's at-abort-time dependents back in.
-    /// Victims we cannot lock are flagged for their owner; `settle_flag`
-    /// closes the race with an owner that released without seeing the flag.
-    fn abort_all(&self, victims: Vec<UpdateId>) {
-        let mut work: VecDeque<UpdateId> = victims.into();
+    /// Executes the abort of every update in the worklist, feeding each
+    /// rollback's retroactively invalidated readers back in. Runs on the chase
+    /// thread, the only thread that steps or aborts: a victim's lock is held
+    /// at most briefly by a caller thread (an answer being applied, a status
+    /// read), so a blocking lock suffices.
+    fn abort_all(&self, victims: impl IntoIterator<Item = UpdateId>) {
+        let mut work: VecDeque<UpdateId> = victims.into_iter().collect();
         while let Some(victim) = work.pop_front() {
             let Some((vidx, cell)) = self.lookup_cell(victim) else { continue };
-            let attempt = cell.slot.try_lock();
-            match attempt {
-                Ok(mut vslot) => {
-                    if vslot.failed.is_some() {
-                        cell.abort_requested.store(false, Ordering::SeqCst);
-                        continue;
-                    }
-                    let was_terminated = vslot.exec.is_terminated();
-                    let was_parked = vslot.parked;
-                    let dependents = self.execute_abort(&cell, &mut vslot, was_terminated, true);
-                    if was_parked {
-                        // Nobody owns a parked slot and it sits in no queue
-                        // (it had terminated or was blocked on a frontier):
-                        // the abort made it Ready again, so hand it back.
-                        vslot.parked = false;
-                        let shard = self.shard_of(&vslot.exec);
-                        drop(vslot);
-                        self.enqueue(shard, vidx);
-                    }
-                    work.extend(dependents);
-                }
-                Err(_) => {
-                    cell.abort_requested.store(true, Ordering::SeqCst);
-                    // If the owner released between our failed try_lock and
-                    // the store, nobody may ever look at the flag again;
-                    // settling re-checks. If the lock is held *now*, the
-                    // holder's post-release settle happens after our store
-                    // and is guaranteed to see it.
-                    self.settle_flag(vidx);
-                }
+            let mut vslot = lock(&cell);
+            if vslot.failed.is_some() {
+                continue;
             }
-        }
-    }
-
-    /// Ensures a requested abort on an unowned slot is not lost: called after
-    /// every slot-lock release and after flagging a busy victim. Parked
-    /// victims (terminated or frontier-blocked) are executed here and handed
-    /// back to the queues; queued victims are left for the next worker that
-    /// pops them.
-    fn settle_flag(&self, idx: usize) {
-        let Some(cell) = self.slot_cell(idx) else { return };
-        loop {
-            if !cell.abort_requested.load(Ordering::SeqCst) {
-                return;
+            let was_terminated = vslot.exec.is_terminated();
+            let was_parked = vslot.parked;
+            work.extend(self.execute_abort(&mut vslot, was_terminated, true));
+            if was_parked {
+                // A parked slot sits in no queue (it had terminated or was
+                // blocked on a frontier): the abort made it Ready again, so
+                // hand it back. An unparked victim is already queued.
+                vslot.parked = false;
+                drop(vslot);
+                self.enqueue(vidx);
             }
-            let Ok(mut slot) = cell.slot.try_lock() else {
-                // Someone owns the slot right now; their post-release settle
-                // will see the flag.
-                return;
-            };
-            if !cell.abort_requested.load(Ordering::SeqCst) {
-                return;
-            }
-            if slot.failed.is_some() {
-                cell.abort_requested.store(false, Ordering::SeqCst);
-                return;
-            }
-            if !slot.parked {
-                // The slot is in a run queue; its next owner executes the
-                // abort before stepping.
-                return;
-            }
-            let was_terminated = slot.exec.is_terminated();
-            let dependents = self.execute_abort(&cell, &mut slot, was_terminated, true);
-            slot.parked = false;
-            let shard = self.shard_of(&slot.exec);
-            drop(slot);
-            self.enqueue(shard, idx);
-            self.abort_all(dependents);
         }
     }
 }
@@ -1861,14 +1718,15 @@ impl EngineShared {
 /// state with [`read`](Self::read).
 pub struct ExchangeEngine {
     pub(crate) shared: Arc<EngineShared>,
-    threads: Vec<JoinHandle<()>>,
+    /// The one chase thread; `None` for an inline engine (and after `halt`).
+    thread: Option<JoinHandle<()>>,
 }
 
 impl ExchangeEngine {
-    /// Starts an engine over `db` and `mappings`: its worker pool
-    /// ([`SchedulerConfig::workers`], 0 = one per core) is spawned immediately
-    /// and stays alive — parked when idle — until [`shutdown`](Self::shutdown)
-    /// or drop.
+    /// Starts an engine over `db` and `mappings`: its chase thread (none for
+    /// an [inline](EngineConfig::inline) engine) is spawned immediately and
+    /// stays alive — parked when idle — until [`shutdown`](Self::shutdown) or
+    /// drop.
     pub fn new(db: Database, mappings: MappingSet, config: EngineConfig) -> ExchangeEngine {
         let shared = Self::make_shared(
             db,
@@ -1880,8 +1738,8 @@ impl ExchangeEngine {
             0,
             RunMetrics::default(),
         );
-        let threads = Self::spawn_workers(&shared);
-        ExchangeEngine { shared, threads }
+        let thread = Self::spawn_chase_thread(&shared);
+        ExchangeEngine { shared, thread }
     }
 
     /// Starts a **durable** engine under `durability.dir`: every submission
@@ -1945,8 +1803,8 @@ impl ExchangeEngine {
             0,
             RunMetrics::default(),
         );
-        let threads = Self::spawn_workers(&shared);
-        Ok(ExchangeEngine { shared, threads })
+        let thread = Self::spawn_chase_thread(&shared);
+        Ok(ExchangeEngine { shared, thread })
     }
 
     /// Recovers a durable engine from `durability.dir`: loads the newest
@@ -2031,16 +1889,13 @@ impl ExchangeEngine {
                 summary.stats,
                 summary.terminated,
             );
-            cells.push_back(Arc::new(SlotCell {
-                slot: Mutex::new(Slot {
-                    exec,
-                    frontier_wait: 0,
-                    parked: true,
-                    published: None,
-                    failed: summary.failed.clone(),
-                }),
-                abort_requested: AtomicBool::new(false),
-            }));
+            cells.push_back(Arc::new(Mutex::new(Slot {
+                exec,
+                frontier_wait: 0,
+                parked: true,
+                published: None,
+                failed: summary.failed.clone(),
+            })));
             all_ids.push(id);
         }
         let slots = SlotTable { base: meta.slot_base as usize, cells };
@@ -2076,8 +1931,8 @@ impl ExchangeEngine {
             .replaying
             .store(false, Ordering::SeqCst);
         replayed?;
-        let threads = Self::spawn_workers(&shared);
-        Ok(ExchangeEngine { shared, threads })
+        let thread = Self::spawn_chase_thread(&shared);
+        Ok(ExchangeEngine { shared, thread })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -2093,11 +1948,6 @@ impl ExchangeEngine {
     ) -> Arc<EngineShared> {
         let mut db = db;
         db.set_delta_backlog_cap(config.delta_backlog_cap);
-        let workers = if config.scheduler.workers > 0 {
-            config.scheduler.workers
-        } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        };
         // Inline mode is caller-driven and therefore sequenced: it implies
         // the deterministic scheduler regardless of what the config says.
         // Replication does too — the canonical fold *is* a schedule.
@@ -2110,11 +1960,11 @@ impl ExchangeEngine {
             inline,
             slots: RwLock::new(slots),
             all_ids: Mutex::new(all_ids),
-            read_log: StripedReadLog::default(),
-            write_log: StripedWriteLog::default(),
+            read_log: Mutex::new(ReadLog::default()),
+            write_log: Mutex::new(WriteLog::default()),
             tracker: Mutex::new(config.scheduler.tracker.build()),
             metrics: Mutex::new(metrics),
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queue: Mutex::new(VecDeque::new()),
             cursor: Mutex::new(DetCursor { next: 0, live: BTreeSet::new() }),
             det_incoming: Mutex::new(Vec::new()),
             pending: Mutex::new(BTreeMap::new()),
@@ -2122,7 +1972,7 @@ impl ExchangeEngine {
             unanswered: AtomicUsize::new(0),
             next_token: AtomicU64::new(next_token),
             active: AtomicUsize::new(0),
-            in_flight: AtomicUsize::new(0),
+            in_flight: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             error: Mutex::new(None),
             signal: Signal::new(),
@@ -2134,30 +1984,22 @@ impl ExchangeEngine {
         })
     }
 
-    /// Starts the engine's threads: none inline, **one** sequencer thread for
-    /// a deterministic engine whatever `workers` says (the schedule is serial;
-    /// extra threads would only queue on the cursor mutex), and one worker
-    /// per run queue when free-running.
-    fn spawn_workers(shared: &Arc<EngineShared>) -> Vec<JoinHandle<()>> {
+    /// Starts the engine's chase thread: none for an inline engine, otherwise
+    /// exactly one — the deterministic sequencer or the free-running worker.
+    fn spawn_chase_thread(shared: &Arc<EngineShared>) -> Option<JoinHandle<()>> {
         if shared.inline {
-            return Vec::new();
+            return None;
         }
-        let threads = if shared.deterministic { 1 } else { shared.queues.len() };
-        (0..threads)
-            .map(|me| {
-                let shared = Arc::clone(shared);
-                std::thread::Builder::new()
-                    .name(format!("youtopia-engine-{me}"))
-                    .spawn(move || {
-                        if shared.deterministic {
-                            shared.det_worker()
-                        } else {
-                            shared.free_worker(me)
-                        }
-                    })
-                    .expect("spawn engine worker")
-            })
-            .collect()
+        let shared = Arc::clone(shared);
+        let spawned =
+            std::thread::Builder::new().name("youtopia-engine-0".into()).spawn(move || {
+                if shared.deterministic {
+                    shared.det_worker()
+                } else {
+                    shared.free_worker()
+                }
+            });
+        Some(spawned.expect("spawn engine chase thread"))
     }
 
     /// Submits one update. See [`submit_batch`](Self::submit_batch).
@@ -2243,6 +2085,10 @@ impl ExchangeEngine {
             let first = shared.config.first_update_number + base as u64;
             let stamp = d.actions.load(Ordering::SeqCst);
             if let Err(e) = lock(&d.wal).append(&encode_submit(first, stamp, &ops)) {
+                // Nothing was admitted, but the log is now in an unknown
+                // state (under group commit, earlier acknowledged records of
+                // this window were never synced): fail-stop, as `answer` does.
+                shared.fail(ChaseError::InvalidDecision(format!("durability failure: {e}")));
                 return Err(SubmitError::Durability(e.to_string()));
             }
             d.records.fetch_add(1, Ordering::SeqCst);
@@ -2262,13 +2108,7 @@ impl ExchangeEngine {
                 None => lock(&shared.det_incoming).extend(base..base + count),
             }
         } else {
-            for idx in base..base + count {
-                let shard = {
-                    let slot = lock(&slots.get(idx).expect("just admitted").slot);
-                    shared.shard_of(&slot.exec)
-                };
-                lock(&shared.queues[shard % shared.queues.len()]).push_back(idx);
-            }
+            lock(&shared.queue).extend(base..base + count);
         }
         drop(slots);
         drop(cursor);
@@ -2324,6 +2164,11 @@ impl ExchangeEngine {
         origin: ResolutionOrigin,
     ) -> Result<AnswerOutcome, ChaseError> {
         let shared = &self.shared;
+        // Fail-stop: a failed engine (a WAL append or sync error above all)
+        // takes no further answers — its log no longer matches its history.
+        if let Some(e) = self.error() {
+            return Err(e);
+        }
         // A replica records the decision as a replicated event (so peers
         // replay it instead of re-asking) and continues the canonical fold.
         if shared.replication.is_some() {
@@ -2436,8 +2281,8 @@ impl ExchangeEngine {
     /// not an error, so open-loop harnesses can interleave driving,
     /// selective answering ([`pending_frontiers`](Self::pending_frontiers) /
     /// [`answer`](Self::answer)) and [`sweep`](Self::sweep) on one thread.
-    /// On a threaded engine this is a no-op (the workers make progress on
-    /// their own); either way a fatal engine error is reported.
+    /// On a threaded engine this is a no-op (the chase thread makes progress
+    /// on its own); either way a fatal engine error is reported.
     pub fn drive(&self) -> Result<(), ChaseError> {
         if self.shared.inline {
             self.shared.drive_inline()?;
@@ -2478,7 +2323,7 @@ impl ExchangeEngine {
             .cells
             .iter()
             .map(|cell| {
-                let slot = lock(&cell.slot);
+                let slot = lock(cell);
                 (slot.exec.id(), slot.exec.stats())
             })
             .collect()
@@ -2490,7 +2335,7 @@ impl ExchangeEngine {
     /// record, [`LookupError::UnknownUpdate`] for an id never admitted.
     pub fn update_stats_of(&self, update: UpdateId) -> Result<UpdateStats, LookupError> {
         let cell = self.shared.lookup(update)?;
-        let slot = lock(&cell.slot);
+        let slot = lock(&cell);
         Ok(slot.exec.stats())
     }
 
@@ -2501,7 +2346,7 @@ impl ExchangeEngine {
     /// eviction; this keyed lookup is for callers holding only the id.
     pub fn update_report_of(&self, update: UpdateId) -> Result<Option<UpdateReport>, LookupError> {
         let cell = self.shared.lookup(update)?;
-        let slot = lock(&cell.slot);
+        let slot = lock(&cell);
         Ok(slot.exec.is_terminated().then(|| UpdateReport::for_execution(&slot.exec)))
     }
 
@@ -2536,7 +2381,7 @@ impl ExchangeEngine {
     /// submission can create activity.
     pub fn is_quiescent(&self) -> bool {
         self.shared.active.load(Ordering::SeqCst) == 0
-            && self.shared.in_flight.load(Ordering::SeqCst) == 0
+            && !self.shared.in_flight.load(Ordering::SeqCst)
             && lock(&self.shared.pending).is_empty()
     }
 
@@ -2579,11 +2424,11 @@ impl ExchangeEngine {
         }
     }
 
-    /// Stops the workers and joins them (idempotent).
+    /// Stops the chase thread and joins it (idempotent).
     fn halt(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.signal.bump();
-        for handle in self.threads.drain(..) {
+        if let Some(handle) = self.thread.take() {
             let _ = handle.join();
         }
     }
@@ -2601,9 +2446,9 @@ impl ExchangeEngine {
         }
         let mut shared = Arc::clone(&self.shared);
         drop(self);
-        // Workers are joined, but a cloned `UpdateHandle` may be mid-`wait()`
-        // on another thread, holding a transient upgrade of its weak
-        // reference. The stop flag (set by `halt`) makes every such call
+        // The chase thread is joined, but a cloned `UpdateHandle` may be
+        // mid-`wait()` on another thread, holding a transient upgrade of its
+        // weak reference. The stop flag (set by `halt`) makes every such call
         // return on its next check; keep nudging the signal until the last
         // transient strong reference drops. An `Arc` drop cannot notify a
         // condvar, so this is necessarily a poll — but with bounded
@@ -2686,7 +2531,7 @@ impl UpdateHandle {
     /// `Terminated` status is definitive only once the engine is quiescent:
     /// a still-running lower-priority update can conflict with and revive it.
     pub fn status(&self) -> UpdateStatus {
-        let slot = lock(&self.cell.slot);
+        let slot = lock(&self.cell);
         if slot.failed.is_some() {
             return UpdateStatus::Failed;
         }
@@ -2699,20 +2544,20 @@ impl UpdateHandle {
 
     /// Execution counters so far.
     pub fn stats(&self) -> UpdateStats {
-        lock(&self.cell.slot).exec.stats()
+        lock(&self.cell).exec.stats()
     }
 
     /// The completion report, once the update has terminated — assembled
     /// through the same [`UpdateReport::for_execution`] path every runner
     /// uses.
     pub fn report(&self) -> Option<UpdateReport> {
-        let slot = lock(&self.cell.slot);
+        let slot = lock(&self.cell);
         slot.exec.is_terminated().then(|| UpdateReport::for_execution(&slot.exec))
     }
 
     /// The update's terminal failure, if it exceeded its step budget.
     pub fn error(&self) -> Option<ChaseError> {
-        lock(&self.cell.slot).failed.clone()
+        lock(&self.cell).failed.clone()
     }
 
     /// Blocks until the update terminates (returning its report) or fails
@@ -2723,7 +2568,7 @@ impl UpdateHandle {
     pub fn wait(&self) -> Result<UpdateReport, ChaseError> {
         loop {
             {
-                let slot = lock(&self.cell.slot);
+                let slot = lock(&self.cell);
                 if let Some(e) = &slot.failed {
                     return Err(e.clone());
                 }
@@ -2749,7 +2594,7 @@ impl UpdateHandle {
             if shared.inline {
                 shared.drive_inline()?;
                 let blocked = {
-                    let slot = lock(&self.cell.slot);
+                    let slot = lock(&self.cell);
                     slot.failed.is_none() && !slot.exec.is_terminated()
                 };
                 if blocked && !lock(&shared.pending).is_empty() {
@@ -2763,7 +2608,7 @@ impl UpdateHandle {
             }
             let gen = shared.signal.current();
             {
-                let slot = lock(&self.cell.slot);
+                let slot = lock(&self.cell);
                 if slot.failed.is_some() || slot.exec.is_terminated() {
                     continue;
                 }
@@ -2848,7 +2693,7 @@ impl<'e, 'r> ResolverPump<'e, 'r> {
             }
             // A frontier published between drain() returning empty and the
             // generation capture has already bumped the generation we are
-            // about to sleep on — with every worker parked behind it, nobody
+            // about to sleep on — with the chase thread parked behind it, nobody
             // would ever bump again. Re-checking the queue *after* the
             // capture closes the lost-wakeup window: either we see the entry
             // here and drain it, or its publish bumps past `gen` and the
@@ -2895,24 +2740,45 @@ mod tests {
         (db, mappings, ops)
     }
 
+    /// The hidden `workers` knob is a no-op: whatever it says, a threaded
+    /// engine owns one chase thread and an inline engine none.
     #[test]
-    fn deterministic_engines_run_one_sequencer_thread_free_running_runs_n() {
-        for workers in [1usize, 2, 4] {
-            let (db, mappings, _) = frontier_fixture(0);
-            let det = EngineBuilder::new().workers(workers).build(db, mappings).unwrap();
-            assert_eq!(det.threads.len(), 1, "deterministic, workers({workers})");
-            det.shutdown();
-
-            let (db, mappings, _) = frontier_fixture(0);
-            let free =
-                EngineBuilder::new().workers(workers).free_running().build(db, mappings).unwrap();
-            assert_eq!(free.threads.len(), workers, "free-running, workers({workers})");
-            free.shutdown();
+    fn no_engine_configuration_owns_more_than_one_chase_thread() {
+        for workers in [1usize, 2, 4, 8] {
+            let build = |builder: EngineBuilder| {
+                let (db, mappings, _) = frontier_fixture(0);
+                builder.workers(workers).build(db, mappings).unwrap()
+            };
+            assert!(build(EngineBuilder::new()).thread.is_some(), "deterministic");
+            assert!(build(EngineBuilder::new().free_running()).thread.is_some(), "free-running");
+            assert!(build(EngineBuilder::new().inline()).thread.is_none(), "caller-driven");
         }
-        let (db, mappings, _) = frontier_fixture(0);
-        let inline = EngineBuilder::new().workers(4).inline().build(db, mappings).unwrap();
-        assert!(inline.threads.is_empty(), "inline engines are caller-driven");
-        inline.shutdown();
+    }
+
+    /// A failed WAL append on the submit path must fail-stop the engine like
+    /// the answer path does — the log is in an unknown state (`/dev/full`
+    /// accepts the open and refuses every write with ENOSPC).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_wal_append_on_submit_fail_stops_the_engine() {
+        let dir = std::env::temp_dir().join(format!("yt-engine-full-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (db, mappings, mut ops) = frontier_fixture(2);
+        let engine = EngineBuilder::new()
+            .inline()
+            .durable(DurabilityConfig::new(&dir))
+            .build(db, mappings)
+            .unwrap();
+        let durable = engine.shared.durable.as_ref().expect("built durable");
+        *lock(&durable.wal) = WalWriter::create(std::path::Path::new("/dev/full")).unwrap();
+
+        let err = engine.submit(ops.pop().unwrap()).unwrap_err();
+        assert!(matches!(err, SubmitError::Durability(_)), "typed error, got {err:?}");
+        assert!(engine.error().is_some(), "the engine must fail-stop");
+        assert_eq!(engine.active_updates(), 0, "nothing was admitted");
+        assert!(matches!(engine.submit(ops.pop().unwrap()), Err(SubmitError::ShutDown)));
+        assert!(engine.drive().is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A durable `submit`/`answer` holds the commit cursor on the *caller's*
@@ -2922,15 +2788,12 @@ mod tests {
     /// the caller thread, give that window every chance to open; a watchdog
     /// turns a hang into a failure.
     #[test]
-    fn durable_workers_4_engine_stays_live_under_caller_thread_submit_and_answer() {
+    fn durable_engine_stays_live_under_caller_thread_submit_and_answer() {
         let dir = std::env::temp_dir().join(format!("yt-engine-live-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (db, mappings, ops) = frontier_fixture(200);
-        let engine = EngineBuilder::new()
-            .workers(4)
-            .durable(DurabilityConfig::new(&dir))
-            .build(db, mappings)
-            .unwrap();
+        let engine =
+            EngineBuilder::new().durable(DurabilityConfig::new(&dir)).build(db, mappings).unwrap();
         let (tx, rx) = mpsc::channel();
         let driver = std::thread::spawn(move || {
             let mut resolver = RandomResolver::seeded(11);
@@ -2944,7 +2807,7 @@ mod tests {
         });
         let (quiescent, answered) = rx
             .recv_timeout(Duration::from_secs(120))
-            .expect("deterministic workers(4) durable engine hung: sequencer never resumed");
+            .expect("durable engine hung: sequencer never resumed");
         driver.join().unwrap();
         assert!(quiescent);
         assert_eq!(answered, 200, "every update asked (and was answered) exactly once");

@@ -1,6 +1,6 @@
 //! The single-update exchange facade, now a client of the engine.
 //!
-//! [`UpdateExchange`] owns a long-lived [`ExchangeEngine`] (one worker,
+//! [`UpdateExchange`] owns a long-lived [`ExchangeEngine`] (inline,
 //! deterministic) and runs one update at a time to completion, consulting a
 //! [`FrontierResolver`] whenever a chase blocks. This is the API the examples
 //! use, the workload generator uses to build the initial database of
@@ -25,7 +25,7 @@ use crate::builder::EngineBuilder;
 use crate::engine::{ExchangeEngine, ResolverPump, UpdateHandle, UpdateStatus};
 
 /// Read access to the exchange's database: a snapshot-session guard that
-/// dereferences to [`Database`]. Chase workers (if any were mid-step) queue
+/// dereferences to [`Database`]. A chase step (if one were mid-flight) queues
 /// behind it; drop it before submitting the next update.
 #[derive(Debug)]
 pub struct DbRef<'a>(RwLockReadGuard<'a, Database>);
@@ -56,7 +56,7 @@ impl DerefMut for DbRefMut<'_> {
     }
 }
 
-/// Owns a database plus mappings (inside a one-worker engine) and runs
+/// Owns a database plus mappings (inside an inline engine) and runs
 /// updates one at a time.
 pub struct UpdateExchange {
     engine: ExchangeEngine,
@@ -71,8 +71,8 @@ impl UpdateExchange {
     /// Creates an exchange whose engine is configured by `builder` — set any
     /// knob ([`EngineBuilder::max_steps_per_update`],
     /// [`EngineBuilder::chase_mode`], ...) before passing it in. The exchange
-    /// forces inline mode regardless: one update at a time needs no worker
-    /// threads, and a threadless engine keeps micro-chases at
+    /// forces inline mode regardless: one update at a time needs no chase
+    /// thread, and a threadless engine keeps micro-chases at
     /// single-threaded cost (no cross-thread handoff per step or frontier
     /// answer). The step valve is per-update, not global (the builder's
     /// default): a runaway chase fails its own update and leaves the
@@ -83,7 +83,6 @@ impl UpdateExchange {
         builder: EngineBuilder,
     ) -> UpdateExchange {
         let engine = builder
-            .workers(1)
             .inline()
             .build(db, mappings)
             .expect("engine construction only fails for durable builders");

@@ -14,8 +14,9 @@
 //! The service form of the same machinery is the long-lived
 //! [`ExchangeEngine`]: [`ExchangeEngine::submit`] accepts updates at any time,
 //! blocked chases surface as [`ExchangeEngine::pending_frontiers`] and resume
-//! via [`ExchangeEngine::answer`], and [`ParallelRun`] / [`UpdateExchange`]
-//! are thin batch/single-update façades over it.
+//! via [`ExchangeEngine::answer`]; [`UpdateExchange`] is a thin single-update
+//! façade over it. An engine owns at most one chase thread (see the `engine`
+//! module docs).
 //!
 //! ```
 //! use youtopia_concurrency::{ConcurrentRun, SchedulerConfig, TrackerKind};
@@ -54,10 +55,8 @@ pub mod error;
 pub mod exchange;
 pub mod log;
 pub mod metrics;
-pub mod parallel;
 pub mod replicate;
 pub mod scheduler;
-pub mod striped;
 pub mod viewmaint;
 
 pub use builder::EngineBuilder;
@@ -75,12 +74,10 @@ pub use engine::{
 };
 pub use error::EngineError;
 pub use exchange::{DbRef, DbRefMut, UpdateExchange};
-pub use log::{ChangeSource, ReadLog, WriteLog};
+pub use log::{ReadLog, WriteLog};
 pub use metrics::{AveragedMetrics, RunMetrics};
-pub use parallel::ParallelRun;
 pub use replicate::{SyncError, SyncReport};
 pub use scheduler::{ConcurrentRun, SchedulerConfig, SchedulingPolicy};
-pub use striped::{StripedReadLog, StripedWriteLog};
 pub use viewmaint::ViolationIndexStats;
 // The violation-state knob lives in `youtopia-core` (executions own it) but
 // is configured here; re-exported so engine callers need one import path.

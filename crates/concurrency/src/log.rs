@@ -1,4 +1,6 @@
-//! Write and read logs kept by the optimistic scheduler (Algorithm 4).
+//! Write and read logs kept by the optimistic scheduler (Algorithm 4) — by
+//! [`ConcurrentRun`](crate::ConcurrentRun) directly and by the
+//! [`ExchangeEngine`](crate::ExchangeEngine) behind a mutex each.
 //!
 //! Both logs are keyed by relation: the write log keeps a relation →
 //! (entry, change) index so dependency trackers only examine writes that
@@ -100,6 +102,14 @@ impl WriteLog {
             .collect()
     }
 
+    /// The logged tuple changes of one update, in log order. The engine
+    /// captures these just before a validated abort: their inverses are what
+    /// the rollback does to the database, checked against the read log like
+    /// any other write.
+    pub fn changes_of(&self, update: UpdateId) -> impl Iterator<Item = &TupleChange> {
+        self.entries.iter().filter(move |w| w.update == update).flat_map(|w| w.changes.iter())
+    }
+
     /// Drops every write logged for `update` (called when the update aborts —
     /// its writes have been rolled back and no longer create dependencies).
     pub fn remove_update(&mut self, update: UpdateId) {
@@ -124,40 +134,6 @@ impl WriteLog {
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-}
-
-/// Read access to the logged tuple changes of lower-numbered updates.
-///
-/// Dependency trackers only ever ask one question of the write log: "which
-/// changes, performed by updates numbered below this reader and touching one
-/// of these relations, exist — in log order?". Abstracting that question lets
-/// the trackers work over both the single-threaded [`WriteLog`] and the
-/// lock-striped parallel write log (whose entries live behind per-relation
-/// stripe locks and cannot be borrowed out).
-pub trait ChangeSource {
-    /// Invokes `f` with `(writer, change)` for every logged change of an
-    /// update numbered strictly below `reader` that touches one of
-    /// `relations`, in log order. An empty relation list is the wildcard: all
-    /// changes qualify.
-    fn for_each_change_before(
-        &self,
-        reader: UpdateId,
-        relations: &[RelationId],
-        f: &mut dyn FnMut(UpdateId, &TupleChange),
-    );
-}
-
-impl ChangeSource for WriteLog {
-    fn for_each_change_before(
-        &self,
-        reader: UpdateId,
-        relations: &[RelationId],
-        f: &mut dyn FnMut(UpdateId, &TupleChange),
-    ) {
-        for (w, change) in self.changes_before_touching(reader, relations) {
-            f(w.update, change);
-        }
     }
 }
 
@@ -337,7 +313,9 @@ mod tests {
         assert_eq!(log.entries_before(UpdateId(4)).count(), 2);
         assert_eq!(log.changes_before(UpdateId(4)).count(), 2);
         assert_eq!(log.entries_before(UpdateId(1)).count(), 0);
+        assert_eq!(log.changes_of(UpdateId(3)).count(), 1);
         log.remove_update(UpdateId(3));
+        assert_eq!(log.changes_of(UpdateId(3)).count(), 0);
         assert_eq!(log.len(), 2);
         assert_eq!(log.entries().len(), 2);
     }

@@ -225,7 +225,7 @@ impl ReplicationState {
 
 /// Blocks until the engine is *settled*: idle, blocked on a published
 /// frontier, or failed. On an inline engine this drives the sequencer on the
-/// calling thread; on a threaded one it waits for the workers.
+/// calling thread; on a threaded one it waits for the chase thread.
 fn settle(engine: &ExchangeEngine) -> Result<(), SyncError> {
     let shared: &EngineShared = &engine.shared;
     if shared.inline {
@@ -297,7 +297,7 @@ enum CurrentState {
 
 fn current_state(shared: &EngineShared, update: UpdateId) -> CurrentState {
     let Ok(cell) = shared.lookup(update) else { return CurrentState::Done };
-    let slot = lock(&cell.slot);
+    let slot = lock(&cell);
     if slot.failed.is_some() || slot.exec.is_terminated() {
         return CurrentState::Done;
     }

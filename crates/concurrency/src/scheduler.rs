@@ -39,7 +39,7 @@ pub enum SchedulingPolicy {
 /// For long-lived engines, prefer [`EngineBuilder`](crate::EngineBuilder) —
 /// it exposes every one of these knobs without the
 /// `EngineConfig`-wraps-`SchedulerConfig` nesting. Batch runs
-/// ([`ConcurrentRun`], `ParallelRun`) keep taking this struct directly.
+/// ([`ConcurrentRun`]) keep taking this struct directly.
 #[derive(Clone, Copy, Debug)]
 pub struct SchedulerConfig {
     /// Which cascading-abort tracker to use.
@@ -57,14 +57,10 @@ pub struct SchedulerConfig {
     /// default; [`ChaseMode::FullRecheck`] is the reference path the
     /// conflict-semantics differential tests compare against).
     pub chase_mode: ChaseMode,
-    /// Worker threads for a free-running [`crate::ParallelRun`] /
-    /// [`crate::ExchangeEngine`]; `0` means one per available core. Ignored
-    /// by the single-threaded [`ConcurrentRun`], and a deterministic engine
-    /// runs one sequencer thread whatever the value (its schedule is serial).
-    pub workers: usize,
-    /// Whether [`crate::ParallelRun`] commits steps in the fixed round-robin
-    /// serialisation order (byte-identical to [`ConcurrentRun`] at any worker
-    /// count) or free-runs for throughput. Ignored by [`ConcurrentRun`].
+    /// Whether a [`crate::ExchangeEngine`] commits steps in the fixed
+    /// round-robin serialisation order (byte-identical to [`ConcurrentRun`])
+    /// or free-runs: updates blocked on a frontier park while the others keep
+    /// stepping. Ignored by [`ConcurrentRun`].
     pub deterministic: bool,
     /// Where executions get their change signal from: the engine-shared
     /// violation index's delta feed (the default) or per-update epoch
@@ -81,7 +77,6 @@ impl Default for SchedulerConfig {
             max_total_steps: 5_000_000,
             frontier_delay_rounds: 0,
             chase_mode: ChaseMode::default(),
-            workers: 1,
             deterministic: true,
             violation_state: ViolationStateMode::default(),
         }
@@ -95,7 +90,7 @@ impl SchedulerConfig {
     }
 
     // Builder-style setters. Prefer these over field-struct-update
-    // construction (`SchedulerConfig { workers: 4, ..Default::default() }`) in
+    // construction (`SchedulerConfig { tracker, ..Default::default() }`) in
     // new code: they read as a sentence and keep call sites compiling when
     // the struct grows a knob.
 
@@ -105,22 +100,14 @@ impl SchedulerConfig {
         self
     }
 
-    /// Replaces the worker-thread count of a free-running
-    /// [`crate::ParallelRun`] / [`crate::ExchangeEngine`] (0 = one per
-    /// available core; see [`SchedulerConfig::workers`]).
-    pub fn with_workers(mut self, workers: usize) -> SchedulerConfig {
-        self.workers = workers;
-        self
-    }
-
     /// Replaces the interleaving policy.
     pub fn with_policy(mut self, policy: SchedulingPolicy) -> SchedulerConfig {
         self.policy = policy;
         self
     }
 
-    /// Switches [`crate::ParallelRun`] / [`crate::ExchangeEngine`] workers to
-    /// free-running mode (no sequencer; schedule-dependent but consistent).
+    /// Switches a [`crate::ExchangeEngine`] to free-running mode (no
+    /// sequencer; schedule-dependent but consistent).
     pub fn free_running(mut self) -> SchedulerConfig {
         self.deterministic = false;
         self

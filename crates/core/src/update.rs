@@ -3,9 +3,9 @@
 //!
 //! An [`UpdateExecution`] is the state machine of one update: the initial user
 //! operation plus every database modification the chase performs on its
-//! behalf, including the frontier operations supplied by users. The schedulers
-//! and the long-lived `ExchangeEngine` (in `youtopia-concurrency`) drive many
-//! executions concurrently at chase-step granularity; the single-update
+//! behalf, including the frontier operations supplied by users. The reference
+//! scheduler and the long-lived `ExchangeEngine` (in `youtopia-concurrency`)
+//! interleave many executions at chase-step granularity, on one thread; the single-update
 //! facade `UpdateExchange` there drives one at a time.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -368,27 +368,6 @@ impl UpdateExecution {
         self.viol_queue.values().map(|e| e.violation.clone()).collect()
     }
 
-    /// The relations the update's next chase step can touch: the targets of
-    /// its pending writes plus the read relations of its queued violations
-    /// (the delta-driven queue's relation index). The parallel scheduler
-    /// shards its run queues by this footprint. Sorted and deduplicated; a
-    /// pending null-replacement contributes nothing (its reach is unknown
-    /// until executed).
-    pub fn next_touched_relations(&self) -> Vec<RelationId> {
-        let mut out: Vec<RelationId> = self
-            .pending_writes
-            .iter()
-            .filter_map(|w| match w {
-                Write::Insert { relation, .. } | Write::Delete { relation, .. } => Some(*relation),
-                Write::NullReplace { .. } => None,
-            })
-            .collect();
-        out.extend(self.queue_index.keys().copied());
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// The reference implementation of queue maintenance, kept for
     /// differential testing (mirroring the compiled-plan cache's
     /// `replan_violation_queries_for_change` reference): re-runs
@@ -577,10 +556,10 @@ impl UpdateExecution {
     /// The write half of a chase step: performs the writes scheduled by the
     /// previous step (or the initial user operation) and returns their
     /// effects. This is the only part of a step that needs exclusive database
-    /// access; the parallel scheduler calls it under the database write lock
-    /// and runs [`Self::finish_step`] under a read lock, so analysis of
-    /// different updates can overlap. Calling the two halves back to back is
-    /// exactly [`Self::step`].
+    /// access; the engine calls it under the database write lock and runs
+    /// [`Self::finish_step`] under a read lock, so callers' snapshot reads
+    /// and answers overlap with the analysis half. Calling the two halves
+    /// back to back is exactly [`Self::step`].
     pub fn begin_step(&mut self, db: &mut Database) -> Result<Vec<AppliedWrite>, ChaseError> {
         if self.state != UpdateState::Ready {
             return Err(ChaseError::NotReady(self.id));

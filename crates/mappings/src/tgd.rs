@@ -168,8 +168,8 @@ pub struct MappingSet {
     rhs_index: HashMap<RelationId, Vec<MappingId>>,
     /// Precompiled violation-query skeletons, kept in sync by
     /// [`MappingSet::add`]. Behind an [`Arc`] so the many clones a long-lived
-    /// engine makes of its mapping set (recovery, exchange facades, worker
-    /// handoff) all share one compiled-plan cache instead of duplicating it
+    /// engine makes of its mapping set (recovery, exchange facades, the chase
+    /// thread) all share one compiled-plan cache instead of duplicating it
     /// per consumer; mutation is copy-on-write.
     plans: Arc<CompiledPlans>,
 }
@@ -251,7 +251,7 @@ impl MappingSet {
     }
 
     /// The shared handle to the compiled plans: cloning it is one reference
-    /// count, so engine-scope consumers (one per worker, per facade, per
+    /// count, so engine-scope consumers (one per engine, per facade, per
     /// recovery pass) can hold the cache without duplicating it.
     pub fn plans_arc(&self) -> Arc<CompiledPlans> {
         Arc::clone(&self.plans)

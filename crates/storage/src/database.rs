@@ -28,9 +28,9 @@ pub struct Database {
     store: VersionStore,
     next_tuple: u64,
     /// Atomic so [`Database::fresh_null`] works through a shared borrow: the
-    /// parallel scheduler plans repairs (which mint fresh nulls) for many
-    /// updates concurrently under a read lock, while tuple and sequence ids
-    /// are only allocated by writes, which hold the write lock.
+    /// engine plans repairs (which mint fresh nulls) under a read lock it
+    /// shares with callers' snapshot reads, while tuple and sequence ids are
+    /// only allocated by writes, which hold the write lock.
     next_null: AtomicU64,
     next_seq: u64,
 }

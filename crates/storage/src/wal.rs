@@ -516,12 +516,12 @@ pub fn deserialize_database(bytes: &[u8]) -> Result<Database, WalError> {
             offset: 0,
             reason: format!("catalog rebuild failed: {e}"),
         })?;
-        relation_ids.push(id);
+        relation_ids.push((id, attr_count));
     }
     let next_tuple = r.take_u64()?;
     let next_null = r.take_u64()?;
     let next_seq = r.take_u64()?;
-    for relation in relation_ids {
+    for (relation, arity) in relation_ids {
         let tuple_count = r.take_u64()?;
         for _ in 0..tuple_count {
             let tuple = crate::tuple::TupleId(r.take_u64()?);
@@ -539,6 +539,16 @@ pub fn deserialize_database(bytes: &[u8]) -> Result<Database, WalError> {
                     0 => None,
                     1 => {
                         let value_count = r.take_count()?;
+                        // The column indexes are sized by the catalog: a
+                        // tuple of any other width would index out of range.
+                        if value_count != arity {
+                            return Err(WalError::Corrupt {
+                                offset: 0,
+                                reason: format!(
+                                    "tuple of {value_count} values in a relation of arity {arity}"
+                                ),
+                            });
+                        }
                         let mut values = Vec::with_capacity(value_count);
                         for _ in 0..value_count {
                             values.push(decode_value(&mut r)?);
@@ -745,5 +755,20 @@ mod tests {
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(deserialize_database(&extended).is_err(), "trailing garbage rejected");
+
+        // A well-formed two-value tuple under a one-attribute catalog (the
+        // catalog of `db` spliced onto the body of a wider twin): the column
+        // indexes are sized by the catalog, so this must be a typed error,
+        // not an out-of-range index.
+        let mut wide = Database::new();
+        wide.add_relation("R", ["a", "b"]).unwrap();
+        wide.insert_by_name("R", &["v", "w"], UpdateId(1));
+        let wide_bytes = serialize_database(&wide);
+        let catalog_len = 4 + (4 + 1) + 4 + (4 + 1);
+        let spliced = [&bytes[..catalog_len], &wide_bytes[catalog_len + (4 + 1)..]].concat();
+        match deserialize_database(&spliced) {
+            Err(WalError::Corrupt { reason, .. }) => assert!(reason.contains("arity"), "{reason}"),
+            other => panic!("expected a typed Corrupt error, got {other:?}"),
+        }
     }
 }

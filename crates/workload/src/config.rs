@@ -96,7 +96,7 @@ impl std::fmt::Display for WorkloadKind {
 /// ([`ArrivalProcess::Batch`]); a live deployment receives updates over time.
 /// [`ArrivalProcess::Staggered`] models that with deterministic closed-loop
 /// waves: the next wave is admitted once the previous one has fully
-/// terminated, so results stay byte-identical at any chase-worker count
+/// terminated, so results stay reproducible
 /// (pinned by `tests/engine_equivalence.rs`). [`ArrivalProcess::Poisson`]
 /// replaces the fixed wave size with an open-loop arrival process: arrival
 /// ticks are sampled once, up front, from the seeded generator
@@ -190,16 +190,15 @@ pub struct ExperimentConfig {
     /// seed, so the results are identical at any thread count. `0` means "one
     /// per available core".
     pub worker_threads: usize,
-    /// Worker threads for the chase scheduler *inside* each run: `0` uses the
-    /// single-threaded `ConcurrentRun` reference; `N ≥ 1` uses the
-    /// deterministic `ParallelRun` with `N` workers, which commits steps in
-    /// the reference serialisation order — results are byte-identical either
-    /// way (pinned by `tests/determinism.rs`).
-    pub chase_workers: usize,
+    /// Which scheduler runs each chase: `false` uses the `ConcurrentRun`
+    /// reference; `true` submits through a deterministic `ExchangeEngine`,
+    /// whose sequencer commits steps in the reference serialisation order —
+    /// results are byte-identical either way (pinned by
+    /// `tests/determinism.rs`).
+    pub through_engine: bool,
     /// How workload updates arrive at the scheduler: the paper's up-front
     /// batch, or staggered waves through the live `ExchangeEngine` (staggered
-    /// runs always go through the engine, with `chase_workers.max(1)`
-    /// workers).
+    /// runs always go through the engine).
     pub arrival: ArrivalProcess,
 }
 
@@ -223,7 +222,7 @@ impl ExperimentConfig {
             seed: 2009,
             frontier_delay_rounds: 2,
             worker_threads: 0,
-            chase_workers: 0,
+            through_engine: false,
             arrival: ArrivalProcess::Batch,
         }
     }
@@ -247,7 +246,7 @@ impl ExperimentConfig {
             seed: 7,
             frontier_delay_rounds: 2,
             worker_threads: 0,
-            chase_workers: 0,
+            through_engine: false,
             arrival: ArrivalProcess::Batch,
         }
     }
@@ -269,7 +268,7 @@ impl ExperimentConfig {
             seed: 13,
             frontier_delay_rounds: 1,
             worker_threads: 0,
-            chase_workers: 0,
+            through_engine: false,
             arrival: ArrivalProcess::Batch,
         }
     }

@@ -82,8 +82,7 @@ pub fn run_crash_recovery(
     };
     let first_number = config.initial_tuples as u64 + 1_000;
     let scheduler = SchedulerConfig::with_tracker(tracker)
-        .with_frontier_delay_rounds(config.frontier_delay_rounds)
-        .with_workers(config.chase_workers.max(1));
+        .with_frontier_delay_rounds(config.frontier_delay_rounds);
     // One builder describes both lives of the engine: the run that crashes
     // and the recovery must agree on every fingerprinted knob.
     let builder = || {
@@ -121,8 +120,8 @@ pub fn run_crash_recovery(
                 .submit_batch(batch.clone())
                 .map_err(|e| ChaseError::InvalidDecision(e.to_string()))?;
         }
-        // The crash: drop without `shutdown()`. Workers are stopped wherever
-        // their next step boundary falls; nothing further reaches the log.
+        // The crash: drop without `shutdown()`. The chase thread stops wherever
+        // its next step boundary falls; nothing further reaches the log.
         drop(engine);
     }
 

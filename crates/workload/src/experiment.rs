@@ -144,20 +144,18 @@ pub fn run_single(
     let ops =
         generate_workload(config, &fixture.schema, &fixture.initial_db, &mappings, kind, variant);
     let scheduler = SchedulerConfig::with_tracker(tracker)
-        .with_frontier_delay_rounds(config.frontier_delay_rounds)
-        .with_workers(config.chase_workers.max(1));
+        .with_frontier_delay_rounds(config.frontier_delay_rounds);
     // Workload updates get priority numbers above every update that built the
     // initial database.
     let first_number = config.initial_tuples as u64 + 1_000;
     let mut resolver = RandomResolver::seeded(config.seed ^ (variant.wrapping_mul(0x9E37_79B9)));
-    // `chase_workers == 0` with batch arrival runs the single-threaded
-    // reference scheduler; everything else submits through the long-lived
-    // `ExchangeEngine`, whose deterministic sequencer commits steps in the
-    // reference serialisation order — the two paths are byte-identical
-    // (pinned by `tests/determinism.rs` and `tests/engine_equivalence.rs`).
-    // Staggered arrivals always go through the engine (with at least one
-    // worker): waves must share one read log / tracker lifetime.
-    let metrics = if config.chase_workers == 0 && config.arrival == ArrivalProcess::Batch {
+    // Batch arrival runs the reference scheduler unless `through_engine`
+    // asks for the long-lived `ExchangeEngine`, whose deterministic sequencer
+    // commits steps in the reference serialisation order — the two paths are
+    // byte-identical (pinned by `tests/determinism.rs` and
+    // `tests/engine_equivalence.rs`). Staggered arrivals always go through
+    // the engine: waves must share one read log / tracker lifetime.
+    let metrics = if !config.through_engine && config.arrival == ArrivalProcess::Batch {
         let mut run =
             ConcurrentRun::new(fixture.initial_db.clone(), mappings, ops, first_number, scheduler);
         let metrics = run.run(&mut resolver)?;
@@ -480,11 +478,9 @@ mod tests {
             run_single(&fixture, &config, WorkloadKind::Mixed, 8, TrackerKind::Precise, 0).unwrap();
         assert_eq!(a.workload_size, config.workload_updates);
         assert!(a.steps > 0);
-        // Same seed, same arrival schedule, same outcome — at any worker count.
-        let mut two = config.clone();
-        two.chase_workers = 2;
+        // Same seed, same arrival schedule, same outcome.
         let b =
-            run_single(&fixture, &two, WorkloadKind::Mixed, 8, TrackerKind::Precise, 0).unwrap();
+            run_single(&fixture, &config, WorkloadKind::Mixed, 8, TrackerKind::Precise, 0).unwrap();
         assert_eq!(a.steps, b.steps);
         assert_eq!(a.aborts, b.aborts);
         assert_eq!(a.changes, b.changes);

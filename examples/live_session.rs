@@ -1,7 +1,7 @@
 //! A live engine session: the service-shaped API the paper's cooperative
 //! model implies.
 //!
-//! The batch schedulers take every update up front and a callback answers
+//! The batch scheduler takes every update up front and a callback answers
 //! frontiers synchronously. Real Youtopia traffic is not like that: updates
 //! arrive continuously, and the humans who answer frontier questions do so
 //! minutes later, while other updates keep chasing. This example drives that
@@ -10,7 +10,7 @@
 //! 1. `submit` u1 (delete the XYZ review) — its backward chase blocks on a
 //!    negative frontier question;
 //! 2. `submit` u2 (the Math Conf convention) *while u1 is blocked* — the
-//!    engine chases it concurrently;
+//!    free-running engine parks u1 and its one chase thread steps u2;
 //! 3. poll `pending_frontiers`, show the question, `answer` it through the
 //!    token (delete the tour);
 //! 4. watch the optimistic machinery repair u2's premature excursion
@@ -67,7 +67,6 @@ fn main() {
     println!("== A live engine session (Example 3.1 as a service) ==\n");
     let engine = EngineBuilder::new()
         .tracker(TrackerKind::Precise)
-        .workers(2)
         .free_running()
         .build(db, mappings)
         .expect("non-durable engines build infallibly");

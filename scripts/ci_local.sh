@@ -37,20 +37,17 @@ stage_test() {
 stage_stress() {
     echo "==> [stress] free-running stress lane (ignored tests)"
     cargo test -q --release --test parallel_stress -- --ignored
-    echo "==> [stress] scheduler equivalence"
-    cargo test -q --release --test scheduler_equivalence
     echo "==> [stress] engine equivalence (batch engine = ConcurrentRun; live session)"
     cargo test -q --release --test engine_equivalence
     echo "==> [stress] violation-index equivalence (Shared = PerUpdate; bounded backlog)"
     cargo test -q --release --test viewmaint_equivalence
-    echo "==> [stress] determinism across worker counts"
+    echo "==> [stress] determinism (seeds, sweep threads, engine vs reference)"
     cargo test -q --release --test determinism
     echo "==> [stress] million-user-day survival scenario (shared violation index)"
     cargo test -q --release -p youtopia-workload scenario
-    echo "==> [stress] fig3 smoke at chase-thread counts 1 2 4"
-    for t in 1 2 4; do
-        cargo run -p youtopia-bench --bin fig3 --release -- --runs 1 --updates 20 --no-naive --chase-threads "$t"
-    done
+    echo "==> [stress] fig3 smoke on both schedulers (reference, engine)"
+    cargo run -p youtopia-bench --bin fig3 --release -- --runs 1 --updates 20 --no-naive
+    cargo run -p youtopia-bench --bin fig3 --release -- --runs 1 --updates 20 --no-naive --engine
 }
 
 stage_recovery() {
@@ -84,6 +81,9 @@ stage_bench() {
     bash scripts/check_bench_regression.sh 25 100
     echo "==> [bench] fig3 smoke (quick profile)"
     cargo run -p youtopia-bench --bin fig3 --release -- --runs 2 --updates 40 --no-naive
+    echo "==> [bench] frozen end-to-end harness builds and runs against the workspace"
+    cargo test --release --offline --manifest-path perf/Cargo.toml
+    cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --workload workers_2 --seed 1 --seconds 1 --trace 0
 }
 
 stages=("$@")

@@ -30,7 +30,7 @@
 //! let mut mappings = MappingSet::new();
 //! mappings.add_parsed(db.catalog(), "sigma1: C(c) -> exists a, l. S(a, l, c)").unwrap();
 //!
-//! // A long-lived service: its worker pool outlives any one update.
+//! // A long-lived service: its chase thread outlives any one update.
 //! let c = db.relation_id("C").unwrap();
 //! let engine = EngineBuilder::new().build(db, mappings).unwrap();
 //! let handle = engine
@@ -78,9 +78,9 @@ pub use youtopia_workload as workload;
 
 pub use youtopia_concurrency::{
     AnswerOutcome, ClientId, ConcurrentRun, DurabilityConfig, EngineBuilder, EngineConfig,
-    EngineError, ExchangeEngine, ParallelRun, Priority, RecoveryError, ResolverPump, RetryAfter,
-    RunMetrics, SchedulerConfig, SubmitError, SweepReport, TrackerKind, UpdateExchange,
-    UpdateHandle, UpdateStatus, ViolationIndexStats,
+    EngineError, ExchangeEngine, Priority, RecoveryError, ResolverPump, RetryAfter, RunMetrics,
+    SchedulerConfig, SubmitError, SweepReport, TrackerKind, UpdateExchange, UpdateHandle,
+    UpdateStatus, ViolationIndexStats,
 };
 pub use youtopia_core::{
     AutoDecision, ChaseError, EscalationPolicy, ExpandResolver, FrontierDecision, FrontierRequest,

@@ -136,38 +136,31 @@ fn parallel_sweep_is_byte_identical_to_the_serial_sweep() {
 }
 
 #[test]
-fn parallel_chase_scheduler_sweep_is_byte_identical_across_worker_counts() {
-    // The multi-threaded chase scheduler in deterministic mode commits steps
-    // in the reference serialisation order, so the *full experiment sweep*
-    // must be byte-identical whether each run uses the single-threaded
-    // ConcurrentRun (chase_workers = 0) or a deterministic ParallelRun with
-    // 1, 2 or 4 workers — the acceptance bar of the parallel scheduler.
+fn engine_backed_sweep_is_byte_identical_to_the_reference_sweep() {
+    // A deterministic engine commits steps in the reference serialisation
+    // order, so the *full experiment sweep* must be byte-identical whether
+    // each run uses the `ConcurrentRun` reference or submits through an
+    // `ExchangeEngine`.
     let mut config = ExperimentConfig::tiny();
     config.runs = 2;
     config.worker_threads = 1; // isolate the chase scheduler from the sweep fan-out
     let trackers = [TrackerKind::Coarse, TrackerKind::Precise];
 
     for kind in [WorkloadKind::Mixed, WorkloadKind::DeepCascade] {
-        let mut reference_config = config.clone();
-        reference_config.chase_workers = 0;
-        let reference =
-            scrub_results_time(run_experiment(&reference_config, kind, &trackers, None).unwrap());
-        for chase_workers in [1usize, 2, 4] {
-            let mut parallel_config = config.clone();
-            parallel_config.chase_workers = chase_workers;
-            let parallel = scrub_results_time(
-                run_experiment(&parallel_config, kind, &trackers, None).unwrap(),
-            );
-            assert_eq!(
-                reference.points, parallel.points,
-                "{kind}: {chase_workers} chase workers must reproduce the reference points exactly"
-            );
-            assert_eq!(
-                to_csv(&reference),
-                to_csv(&parallel),
-                "{kind}: CSV reports must be byte-identical across chase worker counts"
-            );
-        }
+        let reference = scrub_results_time(run_experiment(&config, kind, &trackers, None).unwrap());
+        let mut engine_config = config.clone();
+        engine_config.through_engine = true;
+        let engine =
+            scrub_results_time(run_experiment(&engine_config, kind, &trackers, None).unwrap());
+        assert_eq!(
+            reference.points, engine.points,
+            "{kind}: the engine must reproduce the reference points exactly"
+        );
+        assert_eq!(
+            to_csv(&reference),
+            to_csv(&engine),
+            "{kind}: CSV reports must be byte-identical across the two schedulers"
+        );
     }
 }
 

@@ -4,12 +4,12 @@
 //!   deterministic engine must be indistinguishable from the single-threaded
 //!   [`ConcurrentRun`] reference: the same final database rendering, the same
 //!   [`RunMetrics`] (modulo wall clock), the same per-update statistics and
-//!   therefore the same abort *sets* — across trackers, scheduling policies,
-//!   chase modes and 1/2/4 workers. This pins the submit/poll/answer pipeline
-//!   (open-world slots, token-based frontier resolution, the pump) to the
-//!   pre-redesign semantics.
+//!   therefore the same abort *sets* — across trackers, scheduling policies
+//!   and chase modes. This pins the submit/poll/answer pipeline (open-world
+//!   slots, token-based frontier resolution, the pump, the two-phase step
+//!   over the mutex-guarded logs) to the reference semantics.
 //! * **Staggered determinism** — `ArrivalProcess::Staggered` waves through
-//!   the live engine are byte-identical at 0/1/2/4 chase workers.
+//!   the live engine are reproducible and independent of `through_engine`.
 //! * **Live session** — an update submitted *while* the engine is chasing
 //!   earlier ones (one of them blocked on a frontier) commits correctly after
 //!   the frontier is answered through [`ExchangeEngine::answer`], and the
@@ -26,9 +26,9 @@ use youtopia::workload::{
     build_fixture, generate_workload, run_single, ArrivalProcess, ExperimentConfig, WorkloadKind,
 };
 use youtopia::{
-    ClientId, ConcurrentRun, Database, EscalationPolicy, ExchangeEngine, FrontierDecision,
-    FrontierRequest, InitialOp, MappingSet, Priority, RandomResolver, ResolverPump, SubmitError,
-    TrackerKind, UpdateId, UpdateStatus, Value,
+    ChaseError, ClientId, ConcurrentRun, Database, EngineBuilder, EscalationPolicy, ExchangeEngine,
+    FrontierDecision, FrontierRequest, InitialOp, MappingSet, Priority, RandomResolver,
+    ResolverPump, SubmitError, TrackerKind, UpdateId, UpdateStatus, Value,
 };
 
 /// Strips the wall-clock field so metrics compare byte-exactly.
@@ -49,7 +49,7 @@ fn render(db: &Database) -> String {
 }
 
 /// Runs one generated workload through the reference scheduler and through a
-/// batch-submitted engine at 1/2/4 workers, asserting byte equality.
+/// batch-submitted engine, asserting byte equality.
 fn engine_matches_reference(
     seed: u64,
     tracker: TrackerKind,
@@ -91,35 +91,27 @@ fn engine_matches_reference(
     let ref_abort_set: BTreeSet<UpdateId> =
         ref_stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect();
 
-    // Any `workers` value on a deterministic engine is byte-identical to the
-    // reference: the schedule is serial and runs on one sequencer thread.
-    for workers in [1usize, 2, 4] {
-        let engine = ExchangeEngine::new(
-            fixture.initial_db.clone(),
-            fixture.mappings.clone(),
-            EngineConfig::default()
-                .with_scheduler(scheduler.with_workers(workers))
-                .with_first_update_number(first_number),
-        );
-        let handles = engine.submit_batch(ops.clone()).expect("uncapped submission");
-        let mut resolver = RandomResolver::seeded(seed ^ 0xE61E);
-        ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
-        let label = format!(
-            "seed {seed}, {tracker}, {kind}, {policy:?}, {chase_mode:?}, {workers} workers"
-        );
-        for handle in &handles {
-            assert_eq!(handle.status(), UpdateStatus::Terminated, "{label}: {:?}", handle.id());
-            assert!(handle.report().expect("terminated").terminated, "{label}");
-        }
-        let stats = engine.update_stats();
-        assert_eq!(stats, ref_stats, "{label}: per-update stats");
-        let abort_set: BTreeSet<UpdateId> =
-            stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect();
-        assert_eq!(abort_set, ref_abort_set, "{label}: abort set");
-        let (db, _, metrics) = engine.shutdown();
-        assert_eq!(scrub(metrics), scrub(ref_metrics.clone()), "{label}: metrics");
-        assert_eq!(render(&db), render(&ref_db), "{label}: final database state");
+    let engine = ExchangeEngine::new(
+        fixture.initial_db.clone(),
+        fixture.mappings.clone(),
+        EngineConfig::default().with_scheduler(scheduler).with_first_update_number(first_number),
+    );
+    let handles = engine.submit_batch(ops.clone()).expect("uncapped submission");
+    let mut resolver = RandomResolver::seeded(seed ^ 0xE61E);
+    ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
+    let label = format!("seed {seed}, {tracker}, {kind}, {policy:?}, {chase_mode:?}");
+    for handle in &handles {
+        assert_eq!(handle.status(), UpdateStatus::Terminated, "{label}: {:?}", handle.id());
+        assert!(handle.report().expect("terminated").terminated, "{label}");
     }
+    let stats = engine.update_stats();
+    assert_eq!(stats, ref_stats, "{label}: per-update stats");
+    let abort_set: BTreeSet<UpdateId> =
+        stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect();
+    assert_eq!(abort_set, ref_abort_set, "{label}: abort set");
+    let (db, _, metrics) = engine.shutdown();
+    assert_eq!(scrub(metrics), scrub(ref_metrics), "{label}: metrics");
+    assert_eq!(render(&db), render(&ref_db), "{label}: final database state");
 }
 
 proptest! {
@@ -163,21 +155,35 @@ proptest! {
             ChaseMode::FullRecheck,
         );
     }
+
+    /// PRECISE + the reference chase mode over null-replacement-heavy work:
+    /// the engine must be agnostic of the queue maintenance mode where
+    /// unifications keep rewriting the violation queue.
+    #[test]
+    fn precise_full_recheck_null_replacement_batches_match_the_reference(seed in 0u64..10_000) {
+        engine_matches_reference(
+            seed,
+            TrackerKind::Precise,
+            WorkloadKind::NullReplacementHeavy,
+            SchedulingPolicy::StepRoundRobin,
+            ChaseMode::FullRecheck,
+        );
+    }
 }
 
 /// Staggered arrivals (closed-loop waves through the live engine) are
-/// deterministic across chase-worker counts, including the `chase_workers=0`
-/// spelling (which staggers through a one-worker engine).
+/// reproducible, and always go through the engine — so `through_engine` must
+/// not change them.
 #[test]
-fn staggered_arrivals_are_deterministic_across_worker_counts() {
+fn staggered_arrivals_are_deterministic() {
     let mut config = ExperimentConfig::tiny();
     config.arrival = ArrivalProcess::Staggered { wave: 3 };
     let fixture = build_fixture(&config).expect("fixture builds");
     let mapping_count = *config.mapping_counts.last().unwrap();
 
-    let run_with = |chase_workers: usize| {
+    let run_with = |through_engine: bool| {
         let mut config = config.clone();
-        config.chase_workers = chase_workers;
+        config.through_engine = through_engine;
         // The fixture only depends on generator parameters, but rebuild the
         // run from the shared one to keep this cheap and identical.
         scrub(
@@ -192,15 +198,10 @@ fn staggered_arrivals_are_deterministic_across_worker_counts() {
             .unwrap(),
         )
     };
-    let reference = run_with(0);
+    let reference = run_with(false);
     assert!(reference.steps > 0 && reference.workload_size > 0);
-    for chase_workers in [1usize, 2, 4] {
-        assert_eq!(
-            run_with(chase_workers),
-            reference,
-            "staggered arrival must be byte-identical at {chase_workers} chase workers"
-        );
-    }
+    assert_eq!(run_with(false), reference, "staggered arrival must be reproducible");
+    assert_eq!(run_with(true), reference, "staggered arrival always runs through the engine");
 }
 
 /// The Figure 2 fragment of Example 3.1 — the live-session fixture.
@@ -256,9 +257,8 @@ fn updates_submitted_mid_chase_commit_after_answer() {
     let engine = ExchangeEngine::new(
         db,
         mappings,
-        EngineConfig::default().with_scheduler(
-            SchedulerConfig::with_tracker(TrackerKind::Precise).with_workers(2).free_running(),
-        ),
+        EngineConfig::default()
+            .with_scheduler(SchedulerConfig::with_tracker(TrackerKind::Precise).free_running()),
     );
     // u1: delete the review; its backward chase blocks on a negative frontier
     // (delete the attraction or the tour?).
@@ -335,7 +335,7 @@ fn saturation_is_backpressure_not_failure() {
         mappings,
         EngineConfig::default()
             .with_admission_cap(1)
-            .with_scheduler(SchedulerConfig::default().with_workers(1).free_running()),
+            .with_scheduler(SchedulerConfig::default().free_running()),
     );
     let u1 = engine.submit(InitialOp::Delete { relation: r, tuple: review }).unwrap();
     let pf = await_pending(&engine);
@@ -409,7 +409,7 @@ fn wait_policy_with_sweeps_matches_the_reference() {
         fixture.initial_db.clone(),
         fixture.mappings.clone(),
         EngineConfig::default()
-            .with_scheduler(scheduler.with_workers(2))
+            .with_scheduler(scheduler)
             .with_first_update_number(first_number)
             .with_escalation_policy(EscalationPolicy::Wait),
     );
@@ -522,8 +522,7 @@ fn answered_tokens_go_stale() {
     let engine = ExchangeEngine::new(
         db,
         mappings,
-        EngineConfig::default()
-            .with_scheduler(SchedulerConfig::default().with_workers(1).free_running()),
+        EngineConfig::default().with_scheduler(SchedulerConfig::default().free_running()),
     );
     let u1 = engine.submit(InitialOp::Delete { relation: r, tuple: review }).unwrap();
     let pf = await_pending(&engine);
@@ -539,4 +538,125 @@ fn answered_tokens_go_stale() {
     let mut resolver = RandomResolver::seeded(1);
     ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
     assert!(u1.wait().unwrap().terminated);
+}
+
+/// Example 3.1's two updates plus four more convention inserts.
+fn example_ops(db: &Database) -> Vec<InitialOp> {
+    let (r, v) = (db.relation_id("R").unwrap(), db.relation_id("V").unwrap());
+    let review = db.scan(r, UpdateId::OMNISCIENT)[0].0;
+    let mut ops = vec![InitialOp::Delete { relation: r, tuple: review }];
+    for conf in ["Math Conf", "Conf0", "Conf1", "Conf2", "Conf3"] {
+        ops.push(InitialOp::Insert {
+            relation: v,
+            values: vec![Value::constant("Syracuse"), Value::constant(conf)],
+        });
+    }
+    ops
+}
+
+/// Submits `ops` as one batch, pumps to quiescence, checks that every update
+/// ran, and returns the final database and metrics.
+fn run_batch(
+    builder: EngineBuilder,
+    (db, mappings): (Database, MappingSet),
+    ops: Vec<InitialOp>,
+    seed: u64,
+) -> Result<(Database, RunMetrics), ChaseError> {
+    let engine = builder.build(db, mappings).unwrap();
+    engine.submit_batch(ops).unwrap();
+    ResolverPump::new(&engine, &mut RandomResolver::seeded(seed)).run_until_quiescent()?;
+    assert!(engine.update_stats().iter().all(|(_, s)| s.steps > 0), "every update must have run");
+    let (db, _, metrics) = engine.shutdown();
+    Ok((db, metrics))
+}
+
+#[test]
+fn free_running_mode_leaves_a_consistent_database() {
+    let mut db = Database::new();
+    db.add_relation("C", ["city"]).unwrap();
+    db.add_relation("S", ["code", "location", "city_served"]).unwrap();
+    let mut mappings = MappingSet::new();
+    mappings
+        .add_parsed_many(
+            db.catalog(),
+            "
+            sigma1: C(c) -> exists a, l. S(a, l, c)
+            sigma2: S(a, c, c2) -> C(c) & C(c2)
+            ",
+        )
+        .unwrap();
+    let c = db.relation_id("C").unwrap();
+    let ops: Vec<InitialOp> = (0..12)
+        .map(|i| InitialOp::Insert {
+            relation: c,
+            values: vec![Value::constant(&format!("City{i}"))],
+        })
+        .collect();
+    for tracker in TrackerKind::all() {
+        let builder = EngineBuilder::new().tracker(tracker).free_running();
+        let (final_db, metrics) =
+            run_batch(builder, (db.clone(), mappings.clone()), ops.clone(), 17).unwrap();
+        assert_eq!(metrics.workload_size, 12);
+        assert!(metrics.steps >= 12);
+        assert!(
+            satisfies_all(&final_db.snapshot(UpdateId::OMNISCIENT), &mappings),
+            "{tracker}: final database must satisfy all mappings"
+        );
+        assert!(final_db.visible_count(c, UpdateId::OMNISCIENT) >= 12);
+    }
+}
+
+#[test]
+fn free_running_with_interference_repairs_premature_reads() {
+    // The Example 3.1 scenario under free-running: whenever the answers land
+    // relative to the chase thread's steps, every surviving excursion must be
+    // backed by a still-existing tour.
+    let (db, mappings) = example_db();
+    for seed in 0..4u64 {
+        let builder = EngineBuilder::new().tracker(TrackerKind::Precise).free_running();
+        let (final_db, metrics) =
+            run_batch(builder, (db.clone(), mappings.clone()), example_ops(&db), seed).unwrap();
+        assert!(metrics.steps > 0);
+        assert!(satisfies_all(&final_db.snapshot(UpdateId::OMNISCIENT), &mappings), "seed {seed}");
+        let e = final_db.relation_id("E").unwrap();
+        let t = final_db.relation_id("T").unwrap();
+        let tours = final_db.scan(t, UpdateId::OMNISCIENT);
+        // Only the excursions the *workload's* convention inserts caused: the
+        // seed excursion may legitimately outlive the tour (σ4 never requires
+        // RHS cleanup), exactly as in the reference scheduler's test.
+        for (_, excursion) in final_db.scan(e, UpdateId::OMNISCIENT) {
+            if excursion[0] == Value::constant("Science Conf") {
+                continue;
+            }
+            assert!(
+                tours.iter().any(|(_, tour)| tour[0] == excursion[1]),
+                "seed {seed}: excursion {excursion:?} must be backed by an existing tour"
+            );
+        }
+    }
+}
+
+#[test]
+fn step_limit_guards_both_modes() {
+    let (db, mappings) = example_db();
+    for builder in [EngineBuilder::new(), EngineBuilder::new().free_running()] {
+        let result = run_batch(
+            builder.max_total_steps(1),
+            (db.clone(), mappings.clone()),
+            example_ops(&db),
+            2,
+        );
+        assert!(matches!(result, Err(ChaseError::StepLimitExceeded { .. })));
+    }
+}
+
+#[test]
+fn stratum_policy_terminates_in_both_modes() {
+    let (db, mappings) = example_db();
+    for builder in [EngineBuilder::new(), EngineBuilder::new().free_running()] {
+        let builder = builder.policy(SchedulingPolicy::StratumRoundRobin);
+        let (_, metrics) =
+            run_batch(builder, (db.clone(), mappings.clone()), example_ops(&db), 2).unwrap();
+        assert!(metrics.steps >= 2);
+    }
 }

@@ -132,8 +132,7 @@ fn reference_run(seed: u64, dir: &Path, snapshot_every: u64, group_commit: usize
             SchedulerConfig::with_tracker(TrackerKind::Precise)
                 .with_policy(SchedulingPolicy::StepRoundRobin)
                 .with_chase_mode(ChaseMode::Incremental)
-                .with_frontier_delay_rounds(3)
-                .with_workers(2),
+                .with_frontier_delay_rounds(3),
         )
         .with_first_update_number(first_number);
     let durability = DurabilityConfig::new(dir)
@@ -177,7 +176,7 @@ fn reference_run(seed: u64, dir: &Path, snapshot_every: u64, group_commit: usize
 
 /// A record payload with its action stamp zeroed. Stamps record the exact
 /// serialization point an event landed at, which races benignly with
-/// autonomous worker progress (the deterministic sequencer makes the *state*
+/// autonomous chase-thread progress (the deterministic sequencer makes the *state*
 /// independent of that race), so a re-fed log matches the reference
 /// record-for-record only once stamps are scrubbed.
 fn scrub_stamp(payload: &[u8]) -> Vec<u8> {
@@ -504,8 +503,7 @@ fn escalated_reference_run(
             SchedulerConfig::with_tracker(TrackerKind::Precise)
                 .with_policy(SchedulingPolicy::StepRoundRobin)
                 .with_chase_mode(ChaseMode::Incremental)
-                .with_frontier_delay_rounds(3)
-                .with_workers(2),
+                .with_frontier_delay_rounds(3),
         )
         .with_first_update_number(first_number)
         .with_escalation_policy(policy);
@@ -632,8 +630,7 @@ fn recovery_rejects_a_mismatched_config() {
         SchedulerConfig::with_tracker(TrackerKind::Naive)
             .with_policy(SchedulingPolicy::StepRoundRobin)
             .with_chase_mode(ChaseMode::Incremental)
-            .with_frontier_delay_rounds(3)
-            .with_workers(2),
+            .with_frontier_delay_rounds(3),
     );
     let durability = DurabilityConfig::new(dir.path()).with_snapshot_every(1_000_000);
     match ExchangeEngine::recover(reference.mappings.clone(), altered, durability) {
@@ -693,7 +690,7 @@ fn trivial_fixture() -> (Database, MappingSet, youtopia::RelationId) {
 fn run_retention_cycles(cycles: u64, horizon: usize, durable_dir: Option<&Path>) {
     let (db, mappings, k) = trivial_fixture();
     let config = EngineConfig::default()
-        .with_scheduler(SchedulerConfig::with_tracker(TrackerKind::Precise).with_workers(1))
+        .with_scheduler(SchedulerConfig::with_tracker(TrackerKind::Precise))
         .with_first_update_number(1_000)
         .with_retention_horizon(horizon);
     let engine = match durable_dir {
@@ -786,7 +783,7 @@ fn durable_compaction_recovers_cleanly() {
     let dir = TempDir::new("durable-retention");
     let (db, mappings, k) = trivial_fixture();
     let config = EngineConfig::default()
-        .with_scheduler(SchedulerConfig::with_tracker(TrackerKind::Precise).with_workers(1))
+        .with_scheduler(SchedulerConfig::with_tracker(TrackerKind::Precise))
         .with_first_update_number(1_000)
         .with_retention_horizon(16);
     let engine = ExchangeEngine::new_durable(

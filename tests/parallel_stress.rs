@@ -1,24 +1,26 @@
-//! Multi-threaded stress lane for the free-running [`ParallelRun`]
-//! scheduler. `#[ignore]`d in the default suite — CI runs it explicitly with
+//! Stress lane for the free-running [`ExchangeEngine`](youtopia::ExchangeEngine).
+//! `#[ignore]`d in the default suite — CI runs it explicitly with
 //! `cargo test --release -- --ignored` in the stress job, where real OS
 //! preemption produces interleavings a 1-shot unit test cannot.
 //!
-//! Each case runs a sizeable workload free-running (no sequencer), inside a
-//! watchdog thread: if the scheduler deadlocks or livelocks, the test fails
-//! by timeout instead of hanging the suite. Afterwards the system invariants
-//! must hold — every update terminated (workload size accounted), the final
-//! database satisfies every mapping, and the per-update statistics are sane.
+//! Each case runs a sizeable workload free-running (no sequencer): the one
+//! chase thread steps, locks abort victims and re-enqueues them while the
+//! [`ResolverPump`] answers from the watchdogged test thread — the two meet on
+//! exactly those slot locks, and a deadlock or livelock fails by timeout
+//! instead of hanging the suite. Afterwards the system invariants must hold:
+//! every update terminated, the final database satisfies every mapping, and
+//! the per-update statistics are sane.
 
 use std::sync::mpsc;
 use std::time::Duration;
 
-use youtopia::concurrency::{RunMetrics, SchedulerConfig, SchedulingPolicy};
+use youtopia::concurrency::{RunMetrics, SchedulingPolicy};
 use youtopia::mappings::satisfies_all;
 use youtopia::workload::{build_fixture, generate_workload, ExperimentConfig};
-use youtopia::{ParallelRun, RandomResolver, TrackerKind, UpdateId, WorkloadKind};
+use youtopia::{EngineBuilder, RandomResolver, ResolverPump, TrackerKind, UpdateId, WorkloadKind};
 
 /// Runs `f` on its own thread and panics if it does not finish in `timeout`
-/// (a hung free-running scheduler would otherwise block the whole lane).
+/// (a hung free-running engine would otherwise block the whole lane).
 fn with_deadline<T: Send + 'static>(
     timeout: Duration,
     label: &str,
@@ -33,7 +35,9 @@ fn with_deadline<T: Send + 'static>(
             handle.join().expect("stress worker panicked");
             result
         }
-        Err(_) => panic!("{label}: free-running scheduler did not finish within {timeout:?} — deadlock or livelock"),
+        Err(_) => panic!(
+            "{label}: free-running engine did not finish within {timeout:?} — deadlock or livelock"
+        ),
     }
 }
 
@@ -60,30 +64,28 @@ fn stress_once(
             seed,
         );
         assert_eq!(ops.len(), updates);
-        let scheduler = SchedulerConfig::with_tracker(tracker)
-            .with_policy(policy)
-            .with_workers(4)
-            .free_running();
-        let first_number = config.initial_tuples as u64 + 1_000;
-        let mut run = ParallelRun::new(
-            fixture.initial_db.clone(),
-            fixture.mappings.clone(),
-            ops,
-            first_number,
-            scheduler,
-        );
-        let metrics = run.run(&mut RandomResolver::seeded(seed ^ 0x57E55)).unwrap();
+        let engine = EngineBuilder::new()
+            .tracker(tracker)
+            .policy(policy)
+            .free_running()
+            .first_update_number(config.initial_tuples as u64 + 1_000)
+            .build(fixture.initial_db.clone(), fixture.mappings.clone())
+            .expect("non-durable engines build infallibly");
+        engine.submit_batch(ops).expect("uncapped submission");
+        ResolverPump::new(&engine, &mut RandomResolver::seeded(seed ^ 0x57E55))
+            .run_until_quiescent()
+            .unwrap();
+        let stats = engine.update_stats();
+        let (db, mappings, metrics) = engine.shutdown();
 
         // System invariants: every update ran and terminated, restarts match
         // the abort count, and the final repository is consistent.
         assert_eq!(metrics.workload_size, updates, "{label}");
         assert!(metrics.steps >= updates, "{label}: every update steps at least once");
-        let stats = run.update_stats();
         assert_eq!(stats.len(), updates, "{label}");
         assert!(stats.iter().all(|(_, s)| s.steps > 0), "{label}: no update may be skipped");
         let restarts: usize = stats.iter().map(|(_, s)| s.restarts).sum();
         assert_eq!(restarts, metrics.aborts, "{label}: every abort restarts its update");
-        let (db, mappings, _) = run.into_parts();
         assert!(
             satisfies_all(&db.snapshot(UpdateId::OMNISCIENT), &mappings),
             "{label}: final database must satisfy all mappings"
@@ -92,11 +94,11 @@ fn stress_once(
     })
 }
 
-/// The headline stress case from the CI lane: 200 updates, 4 free-running
-/// workers, the contention-heavy skewed workload.
+/// The headline stress case from the CI lane: 200 updates free-running on
+/// the contention-heavy skewed workload.
 #[test]
-#[ignore = "multi-thread stress lane: run with `cargo test --release -- --ignored`"]
-fn free_running_skewed_200_updates_4_workers() {
+#[ignore = "free-running stress lane: run with `cargo test --release -- --ignored`"]
+fn free_running_skewed_200_updates() {
     let metrics = stress_once(
         1,
         TrackerKind::Coarse,
@@ -107,10 +109,10 @@ fn free_running_skewed_200_updates_4_workers() {
     assert!(metrics.changes > 0);
 }
 
-/// Deep cascades keep violation queues long across many overlapping read
-/// halves; PRECISE exercises exact dependency recording under contention.
+/// Deep cascades keep violation queues long across many steps; PRECISE
+/// exercises exact dependency recording under contention.
 #[test]
-#[ignore = "multi-thread stress lane: run with `cargo test --release -- --ignored`"]
+#[ignore = "free-running stress lane: run with `cargo test --release -- --ignored`"]
 fn free_running_deep_cascade_precise() {
     stress_once(
         2,
@@ -121,11 +123,11 @@ fn free_running_deep_cascade_precise() {
     );
 }
 
-/// The stratum policy under free-running: workers hold updates for whole
-/// deterministic strata, widening the owned-slot windows the abort-flag
-/// protocol must survive.
+/// The stratum policy under free-running: the chase thread holds an update
+/// for whole deterministic strata, so more answers and aborts pile up behind
+/// each owned-slot window.
 #[test]
-#[ignore = "multi-thread stress lane: run with `cargo test --release -- --ignored`"]
+#[ignore = "free-running stress lane: run with `cargo test --release -- --ignored`"]
 fn free_running_mixed_stratum_policy() {
     stress_once(
         3,
@@ -139,7 +141,7 @@ fn free_running_mixed_stratum_policy() {
 /// Several back-to-back seeds at a smaller size: schedule diversity matters
 /// more than workload volume for racing the abort machinery.
 #[test]
-#[ignore = "multi-thread stress lane: run with `cargo test --release -- --ignored`"]
+#[ignore = "free-running stress lane: run with `cargo test --release -- --ignored`"]
 fn free_running_seed_sweep() {
     for seed in 10..16u64 {
         stress_once(

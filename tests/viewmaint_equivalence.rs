@@ -3,8 +3,7 @@
 //!
 //! * **Mode equivalence** — the shared violation index is a pure
 //!   representation change: for every generated workload, every tracker,
-//!   scheduling policy, chase mode and worker count, an
-//!   engine running [`ViolationStateMode::Shared`] must be byte-identical to
+//!   scheduling policy and chase mode, an engine running [`ViolationStateMode::Shared`] must be byte-identical to
 //!   one running [`ViolationStateMode::PerUpdate`] *and* to the
 //!   single-threaded [`ConcurrentRun`] reference — the same final database
 //!   rendering, the same per-update statistics (hence the same abort sets)
@@ -48,8 +47,8 @@ fn render(db: &Database) -> String {
 }
 
 /// Runs one generated workload through the `PerUpdate` reference scheduler,
-/// then through engines in **both** violation-state modes across the
-/// worker counts, asserting byte equality throughout.
+/// then through engines in **both** violation-state modes, asserting byte
+/// equality throughout.
 fn shared_matches_per_update(
     seed: u64,
     tracker: TrackerKind,
@@ -94,35 +93,30 @@ fn shared_matches_per_update(
         ref_stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect();
 
     for mode in [ViolationStateMode::Shared, ViolationStateMode::PerUpdate] {
-        for workers in [1usize, 2, 4] {
-            let engine = EngineBuilder::new()
-                .scheduler(scheduler.with_workers(workers))
-                .violation_state(mode)
-                .first_update_number(first_number)
-                .build(fixture.initial_db.clone(), fixture.mappings.clone())
-                .expect("non-durable engines build infallibly");
-            let handles = engine.submit_batch(ops.clone()).expect("uncapped submission");
-            let mut resolver = RandomResolver::seeded(seed ^ 0xE61E);
-            ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
-            let label = format!(
-                "seed {seed}, {tracker}, {kind}, {policy:?}, {chase_mode:?}, \
-                 {mode:?}, {workers} workers"
-            );
-            for handle in &handles {
-                assert_eq!(handle.status(), UpdateStatus::Terminated, "{label}");
-            }
-            let stats = engine.update_stats();
-            assert_eq!(stats, ref_stats, "{label}: per-update stats");
-            let abort_set: BTreeSet<UpdateId> =
-                stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect();
-            assert_eq!(abort_set, ref_abort_set, "{label}: abort set");
-            let index = engine.violation_index();
-            assert_eq!(index.backlog_cap, DELTA_BACKLOG_CAP, "{label}: advertised cap");
-            assert!(index.backlog_len <= index.backlog_cap, "{label}: backlog within cap");
-            let (db, _, metrics) = engine.shutdown();
-            assert_eq!(scrub(metrics), scrub(ref_metrics.clone()), "{label}: metrics");
-            assert_eq!(render(&db), render(&ref_db), "{label}: final database state");
+        let engine = EngineBuilder::new()
+            .scheduler(scheduler)
+            .violation_state(mode)
+            .first_update_number(first_number)
+            .build(fixture.initial_db.clone(), fixture.mappings.clone())
+            .expect("non-durable engines build infallibly");
+        let handles = engine.submit_batch(ops.clone()).expect("uncapped submission");
+        let mut resolver = RandomResolver::seeded(seed ^ 0xE61E);
+        ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
+        let label = format!("seed {seed}, {tracker}, {kind}, {policy:?}, {chase_mode:?}, {mode:?}");
+        for handle in &handles {
+            assert_eq!(handle.status(), UpdateStatus::Terminated, "{label}");
         }
+        let stats = engine.update_stats();
+        assert_eq!(stats, ref_stats, "{label}: per-update stats");
+        let abort_set: BTreeSet<UpdateId> =
+            stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect();
+        assert_eq!(abort_set, ref_abort_set, "{label}: abort set");
+        let index = engine.violation_index();
+        assert_eq!(index.backlog_cap, DELTA_BACKLOG_CAP, "{label}: advertised cap");
+        assert!(index.backlog_len <= index.backlog_cap, "{label}: backlog within cap");
+        let (db, _, metrics) = engine.shutdown();
+        assert_eq!(scrub(metrics), scrub(ref_metrics.clone()), "{label}: metrics");
+        assert_eq!(render(&db), render(&ref_db), "{label}: final database state");
     }
 }
 
@@ -186,7 +180,7 @@ fn trivial_fixture() -> (Database, MappingSet, youtopia::RelationId) {
 
 /// Spin-waits (with a deadline) until the quiescence GC has truncated the
 /// shared delta backlog. The pump observes quiescence the instant the last
-/// action commits, which can be a moment before the worker that committed it
+/// action commits, which can be a moment before the chase thread that committed it
 /// finishes its GC pass — so "drained" is an eventually-true condition, never
 /// an instantaneous one.
 fn await_drained_backlog(engine: &ExchangeEngine, context: &str) {
@@ -214,7 +208,6 @@ fn long_lived_engines_hold_bounded_delta_backlog() {
     let (db, mappings, k) = trivial_fixture();
     let engine = EngineBuilder::new()
         .tracker(TrackerKind::Precise)
-        .workers(1)
         .first_update_number(1_000)
         .retention_horizon(32)
         .build(db, mappings)
@@ -275,7 +268,6 @@ fn chased_workload_drains_the_backlog_at_quiescence() {
     .collect();
     let engine = EngineBuilder::new()
         .tracker(TrackerKind::Precise)
-        .workers(4)
         .frontier_delay_rounds(3)
         .first_update_number(config.initial_tuples as u64 + 1_000)
         .build(fixture.initial_db.clone(), fixture.mappings.clone())
