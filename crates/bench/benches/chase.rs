@@ -296,8 +296,8 @@ fn bench_end_to_end_mapping_graph(c: &mut Criterion) {
 }
 
 /// The free-running schedule: one batch of updates through a free-running
-/// engine (one chase thread fed from a run queue, the pump answering from the
-/// bench thread), on the two workloads that stress it from opposite ends —
+/// engine (the sequencer thread skipping published frontiers, the pump
+/// answering from the bench thread), on the two workloads that stress it from opposite ends —
 /// `DeepCascade` (long chases, long-lived violation queues, little
 /// inter-update conflict) and `Skewed` (80% of operations on one hot
 /// relation, so validation and rollbacks contend).

@@ -24,8 +24,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use youtopia_concurrency::{
-    ClientId, EngineConfig, ExchangeEngine, Priority, ResolverPump, SchedulerConfig, SubmitError,
-    TrackerKind,
+    ClientId, EngineBuilder, ExchangeEngine, Priority, ResolverPump, SubmitError, TrackerKind,
 };
 use youtopia_core::RandomResolver;
 use youtopia_workload::{build_fixture, generate_workload, ExperimentConfig, WorkloadKind};
@@ -44,10 +43,12 @@ fn bench_engine_ingest(c: &mut Criterion) {
         WorkloadKind::Mixed,
         0,
     );
-    let engine_config = || {
-        EngineConfig::default()
-            .with_scheduler(SchedulerConfig::with_tracker(TrackerKind::Coarse))
-            .with_first_update_number(first_number)
+    let builder =
+        || EngineBuilder::new().tracker(TrackerKind::Coarse).first_update_number(first_number);
+    let start = |builder: EngineBuilder| -> ExchangeEngine {
+        builder
+            .build(fixture.initial_db.clone(), fixture.mappings.clone())
+            .expect("non-durable engines build infallibly")
     };
 
     let mut group = c.benchmark_group("chase/engine_ingest");
@@ -55,13 +56,7 @@ fn bench_engine_ingest(c: &mut Criterion) {
 
     group.bench_with_input(BenchmarkId::new("batch", ops.len()), &(), |b, ()| {
         b.iter_batched(
-            || {
-                ExchangeEngine::new(
-                    fixture.initial_db.clone(),
-                    fixture.mappings.clone(),
-                    engine_config(),
-                )
-            },
+            || start(builder()),
             |engine| {
                 engine.submit_batch(ops.clone()).unwrap();
                 let mut resolver = RandomResolver::seeded(7);
@@ -75,13 +70,7 @@ fn bench_engine_ingest(c: &mut Criterion) {
     for wave in [4usize, 8] {
         group.bench_with_input(BenchmarkId::new("staggered", wave), &wave, |b, &wave| {
             b.iter_batched(
-                || {
-                    ExchangeEngine::new(
-                        fixture.initial_db.clone(),
-                        fixture.mappings.clone(),
-                        engine_config(),
-                    )
-                },
+                || start(builder()),
                 |engine| {
                     let mut resolver = RandomResolver::seeded(7);
                     for chunk in ops.chunks(wave) {
@@ -102,13 +91,7 @@ fn bench_engine_ingest(c: &mut Criterion) {
     // the deficit scan, and the rejection/retry round-trip.
     group.bench_with_input(BenchmarkId::new("admission", 8), &(), |b, ()| {
         b.iter_batched(
-            || {
-                ExchangeEngine::new(
-                    fixture.initial_db.clone(),
-                    fixture.mappings.clone(),
-                    engine_config().with_admission_cap(4),
-                )
-            },
+            || start(builder().admission_cap(4)),
             |engine| {
                 let mut resolver = RandomResolver::seeded(7);
                 let mut rejections = 0usize;
@@ -141,13 +124,7 @@ fn bench_engine_ingest(c: &mut Criterion) {
 
     group.bench_with_input(BenchmarkId::new("submit_wait", ops.len()), &(), |b, ()| {
         b.iter_batched(
-            || {
-                ExchangeEngine::new(
-                    fixture.initial_db.clone(),
-                    fixture.mappings.clone(),
-                    engine_config(),
-                )
-            },
+            || start(builder()),
             |engine| {
                 let mut resolver = RandomResolver::seeded(7);
                 for op in &ops {

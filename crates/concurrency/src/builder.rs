@@ -1,18 +1,16 @@
 //! [`EngineBuilder`]: the one configuration surface for long-lived engines.
 //!
-//! Engine knobs used to be spread across field structs — [`SchedulerConfig`]
-//! (chase/scheduling) and [`EngineConfig`] (service lifecycle) — and wiring a
-//! durable engine meant assembling both plus a [`DurabilityConfig`] by hand.
-//! The builder subsumes them (the single-update facade takes one too:
-//! [`UpdateExchange::with_builder`](crate::UpdateExchange::with_builder)):
-//! every knob appears exactly once, the assembled [`EngineConfig`] remains the
-//! single input to the durable config fingerprint (via
-//! [`EngineBuilder::config`]), and the terminals pick the right engine
-//! constructor for you.
+//! Every engine knob is a setter here, and the terminals
+//! ([`build`](EngineBuilder::build), [`recover`](EngineBuilder::recover)) are
+//! the only way to construct an [`ExchangeEngine`] — plain, durable or
+//! replicated. The single-update facade takes a builder too
+//! ([`UpdateExchange::with_builder`](crate::UpdateExchange::with_builder)).
+//! Durable state written by a built engine can only be recovered under a
+//! builder with the same chase, scheduling, numbering and escalation settings
+//! (they are fingerprinted into the snapshot and the log header).
 //!
 //! ```
 //! use youtopia_concurrency::{EngineBuilder, TrackerKind};
-//! use youtopia_core::ViolationStateMode;
 //! use youtopia_mappings::MappingSet;
 //! use youtopia_storage::Database;
 //!
@@ -20,25 +18,23 @@
 //! db.add_relation("C", ["city"]).unwrap();
 //! let engine = EngineBuilder::new()
 //!     .tracker(TrackerKind::Precise)
-//!     .violation_state(ViolationStateMode::Shared)
 //!     .admission_cap(64)
 //!     .build(db, MappingSet::new())
 //!     .unwrap();
 //! engine.shutdown();
 //! ```
 
-use youtopia_core::{ChaseMode, EscalationPolicy, ViolationStateMode};
+use youtopia_core::{ChaseMode, EscalationPolicy};
 use youtopia_mappings::MappingSet;
 use youtopia_storage::Database;
 
 use crate::deps::TrackerKind;
 use crate::durable::{DurabilityConfig, RecoveryError};
 use crate::engine::{EngineConfig, ExchangeEngine};
-use crate::scheduler::{SchedulerConfig, SchedulingPolicy};
+use crate::scheduler::SchedulingPolicy;
 
 /// Fluent construction of an [`ExchangeEngine`] (durable or not). See the
-/// [module docs](self); every setter documents which historical field it
-/// replaces.
+/// [module docs](self).
 #[derive(Clone, Debug, Default)]
 pub struct EngineBuilder {
     config: EngineConfig,
@@ -46,14 +42,13 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// A builder with the engine defaults: one deterministic sequencer
-    /// thread, shared violation index, no durability, unbounded
-    /// admission/retention.
+    /// A builder with the engine defaults: one sequencer thread that blocks
+    /// at published frontiers, no durability, unbounded admission/retention.
     pub fn new() -> EngineBuilder {
         EngineBuilder::default()
     }
 
-    // ---- chase / scheduling (historically `SchedulerConfig`) ----
+    // ---- chase / scheduling ----
 
     /// No-op: an engine owns at most one chase thread, so there is no worker
     /// count to set. Kept (storing nothing) only because the frozen `perf/`
@@ -63,97 +58,111 @@ impl EngineBuilder {
         self
     }
 
-    /// Dependency tracker. Replaces [`SchedulerConfig::tracker`].
+    /// Dependency tracker for cascading aborts (default `COARSE`).
     pub fn tracker(mut self, tracker: TrackerKind) -> EngineBuilder {
         self.config.scheduler.tracker = tracker;
         self
     }
 
-    /// Scheduling policy. Replaces [`SchedulerConfig::policy`].
+    /// How the sequencer interleaves ready updates (default: one step per
+    /// visit).
     pub fn policy(mut self, policy: SchedulingPolicy) -> EngineBuilder {
         self.config.scheduler.policy = policy;
         self
     }
 
-    /// Violation-queue maintenance mode. Replaces
-    /// [`SchedulerConfig::chase_mode`].
+    /// Violation-queue maintenance mode (default delta-driven;
+    /// [`ChaseMode::FullRecheck`] is the differential reference).
     pub fn chase_mode(mut self, mode: ChaseMode) -> EngineBuilder {
         self.config.scheduler.chase_mode = mode;
         self
     }
 
-    /// Violation-state mode: the engine-shared violation index (default) or
-    /// the per-update differential baseline. Replaces
-    /// [`SchedulerConfig::violation_state`]; see [`crate::viewmaint`].
-    pub fn violation_state(mut self, mode: ViolationStateMode) -> EngineBuilder {
-        self.config.scheduler.violation_state = mode;
-        self
-    }
-
-    /// Free-running scheduling: one chase thread fed from a run queue, so an
-    /// update blocked on a frontier parks while the others keep stepping
-    /// (schedule-dependent but consistent) — incompatible with durability and
-    /// replication. Replaces clearing [`SchedulerConfig::deterministic`].
+    /// Free-running scheduling: the sequencer steps past updates blocked on a
+    /// published frontier instead of waiting for the answer, and sleeps only
+    /// when every live update is blocked (a request without a
+    /// [`frontier_delay_rounds`](Self::frontier_delay_rounds) delay is
+    /// published with the step that raised it, and a terminated update
+    /// revived by an abort sits out the rest of the round). The schedule
+    /// then depends on when answers arrive (always consistent, not
+    /// reproducible), so it is rejected with [`durable`](Self::durable) and
+    /// ignored by [`inline`](Self::inline) and
+    /// [`replicated`](Self::replicated) engines.
     pub fn free_running(mut self) -> EngineBuilder {
-        self.config.scheduler.deterministic = false;
+        self.config.free_running = true;
         self
     }
 
-    /// Simulated-user frontier delay in scheduler rounds. Replaces
-    /// [`SchedulerConfig::frontier_delay_rounds`].
+    /// Simulated-user frontier delay: the number of sequencer rounds an
+    /// update stays blocked after reaching a frontier before its request is
+    /// published (default 0).
     pub fn frontier_delay_rounds(mut self, rounds: usize) -> EngineBuilder {
         self.config.scheduler.frontier_delay_rounds = rounds;
         self
     }
 
-    /// Engine-wide cumulative step valve (a batch-run safety net; defaults to
-    /// unbounded on a long-lived engine). Replaces
-    /// [`SchedulerConfig::max_total_steps`].
+    /// Engine-wide cumulative step valve: once this many steps have ever
+    /// executed the engine fails for good. A batch-run safety net — unbounded
+    /// by default on a long-lived engine; bound individual updates with
+    /// [`max_steps_per_update`](Self::max_steps_per_update) instead.
     pub fn max_total_steps(mut self, steps: usize) -> EngineBuilder {
         self.config.scheduler.max_total_steps = steps;
         self
     }
 
-    // ---- service lifecycle (historically `EngineConfig`) ----
+    // ---- service lifecycle ----
 
-    /// Priority number of the first submitted update. Replaces
-    /// [`EngineConfig::first_update_number`].
+    /// Priority number of the first submitted update; later submissions count
+    /// up from here in arrival order (the paper's timestamp prioritisation).
     pub fn first_update_number(mut self, first: u64) -> EngineBuilder {
         self.config.first_update_number = first;
         self
     }
 
-    /// Per-update step budget (the runaway update fails alone). Replaces
-    /// [`EngineConfig::max_steps_per_update`]; the single-update facade takes
-    /// it through [`UpdateExchange::with_builder`](crate::UpdateExchange::with_builder).
+    /// Per-update step budget: an update that exceeds it fails alone (its
+    /// writes are rolled back, its handle reports the error) instead of
+    /// tearing the engine down the way
+    /// [`max_total_steps`](Self::max_total_steps) does.
     pub fn max_steps_per_update(mut self, limit: usize) -> EngineBuilder {
         self.config.max_steps_per_update = limit;
         self
     }
 
-    /// Admission cap (backpressure, not queueing). Replaces
-    /// [`EngineConfig::admission_cap`].
+    /// Admission cap: the maximum number of in-flight (non-terminated)
+    /// updates. Submissions beyond it fail with
+    /// [`SubmitError::Saturated`](crate::SubmitError::Saturated) —
+    /// backpressure, not queueing.
     pub fn admission_cap(mut self, cap: usize) -> EngineBuilder {
         self.config.admission_cap = cap;
         self
     }
 
-    /// Retention horizon for finished update records. Replaces
-    /// [`EngineConfig::retention_horizon`].
+    /// Retention horizon for finished update records: once more than this
+    /// many slots are retained, permanently-terminal slots are evicted oldest
+    /// first and keyed lookups for them report
+    /// [`LookupError::SlotEvicted`](youtopia_core::LookupError::SlotEvicted).
+    /// `usize::MAX` (the default) never evicts.
     pub fn retention_horizon(mut self, horizon: usize) -> EngineBuilder {
         self.config.retention_horizon = horizon;
         self
     }
 
-    /// Inline (threadless, caller-driven) mode. Replaces
-    /// [`EngineConfig::inline`].
+    /// Inline mode: spawn **no** chase thread and run the sequencer on
+    /// whichever thread pumps the engine
+    /// ([`ResolverPump`](crate::ResolverPump),
+    /// [`UpdateHandle::wait`](crate::UpdateHandle::wait),
+    /// [`ExchangeEngine::wait_quiescent`], [`ExchangeEngine::drive`]). The
+    /// submit/poll/answer API is unchanged, but every cross-thread hand-off
+    /// disappears — [`UpdateExchange`](crate::UpdateExchange) uses this to
+    /// keep micro-chases at single-threaded cost.
     pub fn inline(mut self) -> EngineBuilder {
         self.config.inline = true;
         self
     }
 
-    /// Frontier escalation policy for the lifecycle sweeper. Replaces
-    /// [`EngineConfig::escalation`].
+    /// What the lifecycle sweeper ([`ExchangeEngine::sweep`]) does with a
+    /// frontier request nobody answers: wait forever (the default), re-ask at
+    /// higher priority, or auto-resolve with a system decision.
     pub fn escalation(mut self, policy: EscalationPolicy) -> EngineBuilder {
         self.config.escalation = policy;
         self
@@ -162,8 +171,7 @@ impl EngineBuilder {
     /// Retention bound for the shared violation index's delta backlog
     /// (defaults to [`youtopia_storage::DELTA_BACKLOG_CAP`]; clamped to at
     /// least 1). Smaller caps trade detection time (gap fallbacks) for
-    /// memory; not part of the durable config fingerprint. Replaces reaching
-    /// into the store by hand.
+    /// memory; never changes results.
     pub fn delta_backlog_cap(mut self, cap: usize) -> EngineBuilder {
         self.config.delta_backlog_cap = cap;
         self
@@ -172,8 +180,8 @@ impl EngineBuilder {
     /// Gives the engine a replica identity: it becomes a node of a
     /// replicated deployment (see [`crate::replicate`]). Work enters through
     /// `submit_replicated` / `apply_remote_deltas` instead of
-    /// [`ExchangeEngine::submit`]; implies deterministic scheduling and is
-    /// mutually exclusive with [`durable`](Self::durable).
+    /// [`ExchangeEngine::submit`]; mutually exclusive with
+    /// [`durable`](Self::durable).
     pub fn replicated(mut self, node: youtopia_core::replication::NodeId) -> EngineBuilder {
         self.config.replica = Some(node);
         self
@@ -190,28 +198,12 @@ impl EngineBuilder {
         self
     }
 
-    // ---- escape hatch / introspection ----
-
-    /// Replaces the whole scheduler block at once — for callers migrating
-    /// from a hand-assembled [`SchedulerConfig`].
-    pub fn scheduler(mut self, scheduler: SchedulerConfig) -> EngineBuilder {
-        self.config.scheduler = scheduler;
-        self
-    }
-
-    /// The assembled [`EngineConfig`] — exactly what the terminals hand the
-    /// engine, and the **single** input (with the mapping set) to the durable
-    /// config fingerprint. Durable state written by a built engine can only
-    /// be recovered under a builder whose `config()` matches.
-    pub fn config(&self) -> EngineConfig {
-        self.config
-    }
-
     // ---- terminals ----
 
     /// Starts the engine. Infallible without [`durable`](Self::durable);
-    /// with it, creating the WAL/snapshot files can fail, and free-running
-    /// scheduling is rejected (durability needs the deterministic sequencer).
+    /// with it, creating the WAL/snapshot files can fail, and
+    /// [`free_running`](Self::free_running) is rejected (replay needs a
+    /// schedule that is a function of the log).
     pub fn build(
         self,
         db: Database,
@@ -224,7 +216,10 @@ impl EngineBuilder {
     }
 
     /// Recovers a crashed durable engine from the configured directory (the
-    /// database comes from its snapshot, not from the caller).
+    /// database comes from its snapshot, not from the caller): loads the
+    /// newest snapshot and deterministically replays the log tail. The
+    /// builder and `mappings` must match the original engine's (checked via
+    /// fingerprint).
     ///
     /// # Panics
     ///
@@ -256,12 +251,14 @@ mod tests {
 
     #[test]
     fn builder_knobs_land_in_the_assembled_config() {
+        // The retained `workers` no-op stores nothing.
+        let eight = EngineBuilder::new().workers(8).config;
+        assert_eq!(format!("{eight:?}"), format!("{:?}", EngineConfig::default()));
         let b = EngineBuilder::new()
             .free_running()
             .tracker(TrackerKind::Precise)
             .policy(SchedulingPolicy::StratumRoundRobin)
             .chase_mode(ChaseMode::FullRecheck)
-            .violation_state(ViolationStateMode::PerUpdate)
             .frontier_delay_rounds(2)
             .max_total_steps(99)
             .first_update_number(10)
@@ -272,12 +269,11 @@ mod tests {
             .replicated(youtopia_core::replication::NodeId(4))
             .inline()
             .escalation(EscalationPolicy::Wait);
-        let c = b.config();
-        assert!(!c.scheduler.deterministic);
+        let c = b.config;
+        assert!(c.free_running);
         assert_eq!(c.scheduler.tracker, TrackerKind::Precise);
         assert_eq!(c.scheduler.policy, SchedulingPolicy::StratumRoundRobin);
         assert_eq!(c.scheduler.chase_mode, ChaseMode::FullRecheck);
-        assert_eq!(c.scheduler.violation_state, ViolationStateMode::PerUpdate);
         assert_eq!(c.scheduler.frontier_delay_rounds, 2);
         assert_eq!(c.scheduler.max_total_steps, 99);
         assert_eq!(c.first_update_number, 10);
@@ -326,18 +322,6 @@ mod tests {
             .build(db, mappings);
         assert!(matches!(err, Err(RecoveryError::ReplicatedUnsupported)));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn default_builder_matches_the_default_engine_config() {
-        // The builder must not silently fork the defaults: a durable engine
-        // built either way fingerprints identically.
-        let built = EngineBuilder::new().config();
-        let legacy = EngineConfig::default();
-        assert_eq!(format!("{built:?}"), format!("{legacy:?}"));
-        // The retained `workers` no-op stores nothing.
-        let eight = EngineBuilder::new().workers(8).config();
-        assert_eq!(format!("{eight:?}"), format!("{legacy:?}"));
     }
 
     #[test]

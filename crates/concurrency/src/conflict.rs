@@ -5,7 +5,6 @@
 //! retroactively changes the query's answer, that reader read prematurely and
 //! must abort.
 
-use youtopia_core::ReadQuery;
 use youtopia_mappings::MappingSet;
 use youtopia_storage::{Database, TupleChange, UpdateId};
 
@@ -24,21 +23,7 @@ pub struct DirectConflict {
     pub change_index: usize,
 }
 
-/// Checks one change against one reader's stored read queries.
-pub fn change_conflicts_with_reader(
-    db: &Database,
-    mappings: &MappingSet,
-    change: &TupleChange,
-    reader: UpdateId,
-    reads: &[ReadQuery],
-) -> bool {
-    // The reader's own snapshot is the context in which its queries were (and
-    // would be re-) evaluated.
-    let snapshot = db.snapshot(reader);
-    reads.iter().any(|q| q.affected_by(&snapshot, mappings, change))
-}
-
-/// The relation-keyed variant of the Algorithm 4 inner check: does `change`
+/// The Algorithm 4 inner check, keyed by relation: does `change`
 /// retroactively affect any stored read query of `reader`? Only the queries
 /// whose footprint touches the changed relation (plus the wildcards) are
 /// evaluated — the others cannot be affected. Shared by the scheduler's
@@ -88,6 +73,7 @@ pub fn direct_conflicts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use youtopia_core::ReadQuery;
     use youtopia_mappings::{ViolationQuery, ViolationSeed};
     use youtopia_storage::{Value, Write};
 

@@ -45,8 +45,7 @@ const FORMAT_VERSION: u32 = 2;
 
 /// Where and how often a durable engine persists its state.
 ///
-/// Passed to [`ExchangeEngine::new_durable`](crate::ExchangeEngine::new_durable)
-/// and [`ExchangeEngine::recover`](crate::ExchangeEngine::recover). The
+/// Passed to [`EngineBuilder::durable`](crate::EngineBuilder::durable). The
 /// directory holds two files: `wal.log` (the record log) and `snapshot.bin`
 /// (the newest quiescence snapshot).
 #[derive(Clone, Debug)]
@@ -117,9 +116,9 @@ pub enum RecoveryError {
     /// Deterministic replay could not reproduce the logged run (the strongest
     /// sign the files belong to a different history).
     Replay(String),
-    /// Durability requires the deterministic sequencer: a free-running
-    /// engine's interleaving is not a function of the logged events, so its
-    /// log could not be replayed. Configure deterministic or inline mode.
+    /// Durability requires the sequencer to block at frontiers: a
+    /// free-running engine's interleaving is not a function of the logged
+    /// events, so its log could not be replayed.
     FreeRunningUnsupported,
     /// Durability and replication are mutually exclusive for now: a replica's
     /// history is a function of its replicated event logs, not of a local
@@ -140,7 +139,7 @@ impl std::fmt::Display for RecoveryError {
             RecoveryError::Corrupt(msg) => write!(f, "durable state inconsistent: {msg}"),
             RecoveryError::Replay(msg) => write!(f, "deterministic replay diverged: {msg}"),
             RecoveryError::FreeRunningUnsupported => {
-                write!(f, "durability requires the deterministic sequencer (or inline mode)")
+                write!(f, "durability requires the blocking sequencer (not free_running)")
             }
             RecoveryError::ReplicatedUnsupported => {
                 write!(f, "durability and replication are mutually exclusive (WAL-shipping is the planned marriage)")
@@ -840,8 +839,8 @@ mod tests {
     fn fingerprint_distinguishes_configs() {
         let mappings = MappingSet::default();
         let a = config_fingerprint(&EngineConfig::default(), &mappings);
-        let b =
-            config_fingerprint(&EngineConfig::default().with_first_update_number(50), &mappings);
+        let renumbered = EngineConfig { first_update_number: 50, ..EngineConfig::default() };
+        let b = config_fingerprint(&renumbered, &mappings);
         assert_ne!(a, b);
         let c = config_fingerprint(&EngineConfig::default(), &mappings);
         assert_eq!(a, c, "fingerprint is stable");
@@ -851,18 +850,15 @@ mod tests {
     fn fingerprint_distinguishes_escalation_policies() {
         use youtopia_core::{AutoDecision, EscalationPolicy};
         let mappings = MappingSet::default();
-        let wait = config_fingerprint(&EngineConfig::default(), &mappings);
-        let re_ask = config_fingerprint(
-            &EngineConfig::default().with_escalation_policy(EscalationPolicy::ReAsk { after: 3 }),
-            &mappings,
-        );
-        let auto = config_fingerprint(
-            &EngineConfig::default().with_escalation_policy(EscalationPolicy::AutoResolve {
-                after: 3,
-                decision: AutoDecision::ExpandOrDeleteFirst,
-            }),
-            &mappings,
-        );
+        let with = |escalation| {
+            config_fingerprint(&EngineConfig { escalation, ..EngineConfig::default() }, &mappings)
+        };
+        let wait = with(EscalationPolicy::Wait);
+        let re_ask = with(EscalationPolicy::ReAsk { after: 3 });
+        let auto = with(EscalationPolicy::AutoResolve {
+            after: 3,
+            decision: AutoDecision::ExpandOrDeleteFirst,
+        });
         assert_ne!(wait, re_ask, "a re-ask log is not a wait log");
         assert_ne!(wait, auto);
         assert_ne!(re_ask, auto);

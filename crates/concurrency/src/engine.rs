@@ -33,19 +33,27 @@
 //! run concurrently with the chase thread is the *callers*: `submit`,
 //! `answer`, `read` and the status accessors arrive from any thread, which is
 //! why steps stay two-phase over an `RwLock<Database>`, the logs sit behind
-//! mutexes and free-running rollbacks are validated. Three execution shapes
-//! ([`SchedulerConfig::deterministic`], [`EngineConfig::inline`]):
+//! mutexes and free-running rollbacks are validated.
 //!
-//! * **inline** — no thread; the deterministic sequencer runs on whichever
-//!   caller thread pumps or waits;
-//! * **one sequencer thread** (the default) — the exact round-robin loop of
-//!   `ConcurrentRun`, which stops at a published frontier until it is
-//!   answered (a batch submitted before anything steps is byte-identical to
-//!   the reference — pinned by `tests/engine_equivalence.rs`);
-//! * **one free-running thread** — a run queue instead of the round-robin
-//!   cursor: an update blocked on a frontier parks and the others keep
-//!   stepping, so the schedule depends on when answers arrive (consistent,
-//!   not reproducible).
+//! There is **one scheduler**: the round-robin cursor of `ConcurrentRun`
+//! (Algorithm 3) over the live updates, one action per visit. Two choices sit
+//! on top of it:
+//!
+//! * **who runs the loop** — one sequencer thread (the default), or no thread
+//!   at all ([`EngineBuilder::inline`](crate::EngineBuilder::inline): the loop
+//!   runs on whichever caller thread pumps or waits);
+//! * **what the loop does while a published frontier is unanswered** — *block*
+//!   (the default: nothing acts until the answer lands, the pull-based
+//!   analogue of the reference's synchronous resolver call, so a batch
+//!   submitted before anything steps is byte-identical to the reference —
+//!   pinned by `tests/engine_equivalence.rs`), or *skip*
+//!   ([`EngineBuilder::free_running`](crate::EngineBuilder::free_running): the
+//!   cursor steps past published slots and the thread sleeps only when every
+//!   live update is blocked, so the schedule depends on when answers arrive —
+//!   consistent, not reproducible; since nobody waits on a published request,
+//!   an undelayed one goes out with the step that raised it, and a terminated
+//!   update an abort revives sits out the rest of the round). Skipping needs
+//!   the thread: inline, durable and replicated engines always block.
 //!
 //! Unlike the inline resolvers of the batch world, an answer can arrive long
 //! after the snapshot the user looked at: writes may commit in between. That
@@ -56,14 +64,13 @@
 //!
 //! Lock order (outermost first): cursor → slots table → admission → slot →
 //! pending → resolver (in [`ResolverPump`]) → database → tracker → metrics →
-//! all-ids → read log / write log. Only the chase thread ever holds two slot
-//! locks (its own, then an abort victim's — always a higher-numbered update,
-//! taken with a plain blocking lock); every other slot-lock holder is a
-//! caller thread inside `apply_answer` or a status accessor, which never
-//! waits on a second slot, so the victim lock cannot deadlock. Durable
-//! engines additionally hold a WAL writer mutex, nested innermost; every
-//! append happens while the cursor is held (durability implies the
-//! deterministic sequencer), so it is uncontended in practice.
+//! all-ids → read log / write log. Nobody holds two slot locks: the sequencer
+//! (the only stepper and aborter, always under the cursor) releases the slot
+//! it stepped before it takes an abort victim's with a plain blocking lock,
+//! and every other slot-lock holder is a caller thread inside `apply_answer`
+//! or a status accessor, which never waits on a second slot. Durable engines
+//! additionally hold a WAL writer mutex, nested innermost; every append
+//! happens while the cursor is held, so it is uncontended in practice.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -114,65 +121,29 @@ fn invert_change(change: &TupleChange) -> TupleChange {
     }
 }
 
-/// Configuration of a long-lived [`ExchangeEngine`].
-///
-/// Prefer [`EngineBuilder`](crate::EngineBuilder), which assembles this
-/// struct (plus durability) behind one fluent surface — the field struct and
-/// its `with_*` setters survive as the assembled representation (and the
-/// durable config fingerprint input), not as the construction API.
+/// The assembled configuration of an [`ExchangeEngine`]: the state
+/// [`EngineBuilder`](crate::EngineBuilder) accumulates and the engine reads.
+/// Each field is documented on the builder setter of the same name.
 #[derive(Clone, Copy, Debug)]
-pub struct EngineConfig {
-    /// The scheduler knobs the engine inherits from the batch world: tracker,
-    /// policy, chase mode, deterministic/free mode, the global step valve and
-    /// the frontier delay (deterministic mode only).
-    pub scheduler: SchedulerConfig,
-    /// Priority number of the first submitted update; later submissions count
-    /// up from here in arrival order (the paper's timestamp prioritisation).
-    pub first_update_number: u64,
-    /// Per-update step budget: an update that exceeds it fails alone (its
-    /// writes are rolled back, its handle reports the error) instead of
-    /// tearing the whole engine down the way
-    /// [`SchedulerConfig::max_total_steps`] does.
-    pub max_steps_per_update: usize,
-    /// Admission cap: the maximum number of in-flight (non-terminated)
-    /// updates. Submissions beyond it fail with [`SubmitError::Saturated`] —
-    /// backpressure, not queueing.
-    pub admission_cap: usize,
-    /// Retention horizon for finished update records: once more than this
-    /// many slots are retained, permanently-terminal slots are evicted from
-    /// the front of the table (oldest first) and keyed lookups for them
-    /// report [`LookupError::SlotEvicted`]. `usize::MAX` (the default)
-    /// disables compaction and reproduces the historical grow-forever table.
-    pub retention_horizon: usize,
-    /// Inline mode: spawn **no** chase thread and drive the deterministic
-    /// sequencer on whichever thread pumps the engine ([`ResolverPump`],
-    /// [`UpdateHandle::wait`], [`ExchangeEngine::wait_quiescent`]). The
-    /// submit/poll/answer API is unchanged, but every cross-thread handoff
-    /// disappears — the single-update [`crate::UpdateExchange`] façade uses
-    /// this to keep micro-chases at single-threaded cost. Implies
-    /// deterministic scheduling (the flag overrides
-    /// [`SchedulerConfig::deterministic`]).
-    pub inline: bool,
-    /// What the lifecycle sweeper ([`ExchangeEngine::sweep`]) does with a
-    /// frontier request nobody answers: wait forever (the default), re-ask at
-    /// higher priority, or auto-resolve with a system decision. Part of the
-    /// durable config fingerprint — a WAL written under one policy is not
-    /// replayed under another.
-    pub escalation: EscalationPolicy,
-    /// Bound on the shared violation feed's retained write-delta backlog
-    /// (applied to the engine's database at construction; defaults to
-    /// [`youtopia_storage::DELTA_BACKLOG_CAP`]). Performance-only: a consumer
-    /// behind the truncation point falls back to full revalidation, so the
-    /// knob never changes results — which is why it is *not* part of the
-    /// durable config fingerprint.
-    pub delta_backlog_cap: usize,
-    /// Replication identity: `Some(node)` turns the engine into a replica of
-    /// a multi-node deployment (see the `replicate` module). Replicated
-    /// engines apply updates through the canonical replicated fold —
-    /// [`ExchangeEngine::submit_replicated`] instead of plain `submit` — and
-    /// imply deterministic scheduling. Mutually exclusive with durability
-    /// (WAL-shipping is the planned marriage of the two).
-    pub replica: Option<youtopia_core::replication::NodeId>,
+pub(crate) struct EngineConfig {
+    /// The knobs shared with the batch world (tracker, policy, chase mode,
+    /// frontier delay, global step valve).
+    pub(crate) scheduler: SchedulerConfig,
+    /// Skip — rather than block at — published frontiers
+    /// ([`EngineBuilder::free_running`](crate::EngineBuilder::free_running)).
+    pub(crate) free_running: bool,
+    pub(crate) first_update_number: u64,
+    pub(crate) max_steps_per_update: usize,
+    pub(crate) admission_cap: usize,
+    pub(crate) retention_horizon: usize,
+    pub(crate) inline: bool,
+    /// Part of the durable config fingerprint — a WAL written under one
+    /// escalation policy is not replayed under another.
+    pub(crate) escalation: EscalationPolicy,
+    /// Performance-only (a consumer behind the truncation point falls back to
+    /// full revalidation), which is why it is *not* part of the fingerprint.
+    pub(crate) delta_backlog_cap: usize,
+    pub(crate) replica: Option<youtopia_core::replication::NodeId>,
 }
 
 impl Default for EngineConfig {
@@ -183,9 +154,8 @@ impl Default for EngineConfig {
             // bomb (the engine dies for good once total steps ever executed
             // reach it). Default engines are therefore unbounded globally —
             // bound individual updates with `max_steps_per_update` instead.
-            // Batch adapters pass their own scheduler config and keep the
-            // valve.
             scheduler: SchedulerConfig::default().with_max_total_steps(usize::MAX),
+            free_running: false,
             first_update_number: 1,
             max_steps_per_update: usize::MAX,
             admission_cap: usize::MAX,
@@ -195,67 +165,6 @@ impl Default for EngineConfig {
             delta_backlog_cap: youtopia_storage::DELTA_BACKLOG_CAP,
             replica: None,
         }
-    }
-}
-
-impl EngineConfig {
-    /// Replaces the scheduler knobs.
-    pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> EngineConfig {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Replaces the first update number.
-    pub fn with_first_update_number(mut self, first: u64) -> EngineConfig {
-        self.first_update_number = first;
-        self
-    }
-
-    /// Replaces the per-update step budget.
-    pub fn with_max_steps_per_update(mut self, limit: usize) -> EngineConfig {
-        self.max_steps_per_update = limit;
-        self
-    }
-
-    /// Replaces the admission cap.
-    pub fn with_admission_cap(mut self, cap: usize) -> EngineConfig {
-        self.admission_cap = cap;
-        self
-    }
-
-    /// Replaces the retention horizon (see
-    /// [`EngineConfig::retention_horizon`]).
-    pub fn with_retention_horizon(mut self, horizon: usize) -> EngineConfig {
-        self.retention_horizon = horizon;
-        self
-    }
-
-    /// Switches to inline (threadless, caller-driven) mode — see
-    /// [`EngineConfig::inline`].
-    pub fn run_inline(mut self) -> EngineConfig {
-        self.inline = true;
-        self
-    }
-
-    /// Replaces the frontier escalation policy (see
-    /// [`EngineConfig::escalation`]).
-    pub fn with_escalation_policy(mut self, policy: EscalationPolicy) -> EngineConfig {
-        self.escalation = policy;
-        self
-    }
-
-    /// Replaces the violation-feed backlog bound (see
-    /// [`EngineConfig::delta_backlog_cap`]).
-    pub fn with_delta_backlog_cap(mut self, cap: usize) -> EngineConfig {
-        self.delta_backlog_cap = cap;
-        self
-    }
-
-    /// Makes the engine a replica with the given node identity (see
-    /// [`EngineConfig::replica`]).
-    pub fn with_replica(mut self, node: youtopia_core::replication::NodeId) -> EngineConfig {
-        self.replica = Some(node);
-        self
     }
 }
 
@@ -422,14 +331,10 @@ impl Signal {
 
 pub(crate) struct Slot {
     pub(crate) exec: UpdateExecution,
-    /// Rounds remaining before a pending frontier request is published
-    /// (deterministic mode only; free-running has no notion of rounds).
-    frontier_wait: usize,
-    /// In neither the run queue nor the chase thread's hands (free-running
-    /// mode): terminated, blocked on a published frontier, or failed. Parked
-    /// slots are re-enqueued by whoever changes their state (an answer, an
-    /// abort).
-    parked: bool,
+    /// Cursor visits the slot still sits out: a fresh frontier request waits
+    /// `frontier_delay_rounds` visits before it is published, and a victim
+    /// aborted under the skipping policy one visit before it restarts.
+    sit_out: usize,
     /// Token of the published-but-unanswered frontier request, if any.
     pub(crate) published: Option<FrontierToken>,
     /// Terminal per-update failure (step budget); never cleared.
@@ -440,7 +345,7 @@ pub(crate) type SlotCell = Mutex<Slot>;
 
 /// The slot table: a sliding window of update records. `base` counts slots
 /// evicted by compaction; slot index `i` (= update number −
-/// [`EngineConfig::first_update_number`]) lives at `cells[i − base]`.
+/// `first_update_number`) lives at `cells[i − base]`.
 /// Eviction is front-only and restricted to terminal slots, so every index
 /// below `base` names an update that is terminal forever.
 pub(crate) struct SlotTable {
@@ -459,23 +364,25 @@ impl SlotTable {
     }
 }
 
-/// The sequencer of deterministic mode: the next index of the round-robin
-/// cursor plus the set of live (non-terminated, non-failed) slot indices, so a
-/// long-lived engine does not re-scan thousands of terminated slots per round.
-/// Iterating the live set in ascending order per round visits exactly the
-/// slots the reference loop would act on, in the same order.
+/// The sequencer's state (`det_*` names the loop that drives it): the next
+/// index of the round-robin cursor plus the set of live (non-terminated,
+/// non-failed) slot indices, so a long-lived engine does not re-scan thousands
+/// of terminated slots per round. Iterating the live set in ascending order
+/// per round visits exactly the slots the reference loop would act on, in the
+/// same order.
 pub(crate) struct DetCursor {
     next: usize,
     pub(crate) live: BTreeSet<usize>,
 }
 
-/// What one deterministic sequencer action accomplished.
+/// What one sequencer action accomplished.
 enum DetProgress {
     /// An action was taken (or a round boundary crossed); keep going.
     Acted,
     /// Nothing is live; sleep until a submission arrives.
     Idle,
-    /// A published frontier awaits its answer; nothing may act until then.
+    /// Published frontiers await their answers and the frontier policy lets
+    /// nothing act until one lands.
     AwaitingAnswer,
 }
 
@@ -545,10 +452,17 @@ pub(crate) struct EngineShared {
     mappings: MappingSet,
     db: RwLock<Database>,
     pub(crate) config: EngineConfig,
-    deterministic: bool,
-    /// Threadless mode: the deterministic sequencer runs on whichever thread
-    /// pumps or waits (see [`EngineConfig::inline`]).
-    pub(crate) inline: bool,
+    /// The frontier policy: step past published frontiers instead of blocking
+    /// at them. The policy proper is two sites: the gate in `det_action` and
+    /// the rollback-validation flag of conflict-decided aborts. Three more
+    /// keep a skipping engine's abort cascades and log growth where a FIFO
+    /// run queue puts them, and would serve the blocking policy as well if
+    /// its schedule were free to move: a request that need not be delayed is
+    /// published with the step that raised it (`det_run_ready_slot`), a
+    /// revived victim sits out the rest of its round (`execute_abort`), and
+    /// waiters hear of a retired update after the quiescence GC, not before
+    /// (`retire`, `det_action`).
+    skip_frontiers: bool,
     /// Growable (and front-compacted) slot table; index = update number −
     /// `first_update_number`.
     pub(crate) slots: RwLock<SlotTable>,
@@ -559,13 +473,10 @@ pub(crate) struct EngineShared {
     write_log: Mutex<WriteLog>,
     tracker: Mutex<Box<dyn DependencyTracker>>,
     metrics: Mutex<RunMetrics>,
-    /// Run queue of ready slot indices (free-running mode).
-    queue: Mutex<VecDeque<usize>>,
-    /// Deterministic sequencer state.
+    /// Sequencer state.
     pub(crate) cursor: Mutex<DetCursor>,
-    /// Slot indices submitted since the sequencer last looked (deterministic
-    /// mode; absorbed into the live set without taking the cursor lock on the
-    /// submit path).
+    /// Slot indices submitted since the sequencer last looked (absorbed into
+    /// the live set without taking the cursor lock on the submit path).
     det_incoming: Mutex<Vec<usize>>,
     /// Outstanding frontier requests, keyed by token (= publish order).
     pub(crate) pending: Mutex<BTreeMap<u64, PendingEntry>>,
@@ -575,22 +486,20 @@ pub(crate) struct EngineShared {
     admission: Mutex<BTreeMap<ClientId, ClientAdmission>>,
     /// Number of slots with a published-but-not-fully-answered frontier.
     /// Unlike `pending` emptiness, this only drops once an answer has been
-    /// *applied* (or the token invalidated by an abort) — the deterministic
-    /// sequencer gates on it, so no step can slip in between `answer()`
-    /// removing the entry and the decision's effects landing.
+    /// *applied* (or the token invalidated by an abort) — the sequencer gates
+    /// on it, so under the blocking policy no step can slip in between
+    /// `answer()` removing the entry and the decision's effects landing.
     pub(crate) unanswered: AtomicUsize,
     next_token: AtomicU64,
     /// Non-terminated, non-failed updates (admission + quiescence).
     pub(crate) active: AtomicUsize,
-    /// Whether the chase thread is processing a popped slot (free mode).
-    in_flight: AtomicBool,
     pub(crate) stop: AtomicBool,
     error: Mutex<Option<ChaseError>>,
     pub(crate) signal: Signal,
     /// Durable state (WAL writer, counters); `None` on a plain engine.
     durable: Option<DurableEngineState>,
     /// Replication mechanism state (event logs, canonical fold bookkeeping);
-    /// `None` unless [`EngineConfig::replica`] is set. See `crate::replicate`.
+    /// `None` unless the engine is a replica. See `crate::replicate`.
     pub(crate) replication: Option<Mutex<crate::replicate::ReplicationState>>,
 }
 
@@ -768,14 +677,8 @@ impl EngineShared {
             for (i, op) in ops.into_iter().enumerate() {
                 let id = UpdateId(self.config.first_update_number + (base + i) as u64);
                 let cell = Arc::new(Mutex::new(Slot {
-                    exec: UpdateExecution::configured(
-                        id,
-                        op,
-                        self.config.scheduler.chase_mode,
-                        self.config.scheduler.violation_state,
-                    ),
-                    frontier_wait: 0,
-                    parked: false,
+                    exec: UpdateExecution::with_mode(id, op, self.config.scheduler.chase_mode),
+                    sit_out: 0,
                     published: None,
                     failed: None,
                 }));
@@ -889,7 +792,7 @@ impl EngineShared {
     }
 
     // ------------------------------------------------------------------
-    // Shared step machinery (both modes)
+    // Step machinery
     // ------------------------------------------------------------------
 
     /// Records the read queries a step (or frontier resolution) performed:
@@ -929,8 +832,8 @@ impl EngineShared {
     /// Executes one chase step for the locked slot: write half under the
     /// database write lock, read half (analysis, logging, read recording and
     /// conflict collection) under a read lock. Returns the step outcome and
-    /// the consolidated abort set — the caller executes the aborts (both
-    /// modes do so synchronously, on the chase thread).
+    /// the consolidated abort set — the caller executes the aborts
+    /// synchronously, under the sequencer.
     fn step_and_validate(
         &self,
         slot: &mut Slot,
@@ -1022,11 +925,11 @@ impl EngineShared {
         pending
     }
 
-    /// Free-running only: an abort's (or failure's) rollback is a write like
-    /// any other — returns the updates whose recorded reads it retroactively
-    /// invalidated (checked exactly, per read query — never via the tracker,
-    /// whose conservative answers would make abort waves feed on themselves
-    /// under `NAIVE`). The caller feeds them back into the abort machinery.
+    /// A rollback is a write like any other: returns the updates whose
+    /// recorded reads it retroactively invalidated (checked exactly, per read
+    /// query — never via the tracker, whose conservative answers would make
+    /// abort waves feed on themselves under `NAIVE`). The caller feeds them
+    /// back into the abort worklist.
     fn validate_rollback(&self, victim: UpdateId, rolled_back: &[TupleChange]) -> Vec<UpdateId> {
         let mut undone_readers: Vec<UpdateId> = Vec::new();
         if rolled_back.is_empty() {
@@ -1052,18 +955,19 @@ impl EngineShared {
     /// roll back its writes, invalidate its published frontier token, clear
     /// its logs and dependency bookkeeping, reset it to redo its initial
     /// operation. `revive` is true when the slot had already terminated — the
-    /// abort brings it back into the active count and the caller must hand it
-    /// back to the scheduler (queue or live set).
+    /// abort brings it back into the active count and the caller must put it
+    /// back into the live set.
     fn execute_abort(&self, slot: &mut Slot, revive: bool, validate: bool) -> Vec<UpdateId> {
         let victim = slot.exec.id();
         // `validate` captures the victim's logged changes before they go
         // away; their inverses are validated like writes. Conflict-decided
-        // aborts under the deterministic sequencer pass `false`: they happen
+        // aborts under the blocking frontier policy pass `false`: they happen
         // synchronously inside the validation that decided them, exactly
         // like the single-threaded reference, so no reader can slip in
-        // between and validating would only skew reference metrics. Every
-        // other abort (free-running, or cascading from a budget failure)
-        // validates.
+        // between and validating would only skew reference metrics. Under
+        // the skipping policy a concurrent `answer` caller can record reads
+        // between the step and the abort, and a budget failure fires outside
+        // any validation: both validate.
         let rolled_back: Vec<TupleChange> = if validate {
             lock(&self.write_log).changes_of(victim).map(invert_change).collect()
         } else {
@@ -1078,7 +982,11 @@ impl EngineShared {
             self.unanswered.fetch_sub(1, Ordering::SeqCst);
         }
         slot.exec.reset_for_restart();
-        slot.frontier_wait = 0;
+        // Under the skipping policy a revived victim sits out its next visit,
+        // which is the rest of this round (victims are numbered above the
+        // writer): restarted at once it re-reads what the victims aborted
+        // with it are rewriting and cascades with them again.
+        slot.sit_out = usize::from(revive && self.skip_frontiers);
         lock(&self.read_log).clear(victim);
         lock(&self.write_log).remove_update(victim);
         {
@@ -1096,17 +1004,17 @@ impl EngineShared {
     }
 
     /// Fails the locked slot terminally (per-update step budget): its writes
-    /// are rolled back (validated like an abort's in free mode), its logs and
-    /// bookkeeping cleared, and the error parked on the slot for its handle.
-    /// Unlike an abort it does not restart.
+    /// are rolled back, its logs and bookkeeping cleared, and the error left
+    /// on the slot for its handle. Unlike an abort it does not restart. The
+    /// slot stays in the `active` count until the caller has aborted the
+    /// returned dependents and [`retire`](Self::retire)s it.
     fn fail_slot(&self, slot: &mut Slot, error: ChaseError) -> Vec<UpdateId> {
         let victim = slot.exec.id();
         // Unlike a conflict-decided abort, a budget failure fires at an
-        // arbitrary point in the schedule — in *both* modes its rollback can
-        // retroactively invalidate reads other updates already performed, so
-        // it is always validated like a write and the caller must abort the
-        // returned dependents (synchronously under the deterministic
-        // sequencer, via `abort_all` when free-running).
+        // arbitrary point in the schedule — its rollback can retroactively
+        // invalidate reads other updates already performed, so it is always
+        // validated like a write and the caller must abort the returned
+        // dependents.
         let rolled_back: Vec<TupleChange> =
             lock(&self.write_log).changes_of(victim).map(invert_change).collect();
         {
@@ -1121,11 +1029,7 @@ impl EngineShared {
         lock(&self.write_log).remove_update(victim);
         lock(&self.tracker).clear_update(victim);
         slot.failed = Some(error);
-        slot.parked = true;
-        self.active.fetch_sub(1, Ordering::SeqCst);
-        let undone_readers = self.validate_rollback(victim, &rolled_back);
-        self.signal.bump();
-        undone_readers
+        self.validate_rollback(victim, &rolled_back)
     }
 
     /// Quiescence garbage collection: once nothing is active or awaiting an
@@ -1171,6 +1075,19 @@ impl EngineShared {
             }
         }
         self.maybe_snapshot_locked(&slots);
+    }
+
+    /// Takes a terminated or failed update out of the active count. The
+    /// blocking policy wakes waiters on the spot — for a terminated update
+    /// with its slot still locked, so whoever sees it terminated sees it
+    /// retired and a submit-wait-submit loop cannot run ahead of the count
+    /// and starve the quiescence GC. The skipping policy wakes them after
+    /// that GC (see `det_action`).
+    fn retire(&self) {
+        self.active.fetch_sub(1, Ordering::SeqCst);
+        if !self.skip_frontiers {
+            self.signal.bump();
+        }
     }
 
     /// Evicts terminal slots past the retention horizon from the front of the
@@ -1314,7 +1231,6 @@ impl EngineShared {
         let token = FrontierToken(self.next_token.fetch_add(1, Ordering::SeqCst));
         let request = slot.exec.pending_frontier().expect("state is AwaitingFrontier").clone();
         slot.published = Some(token);
-        slot.parked = true;
         self.unanswered.fetch_add(1, Ordering::SeqCst);
         let published_at =
             self.durable.as_ref().map(|d| d.actions.load(Ordering::SeqCst)).unwrap_or(0);
@@ -1378,22 +1294,18 @@ impl EngineShared {
         }
         slot.published = None;
         self.unanswered.fetch_sub(1, Ordering::SeqCst);
-        if self.deterministic {
-            drop(slot);
-        } else {
-            slot.parked = false;
-            drop(slot);
-            self.enqueue(entry.slot);
-        }
+        drop(slot);
         self.signal.bump();
         Ok(AnswerOutcome::Applied)
     }
 
     // ------------------------------------------------------------------
-    // Deterministic mode: the reference serialisation order, open world
+    // The sequencer: the reference round-robin loop, open world
     // ------------------------------------------------------------------
 
-    fn det_worker(&self) {
+    /// Body of the chase thread: one sequencer action per cursor acquisition,
+    /// asleep on the signal while there is nothing to act on.
+    fn sequencer_thread(&self) {
         let _guard = WorkerGuard { shared: self };
         loop {
             if self.stop.load(Ordering::SeqCst) {
@@ -1427,9 +1339,9 @@ impl EngineShared {
         }
     }
 
-    /// Drives the deterministic sequencer on the calling thread (inline mode:
-    /// there is no chase thread) until it goes idle or blocks on an unanswered
-    /// frontier. A step error fails the engine, exactly as the thread would.
+    /// Drives the sequencer on the calling thread (inline mode: there is no
+    /// chase thread) until it goes idle or blocks on an unanswered frontier. A
+    /// step error fails the engine, exactly as the thread would.
     pub(crate) fn drive_inline(&self) -> Result<(), ChaseError> {
         let mut cur = lock(&self.cursor);
         loop {
@@ -1459,15 +1371,23 @@ impl EngineShared {
     /// One sequencer action: the body of the reference loop for the next live
     /// slot at or after the cursor. Skipping terminated slots via the live
     /// set visits exactly the indices the reference loop would act on, in the
-    /// same ascending-per-round order. While a published frontier awaits its
-    /// answer the sequencer refuses to act at all — the pull-based analogue
-    /// of the reference blocking in its synchronous resolver call at exactly
-    /// that point in the round.
+    /// same ascending-per-round order.
+    ///
+    /// The frontier policy is the gate at the top. *Blocking*: while a
+    /// published frontier awaits its answer the sequencer refuses to act at
+    /// all — the pull-based analogue of the reference blocking in its
+    /// synchronous resolver call at exactly that point in the round.
+    /// *Skipping*: published slots are stepped past, and the sequencer only
+    /// stops once every live slot is one (published slots stay live, so that
+    /// is `unanswered >= live.len()`); an answer or an abort bumps the signal
+    /// and the loop resumes.
     fn det_action(&self, cur: &mut DetCursor) -> Result<DetProgress, ChaseError> {
-        if self.unanswered.load(Ordering::SeqCst) > 0 {
+        self.det_absorb_incoming(cur);
+        let unanswered = self.unanswered.load(Ordering::SeqCst);
+        let stop_at = if self.skip_frontiers { cur.live.len().max(1) } else { 1 };
+        if unanswered >= stop_at {
             return Ok(DetProgress::AwaitingAnswer);
         }
-        self.det_absorb_incoming(cur);
         if cur.live.is_empty() {
             return Ok(DetProgress::Idle);
         }
@@ -1489,32 +1409,48 @@ impl EngineShared {
             self.bump_action();
             return Ok(DetProgress::Acted);
         };
-        let state = lock(&cell).exec.state();
-        match state {
+        // One lock session decides the branch: under the skipping policy a
+        // caller's `answer` can turn a published slot Ready at any moment.
+        let mut slot = lock(&cell);
+        match slot.exec.state() {
             UpdateState::Terminated => {
                 cur.live.remove(&idx);
                 self.bump_action();
             }
+            // Only the skipping policy gets past the gate with a published
+            // slot live: step past it.
+            UpdateState::AwaitingFrontier if slot.published.is_some() => {}
+            _ if slot.sit_out > 0 => {
+                slot.sit_out -= 1;
+                self.bump_action();
+            }
             UpdateState::AwaitingFrontier => {
-                let mut slot = lock(&cell);
-                if slot.frontier_wait > 0 {
-                    slot.frontier_wait -= 1;
-                    self.bump_action();
-                } else {
-                    self.publish_frontier(&mut slot, idx);
-                    return Ok(DetProgress::AwaitingAnswer);
-                }
+                self.publish_frontier(&mut slot, idx);
+                return Ok(DetProgress::AwaitingAnswer);
             }
             UpdateState::Ready => {
-                self.det_run_ready_slot(cur, idx, &cell)?;
+                drop(slot);
+                let left = self.det_run_ready_slot(cur, idx, &cell)?;
                 // The action is complete — and counted — *before* quiescence
                 // bookkeeping: a snapshot taken inside `maybe_gc` must record
                 // the post-action counter, or replaying its WAL tail would
                 // start one action short.
                 self.bump_action();
-                // The slot (or a failed one) may have been the last active
-                // update; all slot locks are released again at this point.
-                self.maybe_gc();
+                if left {
+                    // It may have been the last active update; all slot locks
+                    // are released again at this point.
+                    self.maybe_gc();
+                    if self.skip_frontiers {
+                        // Woken only now: a pump woken by the decrement
+                        // submits its next wave before the sequencer gets to
+                        // the collection, and every later step wades through
+                        // the dead reads of the waves before it. The blocking
+                        // sequencer does lose that race; winning it moves
+                        // `workers_2` (ROADMAP, "One schedule"), a measured
+                        // change of its own.
+                        self.signal.bump();
+                    }
+                }
                 self.maybe_compact();
             }
         }
@@ -1523,13 +1459,16 @@ impl EngineShared {
 
     /// The reference `run_ready_slot`: step, validate, abort synchronously,
     /// honour the scheduling policy. The whole routine runs under the
-    /// sequencer, so victim slot locks are uncontended.
+    /// sequencer, which is the only stepper and aborter; a victim's lock is
+    /// held at most briefly by a caller thread (an answer being applied, a
+    /// status read). Returns whether the slot left the live set and the
+    /// active count for good (terminated or failed).
     fn det_run_ready_slot(
         &self,
         cur: &mut DetCursor,
         idx: usize,
         cell: &Arc<SlotCell>,
-    ) -> Result<(), ChaseError> {
+    ) -> Result<bool, ChaseError> {
         loop {
             let mut slot = lock(cell);
             if slot.exec.stats().steps >= self.config.max_steps_per_update {
@@ -1539,41 +1478,49 @@ impl EngineShared {
                 };
                 let dependents = self.fail_slot(&mut slot, err);
                 drop(slot);
+                // Quiescence ordering: the failed slot leaves `active` only
+                // after every dependent its rollback revived has re-entered
+                // the count. The other way round, a concurrent
+                // `wait_quiescent` could observe `active == 0` between the
+                // two with a revived update still to run.
                 self.det_abort_worklist(cur, dependents, true);
                 cur.live.remove(&idx);
-                return Ok(());
+                self.retire();
+                return Ok(true);
             }
             let (outcome, to_abort) = self.step_and_validate(&mut slot)?;
             drop(slot);
-            self.det_abort_worklist(cur, to_abort, false);
+            self.det_abort_worklist(cur, to_abort, self.skip_frontiers);
             let mut slot = lock(cell);
             if outcome.frontier_request.is_some() {
-                slot.frontier_wait = self.config.scheduler.frontier_delay_rounds;
+                slot.sit_out = self.config.scheduler.frontier_delay_rounds;
+                // Nobody waits on a published request under the skipping
+                // policy, so one that need not be delayed goes out with the
+                // step that raised it instead of costing its owner a round.
+                if self.skip_frontiers && slot.sit_out == 0 {
+                    self.publish_frontier(&mut slot, idx);
+                }
             }
             if slot.exec.is_terminated() {
                 cur.live.remove(&idx);
-                self.active.fetch_sub(1, Ordering::SeqCst);
-                self.signal.bump();
-                break;
+                self.retire();
+                return Ok(true);
             }
             // Step-level round robin hands control back after one step; the
             // stratum policy keeps going while the update remains ready.
             if self.config.scheduler.policy == SchedulingPolicy::StepRoundRobin
                 || slot.exec.state() != UpdateState::Ready
             {
-                break;
+                return Ok(false);
             }
         }
-        Ok(())
     }
 
     /// Executes an abort set under the sequencer, in ascending order; revived
-    /// (previously terminated) victims rejoin the live set. A conflict-decided
-    /// set passes `validate = false` (see [`Self::execute_abort`]); a
-    /// failure-triggered cascade validates each rollback like a write (a
-    /// budget failure fires outside any conflict validation, so readers may
-    /// have slipped in between) and feeds the victims whose reads it
-    /// retroactively invalidated back into the worklist.
+    /// (previously terminated) victims rejoin the live set. `validate` (see
+    /// [`Self::execute_abort`]) checks each rollback like a write and feeds
+    /// the victims whose reads it retroactively invalidated back into the
+    /// worklist.
     fn det_abort_worklist(
         &self,
         cur: &mut DetCursor,
@@ -1594,128 +1541,13 @@ impl EngineShared {
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // Free-running mode: one run queue, blocked updates park
-    // ------------------------------------------------------------------
-
-    fn enqueue(&self, idx: usize) {
-        lock(&self.queue).push_back(idx);
-        self.signal.bump();
-    }
-
-    fn free_worker(&self) {
-        let _guard = WorkerGuard { shared: self };
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let gen = self.signal.current();
-            let Some(idx) = lock(&self.queue).pop_front() else {
-                // Long-lived engine: park instead of exiting; a submission, an
-                // answer or an abort re-enqueue bumps the generation.
-                self.signal.wait_past(gen);
-                continue;
-            };
-            self.in_flight.store(true, Ordering::SeqCst);
-            let result = self.process_slot_free(idx);
-            self.in_flight.store(false, Ordering::SeqCst);
-            self.maybe_gc();
-            self.maybe_compact();
-            self.signal.bump();
-            if let Err(e) = result {
-                self.fail(e);
-                break;
-            }
-        }
-    }
-
-    /// Runs the popped slot until it terminates, parks on a frontier, or
-    /// (under step-level round robin) goes back to the queue after one step.
-    fn process_slot_free(&self, idx: usize) -> Result<(), ChaseError> {
-        let Some(cell) = self.slot_cell(idx) else { return Ok(()) };
-        let mut slot = lock(&cell);
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            if slot.failed.is_some() {
-                slot.parked = true;
-                return Ok(());
-            }
-            match slot.exec.state() {
-                UpdateState::Terminated => {
-                    slot.parked = true;
-                    self.active.fetch_sub(1, Ordering::SeqCst);
-                    self.signal.bump();
-                    return Ok(());
-                }
-                UpdateState::AwaitingFrontier => {
-                    // Pull-based: publish the request and move on to the next
-                    // queued update; the answer re-enqueues the slot.
-                    self.publish_frontier(&mut slot, idx);
-                    return Ok(());
-                }
-                UpdateState::Ready => {
-                    if slot.exec.stats().steps >= self.config.max_steps_per_update {
-                        let err = ChaseError::StepLimitExceeded {
-                            update: slot.exec.id(),
-                            limit: self.config.max_steps_per_update,
-                        };
-                        let dependents = self.fail_slot(&mut slot, err);
-                        drop(slot);
-                        self.abort_all(dependents);
-                        return Ok(());
-                    }
-                    let (_outcome, to_abort) = self.step_and_validate(&mut slot)?;
-                    // Victim locks are taken with ours still held: victims
-                    // are always other, higher-numbered updates.
-                    self.abort_all(to_abort);
-                    if slot.exec.state() == UpdateState::Ready
-                        && self.config.scheduler.policy == SchedulingPolicy::StepRoundRobin
-                    {
-                        drop(slot);
-                        self.enqueue(idx);
-                        return Ok(());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Executes the abort of every update in the worklist, feeding each
-    /// rollback's retroactively invalidated readers back in. Runs on the chase
-    /// thread, the only thread that steps or aborts: a victim's lock is held
-    /// at most briefly by a caller thread (an answer being applied, a status
-    /// read), so a blocking lock suffices.
-    fn abort_all(&self, victims: impl IntoIterator<Item = UpdateId>) {
-        let mut work: VecDeque<UpdateId> = victims.into_iter().collect();
-        while let Some(victim) = work.pop_front() {
-            let Some((vidx, cell)) = self.lookup_cell(victim) else { continue };
-            let mut vslot = lock(&cell);
-            if vslot.failed.is_some() {
-                continue;
-            }
-            let was_terminated = vslot.exec.is_terminated();
-            let was_parked = vslot.parked;
-            work.extend(self.execute_abort(&mut vslot, was_terminated, true));
-            if was_parked {
-                // A parked slot sits in no queue (it had terminated or was
-                // blocked on a frontier): the abort made it Ready again, so
-                // hand it back. An unparked victim is already queued.
-                vslot.parked = false;
-                drop(vslot);
-                self.enqueue(vidx);
-            }
-        }
-    }
 }
 
 /// A long-lived cooperative update-exchange service. See the module docs for
-/// the execution model; construct with [`ExchangeEngine::new`], feed it with
-/// [`submit`](Self::submit), answer its [`pending_frontiers`](Self::pending_frontiers)
-/// via [`answer`](Self::answer) (or a [`ResolverPump`]), and read committed
-/// state with [`read`](Self::read).
+/// the execution model; construct with [`EngineBuilder`](crate::EngineBuilder),
+/// feed it with [`submit`](Self::submit), answer its
+/// [`pending_frontiers`](Self::pending_frontiers) via [`answer`](Self::answer)
+/// (or a [`ResolverPump`]), and read committed state with [`read`](Self::read).
 pub struct ExchangeEngine {
     pub(crate) shared: Arc<EngineShared>,
     /// The one chase thread; `None` for an inline engine (and after `halt`).
@@ -1724,10 +1556,9 @@ pub struct ExchangeEngine {
 
 impl ExchangeEngine {
     /// Starts an engine over `db` and `mappings`: its chase thread (none for
-    /// an [inline](EngineConfig::inline) engine) is spawned immediately and
-    /// stays alive — parked when idle — until [`shutdown`](Self::shutdown) or
-    /// drop.
-    pub fn new(db: Database, mappings: MappingSet, config: EngineConfig) -> ExchangeEngine {
+    /// an inline engine) is spawned immediately and stays alive — parked when
+    /// idle — until [`shutdown`](Self::shutdown) or drop.
+    pub(crate) fn new(db: Database, mappings: MappingSet, config: EngineConfig) -> ExchangeEngine {
         let shared = Self::make_shared(
             db,
             mappings,
@@ -1748,18 +1579,18 @@ impl ExchangeEngine {
     /// periodically fold the log into a snapshot. A crashed durable engine is
     /// brought back byte-identically with [`recover`](Self::recover).
     ///
-    /// Durability requires the deterministic sequencer (or inline mode):
-    /// recovery re-executes the unlogged chase work between logged events,
-    /// which only reproduces the original run when the scheduling is a
-    /// function of the event log. A free-running config is rejected with
+    /// Durability requires the blocking frontier policy: recovery re-executes
+    /// the unlogged chase work between logged events, which only reproduces
+    /// the original run when the schedule is a function of the event log. A
+    /// free-running config is rejected with
     /// [`RecoveryError::FreeRunningUnsupported`].
-    pub fn new_durable(
+    pub(crate) fn new_durable(
         db: Database,
         mappings: MappingSet,
         config: EngineConfig,
         durability: DurabilityConfig,
     ) -> Result<ExchangeEngine, RecoveryError> {
-        if !(config.scheduler.deterministic || config.inline) {
+        if config.free_running && !config.inline {
             return Err(RecoveryError::FreeRunningUnsupported);
         }
         if config.replica.is_some() {
@@ -1816,12 +1647,12 @@ impl ExchangeEngine {
     /// record; work that was mid-chase at the crash resumes where replay
     /// leaves it. `config` and `mappings` must match the original engine's
     /// (checked via fingerprint).
-    pub fn recover(
+    pub(crate) fn recover(
         mappings: MappingSet,
         config: EngineConfig,
         durability: DurabilityConfig,
     ) -> Result<ExchangeEngine, RecoveryError> {
-        if !(config.scheduler.deterministic || config.inline) {
+        if config.free_running && !config.inline {
             return Err(RecoveryError::FreeRunningUnsupported);
         }
         if config.replica.is_some() {
@@ -1870,7 +1701,7 @@ impl ExchangeEngine {
         let total_records = base_records + tail.len() as u64;
 
         // Rebuild the slot table. Snapshots are taken at quiescence, so every
-        // summarised slot is terminal — parked, inactive, nothing to requeue.
+        // summarised slot is terminal — inactive, nothing to put in the live set.
         let mut cells = VecDeque::with_capacity(meta.slots.len());
         let mut all_ids = Vec::with_capacity(meta.slots.len());
         for summary in &meta.slots {
@@ -1885,14 +1716,12 @@ impl ExchangeEngine {
                 id,
                 summary.initial.clone(),
                 config.scheduler.chase_mode,
-                config.scheduler.violation_state,
                 summary.stats,
                 summary.terminated,
             );
             cells.push_back(Arc::new(Mutex::new(Slot {
                 exec,
-                frontier_wait: 0,
-                parked: true,
+                sit_out: 0,
                 published: None,
                 failed: summary.failed.clone(),
             })));
@@ -1948,23 +1777,20 @@ impl ExchangeEngine {
     ) -> Arc<EngineShared> {
         let mut db = db;
         db.set_delta_backlog_cap(config.delta_backlog_cap);
-        // Inline mode is caller-driven and therefore sequenced: it implies
-        // the deterministic scheduler regardless of what the config says.
-        // Replication does too — the canonical fold *is* a schedule.
-        let inline = config.inline;
-        let deterministic = config.scheduler.deterministic || inline || config.replica.is_some();
+        // Skipping needs a thread to make progress while the callers answer:
+        // an inline engine is caller-driven and blocks whatever the config
+        // says. Replication does too — the canonical fold *is* a schedule.
+        let skip_frontiers = config.free_running && !config.inline && config.replica.is_none();
         Arc::new(EngineShared {
             mappings,
             db: RwLock::new(db),
-            deterministic,
-            inline,
+            skip_frontiers,
             slots: RwLock::new(slots),
             all_ids: Mutex::new(all_ids),
             read_log: Mutex::new(ReadLog::default()),
             write_log: Mutex::new(WriteLog::default()),
             tracker: Mutex::new(config.scheduler.tracker.build()),
             metrics: Mutex::new(metrics),
-            queue: Mutex::new(VecDeque::new()),
             cursor: Mutex::new(DetCursor { next: 0, live: BTreeSet::new() }),
             det_incoming: Mutex::new(Vec::new()),
             pending: Mutex::new(BTreeMap::new()),
@@ -1972,7 +1798,6 @@ impl ExchangeEngine {
             unanswered: AtomicUsize::new(0),
             next_token: AtomicU64::new(next_token),
             active: AtomicUsize::new(0),
-            in_flight: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             error: Mutex::new(None),
             signal: Signal::new(),
@@ -1985,20 +1810,15 @@ impl ExchangeEngine {
     }
 
     /// Starts the engine's chase thread: none for an inline engine, otherwise
-    /// exactly one — the deterministic sequencer or the free-running worker.
+    /// exactly one, running the sequencer.
     fn spawn_chase_thread(shared: &Arc<EngineShared>) -> Option<JoinHandle<()>> {
-        if shared.inline {
+        if shared.config.inline {
             return None;
         }
         let shared = Arc::clone(shared);
-        let spawned =
-            std::thread::Builder::new().name("youtopia-engine-0".into()).spawn(move || {
-                if shared.deterministic {
-                    shared.det_worker()
-                } else {
-                    shared.free_worker()
-                }
-            });
+        let spawned = std::thread::Builder::new()
+            .name("youtopia-engine-0".into())
+            .spawn(move || shared.sequencer_thread());
         Some(spawned.expect("spawn engine chase thread"))
     }
 
@@ -2034,7 +1854,8 @@ impl ExchangeEngine {
     /// in which case the fair-share machinery of
     /// [`submit_batch_as`](Self::submit_batch_as) guarantees identified
     /// clients eventual admission. Anonymous batches (this method) see only
-    /// the global [`EngineConfig::admission_cap`].
+    /// the global
+    /// [`EngineBuilder::admission_cap`](crate::EngineBuilder::admission_cap).
     pub fn submit_batch(&self, ops: Vec<InitialOp>) -> Result<Vec<UpdateHandle>, SubmitError> {
         self.submit_batch_as(ops, None)
     }
@@ -2100,15 +1921,11 @@ impl ExchangeEngine {
             .map(|(id, cell)| UpdateHandle { id, cell, shared: Arc::downgrade(shared) })
             .collect();
         shared.record_admission(client, base..base + count);
-        if shared.deterministic {
-            match cursor.as_deref_mut() {
-                // Durable path, sequencer held: fix the interleaving point
-                // directly instead of via the absorb queue.
-                Some(cur) => cur.live.extend(base..base + count),
-                None => lock(&shared.det_incoming).extend(base..base + count),
-            }
-        } else {
-            lock(&shared.queue).extend(base..base + count);
+        match cursor.as_deref_mut() {
+            // Durable path, sequencer held: fix the interleaving point
+            // directly instead of via the absorb queue.
+            Some(cur) => cur.live.extend(base..base + count),
+            None => lock(&shared.det_incoming).extend(base..base + count),
         }
         drop(slots);
         drop(cursor);
@@ -2199,8 +2016,9 @@ impl ExchangeEngine {
 
     /// One pass of the frontier lifecycle sweeper: every pending request ages
     /// by one tick, and requests whose age reached the
-    /// [`EngineConfig::escalation`] deadline are escalated — re-published at
-    /// higher priority (`ReAsk`) or answered by the system (`AutoResolve`,
+    /// [`EngineBuilder::escalation`](crate::EngineBuilder::escalation)
+    /// deadline are escalated — re-published at higher priority (`ReAsk`) or
+    /// answered by the system (`AutoResolve`,
     /// WAL-logged with [`ResolutionOrigin::System`] exactly like a human
     /// answer, so recovery replays the outcome instead of re-deciding it).
     ///
@@ -2284,7 +2102,7 @@ impl ExchangeEngine {
     /// On a threaded engine this is a no-op (the chase thread makes progress
     /// on its own); either way a fatal engine error is reported.
     pub fn drive(&self) -> Result<(), ChaseError> {
-        if self.shared.inline {
+        if self.shared.config.inline {
             self.shared.drive_inline()?;
         }
         match self.error() {
@@ -2313,7 +2131,8 @@ impl ExchangeEngine {
     }
 
     /// Per-update execution statistics of every **retained** update, in
-    /// submission order. With a finite [`EngineConfig::retention_horizon`],
+    /// submission order. With a finite
+    /// [`EngineBuilder::retention_horizon`](crate::EngineBuilder::retention_horizon),
     /// records evicted by compaction are absent — use
     /// [`update_stats_of`](Self::update_stats_of) to distinguish evicted from
     /// unknown ids.
@@ -2378,15 +2197,15 @@ impl ExchangeEngine {
 
     /// Whether nothing is running, queued or awaiting an answer. Quiescence
     /// is stable: with no in-flight work and no pending frontiers, only a new
-    /// submission can create activity.
+    /// submission can create activity (an update leaves the active count only
+    /// after everything its last action revived has entered it).
     pub fn is_quiescent(&self) -> bool {
-        self.shared.active.load(Ordering::SeqCst) == 0
-            && !self.shared.in_flight.load(Ordering::SeqCst)
-            && lock(&self.shared.pending).is_empty()
+        self.shared.active.load(Ordering::SeqCst) == 0 && lock(&self.shared.pending).is_empty()
     }
 
     /// The fatal error that stopped the engine, if any (the global
-    /// [`SchedulerConfig::max_total_steps`] valve, or a poisoned decision).
+    /// [`EngineBuilder::max_total_steps`](crate::EngineBuilder::max_total_steps)
+    /// valve, or a poisoned decision).
     pub fn error(&self) -> Option<ChaseError> {
         lock(&self.shared.error).clone()
     }
@@ -2406,7 +2225,7 @@ impl ExchangeEngine {
             if self.is_quiescent() {
                 return Ok(());
             }
-            if self.shared.inline {
+            if self.shared.config.inline {
                 self.shared.drive_inline()?;
                 if self.is_quiescent() {
                     return Ok(());
@@ -2497,7 +2316,7 @@ impl std::fmt::Debug for ExchangeEngine {
         f.debug_struct("ExchangeEngine")
             .field("active", &self.active_updates())
             .field("pending_frontiers", &lock(&self.shared.pending).len())
-            .field("deterministic", &self.shared.deterministic)
+            .field("skip_frontiers", &self.shared.skip_frontiers)
             .finish_non_exhaustive()
     }
 }
@@ -2506,8 +2325,8 @@ impl std::fmt::Debug for ExchangeEngine {
 /// (methods needing the engine report shutdown instead of blocking forever).
 ///
 /// The handle pins its own slot record: with a finite
-/// [`EngineConfig::retention_horizon`], the engine's keyed lookups
-/// ([`ExchangeEngine::update_stats_of`],
+/// [`EngineBuilder::retention_horizon`](crate::EngineBuilder::retention_horizon),
+/// the engine's keyed lookups ([`ExchangeEngine::update_stats_of`],
 /// [`ExchangeEngine::update_report_of`]) report
 /// [`LookupError::SlotEvicted`] once compaction drops a terminated record,
 /// but a live handle keeps answering [`status`](Self::status) /
@@ -2591,7 +2410,7 @@ impl UpdateHandle {
                     self.id
                 )));
             }
-            if shared.inline {
+            if shared.config.inline {
                 shared.drive_inline()?;
                 let blocked = {
                     let slot = lock(&self.cell);
@@ -2673,7 +2492,7 @@ impl<'e, 'r> ResolverPump<'e, 'r> {
     /// drain left behind.
     pub fn run_until_quiescent(&mut self) -> Result<(), ChaseError> {
         loop {
-            if self.engine.shared.inline {
+            if self.engine.shared.config.inline {
                 // Caller-driven engine: chase until idle or blocked, then
                 // answer. Every loop iteration either makes chase progress,
                 // answers a frontier, or observes quiescence — no waiting.
@@ -2688,7 +2507,7 @@ impl<'e, 'r> ResolverPump<'e, 'r> {
             if self.engine.is_quiescent() {
                 return Ok(());
             }
-            if self.engine.shared.inline {
+            if self.engine.shared.config.inline {
                 continue;
             }
             // A frontier published between drain() returning empty and the
@@ -2753,6 +2572,62 @@ mod tests {
             assert!(build(EngineBuilder::new().free_running()).thread.is_some(), "free-running");
             assert!(build(EngineBuilder::new().inline()).thread.is_none(), "caller-driven");
         }
+    }
+
+    /// The skipping policy's gate, driven by hand on an engine that was never
+    /// given its chase thread (so nothing races the assertions): the sequencer
+    /// asks to sleep — `AwaitingAnswer` is what sends `sequencer_thread` to
+    /// the signal — exactly when every live update sits on a published,
+    /// unanswered frontier, keeps asking while that holds, and acts again as
+    /// soon as one answer lands. A gate that never closes (a busy-spinning
+    /// thread) trips the action bound; one that closes early leaves requests
+    /// unpublished.
+    #[test]
+    fn skipping_sequencer_parks_only_when_every_live_update_is_blocked() {
+        let (db, mappings, ops) = frontier_fixture(3);
+        let shared = ExchangeEngine::make_shared(
+            db,
+            mappings,
+            EngineConfig { free_running: true, ..EngineConfig::default() },
+            None,
+            SlotTable { base: 0, cells: VecDeque::new() },
+            Vec::new(),
+            0,
+            RunMetrics::default(),
+        );
+        assert!(shared.skip_frontiers);
+        let engine = ExchangeEngine { shared, thread: None };
+        engine.submit_batch(ops).unwrap();
+        let shared = &engine.shared;
+        let mut cur = lock(&shared.cursor);
+        let act_until_parked = |cur: &mut DetCursor| {
+            for actions in 0.. {
+                assert!(actions < 1_000, "the sequencer never asks to sleep");
+                match shared.det_action(cur).unwrap() {
+                    DetProgress::Acted => {}
+                    DetProgress::AwaitingAnswer => return actions,
+                    DetProgress::Idle => panic!("three updates are live"),
+                }
+            }
+            unreachable!()
+        };
+        assert!(act_until_parked(&mut cur) >= 3, "each update stepped to its frontier first");
+        assert_eq!(cur.live.len(), 3);
+        assert_eq!(shared.unanswered.load(Ordering::SeqCst), 3, "every question is out");
+        let steps = engine.metrics().steps;
+        assert_eq!(act_until_parked(&mut cur), 0, "still nothing to do");
+
+        // One answer: two of three are still blocked, so the gate is open
+        // and the answered update runs on to termination.
+        let asked = engine.pending_frontiers().pop().unwrap();
+        let decision = engine.read(|db| {
+            RandomResolver::seeded(1).resolve(&db.snapshot(asked.update), &asked.request)
+        });
+        assert_eq!(engine.answer(asked.token, decision).unwrap(), AnswerOutcome::Applied);
+        assert!(act_until_parked(&mut cur) > 0, "the answered update acts");
+        assert!(engine.metrics().steps > steps);
+        assert_eq!(engine.active_updates(), 2);
+        assert_eq!(cur.live.len(), 2, "parked again behind the two open questions");
     }
 
     /// A failed WAL append on the submit path must fail-stop the engine like

@@ -1,8 +1,7 @@
 //! The unified engine error surface.
 //!
 //! The engine historically reported failures through two independent enums:
-//! [`SubmitError`] (admission) and
-//! [`LookupError`](youtopia_core::LookupError) (keyed queries against the
+//! [`SubmitError`] (admission) and [`LookupError`] (keyed queries against the
 //! retained slot table). Callers that drive a whole submit → poll → report
 //! round trip had to thread both. [`EngineError`] is the union: every
 //! admission and lookup failure converts into it (`From` impls below, so `?`

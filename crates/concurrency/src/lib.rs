@@ -60,17 +60,14 @@ pub mod scheduler;
 pub mod viewmaint;
 
 pub use builder::EngineBuilder;
-pub use conflict::{
-    change_conflicts_with_reader, change_conflicts_with_reader_keyed, direct_conflicts,
-    DirectConflict,
-};
+pub use conflict::{change_conflicts_with_reader_keyed, direct_conflicts, DirectConflict};
 pub use deps::{
     CoarseTracker, DependencyTracker, HybridTracker, NaiveTracker, PreciseTracker, TrackerKind,
 };
 pub use durable::{decode_record, DurabilityConfig, RecoveryError, WalRecord};
 pub use engine::{
-    AnswerOutcome, ClientId, EngineConfig, ExchangeEngine, Priority, ResolverPump, RetryAfter,
-    SubmitError, SweepReport, UpdateHandle, UpdateStatus,
+    AnswerOutcome, ClientId, ExchangeEngine, Priority, ResolverPump, RetryAfter, SubmitError,
+    SweepReport, UpdateHandle, UpdateStatus,
 };
 pub use error::EngineError;
 pub use exchange::{DbRef, DbRefMut, UpdateExchange};
@@ -79,6 +76,3 @@ pub use metrics::{AveragedMetrics, RunMetrics};
 pub use replicate::{SyncError, SyncReport};
 pub use scheduler::{ConcurrentRun, SchedulerConfig, SchedulingPolicy};
 pub use viewmaint::ViolationIndexStats;
-// The violation-state knob lives in `youtopia-core` (executions own it) but
-// is configured here; re-exported so engine callers need one import path.
-pub use youtopia_core::ViolationStateMode;

@@ -204,11 +204,6 @@ impl ReadLog {
         }
     }
 
-    /// The stored read queries of one update.
-    pub fn reads_of(&self, update: UpdateId) -> impl Iterator<Item = &ReadQuery> {
-        self.by_update.get(&update).into_iter().flatten().map(|r| &r.query)
-    }
-
     /// The stored read queries of `update` that could be affected by a write
     /// to `relation`: queries whose footprint contains the relation, plus the
     /// wildcard queries.
@@ -223,20 +218,6 @@ impl ReadLog {
             .flatten()
             .filter(move |r| r.relations.is_empty() || r.relations.contains(&relation))
             .map(|r| &r.query)
-    }
-
-    /// Updates (other than the writer) with stored reads and a number strictly
-    /// greater than `writer` — the candidates for a direct conflict, in
-    /// ascending order.
-    pub fn readers_above(&self, writer: UpdateId) -> Vec<UpdateId> {
-        let mut ids: Vec<UpdateId> = self
-            .by_update
-            .iter()
-            .filter(|(id, reads)| **id > writer && !reads.is_empty())
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort();
-        ids
     }
 
     /// Updates above `writer` with at least one stored query that a write to
@@ -357,12 +338,14 @@ mod tests {
         log.record(UpdateId(5), vec![ReadQuery::NullOccurrences { null: NullId(2) }], &mappings);
         log.record(UpdateId(5), vec![ReadQuery::NullOccurrences { null: NullId(3) }], &mappings);
         assert_eq!(log.len(), 3);
-        assert_eq!(log.reads_of(UpdateId(5)).count(), 2);
-        assert_eq!(log.reads_of(UpdateId(9)).count(), 0);
-        assert_eq!(log.readers_above(UpdateId(1)), vec![UpdateId(2), UpdateId(5)]);
-        assert_eq!(log.readers_above(UpdateId(2)), vec![UpdateId(5)]);
+        // Null-occurrence queries are wildcards: every relation routes to them.
+        let r = RelationId(0);
+        assert_eq!(log.reads_touching(UpdateId(5), r).count(), 2);
+        assert_eq!(log.reads_touching(UpdateId(9), r).count(), 0);
+        assert_eq!(log.readers_above_touching(UpdateId(1), r), vec![UpdateId(2), UpdateId(5)]);
+        assert_eq!(log.readers_above_touching(UpdateId(2), r), vec![UpdateId(5)]);
         log.clear(UpdateId(5));
-        assert_eq!(log.readers_above(UpdateId(1)), vec![UpdateId(2)]);
+        assert_eq!(log.readers_above_touching(UpdateId(1), r), vec![UpdateId(2)]);
     }
 
     #[test]
@@ -378,7 +361,7 @@ mod tests {
         log.record(UpdateId(4), vec![q.clone()], &mappings);
         log.record(UpdateId(4), vec![q.clone(), q.clone()], &mappings);
         assert_eq!(log.len(), 1);
-        assert_eq!(log.reads_of(UpdateId(4)).count(), 1);
+        assert_eq!(log.reads_touching(UpdateId(4), RelationId(0)).count(), 1);
         assert_eq!(log.readers_above_touching(UpdateId(0), RelationId(0)), vec![UpdateId(4)]);
         // A different query for the same update still records.
         log.record(UpdateId(4), vec![ReadQuery::NullOccurrences { null: NullId(1) }], &mappings);

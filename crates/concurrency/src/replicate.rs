@@ -1,8 +1,8 @@
 //! Engine-side replication mechanism: per-origin event logs, the canonical
 //! replicated fold, and the state-vector delta protocol.
 //!
-//! A **replicated** engine ([`EngineConfig::replica`] /
-//! `EngineBuilder::replicated`) is a node of a multi-engine deployment. Its
+//! A **replicated** engine
+//! ([`EngineBuilder::replicated`](crate::EngineBuilder::replicated)) is a node of a multi-engine deployment. Its
 //! observable history is an append-only **event log per origin node**
 //! (`youtopia_core::replication`): a [`ReplicationEvent::Submit`] for every
 //! update entering the exchange anywhere, and a [`ReplicationEvent::Answer`]
@@ -61,7 +61,7 @@ use crate::engine::{lock, AnswerOutcome, EngineShared, ExchangeEngine};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SyncError {
     /// The engine was not built with a replica identity
-    /// ([`crate::EngineConfig::replica`]).
+    /// ([`crate::EngineBuilder::replicated`]).
     NotReplicated,
     /// Events arrived behind the canonical fold; the node must be rebuilt
     /// from its logs (see the module docs) before it can accept more work.
@@ -228,7 +228,7 @@ impl ReplicationState {
 /// calling thread; on a threaded one it waits for the chase thread.
 fn settle(engine: &ExchangeEngine) -> Result<(), SyncError> {
     let shared: &EngineShared = &engine.shared;
-    if shared.inline {
+    if shared.config.inline {
         shared.drive_inline().map_err(SyncError::Engine)?;
     } else {
         loop {

@@ -13,7 +13,6 @@ use std::time::Instant;
 
 use youtopia_core::{
     ChaseError, ChaseMode, FrontierResolver, InitialOp, ReadQuery, UpdateExecution, UpdateState,
-    ViolationStateMode,
 };
 use youtopia_mappings::MappingSet;
 use youtopia_storage::{Database, TupleChange, UpdateId};
@@ -34,12 +33,9 @@ pub enum SchedulingPolicy {
     StratumRoundRobin,
 }
 
-/// Configuration of a concurrent run.
-///
-/// For long-lived engines, prefer [`EngineBuilder`](crate::EngineBuilder) —
-/// it exposes every one of these knobs without the
-/// `EngineConfig`-wraps-`SchedulerConfig` nesting. Batch runs
-/// ([`ConcurrentRun`]) keep taking this struct directly.
+/// Configuration of a batch run ([`ConcurrentRun`]). Long-lived engines are
+/// configured through [`EngineBuilder`](crate::EngineBuilder), which has a
+/// setter for each of these knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct SchedulerConfig {
     /// Which cascading-abort tracker to use.
@@ -57,16 +53,6 @@ pub struct SchedulerConfig {
     /// default; [`ChaseMode::FullRecheck`] is the reference path the
     /// conflict-semantics differential tests compare against).
     pub chase_mode: ChaseMode,
-    /// Whether a [`crate::ExchangeEngine`] commits steps in the fixed
-    /// round-robin serialisation order (byte-identical to [`ConcurrentRun`])
-    /// or free-runs: updates blocked on a frontier park while the others keep
-    /// stepping. Ignored by [`ConcurrentRun`].
-    pub deterministic: bool,
-    /// Where executions get their change signal from: the engine-shared
-    /// violation index's delta feed (the default) or per-update epoch
-    /// watermarks, the differential baseline
-    /// (see [`ViolationStateMode`]).
-    pub violation_state: ViolationStateMode,
 }
 
 impl Default for SchedulerConfig {
@@ -77,8 +63,6 @@ impl Default for SchedulerConfig {
             max_total_steps: 5_000_000,
             frontier_delay_rounds: 0,
             chase_mode: ChaseMode::default(),
-            deterministic: true,
-            violation_state: ViolationStateMode::default(),
         }
     }
 }
@@ -94,35 +78,15 @@ impl SchedulerConfig {
     // new code: they read as a sentence and keep call sites compiling when
     // the struct grows a knob.
 
-    /// Replaces the tracker.
-    pub fn tracked_by(mut self, tracker: TrackerKind) -> SchedulerConfig {
-        self.tracker = tracker;
-        self
-    }
-
     /// Replaces the interleaving policy.
     pub fn with_policy(mut self, policy: SchedulingPolicy) -> SchedulerConfig {
         self.policy = policy;
         self
     }
 
-    /// Switches a [`crate::ExchangeEngine`] to free-running mode (no
-    /// sequencer; schedule-dependent but consistent).
-    pub fn free_running(mut self) -> SchedulerConfig {
-        self.deterministic = false;
-        self
-    }
-
     /// Replaces the violation-queue maintenance mode.
     pub fn with_chase_mode(mut self, chase_mode: ChaseMode) -> SchedulerConfig {
         self.chase_mode = chase_mode;
-        self
-    }
-
-    /// Replaces the violation-state maintenance mode (shared delta feed vs
-    /// the per-update differential baseline).
-    pub fn with_violation_state(mut self, violation_state: ViolationStateMode) -> SchedulerConfig {
-        self.violation_state = violation_state;
         self
     }
 
@@ -174,11 +138,10 @@ impl ConcurrentRun {
             .into_iter()
             .enumerate()
             .map(|(i, op)| Slot {
-                exec: UpdateExecution::configured(
+                exec: UpdateExecution::with_mode(
                     UpdateId(first_update_number + i as u64),
                     op,
                     config.chase_mode,
-                    config.violation_state,
                 ),
                 frontier_wait: 0,
             })

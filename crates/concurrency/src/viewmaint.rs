@@ -22,11 +22,10 @@
 //! detection cost is independent of the number of concurrent updates. That is
 //! the property the `chase/shared_index` benchmark group pins.
 //!
-//! The per-update path is retained as
-//! [`ViolationStateMode::PerUpdate`](youtopia_core::ViolationStateMode): a
-//! differential baseline, exactly like
-//! [`ChaseMode::FullRecheck`](youtopia_core::ChaseMode) for the queue itself.
-//! `tests/viewmaint_equivalence.rs` pins the two modes byte-equal.
+//! The referee is [`ChaseMode::FullRecheck`](youtopia_core::ChaseMode), which
+//! re-validates every queue in full and never consults the feed:
+//! `tests/viewmaint_equivalence.rs` pins a feed-driven engine equal to it
+//! (the per-update watermark path itself is gone).
 //!
 //! # Lifecycle
 //!
@@ -44,8 +43,8 @@
 //!   truncation point observes a *gap*
 //!   (`dirty_relations` returns `None`) and falls back to treating its whole
 //!   interest set as dirty; the per-violation epoch compare downstream then
-//!   filters exactly what the per-update baseline would have. Truncation is
-//!   therefore always safe — it costs time, never correctness.
+//!   filters exactly. Truncation is therefore always safe — it costs time,
+//!   never correctness.
 
 use youtopia_storage::Database;
 
@@ -61,7 +60,8 @@ pub struct ViolationIndexStats {
     /// [`ViolationIndexStats::backlog_cap`] and cleared at quiescence.
     pub backlog_len: usize,
     /// The unconditional retention bound of this store — the builder's
-    /// `delta_backlog_cap`, defaulting to [`DELTA_BACKLOG_CAP`].
+    /// `delta_backlog_cap`, defaulting to
+    /// [`DELTA_BACKLOG_CAP`](youtopia_storage::DELTA_BACKLOG_CAP).
     pub backlog_cap: usize,
 }
 

@@ -89,5 +89,4 @@ pub use resolver::{
 };
 pub use update::{
     ChaseMode, InitialOp, StepOutcome, UpdateExecution, UpdateReport, UpdateState, UpdateStats,
-    ViolationStateMode,
 };

@@ -162,32 +162,6 @@ pub enum ChaseMode {
     FullRecheck,
 }
 
-/// How an execution finds out which of its watched relations changed between
-/// steps — the ownership model of violation-detection state.
-///
-/// Orthogonal to [`ChaseMode`]: the chase mode decides *how much* queue
-/// maintenance a step performs (delta-driven vs whole-queue), this mode
-/// decides *where the change signal comes from*. Both keep the per-violation
-/// epoch compare as the exact inner filter, so the two modes produce
-/// byte-identical executions (pinned by `tests/viewmaint_equivalence.rs`,
-/// exactly as `tests/queue_equivalence.rs` pins the chase modes).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ViolationStateMode {
-    /// The engine-shared violation index (the default): the store keeps one
-    /// committed-write delta log ([`Database::delta_seq`] /
-    /// [`Database::dirty_relations`]) and the execution holds a plain integer
-    /// cursor into it. A step asks the feed which of its indexed relations
-    /// appear in the window its cursor missed — cost proportional to what
-    /// changed since this update's previous step, and independent of how many
-    /// updates are live on the engine.
-    #[default]
-    Shared,
-    /// The pre-index reference path: the execution owns per-relation epoch
-    /// watermarks and probes every indexed relation's write epoch each step.
-    /// Kept as the differential baseline, like [`ChaseMode::FullRecheck`].
-    PerUpdate,
-}
-
 /// One queued violation together with the bookkeeping the delta-driven queue
 /// needs: the relations it reads, the epochs those relations had when the
 /// violation was last known to be live, and the memoised repair plan.
@@ -234,19 +208,12 @@ pub struct UpdateExecution {
     queued_set: HashSet<Violation>,
     /// relation → enqueue numbers of the queued violations reading it.
     queue_index: HashMap<RelationId, BTreeSet<u64>>,
-    /// relation → write epoch up to which every queued violation indexed
-    /// under the relation has been validated. A step only revisits relations
-    /// whose store epoch differs (covering its own writes, other updates'
-    /// writes and rollbacks alike). Only consulted in
-    /// [`ViolationStateMode::PerUpdate`]; the shared mode replaces the whole
-    /// watermark map with `delta_cursor`.
-    index_epochs: HashMap<RelationId, u64>,
-    /// Where the shared violation index's delta feed owns the change signal.
-    viol_mode: ViolationStateMode,
-    /// This execution's cursor into the engine-shared committed-delta feed
-    /// ([`ViolationStateMode::Shared`]): every delta below it has been folded
-    /// into the queue's bookkeeping. Advanced at the end of each step's queue
-    /// maintenance.
+    /// This execution's cursor into the store's committed-delta feed
+    /// ([`Database::delta_seq`] / [`Database::dirty_relations`]): every delta
+    /// below it has been folded into the queue's bookkeeping. Advanced at the
+    /// end of each step's queue maintenance, so a step's detection cost is
+    /// proportional to what changed since this update's previous step and
+    /// independent of how many updates are live.
     delta_cursor: u64,
     pending_frontier: Option<FrontierRequest>,
     stats: UpdateStats,
@@ -268,17 +235,6 @@ impl UpdateExecution {
     /// Creates the execution with an explicit [`ChaseMode`] (tests and
     /// benchmarks use [`ChaseMode::FullRecheck`] as the reference path).
     pub fn with_mode(id: UpdateId, initial: InitialOp, mode: ChaseMode) -> UpdateExecution {
-        UpdateExecution::configured(id, initial, mode, ViolationStateMode::default())
-    }
-
-    /// Creates the execution with both maintenance modes chosen explicitly —
-    /// the constructor the engine's builder feeds.
-    pub fn configured(
-        id: UpdateId,
-        initial: InitialOp,
-        mode: ChaseMode,
-        viol_mode: ViolationStateMode,
-    ) -> UpdateExecution {
         let first_write = initial.to_write();
         UpdateExecution {
             id,
@@ -290,8 +246,6 @@ impl UpdateExecution {
             next_viol_seq: 0,
             queued_set: HashSet::new(),
             queue_index: HashMap::new(),
-            index_epochs: HashMap::new(),
-            viol_mode,
             delta_cursor: 0,
             pending_frontier: None,
             stats: UpdateStats::default(),
@@ -308,11 +262,10 @@ impl UpdateExecution {
         id: UpdateId,
         initial: InitialOp,
         mode: ChaseMode,
-        viol_mode: ViolationStateMode,
         stats: UpdateStats,
         terminated: bool,
     ) -> UpdateExecution {
-        let mut exec = UpdateExecution::configured(id, initial, mode, viol_mode);
+        let mut exec = UpdateExecution::with_mode(id, initial, mode);
         exec.stats = stats;
         if terminated {
             exec.state = UpdateState::Terminated;
@@ -324,12 +277,6 @@ impl UpdateExecution {
     /// The queue-maintenance mode this execution runs with.
     pub fn mode(&self) -> ChaseMode {
         self.mode
-    }
-
-    /// Where this execution's change signal comes from (shared feed cursor or
-    /// per-update epoch watermarks).
-    pub fn violation_state(&self) -> ViolationStateMode {
-        self.viol_mode
     }
 
     /// The update's priority number.
@@ -400,7 +347,6 @@ impl UpdateExecution {
         self.viol_queue.clear();
         self.queued_set.clear();
         self.queue_index.clear();
-        self.index_epochs.clear();
         self.pending_frontier = None;
         self.stats.restarts += 1;
     }
@@ -415,12 +361,8 @@ impl UpdateExecution {
             read_relations.iter().map(|r| db.relation_epoch(*r)).collect();
         let seq = self.next_viol_seq;
         self.next_viol_seq += 1;
-        for (&relation, &epoch) in read_relations.iter().zip(checked_epochs.iter()) {
+        for &relation in &read_relations {
             self.queue_index.entry(relation).or_default().insert(seq);
-            // First entry under the relation: the index is clean up to now.
-            // An existing (possibly older) watermark is kept — other entries
-            // under the relation may still need a recheck.
-            self.index_epochs.entry(relation).or_insert(epoch);
         }
         self.queued_set.insert(violation.clone());
         self.viol_queue
@@ -437,7 +379,6 @@ impl UpdateExecution {
                 seqs.remove(&seq);
                 if seqs.is_empty() {
                     self.queue_index.remove(&relation);
-                    self.index_epochs.remove(&relation);
                 }
             }
         }
@@ -449,42 +390,26 @@ impl UpdateExecution {
     /// cover this step's own writes as well as writes and rollbacks other
     /// updates performed since our previous step.
     ///
-    /// The change signal depends on [`ViolationStateMode`]: the shared mode
-    /// replays the engine-global delta feed from this execution's cursor
-    /// (cost: the window it missed), the per-update mode probes every indexed
-    /// relation's epoch against its own watermarks (cost: the queue's
-    /// relation footprint). Both are over-approximations of "some queued
-    /// violation's checked epoch moved", and the per-entry epoch compare
-    /// below filters exactly — so the final queue state is identical either
-    /// way.
+    /// The change signal is the store's delta feed, replayed from this
+    /// execution's cursor (cost: the window it missed). That is an
+    /// over-approximation of "some queued violation's checked epoch moved";
+    /// the per-entry epoch compare below filters exactly.
     fn recheck_touched(&mut self, db: &Database, view: &dyn DataView, mappings: &MappingSet) {
-        let dirty: Vec<RelationId> = match self.viol_mode {
-            ViolationStateMode::PerUpdate => self
-                .queue_index
-                .keys()
-                .copied()
-                .filter(|r| self.index_epochs.get(r).copied() != Some(db.relation_epoch(*r)))
-                .collect(),
-            ViolationStateMode::Shared => {
-                if self.queue_index.is_empty() {
-                    // Nothing queued, nothing to validate: jump the cursor
-                    // over the whole backlog without scanning it. This is
-                    // what makes a freshly admitted execution's first step
-                    // O(1) in the feed regardless of history length.
-                    self.delta_cursor = db.delta_seq();
-                    return;
-                }
-                let interest: Vec<RelationId> = self.queue_index.keys().copied().collect();
-                let dirty = db
-                    .dirty_relations(self.delta_cursor, &interest)
-                    // The backlog was truncated past our cursor: every
-                    // indexed relation is a candidate; the per-entry compare
-                    // below filters exactly what the per-update probe would.
-                    .unwrap_or(interest);
-                self.delta_cursor = db.delta_seq();
-                dirty
-            }
-        };
+        if self.queue_index.is_empty() {
+            // Nothing queued, nothing to validate: jump the cursor over the
+            // whole backlog without scanning it. This is what makes a freshly
+            // admitted execution's first step O(1) in the feed regardless of
+            // history length.
+            self.delta_cursor = db.delta_seq();
+            return;
+        }
+        let interest: Vec<RelationId> = self.queue_index.keys().copied().collect();
+        let dirty = db
+            .dirty_relations(self.delta_cursor, &interest)
+            // The backlog was truncated past our cursor: every indexed
+            // relation is a candidate; the per-entry compare below filters.
+            .unwrap_or(interest);
+        self.delta_cursor = db.delta_seq();
         if dirty.is_empty() {
             return;
         }
@@ -517,11 +442,6 @@ impl UpdateExecution {
             };
             if !alive {
                 self.remove_entry(seq);
-            }
-        }
-        for relation in dirty {
-            if self.queue_index.contains_key(&relation) {
-                self.index_epochs.insert(relation, db.relation_epoch(relation));
             }
         }
     }

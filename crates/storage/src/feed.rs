@@ -19,8 +19,8 @@
 //! cursor (quiescence GC cleared it, or the unconditional cap dropped old
 //! entries), [`Database::dirty_relations`] answers `None` and the consumer
 //! treats its whole interest set as dirty — the per-violation epoch compare
-//! downstream then filters exactly what a per-update check would have, so the
-//! fallback costs time, never correctness.
+//! downstream then filters exactly, so the fallback costs time, never
+//! correctness.
 //!
 //! [`VersionStore`]: crate::VersionStore
 

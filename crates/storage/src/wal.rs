@@ -21,7 +21,7 @@
 //! `youtopia-concurrency`), and [`serialize_database`] /
 //! [`deserialize_database`] snapshot a whole [`Database`] — catalog, version
 //! chains, tombstones, labeled nulls and id allocators — into the same format.
-//! Interned [`Symbol`]s are serialized as strings: the interner is
+//! Interned [`Symbol`](crate::Symbol)s are serialized as strings: the interner is
 //! process-global, so raw symbol ids are meaningless across restarts.
 
 use std::fs::{File, OpenOptions};

@@ -1,5 +1,5 @@
 //! The crash-recovery scenario: a generated workload driven through a
-//! **durable** [`ExchangeEngine`] in staggered waves, "crashed" partway (the
+//! **durable** [`ExchangeEngine`](youtopia_concurrency::ExchangeEngine) in staggered waves, "crashed" partway (the
 //! engine is dropped without a clean shutdown, abandoning whatever was
 //! mid-chase), recovered from its durability directory, and driven to the
 //! end. The scenario exercises the whole durability surface — WAL appends,
@@ -10,7 +10,7 @@
 use std::path::Path;
 
 use youtopia_concurrency::{
-    DurabilityConfig, EngineBuilder, ResolverPump, RunMetrics, SchedulerConfig, TrackerKind,
+    DurabilityConfig, EngineBuilder, ResolverPump, RunMetrics, TrackerKind,
 };
 use youtopia_core::{ChaseError, InitialOp, RandomResolver};
 use youtopia_mappings::satisfies_all;
@@ -45,7 +45,7 @@ pub struct CrashRecoveryReport {
 /// Phase 1 submits `crash_after_waves` waves to a durable engine (pumping
 /// frontier answers to quiescence after each), then submits one more wave
 /// and **drops the engine without shutting it down** — the crash. Phase 2
-/// calls [`ExchangeEngine::recover`] on the same directory, pumps the
+/// calls [`EngineBuilder::recover`] on the same directory, pumps the
 /// replayed mid-flight work to quiescence, and submits the rest of the
 /// workload. Recovery replays the log tail deterministically, so nothing
 /// that was acknowledged before the crash is lost; the interrupted wave's
@@ -53,9 +53,7 @@ pub struct CrashRecoveryReport {
 /// questions are answered by the phase 2 resolver.
 ///
 /// `dir` must be empty or nonexistent; the WAL, snapshots and retention
-/// behaviour all live under it. Fails with [`ChaseError::InvalidDecision`]
-/// if the scheduler is not deterministic (durability cannot replay a
-/// free-running engine).
+/// behaviour all live under it.
 pub fn run_crash_recovery(
     fixture: &ExperimentFixture,
     config: &ExperimentConfig,
@@ -81,13 +79,12 @@ pub fn run_crash_recovery(
         ArrivalProcess::Batch | ArrivalProcess::Poisson { .. } => 4,
     };
     let first_number = config.initial_tuples as u64 + 1_000;
-    let scheduler = SchedulerConfig::with_tracker(tracker)
-        .with_frontier_delay_rounds(config.frontier_delay_rounds);
     // One builder describes both lives of the engine: the run that crashes
     // and the recovery must agree on every fingerprinted knob.
     let builder = || {
         EngineBuilder::new()
-            .scheduler(scheduler)
+            .tracker(tracker)
+            .frontier_delay_rounds(config.frontier_delay_rounds)
             .first_update_number(first_number)
             .durable(DurabilityConfig::new(dir).with_snapshot_every(16))
     };

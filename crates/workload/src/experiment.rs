@@ -192,8 +192,12 @@ fn run_single_through_engine(
     resolver: &mut RandomResolver,
 ) -> Result<RunMetrics, ChaseError> {
     let start = Instant::now();
+    // `max_total_steps` carries over too: a batch run through the engine
+    // keeps the reference scheduler's global valve.
     let engine = EngineBuilder::new()
-        .scheduler(scheduler)
+        .tracker(scheduler.tracker)
+        .frontier_delay_rounds(scheduler.frontier_delay_rounds)
+        .max_total_steps(scheduler.max_total_steps)
         .first_update_number(first_number)
         .build(db, mappings)
         .expect("non-durable engines build infallibly");

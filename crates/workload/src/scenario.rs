@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 
 use youtopia_concurrency::{
     AnswerOutcome, ClientId, EngineBuilder, ExchangeEngine, Priority, RunMetrics, SubmitError,
-    UpdateHandle, UpdateStatus, ViolationStateMode,
+    UpdateHandle, UpdateStatus,
 };
 use youtopia_core::{
     AutoDecision, ChaseError, EscalationPolicy, FrontierDecision, FrontierResolver, InitialOp,
@@ -133,10 +133,6 @@ pub struct ScenarioConfig {
     pub abandon_every: u64,
     /// Safety valve on the tick loop; reaching it means something is stuck.
     pub max_ticks: usize,
-    /// Violation-state mode of the day's engine: the engine-shared violation
-    /// index ([`ViolationStateMode::Shared`], the production default — what
-    /// the CI stress lane runs) or the per-update differential baseline.
-    pub violation_state: ViolationStateMode,
 }
 
 impl ScenarioConfig {
@@ -154,7 +150,6 @@ impl ScenarioConfig {
             answer_delay: 2,
             abandon_every: 4,
             max_ticks: 10_000,
-            violation_state: ViolationStateMode::Shared,
         }
     }
 
@@ -173,7 +168,6 @@ impl ScenarioConfig {
             answer_delay: 3,
             abandon_every: 7,
             max_ticks: 200_000,
-            violation_state: ViolationStateMode::Shared,
         }
     }
 }
@@ -243,7 +237,6 @@ pub fn run_million_user_day(sc: &ScenarioConfig) -> Result<ScenarioReport, Chase
         .inline()
         .admission_cap(sc.admission_cap)
         .first_update_number(sc.experiment.initial_tuples as u64 + 1_000)
-        .violation_state(sc.violation_state)
         .escalation(EscalationPolicy::AutoResolve {
             after: sc.escalate_after,
             decision: AutoDecision::ExpandOrDeleteFirst,
@@ -416,25 +409,6 @@ mod tests {
         assert!(report.rejections > 0, "the cap must saturate: {report:?}");
         assert!(report.metrics.frontier_ops > 0, "the workload must block on frontiers");
         assert!(report.metrics.auto_resolutions > 0, "abandoned requests must escalate");
-    }
-
-    #[test]
-    fn scaled_day_is_identical_under_the_shared_index() {
-        // The whole fault-injected day — overload, retries, abandonment,
-        // cascades — replayed under the per-update baseline must match the
-        // shared-index run tick for tick: the index changes where detection
-        // state lives, never what any update does.
-        let shared = ScenarioConfig::scaled();
-        let mut per_update = ScenarioConfig::scaled();
-        per_update.violation_state = ViolationStateMode::PerUpdate;
-        let a = run_million_user_day(&shared).unwrap();
-        let b = run_million_user_day(&per_update).unwrap();
-        assert_eq!(a.ticks, b.ticks);
-        assert_eq!(a.rejections, b.rejections);
-        assert_eq!(a.latency, b.latency);
-        assert_eq!(a.metrics.steps, b.metrics.steps);
-        assert_eq!(a.metrics.aborts, b.metrics.aborts);
-        assert_eq!(a.metrics.auto_resolutions, b.metrics.auto_resolutions);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! 1. `submit` u1 (delete the XYZ review) — its backward chase blocks on a
 //!    negative frontier question;
 //! 2. `submit` u2 (the Math Conf convention) *while u1 is blocked* — the
-//!    free-running engine parks u1 and its one chase thread steps u2;
+//!    free-running engine's sequencer skips the blocked u1 and steps u2;
 //! 3. poll `pending_frontiers`, show the question, `answer` it through the
 //!    token (delete the tour);
 //! 4. watch the optimistic machinery repair u2's premature excursion

@@ -16,6 +16,8 @@ stage_lint() {
     cargo fmt --all --check
     echo "==> [lint] cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
+    echo "==> [lint] rustdoc -D warnings (workspace crates; vendor stubs excluded)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p youtopia -p youtopia-storage -p youtopia-mappings -p youtopia-core -p youtopia-concurrency -p youtopia-replication -p youtopia-workload -p youtopia-bench
     echo "==> [lint] engine smoke (examples/live_session.rs)"
     cargo run --example live_session
 }
@@ -37,13 +39,13 @@ stage_test() {
 stage_stress() {
     echo "==> [stress] free-running stress lane (ignored tests)"
     cargo test -q --release --test parallel_stress -- --ignored
-    echo "==> [stress] engine equivalence (batch engine = ConcurrentRun; live session)"
+    echo "==> [stress] engine equivalence (batch engine = ConcurrentRun; live session; skipping policy)"
     cargo test -q --release --test engine_equivalence
-    echo "==> [stress] violation-index equivalence (Shared = PerUpdate; bounded backlog)"
+    echo "==> [stress] violation-index equivalence (feed-driven engine = FullRecheck reference; drained backlog)"
     cargo test -q --release --test viewmaint_equivalence
     echo "==> [stress] determinism (seeds, sweep threads, engine vs reference)"
     cargo test -q --release --test determinism
-    echo "==> [stress] million-user-day survival scenario (shared violation index)"
+    echo "==> [stress] million-user-day survival scenario"
     cargo test -q --release -p youtopia-workload scenario
     echo "==> [stress] fig3 smoke on both schedulers (reference, engine)"
     cargo run -p youtopia-bench --bin fig3 --release -- --runs 1 --updates 20 --no-naive

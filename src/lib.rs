@@ -77,16 +77,16 @@ pub use youtopia_replication as replication;
 pub use youtopia_workload as workload;
 
 pub use youtopia_concurrency::{
-    AnswerOutcome, ClientId, ConcurrentRun, DurabilityConfig, EngineBuilder, EngineConfig,
-    EngineError, ExchangeEngine, Priority, RecoveryError, ResolverPump, RetryAfter, RunMetrics,
-    SchedulerConfig, SubmitError, SweepReport, TrackerKind, UpdateExchange, UpdateHandle,
-    UpdateStatus, ViolationIndexStats,
+    AnswerOutcome, ClientId, ConcurrentRun, DurabilityConfig, EngineBuilder, EngineError,
+    ExchangeEngine, Priority, RecoveryError, ResolverPump, RetryAfter, RunMetrics, SchedulerConfig,
+    SubmitError, SweepReport, TrackerKind, UpdateExchange, UpdateHandle, UpdateStatus,
+    ViolationIndexStats,
 };
 pub use youtopia_core::{
     AutoDecision, ChaseError, EscalationPolicy, ExpandResolver, FrontierDecision, FrontierRequest,
     FrontierResolver, FrontierToken, InitialOp, LookupError, PendingFrontier, PositiveAction,
     RandomResolver, ResolutionOrigin, ScriptedResolver, UnifyResolver, UpdateExecution,
-    UpdateReport, UpdateState, ViolationStateMode,
+    UpdateReport, UpdateState,
 };
 pub use youtopia_mappings::{
     find_violations, satisfies_all, MappingGraph, MappingSet, Tgd, Violation, ViolationKind,

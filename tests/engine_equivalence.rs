@@ -14,21 +14,24 @@
 //!   earlier ones (one of them blocked on a frontier) commits correctly after
 //!   the frontier is answered through [`ExchangeEngine::answer`], and the
 //!   admission cap yields [`SubmitError::Saturated`] backpressure.
+//! * **Skipping policy** — a free-running engine steps past an unanswered
+//!   frontier, sleeps when everything is blocked, wakes on an answer and
+//!   honours the frontier delay.
 
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use youtopia::chase::ChaseMode;
-use youtopia::concurrency::{EngineConfig, RunMetrics, SchedulerConfig, SchedulingPolicy};
+use youtopia::concurrency::{RunMetrics, SchedulerConfig, SchedulingPolicy};
 use youtopia::mappings::satisfies_all;
 use youtopia::workload::{
     build_fixture, generate_workload, run_single, ArrivalProcess, ExperimentConfig, WorkloadKind,
 };
 use youtopia::{
     ChaseError, ClientId, ConcurrentRun, Database, EngineBuilder, EscalationPolicy, ExchangeEngine,
-    FrontierDecision, FrontierRequest, InitialOp, MappingSet, Priority, RandomResolver,
-    ResolverPump, SubmitError, TrackerKind, UpdateId, UpdateStatus, Value,
+    FrontierDecision, FrontierRequest, FrontierResolver, InitialOp, MappingSet, Priority,
+    RandomResolver, ResolverPump, SubmitError, TrackerKind, UpdateId, UpdateStatus, Value,
 };
 
 /// Strips the wall-clock field so metrics compare byte-exactly.
@@ -91,11 +94,14 @@ fn engine_matches_reference(
     let ref_abort_set: BTreeSet<UpdateId> =
         ref_stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect();
 
-    let engine = ExchangeEngine::new(
-        fixture.initial_db.clone(),
-        fixture.mappings.clone(),
-        EngineConfig::default().with_scheduler(scheduler).with_first_update_number(first_number),
-    );
+    let engine = EngineBuilder::new()
+        .tracker(tracker)
+        .policy(policy)
+        .chase_mode(chase_mode)
+        .frontier_delay_rounds(3)
+        .first_update_number(first_number)
+        .build(fixture.initial_db.clone(), fixture.mappings.clone())
+        .unwrap();
     let handles = engine.submit_batch(ops.clone()).expect("uncapped submission");
     let mut resolver = RandomResolver::seeded(seed ^ 0xE61E);
     ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
@@ -231,17 +237,24 @@ fn example_db() -> (Database, MappingSet) {
     (db, mappings)
 }
 
-/// Spin-waits (with a deadline) until the engine lists at least one pending
-/// frontier.
-fn await_pending(engine: &ExchangeEngine) -> youtopia::PendingFrontier {
+/// Polls `condition` until it holds, failing the test after 30 s — a hung
+/// engine must fail, not hang the suite.
+fn await_condition(what: &str, mut condition: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if let Some(pf) = engine.pending_frontiers().into_iter().next() {
-            return pf;
-        }
-        assert!(Instant::now() < deadline, "no frontier was published within 30s");
+    while !condition() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
         std::thread::sleep(Duration::from_millis(1));
     }
+}
+
+/// Waits until the engine lists at least one pending frontier.
+fn await_pending(engine: &ExchangeEngine) -> youtopia::PendingFrontier {
+    let mut first = None;
+    await_condition("a frontier is published", || {
+        first = engine.pending_frontiers().into_iter().next();
+        first.is_some()
+    });
+    first.expect("just observed")
 }
 
 /// The acceptance scenario: while u1 is blocked on its negative frontier, u2
@@ -254,12 +267,11 @@ fn updates_submitted_mid_chase_commit_after_answer() {
     let v = db.relation_id("V").unwrap();
     let review = db.scan(r, UpdateId::OMNISCIENT)[0].0;
 
-    let engine = ExchangeEngine::new(
-        db,
-        mappings,
-        EngineConfig::default()
-            .with_scheduler(SchedulerConfig::with_tracker(TrackerKind::Precise).free_running()),
-    );
+    let engine = EngineBuilder::new()
+        .tracker(TrackerKind::Precise)
+        .free_running()
+        .build(db, mappings)
+        .unwrap();
     // u1: delete the review; its backward chase blocks on a negative frontier
     // (delete the attraction or the tour?).
     let u1 = engine.submit(InitialOp::Delete { relation: r, tuple: review }).unwrap();
@@ -330,13 +342,7 @@ fn saturation_is_backpressure_not_failure() {
     let v = db.relation_id("V").unwrap();
     let review = db.scan(r, UpdateId::OMNISCIENT)[0].0;
 
-    let engine = ExchangeEngine::new(
-        db,
-        mappings,
-        EngineConfig::default()
-            .with_admission_cap(1)
-            .with_scheduler(SchedulerConfig::default().free_running()),
-    );
+    let engine = EngineBuilder::new().admission_cap(1).free_running().build(db, mappings).unwrap();
     let u1 = engine.submit(InitialOp::Delete { relation: r, tuple: review }).unwrap();
     let pf = await_pending(&engine);
 
@@ -405,14 +411,13 @@ fn wait_policy_with_sweeps_matches_the_reference() {
     let ref_stats = reference.update_stats();
     let (ref_db, _, _) = reference.into_parts();
 
-    let engine = ExchangeEngine::new(
-        fixture.initial_db.clone(),
-        fixture.mappings.clone(),
-        EngineConfig::default()
-            .with_scheduler(scheduler)
-            .with_first_update_number(first_number)
-            .with_escalation_policy(EscalationPolicy::Wait),
-    );
+    let engine = EngineBuilder::new()
+        .tracker(TrackerKind::Precise)
+        .frontier_delay_rounds(3)
+        .first_update_number(first_number)
+        .escalation(EscalationPolicy::Wait)
+        .build(fixture.initial_db.clone(), fixture.mappings.clone())
+        .unwrap();
     engine.submit_batch(ops).expect("uncapped submission");
     // Sweep obsessively while the run is in flight: under `Wait` this must
     // be pure observability (aging), never escalation.
@@ -441,11 +446,7 @@ fn wait_policy_with_sweeps_matches_the_reference() {
 fn saturated_clients_retrying_after_the_hint_are_admitted() {
     let (db, mappings) = example_db();
     let v = db.relation_id("V").unwrap();
-    let engine = ExchangeEngine::new(
-        db,
-        mappings,
-        EngineConfig::default().with_admission_cap(2).run_inline(),
-    );
+    let engine = EngineBuilder::new().admission_cap(2).inline().build(db, mappings).unwrap();
     let conv = |name: &str| InitialOp::Insert {
         relation: v,
         values: vec![Value::constant("Syracuse"), Value::constant(name)],
@@ -478,11 +479,7 @@ fn saturated_clients_retrying_after_the_hint_are_admitted() {
 fn starving_low_priority_clients_are_eventually_admitted() {
     let (db, mappings) = example_db();
     let v = db.relation_id("V").unwrap();
-    let engine = ExchangeEngine::new(
-        db,
-        mappings,
-        EngineConfig::default().with_admission_cap(1).run_inline(),
-    );
+    let engine = EngineBuilder::new().admission_cap(1).inline().build(db, mappings).unwrap();
     let conv = |name: &str| InitialOp::Insert {
         relation: v,
         values: vec![Value::constant("Syracuse"), Value::constant(name)],
@@ -519,11 +516,7 @@ fn answered_tokens_go_stale() {
     let (db, mappings) = example_db();
     let r = db.relation_id("R").unwrap();
     let review = db.scan(r, UpdateId::OMNISCIENT)[0].0;
-    let engine = ExchangeEngine::new(
-        db,
-        mappings,
-        EngineConfig::default().with_scheduler(SchedulerConfig::default().free_running()),
-    );
+    let engine = EngineBuilder::new().free_running().build(db, mappings).unwrap();
     let u1 = engine.submit(InitialOp::Delete { relation: r, tuple: review }).unwrap();
     let pf = await_pending(&engine);
     let FrontierRequest::Negative(nf) = &pf.request else { panic!("expected negative frontier") };
@@ -659,4 +652,123 @@ fn stratum_policy_terminates_in_both_modes() {
             run_batch(builder, (db.clone(), mappings.clone()), example_ops(&db), 2).unwrap();
         assert!(metrics.steps >= 2);
     }
+}
+
+// ---------------------------------------------------------------------------
+// The skipping frontier policy (`free_running`), threaded
+// ---------------------------------------------------------------------------
+
+/// `C(c) -> ∃a,l. S(a, l, c)` over a seeded `S(ITH, NY, Ithaca)`: inserting
+/// `C(x)` for a labeled null `x` generates `S(a, l, x)`, which the seeded
+/// tuple is more specific than — so every such update blocks on a frontier
+/// question.
+fn blocking_fixture(updates: usize) -> (Database, MappingSet, Vec<InitialOp>) {
+    let mut db = Database::new();
+    let c = db.add_relation("C", ["city"]).unwrap();
+    db.add_relation("S", ["code", "location", "city_served"]).unwrap();
+    let mut mappings = MappingSet::new();
+    mappings.add_parsed(db.catalog(), "sigma1: C(c) -> exists a, l. S(a, l, c)").unwrap();
+    db.insert_by_name("S", &["ITH", "NY", "Ithaca"], UpdateId(0));
+    let ops = (0..updates)
+        .map(|_| InitialOp::Insert { relation: c, values: vec![Value::Null(db.fresh_null())] })
+        .collect();
+    (db, mappings, ops)
+}
+
+/// The paper's premise (§4): a human sitting on one frontier question holds
+/// up nobody else. With u1's question deliberately left open, every other
+/// update of the batch runs to termination; answering it afterwards — which
+/// retroactively invalidates what the others read — still ends consistent.
+#[test]
+fn an_unanswered_frontier_holds_up_nobody_else() {
+    let (db, mappings) = example_db();
+    let engine = EngineBuilder::new()
+        .tracker(TrackerKind::Precise)
+        .free_running()
+        .build(db.clone(), mappings)
+        .unwrap();
+    let handles = engine.submit_batch(example_ops(&db)).unwrap();
+    let (u1, others) = handles.split_first().unwrap();
+
+    await_condition("every other update terminated", || {
+        others.iter().all(|h| h.status() == UpdateStatus::Terminated)
+    });
+    assert_eq!(u1.status(), UpdateStatus::AwaitingFrontier);
+    assert!(!engine.is_quiescent());
+    let pending = engine.pending_frontiers();
+    assert_eq!(pending.len(), 1, "only u1 asks");
+    assert_eq!(pending[0].update, u1.id());
+
+    // Delete the tour (Example 3.1's step 4): the conventions' excursions,
+    // suggested while the question was open, were premature.
+    let FrontierRequest::Negative(nf) = &pending[0].request else { panic!("negative frontier") };
+    let tour = nf.candidates.iter().find(|(_, _, d)| d.len() == 3).map(|(_, id, _)| *id).unwrap();
+    engine.answer(pending[0].token, FrontierDecision::Negative(vec![tour])).unwrap();
+    ResolverPump::new(&engine, &mut RandomResolver::seeded(5)).run_until_quiescent().unwrap();
+    for handle in &handles {
+        assert!(handle.wait().unwrap().terminated);
+    }
+    let (final_db, mappings, metrics) = engine.shutdown();
+    assert!(satisfies_all(&final_db.snapshot(UpdateId::OMNISCIENT), &mappings));
+    assert!(metrics.aborts > 0, "the late answer must have redone the premature readers");
+}
+
+/// The lost-wakeup case: once every live update is blocked on a published
+/// frontier the chase thread goes to sleep (nothing steps any more), and an
+/// `answer` — the only event left that can create work — wakes it.
+#[test]
+fn a_fully_blocked_sequencer_sleeps_and_wakes_on_answer() {
+    let (db, mappings, ops) = blocking_fixture(3);
+    let engine = EngineBuilder::new().free_running().build(db, mappings).unwrap();
+    let handles = engine.submit_batch(ops).unwrap();
+    await_condition("all three questions are published", || engine.pending_frontiers().len() == 3);
+    let steps = engine.metrics().steps;
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(engine.metrics().steps, steps, "nothing is left to step");
+    assert_eq!(engine.active_updates(), 3);
+    assert!(handles.iter().all(|h| h.status() == UpdateStatus::AwaitingFrontier));
+
+    // Answer the highest-numbered update: its writes can abort nobody, so
+    // the other two questions stay exactly as published.
+    let before = engine.pending_frontiers();
+    let last = before.iter().find(|pf| pf.update == handles[2].id()).unwrap();
+    let decision = engine
+        .read(|db| RandomResolver::seeded(1).resolve(&db.snapshot(last.update), &last.request));
+    assert_eq!(engine.answer(last.token, decision).unwrap(), youtopia::AnswerOutcome::Applied);
+    await_condition("the answered update terminated", || {
+        handles[2].status() == UpdateStatus::Terminated
+    });
+    assert!(engine.metrics().steps > steps, "the sequencer resumed");
+    let still: Vec<_> = engine.pending_frontiers().iter().map(|pf| pf.token).collect();
+    assert_eq!(still, vec![before[0].token, before[1].token]);
+
+    ResolverPump::new(&engine, &mut RandomResolver::seeded(2)).run_until_quiescent().unwrap();
+    let (final_db, mappings, _) = engine.shutdown();
+    assert!(satisfies_all(&final_db.snapshot(UpdateId::OMNISCIENT), &mappings));
+}
+
+/// `frontier_delay_rounds` is a property of the cursor loop, not of the
+/// frontier policy: a skipping engine withholds a request for that many
+/// rounds too. With a delay nobody lives to see, the update blocks but its
+/// question is never listed; with a short one it is.
+#[test]
+fn frontier_delay_applies_under_the_skipping_policy() {
+    let (db, mappings, ops) = blocking_fixture(1);
+    let forever = EngineBuilder::new()
+        .free_running()
+        .frontier_delay_rounds(usize::MAX)
+        .build(db.clone(), mappings.clone())
+        .unwrap();
+    let handle = forever.submit(ops[0].clone()).unwrap();
+    await_condition("the update reached its frontier", || {
+        handle.status() == UpdateStatus::AwaitingFrontier
+    });
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(forever.pending_frontiers().is_empty(), "the delay withholds the request");
+    drop(forever);
+
+    let short =
+        EngineBuilder::new().free_running().frontier_delay_rounds(3).build(db, mappings).unwrap();
+    let handle = short.submit(ops[0].clone()).unwrap();
+    assert_eq!(await_pending(&short).update, handle.id());
 }

@@ -12,7 +12,7 @@
 //!   recovery plus a re-feed of the dropped record is again byte-identical.
 //! * **Snapshots** — the same equality holds when periodic snapshots have
 //!   folded most of the log away, so recovery starts from snapshot state.
-//! * **Retention** — with a finite [`EngineConfig::retention_horizon`] the
+//! * **Retention** — with a finite [`EngineBuilder::retention_horizon`] the
 //!   slot table stays O(horizon) across tens of thousands of
 //!   submit/terminate cycles; evicted ids report
 //!   [`LookupError::SlotEvicted`] (not a panic or a hang) while live handles
@@ -30,10 +30,10 @@ use youtopia::mappings::satisfies_all;
 use youtopia::storage::wal::{read_wal, WalWriter};
 use youtopia::workload::{build_fixture, generate_workload, ExperimentConfig, WorkloadKind};
 use youtopia::{
-    AnswerOutcome, AutoDecision, Database, DurabilityConfig, EngineConfig, EscalationPolicy,
+    AnswerOutcome, AutoDecision, Database, DurabilityConfig, EngineBuilder, EscalationPolicy,
     ExchangeEngine, FrontierResolver, FrontierToken, InitialOp, LookupError, MappingSet,
-    RandomResolver, RecoveryError, ResolutionOrigin, ResolverPump, RunMetrics, SchedulerConfig,
-    TrackerKind, UpdateId, UpdateStatus, Value,
+    RandomResolver, RecoveryError, ResolutionOrigin, ResolverPump, RunMetrics, TrackerKind,
+    UpdateId, UpdateStatus, Value,
 };
 
 // ---------------------------------------------------------------------------
@@ -98,7 +98,8 @@ struct ReferenceRun {
     /// Raw bytes of the final `wal.log`.
     wal_bytes: Vec<u8>,
     mappings: MappingSet,
-    config: EngineConfig,
+    /// The engine's configuration, without its durability directory.
+    builder: EngineBuilder,
     snapshot_every: u64,
     group_commit: usize,
 }
@@ -127,24 +128,20 @@ fn reference_run(seed: u64, dir: &Path, snapshot_every: u64, group_commit: usize
     .take(10)
     .collect();
     let first_number = experiment.initial_tuples as u64 + 1_000;
-    let config = EngineConfig::default()
-        .with_scheduler(
-            SchedulerConfig::with_tracker(TrackerKind::Precise)
-                .with_policy(SchedulingPolicy::StepRoundRobin)
-                .with_chase_mode(ChaseMode::Incremental)
-                .with_frontier_delay_rounds(3),
-        )
-        .with_first_update_number(first_number);
+    let builder = EngineBuilder::new()
+        .tracker(TrackerKind::Precise)
+        .policy(SchedulingPolicy::StepRoundRobin)
+        .chase_mode(ChaseMode::Incremental)
+        .frontier_delay_rounds(3)
+        .first_update_number(first_number);
     let durability = DurabilityConfig::new(dir)
         .with_snapshot_every(snapshot_every)
         .with_group_commit(group_commit);
-    let engine = ExchangeEngine::new_durable(
-        fixture.initial_db.clone(),
-        fixture.mappings.clone(),
-        config,
-        durability,
-    )
-    .expect("durable engine starts");
+    let engine = builder
+        .clone()
+        .durable(durability)
+        .build(fixture.initial_db.clone(), fixture.mappings.clone())
+        .expect("durable engine starts");
 
     let mut resolver = RandomResolver::seeded(seed ^ 0xE61E);
     for wave in ops.chunks(3) {
@@ -168,7 +165,7 @@ fn reference_run(seed: u64, dir: &Path, snapshot_every: u64, group_commit: usize
         records,
         wal_bytes,
         mappings,
-        config,
+        builder,
         snapshot_every,
         group_commit,
     }
@@ -289,7 +286,11 @@ fn recover_refeed_and_compare(
     let durability = DurabilityConfig::new(dir)
         .with_snapshot_every(reference.snapshot_every)
         .with_group_commit(reference.group_commit);
-    let engine = ExchangeEngine::recover(reference.mappings.clone(), reference.config, durability)
+    let engine = reference
+        .builder
+        .clone()
+        .durable(durability)
+        .recover(reference.mappings.clone())
         .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
     refeed(&engine, tail, label);
 
@@ -498,23 +499,19 @@ fn escalated_reference_run(
     .take(10)
     .collect();
     let first_number = experiment.initial_tuples as u64 + 1_000;
-    let config = EngineConfig::default()
-        .with_scheduler(
-            SchedulerConfig::with_tracker(TrackerKind::Precise)
-                .with_policy(SchedulingPolicy::StepRoundRobin)
-                .with_chase_mode(ChaseMode::Incremental)
-                .with_frontier_delay_rounds(3),
-        )
-        .with_first_update_number(first_number)
-        .with_escalation_policy(policy);
+    let builder = EngineBuilder::new()
+        .tracker(TrackerKind::Precise)
+        .policy(SchedulingPolicy::StepRoundRobin)
+        .chase_mode(ChaseMode::Incremental)
+        .frontier_delay_rounds(3)
+        .first_update_number(first_number)
+        .escalation(policy);
     let durability = DurabilityConfig::new(dir).with_snapshot_every(1_000_000).with_group_commit(1);
-    let engine = ExchangeEngine::new_durable(
-        fixture.initial_db.clone(),
-        fixture.mappings.clone(),
-        config,
-        durability,
-    )
-    .expect("durable engine starts");
+    let engine = builder
+        .clone()
+        .durable(durability)
+        .build(fixture.initial_db.clone(), fixture.mappings.clone())
+        .expect("durable engine starts");
 
     let mut resolver = RandomResolver::seeded(seed ^ 0xE61E);
     for wave in ops.chunks(3) {
@@ -537,7 +534,7 @@ fn escalated_reference_run(
         records,
         wal_bytes,
         mappings,
-        config,
+        builder,
         snapshot_every: 1_000_000,
         group_commit: 1,
     };
@@ -626,14 +623,9 @@ fn recovery_rejects_a_mismatched_config() {
     let dir = TempDir::new("mismatch");
     let reference = reference_run(7, dir.path(), 1_000_000, 1);
 
-    let altered = reference.config.with_scheduler(
-        SchedulerConfig::with_tracker(TrackerKind::Naive)
-            .with_policy(SchedulingPolicy::StepRoundRobin)
-            .with_chase_mode(ChaseMode::Incremental)
-            .with_frontier_delay_rounds(3),
-    );
+    let altered = reference.builder.clone().tracker(TrackerKind::Naive);
     let durability = DurabilityConfig::new(dir.path()).with_snapshot_every(1_000_000);
-    match ExchangeEngine::recover(reference.mappings.clone(), altered, durability) {
+    match altered.durable(durability).recover(reference.mappings.clone()) {
         Err(RecoveryError::ConfigMismatch { .. }) => {}
         other => panic!("expected ConfigMismatch, got {other:?}"),
     }
@@ -644,18 +636,15 @@ fn recovery_rejects_a_mismatched_config() {
 #[test]
 fn durability_rejects_free_running_configs() {
     let dir = TempDir::new("free");
-    let config = EngineConfig::default()
-        .with_scheduler(SchedulerConfig::with_tracker(TrackerKind::Precise).free_running());
-    match ExchangeEngine::new_durable(
-        Database::new(),
-        MappingSet::new(),
-        config,
-        DurabilityConfig::new(dir.path()),
-    ) {
+    let builder = EngineBuilder::new()
+        .tracker(TrackerKind::Precise)
+        .free_running()
+        .durable(DurabilityConfig::new(dir.path()));
+    match builder.clone().build(Database::new(), MappingSet::new()) {
         Err(RecoveryError::FreeRunningUnsupported) => {}
         other => panic!("expected FreeRunningUnsupported, got {other:?}"),
     }
-    match ExchangeEngine::recover(MappingSet::new(), config, DurabilityConfig::new(dir.path())) {
+    match builder.recover(MappingSet::new()) {
         Err(RecoveryError::FreeRunningUnsupported) => {}
         other => panic!("expected FreeRunningUnsupported, got {other:?}"),
     }
@@ -668,7 +657,7 @@ fn recovery_rejects_a_headerless_log() {
     let reference = reference_run(11, dir.path(), 1_000_000, 1);
     std::fs::write(dir.path().join("wal.log"), b"").unwrap();
     let durability = DurabilityConfig::new(dir.path()).with_snapshot_every(1_000_000);
-    match ExchangeEngine::recover(reference.mappings.clone(), reference.config, durability) {
+    match reference.builder.clone().durable(durability).recover(reference.mappings.clone()) {
         Err(RecoveryError::Corrupt(_)) => {}
         other => panic!("expected Corrupt, got {other:?}"),
     }
@@ -689,20 +678,15 @@ fn trivial_fixture() -> (Database, MappingSet, youtopia::RelationId) {
 
 fn run_retention_cycles(cycles: u64, horizon: usize, durable_dir: Option<&Path>) {
     let (db, mappings, k) = trivial_fixture();
-    let config = EngineConfig::default()
-        .with_scheduler(SchedulerConfig::with_tracker(TrackerKind::Precise))
-        .with_first_update_number(1_000)
-        .with_retention_horizon(horizon);
-    let engine = match durable_dir {
-        Some(dir) => ExchangeEngine::new_durable(
-            db,
-            mappings,
-            config,
-            DurabilityConfig::new(dir).with_snapshot_every(64),
-        )
-        .expect("durable engine starts"),
-        None => ExchangeEngine::new(db, mappings, config),
+    let builder = EngineBuilder::new()
+        .tracker(TrackerKind::Precise)
+        .first_update_number(1_000)
+        .retention_horizon(horizon);
+    let builder = match durable_dir {
+        Some(dir) => builder.durable(DurabilityConfig::new(dir).with_snapshot_every(64)),
+        None => builder,
     };
+    let engine = builder.build(db, mappings).expect("engine starts");
 
     // The horizon bounds *retained terminal* slots; in-flight work and the
     // current quiescence lag add at most a small constant on top.
@@ -782,17 +766,12 @@ fn ten_thousand_cycles_hold_bounded_slot_memory() {
 fn durable_compaction_recovers_cleanly() {
     let dir = TempDir::new("durable-retention");
     let (db, mappings, k) = trivial_fixture();
-    let config = EngineConfig::default()
-        .with_scheduler(SchedulerConfig::with_tracker(TrackerKind::Precise))
-        .with_first_update_number(1_000)
-        .with_retention_horizon(16);
-    let engine = ExchangeEngine::new_durable(
-        db,
-        mappings.clone(),
-        config,
-        DurabilityConfig::new(dir.path()).with_snapshot_every(32),
-    )
-    .expect("durable engine starts");
+    let builder = EngineBuilder::new()
+        .tracker(TrackerKind::Precise)
+        .first_update_number(1_000)
+        .retention_horizon(16)
+        .durable(DurabilityConfig::new(dir.path()).with_snapshot_every(32));
+    let engine = builder.clone().build(db, mappings.clone()).expect("durable engine starts");
     for i in 0..500u64 {
         let handle = engine
             .submit(InitialOp::Insert {
@@ -808,12 +787,7 @@ fn durable_compaction_recovers_cleanly() {
     let stats = engine.update_stats();
     let (final_db, _, metrics) = engine.shutdown();
 
-    let recovered = ExchangeEngine::recover(
-        mappings,
-        config,
-        DurabilityConfig::new(dir.path()).with_snapshot_every(32),
-    )
-    .expect("recovery succeeds");
+    let recovered = builder.recover(mappings).expect("recovery succeeds");
     await_quiescence(&recovered, "recovered durable retention");
     // How *deep* the retained window is at any instant depends on when
     // compaction last ran (it trails the horizon by a bounded lag), so the

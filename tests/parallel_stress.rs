@@ -3,8 +3,8 @@
 //! `cargo test --release -- --ignored` in the stress job, where real OS
 //! preemption produces interleavings a 1-shot unit test cannot.
 //!
-//! Each case runs a sizeable workload free-running (no sequencer): the one
-//! chase thread steps, locks abort victims and re-enqueues them while the
+//! Each case runs a sizeable workload free-running: the sequencer thread
+//! steps, skips published frontiers and locks abort victims while the
 //! [`ResolverPump`] answers from the watchdogged test thread — the two meet on
 //! exactly those slot locks, and a deadlock or livelock fails by timeout
 //! instead of hanging the suite. Afterwards the system invariants must hold:

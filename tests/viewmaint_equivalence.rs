@@ -1,21 +1,28 @@
 //! Differential and lifecycle tests for the engine-shared violation index
 //! ([`youtopia::concurrency::viewmaint`]).
 //!
-//! * **Mode equivalence** — the shared violation index is a pure
-//!   representation change: for every generated workload, every tracker,
-//!   scheduling policy and chase mode, an engine running [`ViolationStateMode::Shared`] must be byte-identical to
-//!   one running [`ViolationStateMode::PerUpdate`] *and* to the
-//!   single-threaded [`ConcurrentRun`] reference — the same final database
-//!   rendering, the same per-update statistics (hence the same abort sets)
-//!   and the same [`RunMetrics`] modulo wall clock. Both modes see the same
-//!   over-approximate dirty sets filtered by the same per-entry epoch check,
-//!   so nothing weaker than byte equality is acceptable.
+//! * **Oracle equivalence** — the shared violation index only decides *which*
+//!   queued violations a step re-validates, never what any update does: for
+//!   every generated workload, tracker and scheduling policy, an engine
+//!   maintaining its queues from the delta feed ([`ChaseMode::Incremental`])
+//!   must be byte-identical to the single-threaded [`ConcurrentRun`]
+//!   reference re-validating every queue in full ([`ChaseMode::FullRecheck`],
+//!   which never consults the feed) — the same final database (up to the
+//!   names of labeled nulls), the same per-update statistics (hence the same
+//!   abort sets) and the same [`RunMetrics`] modulo wall clock. Exact null
+//!   names and the null counter are pinned where both sides chase in the same
+//!   mode: `tests/engine_equivalence.rs` renders them byte-exactly for
+//!   Incremental engine ≡ Incremental reference
+//!   (`precise_mixed_batches_match_the_reference`,
+//!   `coarse_deep_cascade_batches_match_the_reference`) and FullRecheck engine
+//!   ≡ FullRecheck reference (`naive_stratum_full_recheck_…`,
+//!   `precise_full_recheck_null_replacement_…`).
 //! * **Bounded backlog** — a long-lived engine cycling through tens of
 //!   thousands of trivial updates must not accumulate delta-log backlog: the
 //!   quiescence GC truncates the shared feed whenever no cursor can still
 //!   need it — after trivial cycles and after a real chased workload alike.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -25,8 +32,8 @@ use youtopia::mappings::satisfies_all;
 use youtopia::storage::DELTA_BACKLOG_CAP;
 use youtopia::workload::{build_fixture, generate_workload, ExperimentConfig, WorkloadKind};
 use youtopia::{
-    ConcurrentRun, Database, EngineBuilder, ExchangeEngine, InitialOp, MappingSet, RandomResolver,
-    ResolverPump, TrackerKind, UpdateId, UpdateStatus, Value, ViolationStateMode,
+    ConcurrentRun, Database, EngineBuilder, ExchangeEngine, InitialOp, MappingSet, NullId,
+    RandomResolver, ResolverPump, TrackerKind, UpdateId, UpdateStatus, Value,
 };
 
 /// Strips the wall-clock field so metrics compare byte-exactly.
@@ -35,26 +42,43 @@ fn scrub(mut m: RunMetrics) -> RunMetrics {
     m
 }
 
-/// Byte-exact rendering of every relation's visible contents plus the null
-/// counter — the "final database state" the equivalence is pinned on.
+/// Rendering of every relation's visible contents (tuple ids included) with
+/// labeled nulls renamed in order of first appearance — the "final database
+/// state" the equivalence is pinned on. Null *names* are the one thing the
+/// two chase modes may not share: the full-recheck reference re-plans every
+/// queued violation every step and each re-plan draws fresh nulls, so its
+/// counter runs ahead of the memoising incremental chase.
 fn render(db: &Database) -> String {
+    let mut names: HashMap<NullId, usize> = HashMap::new();
     let mut out = String::new();
     for relation in db.catalog().relation_ids() {
-        out.push_str(&format!("{relation:?}: {:?}\n", db.scan(relation, UpdateId::OMNISCIENT)));
+        out.push_str(&format!("{relation:?}:"));
+        for (tuple, values) in db.scan(relation, UpdateId::OMNISCIENT) {
+            out.push_str(&format!(" {tuple:?}["));
+            for value in values.iter() {
+                match value {
+                    Value::Null(null) => {
+                        let next = names.len();
+                        out.push_str(&format!("?{} ", names.entry(*null).or_insert(next)));
+                    }
+                    constant => out.push_str(&format!("{constant:?} ")),
+                }
+            }
+            out.push(']');
+        }
+        out.push('\n');
     }
-    out.push_str(&format!("nulls: {}\n", db.null_counter()));
     out
 }
 
-/// Runs one generated workload through the `PerUpdate` reference scheduler,
-/// then through engines in **both** violation-state modes, asserting byte
-/// equality throughout.
-fn shared_matches_per_update(
+/// Runs one generated workload through the `FullRecheck` reference scheduler,
+/// then through a feed-driven (`Incremental`) engine, asserting byte equality
+/// throughout.
+fn feed_driven_engine_matches_full_recheck(
     seed: u64,
     tracker: TrackerKind,
     kind: WorkloadKind,
     policy: SchedulingPolicy,
-    chase_mode: ChaseMode,
 ) {
     let mut config = ExperimentConfig::tiny();
     config.seed = seed;
@@ -71,19 +95,17 @@ fn shared_matches_per_update(
     .take(16)
     .collect();
     let first_number = config.initial_tuples as u64 + 1_000;
-    let scheduler = SchedulerConfig::with_tracker(tracker)
-        .with_policy(policy)
-        .with_chase_mode(chase_mode)
-        .with_frontier_delay_rounds(3);
-
-    // The reference is the per-update differential baseline: every live
-    // execution maintains its own queue against its own epoch watermarks.
+    // The reference never looks at the delta feed: every step re-runs
+    // `still_violated` over the whole queue.
     let mut reference = ConcurrentRun::new(
         fixture.initial_db.clone(),
         fixture.mappings.clone(),
         ops.clone(),
         first_number,
-        scheduler.with_violation_state(ViolationStateMode::PerUpdate),
+        SchedulerConfig::with_tracker(tracker)
+            .with_policy(policy)
+            .with_chase_mode(ChaseMode::FullRecheck)
+            .with_frontier_delay_rounds(3),
     );
     let ref_metrics = reference.run(&mut RandomResolver::seeded(seed ^ 0xE61E)).unwrap();
     let ref_stats = reference.update_stats();
@@ -92,32 +114,31 @@ fn shared_matches_per_update(
     let ref_abort_set: BTreeSet<UpdateId> =
         ref_stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect();
 
-    for mode in [ViolationStateMode::Shared, ViolationStateMode::PerUpdate] {
-        let engine = EngineBuilder::new()
-            .scheduler(scheduler)
-            .violation_state(mode)
-            .first_update_number(first_number)
-            .build(fixture.initial_db.clone(), fixture.mappings.clone())
-            .expect("non-durable engines build infallibly");
-        let handles = engine.submit_batch(ops.clone()).expect("uncapped submission");
-        let mut resolver = RandomResolver::seeded(seed ^ 0xE61E);
-        ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
-        let label = format!("seed {seed}, {tracker}, {kind}, {policy:?}, {chase_mode:?}, {mode:?}");
-        for handle in &handles {
-            assert_eq!(handle.status(), UpdateStatus::Terminated, "{label}");
-        }
-        let stats = engine.update_stats();
-        assert_eq!(stats, ref_stats, "{label}: per-update stats");
-        let abort_set: BTreeSet<UpdateId> =
-            stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect();
-        assert_eq!(abort_set, ref_abort_set, "{label}: abort set");
-        let index = engine.violation_index();
-        assert_eq!(index.backlog_cap, DELTA_BACKLOG_CAP, "{label}: advertised cap");
-        assert!(index.backlog_len <= index.backlog_cap, "{label}: backlog within cap");
-        let (db, _, metrics) = engine.shutdown();
-        assert_eq!(scrub(metrics), scrub(ref_metrics.clone()), "{label}: metrics");
-        assert_eq!(render(&db), render(&ref_db), "{label}: final database state");
+    let engine = EngineBuilder::new()
+        .tracker(tracker)
+        .policy(policy)
+        .frontier_delay_rounds(3)
+        .first_update_number(first_number)
+        .build(fixture.initial_db.clone(), fixture.mappings.clone())
+        .expect("non-durable engines build infallibly");
+    let handles = engine.submit_batch(ops.clone()).expect("uncapped submission");
+    let mut resolver = RandomResolver::seeded(seed ^ 0xE61E);
+    ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
+    let label = format!("seed {seed}, {tracker}, {kind}, {policy:?}");
+    for handle in &handles {
+        assert_eq!(handle.status(), UpdateStatus::Terminated, "{label}");
     }
+    let stats = engine.update_stats();
+    assert_eq!(stats, ref_stats, "{label}: per-update stats");
+    let abort_set: BTreeSet<UpdateId> =
+        stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect();
+    assert_eq!(abort_set, ref_abort_set, "{label}: abort set");
+    let index = engine.violation_index();
+    assert_eq!(index.backlog_cap, DELTA_BACKLOG_CAP, "{label}: advertised cap");
+    assert!(index.backlog_len <= index.backlog_cap, "{label}: backlog within cap");
+    let (db, _, metrics) = engine.shutdown();
+    assert_eq!(scrub(metrics), scrub(ref_metrics), "{label}: metrics");
+    assert_eq!(render(&db), render(&ref_db), "{label}: final database state");
 }
 
 proptest! {
@@ -126,40 +147,37 @@ proptest! {
     /// PRECISE over the mixed workload (inserts + deletes, forward and
     /// backward repairs) — the workhorse combination.
     #[test]
-    fn precise_mixed_is_identical_across_violation_modes(seed in 0u64..10_000) {
-        shared_matches_per_update(
+    fn precise_mixed_matches_the_full_recheck_oracle(seed in 0u64..10_000) {
+        feed_driven_engine_matches_full_recheck(
             seed,
             TrackerKind::Precise,
             WorkloadKind::Mixed,
             SchedulingPolicy::StepRoundRobin,
-            ChaseMode::Incremental,
         );
     }
 
     /// COARSE over deep cascades: long violation queues, many epochs per
     /// update — the regime where the shared feed does the most work.
     #[test]
-    fn coarse_deep_cascade_is_identical_across_violation_modes(seed in 0u64..10_000) {
-        shared_matches_per_update(
+    fn coarse_deep_cascade_matches_the_full_recheck_oracle(seed in 0u64..10_000) {
+        feed_driven_engine_matches_full_recheck(
             seed,
             TrackerKind::Coarse,
             WorkloadKind::DeepCascade,
             SchedulingPolicy::StepRoundRobin,
-            ChaseMode::Incremental,
         );
     }
 
-    /// NAIVE + the stratum policy + `FullRecheck`: the full-recheck chase
-    /// mode never consults the delta feed, so both violation modes must
-    /// degenerate to exactly the same rebuild-from-scratch behaviour.
+    /// NAIVE + the stratum policy over the skewed hot-relation workload:
+    /// an update keeps stepping between visits, so its cursor skips the
+    /// largest windows of other updates' deltas.
     #[test]
-    fn naive_stratum_full_recheck_is_identical_across_violation_modes(seed in 0u64..10_000) {
-        shared_matches_per_update(
+    fn naive_stratum_skewed_matches_the_full_recheck_oracle(seed in 0u64..10_000) {
+        feed_driven_engine_matches_full_recheck(
             seed,
             TrackerKind::Naive,
             WorkloadKind::Skewed,
             SchedulingPolicy::StratumRoundRobin,
-            ChaseMode::FullRecheck,
         );
     }
 }
