@@ -81,9 +81,8 @@ impl std::fmt::Display for TrackerKind {
 
 /// Tracks which updates read from which (lower-numbered) updates.
 ///
-/// `Send` so the engine can share the boxed tracker between its chase thread
-/// and answering caller threads (it keeps it behind a mutex — tracker updates
-/// are already a global serialisation point in the algorithm).
+/// `Send` so the engine can keep the boxed tracker in its sequencer state,
+/// which the chase thread and entering caller threads take turns holding.
 pub trait DependencyTracker: Send {
     /// The algorithm's name (`NAIVE`, `COARSE`, `PRECISE`).
     fn name(&self) -> &'static str;

@@ -29,11 +29,15 @@
 //! logical — updates interleave at chase-step granularity because humans are
 //! slow at frontiers, and Algorithm 4 validates every step's writes against
 //! the stored reads — so nothing needs chase steps on several OS threads, and
-//! a measured second thread only queued on the `RwLock<Database>`. What does
-//! run concurrently with the chase thread is the *callers*: `submit`,
-//! `answer`, `read` and the status accessors arrive from any thread, which is
-//! why steps stay two-phase over an `RwLock<Database>`, the logs sit behind
-//! mutexes and free-running rollbacks are validated.
+//! a measured second thread only queued on the `RwLock<Database>`. Sequencer
+//! actions are atomic with respect to each other *and to the callers*:
+//! `submit`, `answer` and `sweep`'s auto-resolutions take the sequencer lock
+//! (`EngineShared::enter`) and so land **between** two actions, on every
+//! engine — inline or threaded, plain, durable or replicated. What does run
+//! concurrently with an action is `read`, the status accessors and
+//! `metrics()` only, which is why steps stay two-phase over an
+//! `RwLock<Database>` and slots and metrics keep their own locks: none of
+//! them may wait for an action.
 //!
 //! There is **one scheduler**: the round-robin cursor of `ConcurrentRun`
 //! (Algorithm 3) over the live updates, one action per visit. Two choices sit
@@ -62,15 +66,14 @@
 //! decision's correction queries are recorded in the same read-lock session
 //! that applies them, and any conflicting later write aborts the update.
 //!
-//! Lock order (outermost first): cursor → slots table → admission → slot →
-//! pending → resolver (in [`ResolverPump`]) → database → tracker → metrics →
-//! all-ids → read log / write log. Nobody holds two slot locks: the sequencer
-//! (the only stepper and aborter, always under the cursor) releases the slot
-//! it stepped before it takes an abort victim's with a plain blocking lock,
-//! and every other slot-lock holder is a caller thread inside `apply_answer`
-//! or a status accessor, which never waits on a second slot. Durable engines
-//! additionally hold a WAL writer mutex, nested innermost; every append
-//! happens while the cursor is held, so it is uncontended in practice.
+//! Lock order (outermost first): sequencer → slots table → admission → slot →
+//! pending → database → metrics → WAL writer. The sequencer lock is held by
+//! whoever runs an action (the chase thread, or the caller driving an inline
+//! engine) or enters between two (`enter`); its holder is the only stepper,
+//! aborter, log writer and WAL appender, takes one slot lock at a time, and
+//! shares slot locks only with status accessors, which never wait on a second
+//! one. A [`ResolverPump`] consults its resolver under the database read lock
+//! alone; a replica's replication state sits outside the sequencer.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -364,15 +367,20 @@ impl SlotTable {
     }
 }
 
-/// The sequencer's state (`det_*` names the loop that drives it): the next
-/// index of the round-robin cursor plus the set of live (non-terminated,
-/// non-failed) slot indices, so a long-lived engine does not re-scan thousands
-/// of terminated slots per round. Iterating the live set in ascending order
-/// per round visits exactly the slots the reference loop would act on, in the
-/// same order.
-pub(crate) struct DetCursor {
+/// The sequencer's state (`det_*` names the loop that drives it), all of it
+/// behind the one sequencer lock: the next index of the round-robin cursor
+/// plus the set of live (non-terminated, non-failed) slot indices, so a
+/// long-lived engine does not re-scan thousands of terminated slots per round
+/// — iterating the live set in ascending order per round visits exactly the
+/// slots the reference loop would act on, in the same order — and the
+/// reference scheduler's logs, dependency tracker and retained update ids.
+pub(crate) struct Sequencer {
     next: usize,
     pub(crate) live: BTreeSet<usize>,
+    all_ids: Vec<UpdateId>,
+    read_log: ReadLog,
+    write_log: WriteLog,
+    tracker: Box<dyn DependencyTracker>,
 }
 
 /// What one sequencer action accomplished.
@@ -453,42 +461,30 @@ pub(crate) struct EngineShared {
     db: RwLock<Database>,
     pub(crate) config: EngineConfig,
     /// The frontier policy: step past published frontiers instead of blocking
-    /// at them. The policy proper is two sites: the gate in `det_action` and
-    /// the rollback-validation flag of conflict-decided aborts. Three more
-    /// keep a skipping engine's abort cascades and log growth where a FIFO
-    /// run queue puts them, and would serve the blocking policy as well if
-    /// its schedule were free to move: a request that need not be delayed is
-    /// published with the step that raised it (`det_run_ready_slot`), a
-    /// revived victim sits out the rest of its round (`execute_abort`), and
-    /// waiters hear of a retired update after the quiescence GC, not before
-    /// (`retire`, `det_action`).
+    /// at them. The policy proper is one site, the gate in `det_action`. Two
+    /// more keep a skipping engine's abort cascades where a FIFO run queue
+    /// puts them, and would serve the blocking policy as well if its schedule
+    /// were free to move: a request that need not be delayed is published
+    /// with the step that raised it (`det_run_ready_slot`), and a revived
+    /// victim sits out the rest of its round (`execute_abort`).
     skip_frontiers: bool,
     /// Growable (and front-compacted) slot table; index = update number −
     /// `first_update_number`.
     pub(crate) slots: RwLock<SlotTable>,
-    all_ids: Mutex<Vec<UpdateId>>,
-    /// The reference scheduler's logs, behind mutexes: the chase thread and
-    /// answering caller threads both record reads.
-    read_log: Mutex<ReadLog>,
-    write_log: Mutex<WriteLog>,
-    tracker: Mutex<Box<dyn DependencyTracker>>,
     metrics: Mutex<RunMetrics>,
-    /// Sequencer state.
-    pub(crate) cursor: Mutex<DetCursor>,
-    /// Slot indices submitted since the sequencer last looked (absorbed into
-    /// the live set without taking the cursor lock on the submit path).
-    det_incoming: Mutex<Vec<usize>>,
+    /// Sequencer state; see [`enter`](Self::enter) for how callers take it.
+    pub(crate) sequencer: Mutex<Sequencer>,
+    /// Callers waiting in [`enter`](Self::enter) for the sequencer lock.
+    entering: AtomicUsize,
     /// Outstanding frontier requests, keyed by token (= publish order).
     pub(crate) pending: Mutex<BTreeMap<u64, PendingEntry>>,
     /// Per-client fair-share admission state, keyed by [`ClientId`].
     /// Anonymous submissions (no client) bypass it entirely and see only the
     /// global cap — the pre-QoS admission path, byte-identical.
     admission: Mutex<BTreeMap<ClientId, ClientAdmission>>,
-    /// Number of slots with a published-but-not-fully-answered frontier.
-    /// Unlike `pending` emptiness, this only drops once an answer has been
-    /// *applied* (or the token invalidated by an abort) — the sequencer gates
-    /// on it, so under the blocking policy no step can slip in between
-    /// `answer()` removing the entry and the decision's effects landing.
+    /// Number of slots with a published-but-unanswered frontier: what the
+    /// sequencer gates on. Drops once an answer has been *applied* (or the
+    /// token invalidated by an abort).
     pub(crate) unanswered: AtomicUsize,
     next_token: AtomicU64,
     /// Non-terminated, non-failed updates (admission + quiescence).
@@ -661,31 +657,47 @@ impl EngineShared {
         }
     }
 
+    /// The one way into the chase for a caller: takes the sequencer lock, so
+    /// whatever the caller does with the guard lands between two sequencer
+    /// actions. `std` mutexes barge — a chase thread that re-locks in a loop
+    /// would win against a parked caller for many actions in a row — so the
+    /// caller announces itself first and [`sequencer_thread`] stands back
+    /// until every announced caller holds (or has held) the lock: a caller
+    /// is served before the sequencer's next action, or the one after if it
+    /// announces itself just as the sequencer locks.
+    ///
+    /// [`sequencer_thread`]: Self::sequencer_thread
+    pub(crate) fn enter(&self) -> MutexGuard<'_, Sequencer> {
+        self.entering.fetch_add(1, Ordering::SeqCst);
+        let seq = lock(&self.sequencer);
+        self.entering.fetch_sub(1, Ordering::SeqCst);
+        seq
+    }
+
     /// Admits `ops` into the locked slot table with consecutive priority
-    /// numbers, returning the new cells. Shared by the public submit path and
-    /// recovery replay (which is why it does not build handles or touch the
-    /// WAL).
-    pub(crate) fn admit_locked(
+    /// numbers and into the live set, returning the new cells. Shared by the
+    /// public submit path, recovery replay and the replicated fold (which is
+    /// why it does not build handles or touch the WAL).
+    pub(crate) fn admit(
         &self,
+        seq: &mut Sequencer,
         slots: &mut SlotTable,
         ops: Vec<InitialOp>,
     ) -> Vec<(UpdateId, Arc<SlotCell>)> {
         let base = slots.total();
         let mut out = Vec::with_capacity(ops.len());
-        {
-            let mut all_ids = lock(&self.all_ids);
-            for (i, op) in ops.into_iter().enumerate() {
-                let id = UpdateId(self.config.first_update_number + (base + i) as u64);
-                let cell = Arc::new(Mutex::new(Slot {
-                    exec: UpdateExecution::with_mode(id, op, self.config.scheduler.chase_mode),
-                    sit_out: 0,
-                    published: None,
-                    failed: None,
-                }));
-                slots.cells.push_back(Arc::clone(&cell));
-                all_ids.push(id);
-                out.push((id, cell));
-            }
+        for (i, op) in ops.into_iter().enumerate() {
+            let id = UpdateId(self.config.first_update_number + (base + i) as u64);
+            let cell = Arc::new(Mutex::new(Slot {
+                exec: UpdateExecution::with_mode(id, op, self.config.scheduler.chase_mode),
+                sit_out: 0,
+                published: None,
+                failed: None,
+            }));
+            slots.cells.push_back(Arc::clone(&cell));
+            seq.all_ids.push(id);
+            seq.live.insert(base + i);
+            out.push((id, cell));
         }
         self.active.fetch_add(out.len(), Ordering::SeqCst);
         lock(&self.metrics).workload_size += out.len();
@@ -698,14 +710,14 @@ impl EngineShared {
     /// call landed — directly, bypassing the public API, so nothing is
     /// re-appended to the log.
     fn replay(&self, tail: impl Iterator<Item = WalRecord>) -> Result<(), RecoveryError> {
-        let mut cur = lock(&self.cursor);
+        let mut seq = lock(&self.sequencer);
         for record in tail {
             match record {
                 WalRecord::Header { .. } => {
                     return Err(RecoveryError::Corrupt("header record mid-log".into()));
                 }
                 WalRecord::Submit { first, stamp, ops } => {
-                    self.drive_to_stamp(&mut cur, stamp)?;
+                    self.drive_to_stamp(&mut seq, stamp)?;
                     let mut slots = self.slots.write().unwrap_or_else(|e| e.into_inner());
                     let expected = self.config.first_update_number + slots.total() as u64;
                     if first != expected {
@@ -713,12 +725,10 @@ impl EngineShared {
                             "submission logged as u{first} would be admitted as u{expected}"
                         )));
                     }
-                    let base = slots.total();
-                    let count = self.admit_locked(&mut slots, ops).len();
-                    cur.live.extend(base..base + count);
+                    self.admit(&mut seq, &mut slots, ops);
                 }
                 WalRecord::Answer { token, stamp, decision, origin } => {
-                    self.drive_to_stamp(&mut cur, stamp)?;
+                    self.drive_to_stamp(&mut seq, stamp)?;
                     let entry = lock(&self.pending).remove(&token);
                     let Some(entry) = entry else {
                         return Err(RecoveryError::Replay(format!(
@@ -731,7 +741,8 @@ impl EngineShared {
                     // System answers replay from the log exactly like human
                     // ones: the live sweeper is suppressed while `replaying`,
                     // so an escalation is never re-decided.
-                    let _ = self.apply_answer(FrontierToken(token), entry, decision, origin);
+                    let _ =
+                        self.apply_answer(&mut seq, FrontierToken(token), entry, decision, origin);
                 }
             }
             if let Some(e) = lock(&self.error).clone() {
@@ -744,7 +755,7 @@ impl EngineShared {
     /// Runs the sequencer until the durable action counter reaches `stamp`.
     /// Falling idle, blocking on a frontier without progress, or moving past
     /// the stamp all mean the log does not describe this engine's history.
-    fn drive_to_stamp(&self, cur: &mut DetCursor, stamp: u64) -> Result<(), RecoveryError> {
+    fn drive_to_stamp(&self, seq: &mut Sequencer, stamp: u64) -> Result<(), RecoveryError> {
         let d = self.durable.as_ref().expect("replay requires a durable engine");
         loop {
             let now = d.actions.load(Ordering::SeqCst);
@@ -756,7 +767,7 @@ impl EngineShared {
                     "overshot action stamp {stamp} (counter is at {now})"
                 )));
             }
-            match self.det_action(cur) {
+            match self.det_action(seq) {
                 Ok(DetProgress::Acted) => {}
                 Ok(DetProgress::AwaitingAnswer) => {
                     // A frontier publish counts as an action (it bumped the
@@ -800,7 +811,13 @@ impl EngineShared {
     /// database read lock — recording before that lock is released is what
     /// guarantees any later-committing write sees these reads when it
     /// validates.
-    fn record_reads_locked(&self, db: &Database, reader: UpdateId, reads: Vec<ReadQuery>) {
+    fn record_reads_locked(
+        &self,
+        seq: &mut Sequencer,
+        db: &Database,
+        reader: UpdateId,
+        reads: Vec<ReadQuery>,
+    ) {
         if reads.is_empty() {
             return;
         }
@@ -816,17 +833,9 @@ impl EngineShared {
         if self.active.load(Ordering::SeqCst) <= 1 {
             return;
         }
-        {
-            let snap = db.snapshot(reader);
-            lock(&self.tracker).record_reads(
-                reader,
-                &reads,
-                &lock(&self.write_log),
-                &snap,
-                &self.mappings,
-            );
-        }
-        lock(&self.read_log).record(reader, reads, &self.mappings);
+        let snap = db.snapshot(reader);
+        seq.tracker.record_reads(reader, &reads, &seq.write_log, &snap, &self.mappings);
+        seq.read_log.record(reader, reads, &self.mappings);
     }
 
     /// Executes one chase step for the locked slot: write half under the
@@ -836,6 +845,7 @@ impl EngineShared {
     /// synchronously, under the sequencer.
     fn step_and_validate(
         &self,
+        seq: &mut Sequencer,
         slot: &mut Slot,
     ) -> Result<(StepOutcome, BTreeSet<UpdateId>), ChaseError> {
         // Safety valve, checked per step so the error names the update that
@@ -860,15 +870,15 @@ impl EngineShared {
         let id = outcome.update;
 
         // Log writes (for dependency tracking) and reads (for conflicts).
-        lock(&self.write_log).push_all(&outcome.writes);
-        lock(&self.tracker).record_writes(id, &outcome.writes);
-        self.record_reads_locked(&db, id, outcome.reads.clone());
+        seq.write_log.push_all(&outcome.writes);
+        seq.tracker.record_writes(id, &outcome.writes);
+        self.record_reads_locked(seq, &db, id, outcome.reads.clone());
 
         // Algorithm 4: check every change against the stored reads of
         // higher-numbered updates; cascade through the tracker.
         let changes: Vec<TupleChange> =
             outcome.writes.iter().flat_map(|w| w.changes.iter().cloned()).collect();
-        let to_abort = self.collect_aborts_locked(&db, id, &changes);
+        let to_abort = self.collect_aborts_locked(seq, &db, id, &changes);
         Ok((outcome, to_abort))
     }
 
@@ -879,13 +889,13 @@ impl EngineShared {
     /// database read lock.
     fn collect_aborts_locked(
         &self,
+        seq: &Sequencer,
         db: &Database,
         writer: UpdateId,
         changes: &[TupleChange],
     ) -> BTreeSet<UpdateId> {
         let mut pending: BTreeSet<UpdateId> = BTreeSet::new();
-        let conflicts =
-            direct_conflicts(db, &self.mappings, writer, changes, &lock(&self.read_log));
+        let conflicts = direct_conflicts(db, &self.mappings, writer, changes, &seq.read_log);
         if conflicts.is_empty() {
             return pending;
         }
@@ -894,27 +904,23 @@ impl EngineShared {
         // behind the cascade walk.
         let direct_requests = conflicts.len();
         let mut cascading_requests = 0usize;
-        {
-            let tracker = lock(&self.tracker);
-            let all_ids = lock(&self.all_ids);
-            for reader in conflicts.into_iter().map(|c| c.reader) {
-                pending.insert(reader);
-                // Cascade: everyone who (transitively) read from the aborted
-                // reader must abort too; every request is counted, even when
-                // the target is already marked (see ConcurrentRun).
-                let mut stack = vec![reader];
-                let mut visited: BTreeSet<UpdateId> = BTreeSet::new();
-                visited.insert(reader);
-                while let Some(a) = stack.pop() {
-                    for dependent in tracker.dependents_of(a, &all_ids) {
-                        if dependent <= writer {
-                            continue;
-                        }
-                        cascading_requests += 1;
-                        pending.insert(dependent);
-                        if visited.insert(dependent) {
-                            stack.push(dependent);
-                        }
+        for reader in conflicts.into_iter().map(|c| c.reader) {
+            pending.insert(reader);
+            // Cascade: everyone who (transitively) read from the aborted
+            // reader must abort too; every request is counted, even when
+            // the target is already marked (see ConcurrentRun).
+            let mut stack = vec![reader];
+            let mut visited: BTreeSet<UpdateId> = BTreeSet::new();
+            visited.insert(reader);
+            while let Some(a) = stack.pop() {
+                for dependent in seq.tracker.dependents_of(a, &seq.all_ids) {
+                    if dependent <= writer {
+                        continue;
+                    }
+                    cascading_requests += 1;
+                    pending.insert(dependent);
+                    if visited.insert(dependent) {
+                        stack.push(dependent);
                     }
                 }
             }
@@ -930,19 +936,23 @@ impl EngineShared {
     /// query — never via the tracker, whose conservative answers would make
     /// abort waves feed on themselves under `NAIVE`). The caller feeds them
     /// back into the abort worklist.
-    fn validate_rollback(&self, victim: UpdateId, rolled_back: &[TupleChange]) -> Vec<UpdateId> {
+    fn validate_rollback(
+        &self,
+        seq: &Sequencer,
+        victim: UpdateId,
+        rolled_back: &[TupleChange],
+    ) -> Vec<UpdateId> {
         let mut undone_readers: Vec<UpdateId> = Vec::new();
         if rolled_back.is_empty() {
             return undone_readers;
         }
         let db = self.db.read().unwrap_or_else(|e| e.into_inner());
-        let read_log = lock(&self.read_log);
-        for conflict in direct_conflicts(&db, &self.mappings, victim, rolled_back, &read_log) {
+        for conflict in direct_conflicts(&db, &self.mappings, victim, rolled_back, &seq.read_log) {
             if !undone_readers.contains(&conflict.reader) {
                 undone_readers.push(conflict.reader);
             }
         }
-        drop((read_log, db));
+        drop(db);
         if !undone_readers.is_empty() {
             // One metrics acquisition after the walk — query re-evaluation
             // must not hold the global counter mutex.
@@ -957,19 +967,23 @@ impl EngineShared {
     /// operation. `revive` is true when the slot had already terminated — the
     /// abort brings it back into the active count and the caller must put it
     /// back into the live set.
-    fn execute_abort(&self, slot: &mut Slot, revive: bool, validate: bool) -> Vec<UpdateId> {
+    fn execute_abort(
+        &self,
+        seq: &mut Sequencer,
+        slot: &mut Slot,
+        revive: bool,
+        validate: bool,
+    ) -> Vec<UpdateId> {
         let victim = slot.exec.id();
         // `validate` captures the victim's logged changes before they go
         // away; their inverses are validated like writes. Conflict-decided
-        // aborts under the blocking frontier policy pass `false`: they happen
-        // synchronously inside the validation that decided them, exactly
-        // like the single-threaded reference, so no reader can slip in
-        // between and validating would only skew reference metrics. Under
-        // the skipping policy a concurrent `answer` caller can record reads
-        // between the step and the abort, and a budget failure fires outside
-        // any validation: both validate.
+        // aborts pass `false`: they happen inside the action whose
+        // validation decided them, exactly like the single-threaded
+        // reference, so no reader can slip in between and validating would
+        // only skew reference metrics. The dependents of a budget failure,
+        // which fires outside any validation, pass `true`.
         let rolled_back: Vec<TupleChange> = if validate {
-            lock(&self.write_log).changes_of(victim).map(invert_change).collect()
+            seq.write_log.changes_of(victim).map(invert_change).collect()
         } else {
             Vec::new()
         };
@@ -987,15 +1001,12 @@ impl EngineShared {
         // writer): restarted at once it re-reads what the victims aborted
         // with it are rewriting and cascades with them again.
         slot.sit_out = usize::from(revive && self.skip_frontiers);
-        lock(&self.read_log).clear(victim);
-        lock(&self.write_log).remove_update(victim);
-        {
-            let mut tracker = lock(&self.tracker);
-            tracker.note_abort(victim);
-            tracker.clear_update(victim);
-        }
+        seq.read_log.clear(victim);
+        seq.write_log.remove_update(victim);
+        seq.tracker.note_abort(victim);
+        seq.tracker.clear_update(victim);
         lock(&self.metrics).aborts += 1;
-        let undone_readers = self.validate_rollback(victim, &rolled_back);
+        let undone_readers = self.validate_rollback(seq, victim, &rolled_back);
         if revive {
             self.active.fetch_add(1, Ordering::SeqCst);
         }
@@ -1007,8 +1018,8 @@ impl EngineShared {
     /// are rolled back, its logs and bookkeeping cleared, and the error left
     /// on the slot for its handle. Unlike an abort it does not restart. The
     /// slot stays in the `active` count until the caller has aborted the
-    /// returned dependents and [`retire`](Self::retire)s it.
-    fn fail_slot(&self, slot: &mut Slot, error: ChaseError) -> Vec<UpdateId> {
+    /// returned dependents.
+    fn fail_slot(&self, seq: &mut Sequencer, slot: &mut Slot, error: ChaseError) -> Vec<UpdateId> {
         let victim = slot.exec.id();
         // Unlike a conflict-decided abort, a budget failure fires at an
         // arbitrary point in the schedule — its rollback can retroactively
@@ -1016,7 +1027,7 @@ impl EngineShared {
         // validated like a write and the caller must abort the returned
         // dependents.
         let rolled_back: Vec<TupleChange> =
-            lock(&self.write_log).changes_of(victim).map(invert_change).collect();
+            seq.write_log.changes_of(victim).map(invert_change).collect();
         {
             let mut db = self.db.write().unwrap_or_else(|e| e.into_inner());
             db.rollback_update(victim);
@@ -1025,11 +1036,11 @@ impl EngineShared {
             lock(&self.pending).remove(&token.0);
             self.unanswered.fetch_sub(1, Ordering::SeqCst);
         }
-        lock(&self.read_log).clear(victim);
-        lock(&self.write_log).remove_update(victim);
-        lock(&self.tracker).clear_update(victim);
+        seq.read_log.clear(victim);
+        seq.write_log.remove_update(victim);
+        seq.tracker.clear_update(victim);
         slot.failed = Some(error);
-        self.validate_rollback(victim, &rolled_back)
+        self.validate_rollback(seq, victim, &rolled_back)
     }
 
     /// Quiescence garbage collection: once nothing is active or awaiting an
@@ -1041,22 +1052,16 @@ impl EngineShared {
     /// reader walk alone would otherwise scan every past null-occurrence
     /// query on every change).
     ///
-    /// Serialised against submission by the slots write lock: a submission
-    /// that won the lock first left `active > 0` (checked again inside), and
-    /// one that comes after finds freshly cleared logs its update has not
-    /// touched yet. No step can be in flight: whoever steps (the chase thread,
-    /// or the caller driving an inline engine) is here, between two slots.
-    fn maybe_gc(&self) {
+    /// Runs at the end of the action that retired the last active update,
+    /// under the sequencer lock: the next submission enters after it and
+    /// finds freshly cleared logs its updates have not touched yet.
+    fn maybe_gc(&self, seq: &mut Sequencer) {
         if self.active.load(Ordering::SeqCst) != 0 {
             return;
         }
-        let mut slots = self.slots.write().unwrap_or_else(|e| e.into_inner());
-        if self.active.load(Ordering::SeqCst) != 0 || self.unanswered.load(Ordering::SeqCst) != 0 {
-            return;
-        }
-        *lock(&self.read_log) = ReadLog::default();
-        *lock(&self.write_log) = WriteLog::default();
-        *lock(&self.tracker) = self.config.scheduler.tracker.build();
+        seq.read_log = ReadLog::default();
+        seq.write_log = WriteLog::default();
+        seq.tracker = self.config.scheduler.tracker.build();
         // The shared violation index's delta backlog is dead for the same
         // reason: only live executions hold cursors into it, and there are
         // none. Dropping it (rather than letting the cap drain it lazily)
@@ -1065,7 +1070,8 @@ impl EngineShared {
         // post-truncation sequence, and a stale cursor would surface as a gap
         // (all-dirty fallback), not a missed delta.
         crate::viewmaint::clear(&mut self.db.write().unwrap_or_else(|e| e.into_inner()));
-        self.compact_locked(&mut slots);
+        let mut slots = self.slots.write().unwrap_or_else(|e| e.into_inner());
+        self.compact_locked(seq, &mut slots);
         // Quiescence is a durability point: any group-commit window still
         // open is flushed so an idle engine never sits on unsynced records.
         if let Some(d) = &self.durable {
@@ -1077,19 +1083,6 @@ impl EngineShared {
         self.maybe_snapshot_locked(&slots);
     }
 
-    /// Takes a terminated or failed update out of the active count. The
-    /// blocking policy wakes waiters on the spot — for a terminated update
-    /// with its slot still locked, so whoever sees it terminated sees it
-    /// retired and a submit-wait-submit loop cannot run ahead of the count
-    /// and starve the quiescence GC. The skipping policy wakes them after
-    /// that GC (see `det_action`).
-    fn retire(&self) {
-        self.active.fetch_sub(1, Ordering::SeqCst);
-        if !self.skip_frontiers {
-            self.signal.bump();
-        }
-    }
-
     /// Evicts terminal slots past the retention horizon from the front of the
     /// locked table, together with their per-update log and tracker state.
     /// Front-only eviction is what keeps it sound: abort victims are always
@@ -1097,7 +1090,7 @@ impl EngineShared {
     /// below an update is evicted (hence terminal, by induction from slot 0,
     /// which has no lower neighbours at all), no writer that could revive it
     /// or consult its reads can ever run again.
-    fn compact_locked(&self, slots: &mut SlotTable) {
+    fn compact_locked(&self, seq: &mut Sequencer, slots: &mut SlotTable) {
         let horizon = self.config.retention_horizon;
         while slots.cells.len() > horizon {
             let Some(front) = slots.cells.front() else { break };
@@ -1110,19 +1103,18 @@ impl EngineShared {
             drop(slot);
             slots.cells.pop_front();
             slots.base += 1;
-            lock(&self.read_log).clear(id);
-            lock(&self.write_log).remove_update(id);
-            lock(&self.tracker).clear_update(id);
-            let mut all_ids = lock(&self.all_ids);
-            if let Ok(pos) = all_ids.binary_search(&id) {
-                all_ids.remove(pos);
+            seq.read_log.clear(id);
+            seq.write_log.remove_update(id);
+            seq.tracker.clear_update(id);
+            if let Ok(pos) = seq.all_ids.binary_search(&id) {
+                seq.all_ids.remove(pos);
             }
         }
     }
 
     /// Opportunistic compaction: a cheap read-locked length check, then the
     /// write-locked eviction walk only when the horizon is actually exceeded.
-    fn maybe_compact(&self) {
+    fn maybe_compact(&self, seq: &mut Sequencer) {
         if self.config.retention_horizon == usize::MAX {
             return;
         }
@@ -1133,7 +1125,7 @@ impl EngineShared {
             }
         }
         let mut slots = self.slots.write().unwrap_or_else(|e| e.into_inner());
-        self.compact_locked(&mut slots);
+        self.compact_locked(seq, &mut slots);
     }
 
     /// Writes a snapshot (and restarts the log) if the engine is durable, not
@@ -1207,6 +1199,20 @@ impl EngineShared {
         Ok(())
     }
 
+    /// Appends one record to the write-ahead log (no-op on a plain engine),
+    /// stamped with the action count it is logged at. The caller holds the
+    /// sequencer lock, so the stamp is the point between two actions where
+    /// replay must inject the record.
+    fn log_record(
+        &self,
+        encode: impl FnOnce(u64) -> Vec<u8>,
+    ) -> Result<(), youtopia_storage::WalError> {
+        let Some(d) = &self.durable else { return Ok(()) };
+        lock(&d.wal).append(&encode(d.actions.load(Ordering::SeqCst)))?;
+        d.records.fetch_add(1, Ordering::SeqCst);
+        Ok(())
+    }
+
     /// Bumps the durable action counter (no-op on a plain engine): every
     /// acting sequencer step and every frontier publish counts. WAL records
     /// carry the counter's value as their stamp, which is how replay knows
@@ -1248,11 +1254,13 @@ impl EngineShared {
         self.signal.bump();
     }
 
-    /// Applies an answered decision to the owning slot. The pending entry has
+    /// Applies an answered decision to the owning slot, between two sequencer
+    /// actions (the caller [`enter`](Self::enter)ed). The pending entry has
     /// already been removed by the caller; on a rejected (invalid) decision it
     /// is restored under the same token so the user can retry.
     pub(crate) fn apply_answer(
         &self,
+        seq: &mut Sequencer,
         token: FrontierToken,
         entry: PendingEntry,
         decision: FrontierDecision,
@@ -1282,7 +1290,7 @@ impl EngineShared {
                             metrics.auto_resolutions += 1;
                         }
                     }
-                    self.record_reads_locked(&db, id, reads);
+                    self.record_reads_locked(seq, &db, id, reads);
                 }
                 Err(e) => {
                     // The execution restored its request; re-list it under
@@ -1303,7 +1311,7 @@ impl EngineShared {
     // The sequencer: the reference round-robin loop, open world
     // ------------------------------------------------------------------
 
-    /// Body of the chase thread: one sequencer action per cursor acquisition,
+    /// Body of the chase thread: one sequencer action per lock acquisition,
     /// asleep on the signal while there is nothing to act on.
     fn sequencer_thread(&self) {
         let _guard = WorkerGuard { shared: self };
@@ -1316,22 +1324,27 @@ impl EngineShared {
             // generation and makes the wait below return immediately; any
             // event before it is visible to `det_action`. No lost wakeups.
             let gen = self.signal.current();
+            // Callers first (see `enter`). Each one is about to take the
+            // lock, so this spins for a wake-up latency, not for a caller's
+            // critical section — that is waited out inside `lock` below.
+            while self.entering.load(Ordering::SeqCst) != 0 {
+                std::thread::yield_now();
+            }
             // A *blocking* lock, never `try_lock` + sleep: the mutex handoff
-            // is what keeps the sequencer live across releases that are not
-            // followed by a signal bump (a durable `submit`/`answer` holds
-            // the cursor from the caller's thread and releases it silently).
-            let mut cur = lock(&self.cursor);
+            // is what keeps the sequencer live across a caller's release,
+            // which need not be followed by a signal bump.
+            let mut seq = lock(&self.sequencer);
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
-            match self.det_action(&mut cur) {
+            match self.det_action(&mut seq) {
                 Ok(DetProgress::Acted) => {}
                 Ok(DetProgress::Idle | DetProgress::AwaitingAnswer) => {
-                    drop(cur);
+                    drop(seq);
                     self.signal.wait_past(gen);
                 }
                 Err(e) => {
-                    drop(cur);
+                    drop(seq);
                     self.fail(e);
                     break;
                 }
@@ -1343,28 +1356,20 @@ impl EngineShared {
     /// chase thread) until it goes idle or blocks on an unanswered frontier. A
     /// step error fails the engine, exactly as the thread would.
     pub(crate) fn drive_inline(&self) -> Result<(), ChaseError> {
-        let mut cur = lock(&self.cursor);
+        let mut seq = lock(&self.sequencer);
         loop {
             if self.stop.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            match self.det_action(&mut cur) {
+            match self.det_action(&mut seq) {
                 Ok(DetProgress::Acted) => {}
                 Ok(DetProgress::Idle | DetProgress::AwaitingAnswer) => return Ok(()),
                 Err(e) => {
-                    drop(cur);
+                    drop(seq);
                     self.fail(e.clone());
                     return Err(e);
                 }
             }
-        }
-    }
-
-    /// Folds newly submitted slot indices into the live set.
-    fn det_absorb_incoming(&self, cur: &mut DetCursor) {
-        let mut incoming = lock(&self.det_incoming);
-        for idx in incoming.drain(..) {
-            cur.live.insert(idx);
         }
     }
 
@@ -1379,42 +1384,39 @@ impl EngineShared {
     /// synchronous resolver call at exactly that point in the round.
     /// *Skipping*: published slots are stepped past, and the sequencer only
     /// stops once every live slot is one (published slots stay live, so that
-    /// is `unanswered >= live.len()`); an answer or an abort bumps the signal
-    /// and the loop resumes.
-    fn det_action(&self, cur: &mut DetCursor) -> Result<DetProgress, ChaseError> {
-        self.det_absorb_incoming(cur);
+    /// is `unanswered >= live.len()`); an answer bumps the signal and the
+    /// loop resumes.
+    fn det_action(&self, seq: &mut Sequencer) -> Result<DetProgress, ChaseError> {
         let unanswered = self.unanswered.load(Ordering::SeqCst);
-        let stop_at = if self.skip_frontiers { cur.live.len().max(1) } else { 1 };
+        let stop_at = if self.skip_frontiers { seq.live.len().max(1) } else { 1 };
         if unanswered >= stop_at {
             return Ok(DetProgress::AwaitingAnswer);
         }
-        if cur.live.is_empty() {
+        if seq.live.is_empty() {
             return Ok(DetProgress::Idle);
         }
-        let idx = match cur.live.range(cur.next..).next() {
+        let idx = match seq.live.range(seq.next..).next() {
             Some(&idx) => idx,
             None => {
                 // Round boundary.
-                cur.next = 0;
+                seq.next = 0;
                 self.bump_action();
                 return Ok(DetProgress::Acted);
             }
         };
-        cur.next = idx + 1;
+        seq.next = idx + 1;
         let Some(cell) = self.slot_cell(idx) else {
-            // Compaction (which runs under this same cursor) evicted a slot a
+            // Compaction (which runs under this same lock) evicted a slot a
             // stale live entry still names; evicted slots are terminal, so
             // this is the Terminated branch in disguise.
-            cur.live.remove(&idx);
+            seq.live.remove(&idx);
             self.bump_action();
             return Ok(DetProgress::Acted);
         };
-        // One lock session decides the branch: under the skipping policy a
-        // caller's `answer` can turn a published slot Ready at any moment.
         let mut slot = lock(&cell);
         match slot.exec.state() {
             UpdateState::Terminated => {
-                cur.live.remove(&idx);
+                seq.live.remove(&idx);
                 self.bump_action();
             }
             // Only the skipping policy gets past the gate with a published
@@ -1430,7 +1432,7 @@ impl EngineShared {
             }
             UpdateState::Ready => {
                 drop(slot);
-                let left = self.det_run_ready_slot(cur, idx, &cell)?;
+                let left = self.det_run_ready_slot(seq, idx, &cell)?;
                 // The action is complete — and counted — *before* quiescence
                 // bookkeeping: a snapshot taken inside `maybe_gc` must record
                 // the post-action counter, or replaying its WAL tail would
@@ -1438,20 +1440,14 @@ impl EngineShared {
                 self.bump_action();
                 if left {
                     // It may have been the last active update; all slot locks
-                    // are released again at this point.
-                    self.maybe_gc();
-                    if self.skip_frontiers {
-                        // Woken only now: a pump woken by the decrement
-                        // submits its next wave before the sequencer gets to
-                        // the collection, and every later step wades through
-                        // the dead reads of the waves before it. The blocking
-                        // sequencer does lose that race; winning it moves
-                        // `workers_2` (ROADMAP, "One schedule"), a measured
-                        // change of its own.
-                        self.signal.bump();
-                    }
+                    // are released again at this point. Waiters hear of the
+                    // retirement here; one that saw it earlier (a status
+                    // accessor needs no wake-up) and submits its next wave
+                    // still enters after the collection.
+                    self.maybe_gc(seq);
+                    self.signal.bump();
                 }
-                self.maybe_compact();
+                self.maybe_compact(seq);
             }
         }
         Ok(DetProgress::Acted)
@@ -1460,12 +1456,12 @@ impl EngineShared {
     /// The reference `run_ready_slot`: step, validate, abort synchronously,
     /// honour the scheduling policy. The whole routine runs under the
     /// sequencer, which is the only stepper and aborter; a victim's lock is
-    /// held at most briefly by a caller thread (an answer being applied, a
-    /// status read). Returns whether the slot left the live set and the
-    /// active count for good (terminated or failed).
+    /// held at most briefly by a caller thread (a status read). Returns
+    /// whether the slot left the live set and the active count for good
+    /// (terminated or failed).
     fn det_run_ready_slot(
         &self,
-        cur: &mut DetCursor,
+        seq: &mut Sequencer,
         idx: usize,
         cell: &Arc<SlotCell>,
     ) -> Result<bool, ChaseError> {
@@ -1476,21 +1472,21 @@ impl EngineShared {
                     update: slot.exec.id(),
                     limit: self.config.max_steps_per_update,
                 };
-                let dependents = self.fail_slot(&mut slot, err);
+                let dependents = self.fail_slot(seq, &mut slot, err);
                 drop(slot);
                 // Quiescence ordering: the failed slot leaves `active` only
                 // after every dependent its rollback revived has re-entered
                 // the count. The other way round, a concurrent
                 // `wait_quiescent` could observe `active == 0` between the
                 // two with a revived update still to run.
-                self.det_abort_worklist(cur, dependents, true);
-                cur.live.remove(&idx);
-                self.retire();
+                self.det_abort_worklist(seq, dependents, true);
+                seq.live.remove(&idx);
+                self.active.fetch_sub(1, Ordering::SeqCst);
                 return Ok(true);
             }
-            let (outcome, to_abort) = self.step_and_validate(&mut slot)?;
+            let (outcome, to_abort) = self.step_and_validate(seq, &mut slot)?;
             drop(slot);
-            self.det_abort_worklist(cur, to_abort, self.skip_frontiers);
+            self.det_abort_worklist(seq, to_abort, false);
             let mut slot = lock(cell);
             if outcome.frontier_request.is_some() {
                 slot.sit_out = self.config.scheduler.frontier_delay_rounds;
@@ -1502,8 +1498,8 @@ impl EngineShared {
                 }
             }
             if slot.exec.is_terminated() {
-                cur.live.remove(&idx);
-                self.retire();
+                seq.live.remove(&idx);
+                self.active.fetch_sub(1, Ordering::SeqCst);
                 return Ok(true);
             }
             // Step-level round robin hands control back after one step; the
@@ -1523,7 +1519,7 @@ impl EngineShared {
     /// worklist.
     fn det_abort_worklist(
         &self,
-        cur: &mut DetCursor,
+        seq: &mut Sequencer,
         victims: impl IntoIterator<Item = UpdateId>,
         validate: bool,
     ) {
@@ -1535,9 +1531,9 @@ impl EngineShared {
                 continue;
             }
             let was_terminated = slot.exec.is_terminated();
-            work.extend(self.execute_abort(&mut slot, was_terminated, validate));
+            work.extend(self.execute_abort(seq, &mut slot, was_terminated, validate));
             if was_terminated {
-                cur.live.insert(vidx);
+                seq.live.insert(vidx);
             }
         }
     }
@@ -1786,13 +1782,16 @@ impl ExchangeEngine {
             db: RwLock::new(db),
             skip_frontiers,
             slots: RwLock::new(slots),
-            all_ids: Mutex::new(all_ids),
-            read_log: Mutex::new(ReadLog::default()),
-            write_log: Mutex::new(WriteLog::default()),
-            tracker: Mutex::new(config.scheduler.tracker.build()),
             metrics: Mutex::new(metrics),
-            cursor: Mutex::new(DetCursor { next: 0, live: BTreeSet::new() }),
-            det_incoming: Mutex::new(Vec::new()),
+            sequencer: Mutex::new(Sequencer {
+                next: 0,
+                live: BTreeSet::new(),
+                all_ids,
+                read_log: ReadLog::default(),
+                write_log: WriteLog::default(),
+                tracker: config.scheduler.tracker.build(),
+            }),
+            entering: AtomicUsize::new(0),
             pending: Mutex::new(BTreeMap::new()),
             admission: Mutex::new(BTreeMap::new()),
             unanswered: AtomicUsize::new(0),
@@ -1892,43 +1891,33 @@ impl ExchangeEngine {
         if shared.replication.is_some() {
             return Err(SubmitError::Replicated);
         }
-        // A durable engine serialises admission against the sequencer: the
-        // WAL record's action stamp fixes the exact interleaving point replay
-        // must reproduce, which it only does while the sequencer cannot act.
-        let mut cursor = shared.durable.as_ref().map(|_| lock(&shared.cursor));
+        // Admission happens between two sequencer actions: the batch becomes
+        // live at one point of the schedule, and on a durable engine the WAL
+        // record's action stamp names that point for replay.
+        let mut seq = shared.enter();
         let mut slots = shared.slots.write().unwrap_or_else(|e| e.into_inner());
         shared.check_admission(&slots, client, ops.len())?;
         let base = slots.total();
-        if let Some(d) = &shared.durable {
-            // Logged before any effect is visible: a submission the caller
-            // saw admitted is in the log, and one that failed to log was
-            // never admitted.
-            let first = shared.config.first_update_number + base as u64;
-            let stamp = d.actions.load(Ordering::SeqCst);
-            if let Err(e) = lock(&d.wal).append(&encode_submit(first, stamp, &ops)) {
-                // Nothing was admitted, but the log is now in an unknown
-                // state (under group commit, earlier acknowledged records of
-                // this window were never synced): fail-stop, as `answer` does.
-                shared.fail(ChaseError::InvalidDecision(format!("durability failure: {e}")));
-                return Err(SubmitError::Durability(e.to_string()));
-            }
-            d.records.fetch_add(1, Ordering::SeqCst);
+        // Logged before any effect is visible: a submission the caller saw
+        // admitted is in the log, and one that failed to log was never
+        // admitted.
+        let first = shared.config.first_update_number + base as u64;
+        if let Err(e) = shared.log_record(|stamp| encode_submit(first, stamp, &ops)) {
+            // Nothing was admitted, but the log is now in an unknown state
+            // (under group commit, earlier acknowledged records of this
+            // window were never synced): fail-stop, as `answer` does.
+            shared.fail(ChaseError::InvalidDecision(format!("durability failure: {e}")));
+            return Err(SubmitError::Durability(e.to_string()));
         }
         let count = ops.len();
         let handles: Vec<UpdateHandle> = shared
-            .admit_locked(&mut slots, ops)
+            .admit(&mut seq, &mut slots, ops)
             .into_iter()
             .map(|(id, cell)| UpdateHandle { id, cell, shared: Arc::downgrade(shared) })
             .collect();
         shared.record_admission(client, base..base + count);
-        match cursor.as_deref_mut() {
-            // Durable path, sequencer held: fix the interleaving point
-            // directly instead of via the absorb queue.
-            Some(cur) => cur.live.extend(base..base + count),
-            None => lock(&shared.det_incoming).extend(base..base + count),
-        }
         drop(slots);
-        drop(cursor);
+        drop(seq);
         shared.signal.bump();
         Ok(handles)
     }
@@ -1991,27 +1980,23 @@ impl ExchangeEngine {
         if shared.replication.is_some() {
             return crate::replicate::answer_replicated(self, token, decision, origin);
         }
-        // A durable engine holds the sequencer across remove → append → apply
-        // so the log order is the order decisions' effects landed and the
-        // stamp pins the interleaving point (this also closes the solo
-        // fast-path race where a step slips between the append and the
-        // apply).
-        let _cursor = shared.durable.as_ref().map(|_| lock(&shared.cursor));
+        // The sequencer is held across remove → append → apply: the decision
+        // lands between two actions, and on a durable engine the log order is
+        // the order decisions' effects landed, the stamp pinning the
+        // interleaving point.
+        let mut seq = shared.enter();
         let entry = lock(&shared.pending).remove(&token.0);
         let Some(entry) = entry else { return Ok(AnswerOutcome::Stale) };
-        if let Some(d) = &shared.durable {
-            let stamp = d.actions.load(Ordering::SeqCst);
-            if let Err(e) = lock(&d.wal).append(&encode_answer(token.0, stamp, &decision, origin)) {
-                // Restore the entry so the request is not silently lost, then
-                // fail the engine: its log no longer matches its history.
-                lock(&shared.pending).insert(token.0, entry);
-                let err = ChaseError::InvalidDecision(format!("durability failure: {e}"));
-                shared.fail(err.clone());
-                return Err(err);
-            }
-            d.records.fetch_add(1, Ordering::SeqCst);
+        if let Err(e) = shared.log_record(|stamp| encode_answer(token.0, stamp, &decision, origin))
+        {
+            // Restore the entry so the request is not silently lost, then
+            // fail the engine: its log no longer matches its history.
+            lock(&shared.pending).insert(token.0, entry);
+            let err = ChaseError::InvalidDecision(format!("durability failure: {e}"));
+            shared.fail(err.clone());
+            return Err(err);
         }
-        shared.apply_answer(token, entry, decision, origin)
+        shared.apply_answer(&mut seq, token, entry, decision, origin)
     }
 
     /// One pass of the frontier lifecycle sweeper: every pending request ages
@@ -2113,7 +2098,9 @@ impl ExchangeEngine {
 
     /// Runs a closure over the last-committed database state (a read-lock
     /// snapshot session). Do not hold long-running work inside the closure —
-    /// writers (chase steps) queue behind it.
+    /// writers (chase steps) queue behind it — and do not `submit` or `answer`
+    /// from inside it: those wait for the running action, which may be
+    /// waiting to write.
     pub fn read<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
         f(&self.shared.db.read().unwrap_or_else(|e| e.into_inner()))
     }
@@ -2581,7 +2568,9 @@ mod tests {
     /// unanswered frontier, keeps asking while that holds, and acts again as
     /// soon as one answer lands. A gate that never closes (a busy-spinning
     /// thread) trips the action bound; one that closes early leaves requests
-    /// unpublished.
+    /// unpublished. That answer is issued while the test still holds the
+    /// sequencer: it must wait in `enter` with none of its effects visible,
+    /// and apply once the guard is released.
     #[test]
     fn skipping_sequencer_parks_only_when_every_live_update_is_blocked() {
         let (db, mappings, ops) = frontier_fixture(3);
@@ -2599,8 +2588,8 @@ mod tests {
         let engine = ExchangeEngine { shared, thread: None };
         engine.submit_batch(ops).unwrap();
         let shared = &engine.shared;
-        let mut cur = lock(&shared.cursor);
-        let act_until_parked = |cur: &mut DetCursor| {
+        let mut cur = lock(&shared.sequencer);
+        let act_until_parked = |cur: &mut Sequencer| {
             for actions in 0.. {
                 assert!(actions < 1_000, "the sequencer never asks to sleep");
                 match shared.det_action(cur).unwrap() {
@@ -2623,7 +2612,21 @@ mod tests {
         let decision = engine.read(|db| {
             RandomResolver::seeded(1).resolve(&db.snapshot(asked.update), &asked.request)
         });
-        assert_eq!(engine.answer(asked.token, decision).unwrap(), AnswerOutcome::Applied);
+        let outcome = std::thread::scope(|s| {
+            let answering = s.spawn(|| engine.answer(asked.token, decision));
+            let deadline = std::time::Instant::now() + Duration::from_secs(60);
+            while shared.entering.load(Ordering::SeqCst) == 0 {
+                assert!(std::time::Instant::now() < deadline, "answer never reached enter()");
+                std::thread::yield_now();
+            }
+            assert!(!answering.is_finished(), "answered inside a sequencer action");
+            assert_eq!(engine.pending_frontiers().len(), 3, "the entry is still listed");
+            assert_eq!(shared.unanswered.load(Ordering::SeqCst), 3);
+            drop(cur);
+            answering.join().expect("answering thread")
+        });
+        assert_eq!(outcome.unwrap(), AnswerOutcome::Applied);
+        let mut cur = lock(&shared.sequencer);
         assert!(act_until_parked(&mut cur) > 0, "the answered update acts");
         assert!(engine.metrics().steps > steps);
         assert_eq!(engine.active_updates(), 2);
@@ -2656,9 +2659,68 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A durable `submit`/`answer` holds the commit cursor on the *caller's*
-    /// thread and releases it without a signal bump; the sequencer must pick
-    /// the cursor up by mutex handoff, not by waiting for a wake-up that
+    /// A wave submitted the moment the one before it is seen quiescent is
+    /// admitted into collected logs: the submit enters after the action that
+    /// retired the last update, and that action ends with the quiescence GC.
+    /// Checked right after each admission — the sequencer may already be
+    /// stepping the new wave, so "collected" means nothing is left of the
+    /// wave before it in the write log, the read log or the tracker.
+    #[test]
+    fn callers_admit_each_wave_into_collected_logs() {
+        const WAVES: u64 = 200;
+        const WAVE: u64 = 16;
+        let (db, mappings, ops) = frontier_fixture((WAVES * WAVE) as usize);
+        let relations: Vec<_> = db.catalog().relation_ids().collect();
+        let engine = EngineBuilder::new().build(db, mappings).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let driver = std::thread::spawn(move || {
+            let mut resolver = RandomResolver::seeded(3);
+            let mut ops = ops.into_iter();
+            for wave in 0..WAVES {
+                let first =
+                    engine.submit_batch(ops.by_ref().take(WAVE as usize).collect()).unwrap()[0]
+                        .id();
+                {
+                    let seq = engine.shared.enter();
+                    assert!(
+                        seq.write_log.entries().iter().all(|w| w.update >= first),
+                        "wave {wave}: writes of earlier waves survived into this one"
+                    );
+                    let earlier = (first.0.saturating_sub(WAVE)..first.0).map(UpdateId);
+                    for old in earlier {
+                        let reads = relations
+                            .iter()
+                            .flat_map(|r| seq.read_log.reads_touching(old, *r))
+                            .count();
+                        assert_eq!(reads, 0, "wave {wave}: {old} still has stored reads");
+                    }
+                    for new in (first.0..first.0 + WAVE).map(UpdateId) {
+                        assert!(
+                            seq.tracker.dependencies_of(new).iter().all(|d| *d >= first),
+                            "wave {wave}: {new} depends on an earlier wave"
+                        );
+                    }
+                }
+                ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
+            }
+            let _ = tx.send(engine.shutdown().2.frontier_ops);
+        });
+        match rx.recv_timeout(Duration::from_secs(120)) {
+            // Aborted updates ask again, hence "at least".
+            Ok(answered) => assert!(answered >= (WAVES * WAVE) as usize),
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("engine hung"),
+            // The driver dropped its sender without sending: an assertion
+            // above failed; surface it.
+            Err(mpsc::RecvTimeoutError::Disconnected) => {}
+        }
+        if let Err(panic) = driver.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    /// A `submit`/`answer` holds the sequencer lock on the *caller's* thread
+    /// and need not bump the signal after releasing it; the sequencer must
+    /// pick the lock up by mutex handoff, not by waiting for a wake-up that
     /// never comes. Many one-update waves, each with a frontier answered from
     /// the caller thread, give that window every chance to open; a watchdog
     /// turns a hang into a failure.

@@ -1,6 +1,6 @@
 //! Write and read logs kept by the optimistic scheduler (Algorithm 4) — by
 //! [`ConcurrentRun`](crate::ConcurrentRun) directly and by the
-//! [`ExchangeEngine`](crate::ExchangeEngine) behind a mutex each.
+//! [`ExchangeEngine`](crate::ExchangeEngine) in its sequencer state.
 //!
 //! Both logs are keyed by relation: the write log keeps a relation →
 //! (entry, change) index so dependency trackers only examine writes that

@@ -120,7 +120,8 @@ struct AnswerRecord {
 }
 
 /// The replication bookkeeping hanging off `EngineShared` (one mutex,
-/// outermost in the lock order: replication → cursor → slots → slot → pending).
+/// outermost in the lock order: replication → sequencer → slots → slot →
+/// pending).
 pub(crate) struct ReplicationState {
     node: NodeId,
     /// Lamport clock: max of every lamport seen, floor for own events.
@@ -254,14 +255,11 @@ fn settle(engine: &ExchangeEngine) -> Result<(), SyncError> {
 /// handle, no admission cap — fold admissions are never refused; backpressure
 /// belongs at the edge that accepted the original submit).
 fn admit_internal(shared: &EngineShared, op: youtopia_core::InitialOp) -> UpdateId {
-    let mut cursor = lock(&shared.cursor);
+    let mut seq = shared.enter();
     let mut slots = shared.slots.write().unwrap_or_else(|e| e.into_inner());
-    let base = slots.total();
-    let admitted = shared.admit_locked(&mut slots, vec![op]);
-    cursor.live.extend(base..base + 1);
-    let id = admitted[0].0;
+    let id = shared.admit(&mut seq, &mut slots, vec![op])[0].0;
     drop(slots);
-    drop(cursor);
+    drop(seq);
     shared.signal.bump();
     id
 }
@@ -277,6 +275,7 @@ fn apply_recorded_answer(
     decision: FrontierDecision,
     origin: ResolutionOrigin,
 ) {
+    let mut seq = shared.enter();
     let removed = {
         let mut pending = lock(&shared.pending);
         let token = pending.iter().find(|(_, e)| e.update == update).map(|(&t, _)| t);
@@ -285,7 +284,7 @@ fn apply_recorded_answer(
     let Some((token, entry)) = removed else { return };
     // Applied advances the fold; Err re-listed the entry (consumed no-op);
     // Stale cannot happen (the slot was observed blocked under this entry).
-    let _ = shared.apply_answer(FrontierToken(token), entry, decision, origin);
+    let _ = shared.apply_answer(&mut seq, FrontierToken(token), entry, decision, origin);
 }
 
 /// The state of the fold's current update after settling.
@@ -376,6 +375,7 @@ pub(crate) fn answer_replicated(
             "replica is behind the canonical fold: rebuild before answering".into(),
         ));
     }
+    let mut seq = shared.enter();
     let entry = lock(&shared.pending).remove(&token.0);
     let Some(entry) = entry else { return Ok(AnswerOutcome::Stale) };
     let Some(&target) = st.by_update.get(&entry.update) else {
@@ -384,7 +384,10 @@ pub(crate) fn answer_replicated(
         return Err(ChaseError::InvalidDecision("frontier belongs to no replicated update".into()));
     };
     let position = st.admitted.get(&target).expect("admitted").answers_applied;
-    match shared.apply_answer(token, entry, decision.clone(), origin)? {
+    let outcome = shared.apply_answer(&mut seq, token, entry, decision.clone(), origin)?;
+    // The fold below drives (or waits for) the sequencer itself.
+    drop(seq);
+    match outcome {
         AnswerOutcome::Stale => Ok(AnswerOutcome::Stale),
         AnswerOutcome::Applied => {
             st.append_own(|lamport| ReplicationEvent::Answer {

@@ -21,11 +21,11 @@
 # summary, so the new group is guarded from its first run — commit the seeded
 # file in the PR that adds the bench.
 #
-# The chase/free_running/* and chase/engine_ingest/* groups are exempt from
-# the hard tier: both benchmark a threaded engine (its one chase thread against
-# the pumping bench thread) whose medians on the 1-core shared runner are
-# dominated by OS scheduling of the two, so a 2x swing there is noise, not
-# signal. The soft tier still warns on them.
+# The chase/free_running/* group is exempt from the hard tier: it benchmarks
+# a threaded engine (its one chase thread against the pumping bench thread)
+# whose medians on the 1-core shared runner are dominated by OS scheduling of
+# the two, so a 2x swing there is noise, not signal. The soft tier still
+# warns on it.
 #
 # Update the baselines intentionally by copying target/BENCH_*.json over
 # bench-baselines/ in the PR that changes the perf.
@@ -40,7 +40,7 @@ TARGET_DIR="$(dirname "$0")/../target"
 # Benchmark id prefixes the hard tier guards, and the exemption within them.
 # (BENCH_storage_ops.json's ids use the `storage/` prefix.)
 HARD_GROUPS='^(chase/|storage/)'
-HARD_EXEMPT='^chase/(free_running|engine_ingest)/'
+HARD_EXEMPT='^chase/free_running/'
 
 if ! command -v jq >/dev/null 2>&1; then
     echo "jq not found; skipping bench regression check"

@@ -39,6 +39,9 @@ stage_test() {
 stage_stress() {
     echo "==> [stress] free-running stress lane (ignored tests)"
     cargo test -q --release --test parallel_stress -- --ignored
+    echo "==> [stress] callers enter between actions (GC wins every wave; hand-off bound; three caller threads)"
+    cargo test -q --release -p youtopia-concurrency --lib callers_
+    cargo test -q --release --test caller_entry
     echo "==> [stress] engine equivalence (batch engine = ConcurrentRun; live session; skipping policy)"
     cargo test -q --release --test engine_equivalence
     echo "==> [stress] violation-index equivalence (feed-driven engine = FullRecheck reference; drained backlog)"
@@ -76,16 +79,16 @@ stage_bench() {
     cargo bench -p youtopia-bench --bench violation_queries
     cargo bench -p youtopia-bench --bench trackers
     cargo bench -p youtopia-bench --bench chase
-    cargo bench -p youtopia-bench --bench engine
-    cargo bench -p youtopia-bench --bench wal
-    cargo bench -p youtopia-bench --bench sync
     echo "==> [bench] two-tier regression gate"
     bash scripts/check_bench_regression.sh 25 100
     echo "==> [bench] fig3 smoke (quick profile)"
     cargo run -p youtopia-bench --bin fig3 --release -- --runs 2 --updates 40 --no-naive
     echo "==> [bench] frozen end-to-end harness builds and runs against the workspace"
     cargo test --release --offline --manifest-path perf/Cargo.toml
-    cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --workload workers_2 --seed 1 --seconds 1 --trace 0
+    # The inline, threaded and durable caller shapes, one second each.
+    for workload in fig_batch workers_2 durable_crash; do
+        cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --workload "$workload" --seed 1 --seconds 1 --trace 0
+    done
 }
 
 stages=("$@")
