@@ -337,7 +337,7 @@ pub(crate) struct Slot {
     /// Cursor visits the slot still sits out: a fresh frontier request waits
     /// `frontier_delay_rounds` visits before it is published, and a victim
     /// aborted under the skipping policy one visit before it restarts.
-    sit_out: usize,
+    pub(crate) sit_out: usize,
     /// Token of the published-but-unanswered frontier request, if any.
     pub(crate) published: Option<FrontierToken>,
     /// Terminal per-update failure (step budget); never cleared.
@@ -352,8 +352,8 @@ pub(crate) type SlotCell = Mutex<Slot>;
 /// Eviction is front-only and restricted to terminal slots, so every index
 /// below `base` names an update that is terminal forever.
 pub(crate) struct SlotTable {
-    base: usize,
-    cells: VecDeque<Arc<SlotCell>>,
+    pub(crate) base: usize,
+    pub(crate) cells: VecDeque<Arc<SlotCell>>,
 }
 
 impl SlotTable {
@@ -375,16 +375,16 @@ impl SlotTable {
 /// slots the reference loop would act on, in the same order — and the
 /// reference scheduler's logs, dependency tracker and retained update ids.
 pub(crate) struct Sequencer {
-    next: usize,
+    pub(crate) next: usize,
     pub(crate) live: BTreeSet<usize>,
-    all_ids: Vec<UpdateId>,
-    read_log: ReadLog,
-    write_log: WriteLog,
-    tracker: Box<dyn DependencyTracker>,
+    pub(crate) all_ids: Vec<UpdateId>,
+    pub(crate) read_log: ReadLog,
+    pub(crate) write_log: WriteLog,
+    pub(crate) tracker: Box<dyn DependencyTracker>,
 }
 
 /// What one sequencer action accomplished.
-enum DetProgress {
+pub(crate) enum DetProgress {
     /// An action was taken (or a round boundary crossed); keep going.
     Acted,
     /// Nothing is live; sleep until a submission arrives.
@@ -457,8 +457,8 @@ impl Drop for WorkerGuard<'_> {
 }
 
 pub(crate) struct EngineShared {
-    mappings: MappingSet,
-    db: RwLock<Database>,
+    pub(crate) mappings: MappingSet,
+    pub(crate) db: RwLock<Database>,
     pub(crate) config: EngineConfig,
     /// The frontier policy: step past published frontiers instead of blocking
     /// at them. The policy proper is one site, the gate in `det_action`. Two
@@ -467,15 +467,15 @@ pub(crate) struct EngineShared {
     /// were free to move: a request that need not be delayed is published
     /// with the step that raised it (`det_run_ready_slot`), and a revived
     /// victim sits out the rest of its round (`execute_abort`).
-    skip_frontiers: bool,
+    pub(crate) skip_frontiers: bool,
     /// Growable (and front-compacted) slot table; index = update number −
     /// `first_update_number`.
     pub(crate) slots: RwLock<SlotTable>,
-    metrics: Mutex<RunMetrics>,
+    pub(crate) metrics: Mutex<RunMetrics>,
     /// Sequencer state; see [`enter`](Self::enter) for how callers take it.
     pub(crate) sequencer: Mutex<Sequencer>,
     /// Callers waiting in [`enter`](Self::enter) for the sequencer lock.
-    entering: AtomicUsize,
+    pub(crate) entering: AtomicUsize,
     /// Outstanding frontier requests, keyed by token (= publish order).
     pub(crate) pending: Mutex<BTreeMap<u64, PendingEntry>>,
     /// Per-client fair-share admission state, keyed by [`ClientId`].
@@ -493,7 +493,7 @@ pub(crate) struct EngineShared {
     error: Mutex<Option<ChaseError>>,
     pub(crate) signal: Signal,
     /// Durable state (WAL writer, counters); `None` on a plain engine.
-    durable: Option<DurableEngineState>,
+    pub(crate) durable: Option<DurableEngineState>,
     /// Replication mechanism state (event logs, canonical fold bookkeeping);
     /// `None` unless the engine is a replica. See `crate::replicate`.
     pub(crate) replication: Option<Mutex<crate::replicate::ReplicationState>>,
@@ -627,7 +627,7 @@ impl EngineShared {
     /// The cell at `idx`, or `None` when compaction evicted it. Callers on
     /// abort paths treat `None` as "terminal, nothing to do" — eviction is
     /// restricted to updates that can never be revived.
-    fn slot_cell(&self, idx: usize) -> Option<Arc<SlotCell>> {
+    pub(crate) fn slot_cell(&self, idx: usize) -> Option<Arc<SlotCell>> {
         self.slots.read().unwrap_or_else(|e| e.into_inner()).get(idx).cloned()
     }
 
@@ -635,7 +635,7 @@ impl EngineShared {
     /// read lock, so a concurrent compaction cannot evict the slot between
     /// the bounds check and the fetch. `None` when the update was never
     /// admitted or its record was evicted.
-    fn lookup_cell(&self, update: UpdateId) -> Option<(usize, Arc<SlotCell>)> {
+    pub(crate) fn lookup_cell(&self, update: UpdateId) -> Option<(usize, Arc<SlotCell>)> {
         let idx = update.0.checked_sub(self.config.first_update_number)? as usize;
         let slots = self.slots.read().unwrap_or_else(|e| e.into_inner());
         Some((idx, slots.get(idx)?.clone()))
@@ -811,7 +811,7 @@ impl EngineShared {
     /// database read lock — recording before that lock is released is what
     /// guarantees any later-committing write sees these reads when it
     /// validates.
-    fn record_reads_locked(
+    pub(crate) fn record_reads_locked(
         &self,
         seq: &mut Sequencer,
         db: &Database,
@@ -1132,7 +1132,7 @@ impl EngineShared {
     /// replaying, and enough records accumulated since the last one. The
     /// caller holds the slots write lock at quiescence — every retained slot
     /// is terminal and the database is stable.
-    fn maybe_snapshot_locked(&self, slots: &SlotTable) {
+    pub(crate) fn maybe_snapshot_locked(&self, slots: &SlotTable) {
         let Some(d) = &self.durable else { return };
         if d.replaying.load(Ordering::SeqCst) {
             return;
@@ -1217,7 +1217,7 @@ impl EngineShared {
     /// acting sequencer step and every frontier publish counts. WAL records
     /// carry the counter's value as their stamp, which is how replay knows
     /// exactly how much chase work to re-execute before injecting each one.
-    fn bump_action(&self) {
+    pub(crate) fn bump_action(&self) {
         if let Some(d) = &self.durable {
             d.actions.fetch_add(1, Ordering::SeqCst);
         }
@@ -1225,7 +1225,7 @@ impl EngineShared {
 
     /// Publishes the locked slot's pending frontier request under a fresh
     /// token. Idempotent while a token is outstanding.
-    fn publish_frontier(&self, slot: &mut Slot, idx: usize) {
+    pub(crate) fn publish_frontier(&self, slot: &mut Slot, idx: usize) {
         if slot.published.is_some() {
             return;
         }
@@ -1313,7 +1313,7 @@ impl EngineShared {
 
     /// Body of the chase thread: one sequencer action per lock acquisition,
     /// asleep on the signal while there is nothing to act on.
-    fn sequencer_thread(&self) {
+    pub(crate) fn sequencer_thread(&self) {
         let _guard = WorkerGuard { shared: self };
         loop {
             if self.stop.load(Ordering::SeqCst) {
@@ -1386,7 +1386,7 @@ impl EngineShared {
     /// stops once every live slot is one (published slots stay live, so that
     /// is `unanswered >= live.len()`); an answer bumps the signal and the
     /// loop resumes.
-    fn det_action(&self, seq: &mut Sequencer) -> Result<DetProgress, ChaseError> {
+    pub(crate) fn det_action(&self, seq: &mut Sequencer) -> Result<DetProgress, ChaseError> {
         let unanswered = self.unanswered.load(Ordering::SeqCst);
         let stop_at = if self.skip_frontiers { seq.live.len().max(1) } else { 1 };
         if unanswered >= stop_at {
