@@ -57,6 +57,7 @@ pub mod log;
 pub mod metrics;
 pub mod replicate;
 pub mod scheduler;
+mod sequencer;
 pub mod viewmaint;
 
 pub use builder::EngineBuilder;
