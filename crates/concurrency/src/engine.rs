@@ -1464,7 +1464,7 @@ impl ExchangeEngine {
     /// on its own); either way a fatal engine error is reported.
     pub fn drive(&self) -> Result<(), ChaseError> {
         if self.shared.config.inline {
-            self.shared.drive_inline()?;
+            self.shared.drive()?;
         }
         match self.error() {
             Some(e) => Err(e),
@@ -1589,7 +1589,7 @@ impl ExchangeEngine {
                 return Ok(());
             }
             if self.shared.config.inline {
-                self.shared.drive_inline()?;
+                self.shared.drive()?;
                 if self.is_quiescent() {
                     return Ok(());
                 }
@@ -1774,7 +1774,7 @@ impl UpdateHandle {
                 )));
             }
             if shared.config.inline {
-                shared.drive_inline()?;
+                shared.drive()?;
                 let blocked = {
                     let slot = lock(&self.cell);
                     slot.failed.is_none() && !slot.exec.is_terminated()
@@ -1859,7 +1859,7 @@ impl<'e, 'r> ResolverPump<'e, 'r> {
                 // Caller-driven engine: chase until idle or blocked, then
                 // answer. Every loop iteration either makes chase progress,
                 // answers a frontier, or observes quiescence — no waiting.
-                self.engine.shared.drive_inline()?;
+                self.engine.shared.drive()?;
             }
             self.drain()?;
             self.engine.sweep();
@@ -2041,89 +2041,70 @@ mod tests {
     /// Checked right after each admission — the sequencer may already be
     /// stepping the new wave, so "collected" means nothing is left of the
     /// wave before it in the write log, the read log or the tracker.
+    ///
+    /// The same 200 waves are the liveness check for the hand-off the other
+    /// way: `submit`/`answer` hold the sequencer lock on the *caller's*
+    /// thread and need not bump the signal after releasing it, so the chase
+    /// thread must pick the lock up by mutex handoff, not wait for a wake-up
+    /// that never comes. One-update waves through a durable engine (an fsync
+    /// inside every hold) give that window every chance to open; a watchdog
+    /// turns a hang into a failure.
     #[test]
     fn callers_admit_each_wave_into_collected_logs() {
         const WAVES: u64 = 200;
-        const WAVE: u64 = 16;
-        let (db, mappings, ops) = frontier_fixture((WAVES * WAVE) as usize);
-        let relations: Vec<_> = db.catalog().relation_ids().collect();
-        let engine = EngineBuilder::new().build(db, mappings).unwrap();
-        let (tx, rx) = mpsc::channel();
-        let driver = std::thread::spawn(move || {
-            let mut resolver = RandomResolver::seeded(3);
-            let mut ops = ops.into_iter();
-            for wave in 0..WAVES {
-                let first =
-                    engine.submit_batch(ops.by_ref().take(WAVE as usize).collect()).unwrap()[0]
-                        .id();
-                {
-                    let seq = engine.shared.enter();
-                    assert!(
-                        seq.write_log.entries().iter().all(|w| w.update >= first),
-                        "wave {wave}: writes of earlier waves survived into this one"
-                    );
-                    let earlier = (first.0.saturating_sub(WAVE)..first.0).map(UpdateId);
-                    for old in earlier {
-                        let reads = relations
-                            .iter()
-                            .flat_map(|r| seq.read_log.reads_touching(old, *r))
-                            .count();
-                        assert_eq!(reads, 0, "wave {wave}: {old} still has stored reads");
-                    }
-                    for new in (first.0..first.0 + WAVE).map(UpdateId) {
-                        assert!(
-                            seq.tracker.dependencies_of(new).iter().all(|d| *d >= first),
-                            "wave {wave}: {new} depends on an earlier wave"
-                        );
-                    }
-                }
-                ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
-            }
-            let _ = tx.send(engine.shutdown().2.frontier_ops);
-        });
-        match rx.recv_timeout(Duration::from_secs(120)) {
-            // Aborted updates ask again, hence "at least".
-            Ok(answered) => assert!(answered >= (WAVES * WAVE) as usize),
-            Err(mpsc::RecvTimeoutError::Timeout) => panic!("engine hung"),
-            // The driver dropped its sender without sending: an assertion
-            // above failed; surface it.
-            Err(mpsc::RecvTimeoutError::Disconnected) => {}
-        }
-        if let Err(panic) = driver.join() {
-            std::panic::resume_unwind(panic);
-        }
-    }
-
-    /// A `submit`/`answer` holds the sequencer lock on the *caller's* thread
-    /// and need not bump the signal after releasing it; the sequencer must
-    /// pick the lock up by mutex handoff, not by waiting for a wake-up that
-    /// never comes. Many one-update waves, each with a frontier answered from
-    /// the caller thread, give that window every chance to open; a watchdog
-    /// turns a hang into a failure.
-    #[test]
-    fn durable_engine_stays_live_under_caller_thread_submit_and_answer() {
         let dir = std::env::temp_dir().join(format!("yt-engine-live-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let (db, mappings, ops) = frontier_fixture(200);
-        let engine =
-            EngineBuilder::new().durable(DurabilityConfig::new(&dir)).build(db, mappings).unwrap();
-        let (tx, rx) = mpsc::channel();
-        let driver = std::thread::spawn(move || {
-            let mut resolver = RandomResolver::seeded(11);
-            for op in ops {
-                engine.submit(op).unwrap();
-                ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
+        let durable = EngineBuilder::new().durable(DurabilityConfig::new(&dir));
+        for (builder, wave_size) in [(EngineBuilder::new(), 16u64), (durable, 1)] {
+            let (db, mappings, ops) = frontier_fixture((WAVES * wave_size) as usize);
+            let relations: Vec<_> = db.catalog().relation_ids().collect();
+            let engine = builder.build(db, mappings).unwrap();
+            let (tx, rx) = mpsc::channel();
+            let driver = std::thread::spawn(move || {
+                let mut resolver = RandomResolver::seeded(3);
+                let mut ops = ops.into_iter();
+                for wave in 0..WAVES {
+                    let batch = ops.by_ref().take(wave_size as usize).collect();
+                    let first = engine.submit_batch(batch).unwrap()[0].id();
+                    {
+                        let seq = engine.shared.enter();
+                        assert!(
+                            seq.write_log.entries().iter().all(|w| w.update >= first),
+                            "wave {wave}: writes of earlier waves survived into this one"
+                        );
+                        for old in (first.0.saturating_sub(wave_size)..first.0).map(UpdateId) {
+                            let reads = relations
+                                .iter()
+                                .flat_map(|r| seq.read_log.reads_touching(old, *r))
+                                .count();
+                            assert_eq!(reads, 0, "wave {wave}: {old} still has stored reads");
+                        }
+                        for new in (first.0..first.0 + wave_size).map(UpdateId) {
+                            assert!(
+                                seq.tracker.dependencies_of(new).iter().all(|d| *d >= first),
+                                "wave {wave}: {new} depends on an earlier wave"
+                            );
+                        }
+                    }
+                    ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
+                }
+                let quiescent = engine.is_quiescent();
+                let _ = tx.send((quiescent, engine.shutdown().2.frontier_ops));
+            });
+            match rx.recv_timeout(Duration::from_secs(120)) {
+                // Every update asks once; an aborted one asks again.
+                Ok((quiescent, answered)) => {
+                    assert!(quiescent && answered >= (WAVES * wave_size) as usize)
+                }
+                Err(mpsc::RecvTimeoutError::Timeout) => panic!("engine hung"),
+                // The driver dropped its sender without sending: an assertion
+                // above failed; surface it.
+                Err(mpsc::RecvTimeoutError::Disconnected) => {}
             }
-            let quiescent = engine.is_quiescent();
-            let (_, _, metrics) = engine.shutdown();
-            let _ = tx.send((quiescent, metrics.frontier_ops));
-        });
-        let (quiescent, answered) = rx
-            .recv_timeout(Duration::from_secs(120))
-            .expect("durable engine hung: sequencer never resumed");
-        driver.join().unwrap();
-        assert!(quiescent);
-        assert_eq!(answered, 200, "every update asked (and was answered) exactly once");
+            if let Err(panic) = driver.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

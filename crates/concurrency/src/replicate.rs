@@ -230,7 +230,7 @@ impl ReplicationState {
 fn settle(engine: &ExchangeEngine) -> Result<(), SyncError> {
     let shared: &EngineShared = &engine.shared;
     if shared.config.inline {
-        shared.drive_inline().map_err(SyncError::Engine)?;
+        shared.drive().map_err(SyncError::Engine)?;
     } else {
         loop {
             if shared.stop.load(Ordering::SeqCst) {

@@ -412,19 +412,30 @@ impl EngineShared {
     // The sequencer: the reference round-robin loop, open world
     // ------------------------------------------------------------------
 
-    /// Body of the chase thread: one sequencer action per lock acquisition,
-    /// asleep on the signal while there is nothing to act on.
+    /// Body of the chase thread: drives the sequencer, asleep on the signal
+    /// while there is nothing to act on.
     pub(crate) fn sequencer_thread(&self) {
         let _guard = WorkerGuard { shared: self };
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            // Generation first, action second: any event that would unblock
+        while !self.stop.load(Ordering::SeqCst) {
+            // Generation first, actions second: any event that would unblock
             // the sequencer (submission, answer) after this capture moves the
             // generation and makes the wait below return immediately; any
-            // event before it is visible to `det_action`. No lost wakeups.
+            // event before it is visible to the last `det_action`. No lost
+            // wakeups.
             let gen = self.signal.current();
+            if self.drive().is_err() {
+                break;
+            }
+            self.signal.wait_past(gen);
+        }
+    }
+
+    /// Drives the sequencer — on the chase thread, or on the calling thread
+    /// of an inline engine — until it goes idle or blocks on an unanswered
+    /// frontier, one action per lock acquisition so callers can enter between
+    /// two. A step error fails the engine.
+    pub(crate) fn drive(&self) -> Result<(), ChaseError> {
+        loop {
             // Callers first (see `enter`). Each one is about to take the
             // lock, so this spins for a wake-up latency, not for a caller's
             // critical section — that is waited out inside `lock` below.
@@ -435,30 +446,6 @@ impl EngineShared {
             // is what keeps the sequencer live across a caller's release,
             // which need not be followed by a signal bump.
             let mut seq = lock(&self.sequencer);
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            match self.det_action(&mut seq) {
-                Ok(DetProgress::Acted) => {}
-                Ok(DetProgress::Idle | DetProgress::AwaitingAnswer) => {
-                    drop(seq);
-                    self.signal.wait_past(gen);
-                }
-                Err(e) => {
-                    drop(seq);
-                    self.fail(e);
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Drives the sequencer on the calling thread (inline mode: there is no
-    /// chase thread) until it goes idle or blocks on an unanswered frontier. A
-    /// step error fails the engine, exactly as the thread would.
-    pub(crate) fn drive_inline(&self) -> Result<(), ChaseError> {
-        let mut seq = lock(&self.sequencer);
-        loop {
             if self.stop.load(Ordering::SeqCst) {
                 return Ok(());
             }

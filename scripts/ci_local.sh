@@ -41,7 +41,7 @@ stage_stress() {
     cargo test -q --release --test parallel_stress -- --ignored
     echo "==> [stress] callers enter between actions (GC wins every wave; hand-off bound; three caller threads)"
     cargo test -q --release -p youtopia-concurrency --lib callers_
-    cargo test -q --release --test caller_entry
+    cargo test -q --release --test parallel_stress
     echo "==> [stress] engine equivalence (batch engine = ConcurrentRun; live session; skipping policy)"
     cargo test -q --release --test engine_equivalence
     echo "==> [stress] violation-index equivalence (feed-driven engine = FullRecheck reference; drained backlog)"

@@ -1,26 +1,43 @@
-//! Stress lane for the free-running [`ExchangeEngine`](youtopia::ExchangeEngine).
-//! `#[ignore]`d in the default suite — CI runs it explicitly with
-//! `cargo test --release -- --ignored` in the stress job, where real OS
-//! preemption produces interleavings a 1-shot unit test cannot.
+//! The chase thread against caller threads, watchdogged: a deadlock or
+//! livelock fails by timeout instead of hanging the suite.
 //!
+//! **Free-running stress lane** — `#[ignore]`d in the default suite; CI runs
+//! it explicitly with `cargo test --release -- --ignored` in the stress job,
+//! where real OS preemption produces interleavings a 1-shot unit test cannot.
 //! Each case runs a sizeable workload free-running: the sequencer thread
 //! steps, skips published frontiers and locks abort victims while the
-//! [`ResolverPump`] answers from the watchdogged test thread — the two meet on
-//! exactly those slot locks, and a deadlock or livelock fails by timeout
-//! instead of hanging the suite. Afterwards the system invariants must hold:
-//! every update terminated, the final database satisfies every mapping, and
-//! the per-update statistics are sane.
+//! [`ResolverPump`] answers from the watchdogged test thread. Afterwards the
+//! system invariants must hold: every update terminated, the final database
+//! satisfies every mapping, and the per-update statistics are sane.
+//!
+//! **Callers enter between two sequencer actions** (`EngineShared::enter`) —
+//! what that costs a caller, and that it cannot deadlock:
+//!
+//! * *Hand-off bound* — while a large batch keeps the chase thread busy, a
+//!   `submit` or an `answer` from another thread is served before the
+//!   sequencer's next action, or the one after. Without the hand-off the
+//!   chase thread re-takes the (barging) sequencer lock for many actions in a
+//!   row and a caller waits tens of them.
+//! * *Three caller threads* — a submitter, a [`ResolverPump`] and a poller
+//!   (`sweep` with `AutoResolve`, so it answers too, plus the status, `read`
+//!   and `metrics` accessors) against one threaded engine: no deadlock,
+//!   every update terminates, every mapping holds.
 
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 use youtopia::concurrency::{RunMetrics, SchedulingPolicy};
 use youtopia::mappings::satisfies_all;
-use youtopia::workload::{build_fixture, generate_workload, ExperimentConfig};
-use youtopia::{EngineBuilder, RandomResolver, ResolverPump, TrackerKind, UpdateId, WorkloadKind};
+use youtopia::workload::{build_fixture, generate_workload, ExperimentConfig, ExperimentFixture};
+use youtopia::{
+    AnswerOutcome, AutoDecision, DurabilityConfig, EngineBuilder, EscalationPolicy, ExchangeEngine,
+    FrontierResolver, InitialOp, RandomResolver, ResolverPump, TrackerKind, UpdateId, UpdateStatus,
+    WorkloadKind,
+};
 
 /// Runs `f` on its own thread and panics if it does not finish in `timeout`
-/// (a hung free-running engine would otherwise block the whole lane).
+/// (a hung engine would otherwise block the whole lane).
 fn with_deadline<T: Send + 'static>(
     timeout: Duration,
     label: &str,
@@ -35,10 +52,43 @@ fn with_deadline<T: Send + 'static>(
             handle.join().expect("stress worker panicked");
             result
         }
-        Err(_) => panic!(
-            "{label}: free-running engine did not finish within {timeout:?} — deadlock or livelock"
-        ),
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{label}: engine did not finish within {timeout:?} — deadlock or livelock")
+        }
+        // The worker dropped its sender without sending: it panicked.
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(handle.join().expect_err("worker sent nothing"))
+        }
     }
+}
+
+/// The 300-tuple quick fixture, `updates` generated operations of `kind`, and
+/// a builder whose update numbers start clear of the fixture's.
+fn workload(
+    seed: u64,
+    kind: WorkloadKind,
+    updates: usize,
+) -> (ExperimentFixture, Vec<InitialOp>, EngineBuilder) {
+    let mut config = ExperimentConfig::quick();
+    config.seed = seed;
+    config.initial_tuples = 300;
+    config.workload_updates = updates;
+    let fixture = build_fixture(&config).expect("fixture builds");
+    let ops = generate_workload(
+        &config,
+        &fixture.schema,
+        &fixture.initial_db,
+        &fixture.mappings,
+        kind,
+        seed,
+    );
+    assert_eq!(ops.len(), updates);
+    let builder = EngineBuilder::new().first_update_number(config.initial_tuples as u64 + 1_000);
+    (fixture, ops, builder)
+}
+
+fn build(builder: EngineBuilder, fixture: &ExperimentFixture) -> ExchangeEngine {
+    builder.build(fixture.initial_db.clone(), fixture.mappings.clone()).expect("engine builds")
 }
 
 fn stress_once(
@@ -50,27 +100,8 @@ fn stress_once(
 ) -> RunMetrics {
     let label = format!("seed {seed}, {tracker}, {kind}, {policy:?}");
     with_deadline(Duration::from_secs(120), &label.clone(), move || {
-        let mut config = ExperimentConfig::quick();
-        config.seed = seed;
-        config.initial_tuples = 300;
-        config.workload_updates = updates;
-        let fixture = build_fixture(&config).expect("fixture builds");
-        let ops = generate_workload(
-            &config,
-            &fixture.schema,
-            &fixture.initial_db,
-            &fixture.mappings,
-            kind,
-            seed,
-        );
-        assert_eq!(ops.len(), updates);
-        let engine = EngineBuilder::new()
-            .tracker(tracker)
-            .policy(policy)
-            .free_running()
-            .first_update_number(config.initial_tuples as u64 + 1_000)
-            .build(fixture.initial_db.clone(), fixture.mappings.clone())
-            .expect("non-durable engines build infallibly");
+        let (fixture, ops, builder) = workload(seed, kind, updates);
+        let engine = build(builder.tracker(tracker).policy(policy).free_running(), &fixture);
         engine.submit_batch(ops).expect("uncapped submission");
         ResolverPump::new(&engine, &mut RandomResolver::seeded(seed ^ 0x57E55))
             .run_until_quiescent()
@@ -151,5 +182,145 @@ fn free_running_seed_sweep() {
             SchedulingPolicy::StepRoundRobin,
             60,
         );
+    }
+}
+
+/// One caller-entry case at a time: the hand-off bound counts sequencer
+/// actions around a call, and a test thread that has to share its core with
+/// another case's threads is charged for actions it slept through.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// The share of `deltas` that is at most 2, in percent (of nothing: all).
+fn within_two(deltas: &[usize]) -> usize {
+    if deltas.is_empty() {
+        return 100;
+    }
+    100 * deltas.iter().filter(|d| **d <= 2).count() / deltas.len()
+}
+
+/// Probes caller latency in sequencer actions: `BATCH` concurrent inserts keep
+/// the chase thread stepping while this thread answers every question the
+/// engine asks and submits `PROBES` single updates a millisecond apart,
+/// reading `metrics().steps` (one step per action under step-level round
+/// robin) around each call. A probe counts an action too many when this
+/// thread is preempted between the call's return and the second read, so the
+/// bound is asserted for nine probes in ten, not for all. A blocking engine
+/// that has asked nothing by the last probe answers nothing; the skipping one
+/// is where an answer meets a running sequencer.
+fn hand_off_bound(
+    label: &'static str,
+    shape: impl FnOnce(EngineBuilder) -> EngineBuilder + Send + 'static,
+) {
+    const BATCH: usize = 500;
+    const PROBES: usize = 60;
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    with_deadline(Duration::from_secs(300), label, move || {
+        let (fixture, mut ops, builder) = workload(7, WorkloadKind::AllInserts, BATCH + PROBES);
+        let probes = ops.split_off(BATCH);
+        let engine = build(shape(builder), &fixture);
+        engine.submit_batch(ops).unwrap();
+        let mut resolver = RandomResolver::seeded(5);
+        let (mut submits, mut answers) = (Vec::new(), Vec::new());
+        for op in probes {
+            for asked in engine.pending_frontiers() {
+                let decision =
+                    engine.read(|db| resolver.resolve(&db.snapshot(asked.update), &asked.request));
+                let before = engine.metrics().steps;
+                let outcome = engine.answer(asked.token, decision).unwrap();
+                let steps = engine.metrics().steps - before;
+                if outcome == AnswerOutcome::Applied {
+                    answers.push(steps);
+                }
+            }
+            let before = engine.metrics().steps;
+            engine.submit(op).unwrap();
+            submits.push(engine.metrics().steps - before);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            engine.active_updates() > PROBES,
+            "{label}: the batch finished early, so the probes met an idle sequencer"
+        );
+        assert!(
+            within_two(&submits) >= 90,
+            "{label}: submits waited {submits:?} actions, more than two in over a tenth"
+        );
+        assert!(
+            within_two(&answers) >= 90,
+            "{label}: answers waited {answers:?} actions, more than two in over a tenth"
+        );
+        // The batch is left unfinished: what it would go on to prove, the
+        // three-caller case below and the equivalence suites already do.
+        engine.shutdown();
+    });
+}
+
+/// The three threaded engine shapes: a durable engine is always blocking (a
+/// threaded free-running one is refused at build time).
+#[test]
+fn callers_are_served_within_two_actions() {
+    hand_off_bound("blocking", |b| b);
+    hand_off_bound("skipping", |b| b.free_running());
+    let dir = std::env::temp_dir().join(format!("yt-caller-entry-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durability = DurabilityConfig::new(&dir).with_group_commit(8);
+    hand_off_bound("durable", |b| b.durable(durability));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Submitter, pump and poller share one threaded engine under each frontier
+/// policy. The poller's sweeps auto-resolve what the pump has not answered
+/// after two of them, so all three threads enter the sequencer while it runs.
+#[test]
+fn three_caller_threads_neither_deadlock_nor_lose_updates() {
+    const UPDATES: usize = 240;
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    for (label, free_running) in [("blocking", false), ("skipping", true)] {
+        with_deadline(Duration::from_secs(300), label, move || {
+            let (fixture, ops, builder) = workload(7, WorkloadKind::Mixed, UPDATES);
+            let builder = builder.escalation(EscalationPolicy::AutoResolve {
+                after: 2,
+                decision: AutoDecision::ExpandOrDeleteFirst,
+            });
+            let engine =
+                build(if free_running { builder.free_running() } else { builder }, &fixture);
+            let submitted = AtomicBool::new(false);
+            let handles = std::thread::scope(|s| {
+                let submitter = s.spawn(|| {
+                    let mut handles = Vec::with_capacity(UPDATES);
+                    for wave in ops.chunks(8) {
+                        handles.extend(engine.submit_batch(wave.to_vec()).unwrap());
+                        handles[handles.len() / 2].status();
+                    }
+                    submitted.store(true, Ordering::SeqCst);
+                    handles
+                });
+                s.spawn(|| {
+                    let mut resolver = RandomResolver::seeded(9);
+                    while !(submitted.load(Ordering::SeqCst) && engine.is_quiescent()) {
+                        ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
+                        std::thread::yield_now();
+                    }
+                });
+                s.spawn(|| {
+                    let relation = fixture.initial_db.catalog().relation_ids().next().unwrap();
+                    while !(submitted.load(Ordering::SeqCst) && engine.is_quiescent()) {
+                        engine.sweep();
+                        engine.update_stats();
+                        engine.read(|db| db.visible_count(relation, UpdateId::OMNISCIENT));
+                        engine.metrics();
+                        std::thread::yield_now();
+                    }
+                });
+                submitter.join().expect("submitter")
+            });
+            assert!(engine.error().is_none(), "{label}: {:?}", engine.error());
+            for handle in &handles {
+                assert_eq!(handle.status(), UpdateStatus::Terminated, "{label}: {}", handle.id());
+            }
+            let (db, mappings, metrics) = engine.shutdown();
+            assert_eq!(metrics.workload_size, UPDATES);
+            assert!(satisfies_all(&db.snapshot(UpdateId::OMNISCIENT), &mappings), "{label}");
+        });
     }
 }
