@@ -79,15 +79,12 @@ impl EngineBuilder {
     }
 
     /// Free-running scheduling: the sequencer steps past updates blocked on a
-    /// published frontier instead of waiting for the answer, and sleeps only
+    /// published frontier instead of waiting for the answer, and parks only
     /// when every live update is blocked (a request without a
     /// [`frontier_delay_rounds`](Self::frontier_delay_rounds) delay is
-    /// published with the step that raised it, and a terminated update
-    /// revived by an abort sits out the rest of the round). The schedule
-    /// then depends on when answers arrive (always consistent, not
-    /// reproducible), so it is rejected with [`durable`](Self::durable) and
-    /// ignored by [`inline`](Self::inline) and
-    /// [`replicated`](Self::replicated) engines.
+    /// published with the step that raised it). The schedule then depends on
+    /// where answers land between sequencer actions — always consistent, and
+    /// replayed from the log by a [`durable`](Self::durable) engine.
     pub fn free_running(mut self) -> EngineBuilder {
         self.config.free_running = true;
         self
@@ -168,15 +165,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Retention bound for the shared violation index's delta backlog
-    /// (defaults to [`youtopia_storage::DELTA_BACKLOG_CAP`]; clamped to at
-    /// least 1). Smaller caps trade detection time (gap fallbacks) for
-    /// memory; never changes results.
-    pub fn delta_backlog_cap(mut self, cap: usize) -> EngineBuilder {
-        self.config.delta_backlog_cap = cap;
-        self
-    }
-
     /// Gives the engine a replica identity: it becomes a node of a
     /// replicated deployment (see [`crate::replicate`]). Work enters through
     /// `submit_replicated` / `apply_remote_deltas` instead of
@@ -201,9 +189,7 @@ impl EngineBuilder {
     // ---- terminals ----
 
     /// Starts the engine. Infallible without [`durable`](Self::durable);
-    /// with it, creating the WAL/snapshot files can fail, and
-    /// [`free_running`](Self::free_running) is rejected (replay needs a
-    /// schedule that is a function of the log).
+    /// with it, creating the WAL/snapshot files can fail.
     pub fn build(
         self,
         db: Database,
@@ -265,7 +251,6 @@ mod tests {
             .max_steps_per_update(500)
             .admission_cap(8)
             .retention_horizon(16)
-            .delta_backlog_cap(7)
             .replicated(youtopia_core::replication::NodeId(4))
             .inline()
             .escalation(EscalationPolicy::Wait);
@@ -280,18 +265,8 @@ mod tests {
         assert_eq!(c.max_steps_per_update, 500);
         assert_eq!(c.admission_cap, 8);
         assert_eq!(c.retention_horizon, 16);
-        assert_eq!(c.delta_backlog_cap, 7);
         assert_eq!(c.replica, Some(youtopia_core::replication::NodeId(4)));
         assert!(c.inline);
-    }
-
-    #[test]
-    fn delta_backlog_cap_reaches_the_violation_index() {
-        let (db, mappings) = travel();
-        let engine =
-            EngineBuilder::new().inline().delta_backlog_cap(3).build(db, mappings).unwrap();
-        assert_eq!(engine.violation_index().backlog_cap, 3);
-        engine.shutdown();
     }
 
     #[test]
@@ -365,19 +340,6 @@ mod tests {
         let (db, _, _) = engine.shutdown();
         let s = db.relation_id("S").unwrap();
         assert_eq!(db.visible_count(s, UpdateId::OMNISCIENT), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn free_running_durable_build_is_rejected() {
-        let dir = std::env::temp_dir().join(format!("yt-builder-fr-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (db, mappings) = travel();
-        let err = EngineBuilder::new()
-            .free_running()
-            .durable(DurabilityConfig::new(&dir))
-            .build(db, mappings);
-        assert!(matches!(err, Err(RecoveryError::FreeRunningUnsupported)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

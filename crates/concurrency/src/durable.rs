@@ -5,7 +5,8 @@
 //! operations users submit (with the `UpdateId`s assigned at admission) and
 //! the frontier answers they give. Everything else — chase order, conflict
 //! aborts, token assignment, metrics — is a deterministic function of those
-//! two streams under the deterministic sequencer. The WAL therefore logs
+//! two streams and the points between sequencer actions where they entered,
+//! under either frontier policy. The WAL therefore logs
 //! exactly submissions and answers, each stamped with the sequencer's *action
 //! counter* at the moment the event was admitted, so recovery can interleave
 //! replayed events with re-executed chase work at exactly the original
@@ -116,10 +117,6 @@ pub enum RecoveryError {
     /// Deterministic replay could not reproduce the logged run (the strongest
     /// sign the files belong to a different history).
     Replay(String),
-    /// Durability requires the sequencer to block at frontiers: a
-    /// free-running engine's interleaving is not a function of the logged
-    /// events, so its log could not be replayed.
-    FreeRunningUnsupported,
     /// Durability and replication are mutually exclusive for now: a replica's
     /// history is a function of its replicated event logs, not of a local
     /// WAL, and recovering one without the other would desynchronise the
@@ -138,9 +135,6 @@ impl std::fmt::Display for RecoveryError {
             ),
             RecoveryError::Corrupt(msg) => write!(f, "durable state inconsistent: {msg}"),
             RecoveryError::Replay(msg) => write!(f, "deterministic replay diverged: {msg}"),
-            RecoveryError::FreeRunningUnsupported => {
-                write!(f, "durability requires the blocking sequencer (not free_running)")
-            }
             RecoveryError::ReplicatedUnsupported => {
                 write!(f, "durability and replication are mutually exclusive (WAL-shipping is the planned marriage)")
             }
@@ -165,10 +159,12 @@ impl From<std::io::Error> for RecoveryError {
 /// Fingerprint of everything replay determinism depends on: the scheduler
 /// knobs that steer the sequencer, the id assignment base, the per-update
 /// budget, the frontier escalation policy (a system auto-resolution in the
-/// log only replays correctly against the policy that produced it) and the
-/// mapping set. Deliberately excludes the admission cap and client fair-share
-/// state (rejected submissions never reach the log) and the retention horizon
-/// (eviction changes lookups, never chase behaviour).
+/// log only replays correctly against the policy that produced it), the
+/// skipping frontier policy (written only when set, so blocking fingerprints
+/// are those of logs that predate it) and the mapping set. Deliberately
+/// excludes the admission cap and client fair-share state (rejected
+/// submissions never reach the log) and the retention horizon (eviction
+/// changes lookups, never chase behaviour).
 pub(crate) fn config_fingerprint(config: &EngineConfig, mappings: &MappingSet) -> u64 {
     let mut h = Fnv64::new();
     h.write_str("youtopia-engine-wal-v1");
@@ -180,6 +176,9 @@ pub(crate) fn config_fingerprint(config: &EngineConfig, mappings: &MappingSet) -
     h.write_u64(config.first_update_number);
     h.write_u64(config.max_steps_per_update as u64);
     h.write_str(&format!("{:?}", config.escalation));
+    if config.free_running {
+        h.write_str("free_running");
+    }
     h.write_str(&format!("{mappings:?}"));
     h.finish()
 }
@@ -193,10 +192,10 @@ pub(crate) struct DurableEngineState {
     pub(crate) records: AtomicU64,
     /// Records covered by the newest snapshot.
     pub(crate) last_snapshot: AtomicU64,
-    /// The sequencer's action counter: bumped on every acting sequencer step
-    /// and on every frontier publish. Submissions and answers are stamped
-    /// with it so replay reproduces the original interleaving of logged
-    /// events and re-executed chase work.
+    /// The sequencer's action counter: bumped once per sequencer action (a
+    /// step, a publish, a visit sat out or stepped past, a round boundary).
+    /// Submissions and answers are stamped with it so replay reproduces the
+    /// original interleaving of logged events and re-executed chase work.
     pub(crate) actions: AtomicU64,
     /// Set during recovery replay: suppresses snapshot writing (the log is
     /// being read) — replayed events are injected directly and never
@@ -842,8 +841,15 @@ mod tests {
         let renumbered = EngineConfig { first_update_number: 50, ..EngineConfig::default() };
         let b = config_fingerprint(&renumbered, &mappings);
         assert_ne!(a, b);
-        let c = config_fingerprint(&EngineConfig::default(), &mappings);
-        assert_eq!(a, c, "fingerprint is stable");
+        // Pinned: the skipping policy left blocking fingerprints as they
+        // were, so every existing log still recovers.
+        assert_eq!(a, 0x0701_cf65_945a_8a06, "fingerprint is stable");
+        let skipping = EngineConfig { free_running: true, ..EngineConfig::default() };
+        assert_ne!(
+            a,
+            config_fingerprint(&skipping, &mappings),
+            "a skipping log is not a blocking one"
+        );
     }
 
     #[test]

@@ -40,8 +40,9 @@
 //! them may wait for an action.
 //!
 //! There is **one scheduler**: the round-robin cursor of `ConcurrentRun`
-//! (Algorithm 3) over the live updates, one action per visit. Two choices sit
-//! on top of it:
+//! (Algorithm 3) over the live updates, one action per visit, with the same
+//! rules — a terminated update an abort revives sits out the rest of the
+//! round. Two choices sit on top of it:
 //!
 //! * **who runs the loop** — one sequencer thread (the default), or no thread
 //!   at all ([`EngineBuilder::inline`](crate::EngineBuilder::inline): the loop
@@ -52,12 +53,11 @@
 //!   submitted before anything steps is byte-identical to the reference —
 //!   pinned by `tests/engine_equivalence.rs`), or *skip*
 //!   ([`EngineBuilder::free_running`](crate::EngineBuilder::free_running): the
-//!   cursor steps past published slots and the thread sleeps only when every
-//!   live update is blocked, so the schedule depends on when answers arrive —
-//!   consistent, not reproducible; since nobody waits on a published request,
-//!   an undelayed one goes out with the step that raised it, and a terminated
-//!   update an abort revives sits out the rest of the round). Skipping needs
-//!   the thread: inline, durable and replicated engines always block.
+//!   cursor steps past published slots and parks only when every live update
+//!   is blocked, so the schedule depends on where answers land — recorded by
+//!   the WAL stamp on a durable engine; since nobody waits on a published
+//!   request, an undelayed one goes out with the step that raised it). Either
+//!   policy runs on every engine, inline, durable or replicated.
 //!
 //! Unlike the inline resolvers of the batch world, an answer can arrive long
 //! after the snapshot the user looked at: writes may commit in between. That
@@ -122,9 +122,6 @@ pub(crate) struct EngineConfig {
     /// Part of the durable config fingerprint — a WAL written under one
     /// escalation policy is not replayed under another.
     pub(crate) escalation: EscalationPolicy,
-    /// Performance-only (a consumer behind the truncation point falls back to
-    /// full revalidation), which is why it is *not* part of the fingerprint.
-    pub(crate) delta_backlog_cap: usize,
     pub(crate) replica: Option<youtopia_core::replication::NodeId>,
 }
 
@@ -144,7 +141,6 @@ impl Default for EngineConfig {
             retention_horizon: usize::MAX,
             inline: false,
             escalation: EscalationPolicy::Wait,
-            delta_backlog_cap: youtopia_storage::DELTA_BACKLOG_CAP,
             replica: None,
         }
     }
@@ -314,8 +310,8 @@ impl Signal {
 pub(crate) struct Slot {
     pub(crate) exec: UpdateExecution,
     /// Cursor visits the slot still sits out: a fresh frontier request waits
-    /// `frontier_delay_rounds` visits before it is published, and a victim
-    /// aborted under the skipping policy one visit before it restarts.
+    /// `frontier_delay_rounds` visits before it is published, and a
+    /// terminated update revived by an abort one visit before it restarts.
     pub(crate) sit_out: usize,
     /// Token of the published-but-unanswered frontier request, if any.
     pub(crate) published: Option<FrontierToken>,
@@ -393,14 +389,6 @@ pub(crate) struct EngineShared {
     pub(crate) mappings: MappingSet,
     pub(crate) db: RwLock<Database>,
     pub(crate) config: EngineConfig,
-    /// The frontier policy: step past published frontiers instead of blocking
-    /// at them. The policy proper is one site, the gate in `det_action`. Two
-    /// more keep a skipping engine's abort cascades where a FIFO run queue
-    /// puts them, and would serve the blocking policy as well if its schedule
-    /// were free to move: a request that need not be delayed is published
-    /// with the step that raised it (`det_run_ready_slot`), and a revived
-    /// victim sits out the rest of its round (`execute_abort`).
-    pub(crate) skip_frontiers: bool,
     /// Growable (and front-compacted) slot table; index = update number −
     /// `first_update_number`.
     pub(crate) slots: RwLock<SlotTable>,
@@ -686,7 +674,7 @@ impl EngineShared {
     }
 
     /// Runs the sequencer until the durable action counter reaches `stamp`.
-    /// Falling idle, blocking on a frontier without progress, or moving past
+    /// Falling idle, the gate closing (which takes no action) or moving past
     /// the stamp all mean the log does not describe this engine's history.
     fn drive_to_stamp(&self, seq: &mut Sequencer, stamp: u64) -> Result<(), RecoveryError> {
         let d = self.durable.as_ref().expect("replay requires a durable engine");
@@ -700,29 +688,18 @@ impl EngineShared {
                     "overshot action stamp {stamp} (counter is at {now})"
                 )));
             }
-            match self.det_action(seq) {
-                Ok(DetProgress::Acted) => {}
-                Ok(DetProgress::AwaitingAnswer) => {
-                    // A frontier publish counts as an action (it bumped the
-                    // counter on the way to AwaitingAnswer); blocking without
-                    // the bump means the stamp is unreachable.
-                    if d.actions.load(Ordering::SeqCst) == now {
-                        return Err(RecoveryError::Replay(format!(
-                            "blocked on an unanswered frontier {} action(s) before stamp {stamp}",
-                            stamp - now
-                        )));
-                    }
-                }
-                Ok(DetProgress::Idle) => {
-                    return Err(RecoveryError::Replay(format!(
-                        "sequencer idle {} action(s) before stamp {stamp}",
-                        stamp - now
-                    )));
-                }
+            let stuck = match self.det_action(seq) {
+                Ok(DetProgress::Acted) => continue,
+                Ok(DetProgress::AwaitingAnswer) => "blocked on an unanswered frontier",
+                Ok(DetProgress::Idle) => "sequencer idle",
                 Err(e) => {
                     return Err(RecoveryError::Replay(format!("chase error during replay: {e}")));
                 }
-            }
+            };
+            return Err(RecoveryError::Replay(format!(
+                "{stuck} {} action(s) before stamp {stamp}",
+                stamp - now
+            )));
         }
     }
 
@@ -820,27 +797,13 @@ impl EngineShared {
         Ok(())
     }
 
-    /// Bumps the durable action counter (no-op on a plain engine): every
-    /// acting sequencer step and every frontier publish counts. WAL records
-    /// carry the counter's value as their stamp, which is how replay knows
-    /// exactly how much chase work to re-execute before injecting each one.
-    pub(crate) fn bump_action(&self) {
-        if let Some(d) = &self.durable {
-            d.actions.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
     /// Publishes the locked slot's pending frontier request under a fresh
-    /// token. Idempotent while a token is outstanding.
+    /// token, inside the sequencer action that counted it. Idempotent while
+    /// a token is outstanding.
     pub(crate) fn publish_frontier(&self, slot: &mut Slot, idx: usize) {
         if slot.published.is_some() {
             return;
         }
-        // The publish itself counts as an action: a submission arriving while
-        // this request is published-but-unanswered must be stamp-
-        // distinguishable from one arriving just before the publish, or
-        // replay could interleave them the wrong way round.
-        self.bump_action();
         let token = FrontierToken(self.next_token.fetch_add(1, Ordering::SeqCst));
         let request = slot.exec.pending_frontier().expect("state is AwaitingFrontier").clone();
         slot.published = Some(token);
@@ -951,20 +914,16 @@ impl ExchangeEngine {
     /// periodically fold the log into a snapshot. A crashed durable engine is
     /// brought back byte-identically with [`recover`](Self::recover).
     ///
-    /// Durability requires the blocking frontier policy: recovery re-executes
-    /// the unlogged chase work between logged events, which only reproduces
-    /// the original run when the schedule is a function of the event log. A
-    /// free-running config is rejected with
-    /// [`RecoveryError::FreeRunningUnsupported`].
+    /// Either frontier policy is durable: recovery re-executes the unlogged
+    /// chase work between logged events, and under both the schedule is a
+    /// function of the event log — callers enter between two actions, so an
+    /// answer's stamp names the point where the skipping policy let it in.
     pub(crate) fn new_durable(
         db: Database,
         mappings: MappingSet,
         config: EngineConfig,
         durability: DurabilityConfig,
     ) -> Result<ExchangeEngine, RecoveryError> {
-        if config.free_running && !config.inline {
-            return Err(RecoveryError::FreeRunningUnsupported);
-        }
         if config.replica.is_some() {
             return Err(RecoveryError::ReplicatedUnsupported);
         }
@@ -1024,9 +983,6 @@ impl ExchangeEngine {
         config: EngineConfig,
         durability: DurabilityConfig,
     ) -> Result<ExchangeEngine, RecoveryError> {
-        if config.free_running && !config.inline {
-            return Err(RecoveryError::FreeRunningUnsupported);
-        }
         if config.replica.is_some() {
             return Err(RecoveryError::ReplicatedUnsupported);
         }
@@ -1147,16 +1103,9 @@ impl ExchangeEngine {
         next_token: u64,
         metrics: RunMetrics,
     ) -> Arc<EngineShared> {
-        let mut db = db;
-        db.set_delta_backlog_cap(config.delta_backlog_cap);
-        // Skipping needs a thread to make progress while the callers answer:
-        // an inline engine is caller-driven and blocks whatever the config
-        // says. Replication does too — the canonical fold *is* a schedule.
-        let skip_frontiers = config.free_running && !config.inline && config.replica.is_none();
         Arc::new(EngineShared {
             mappings,
             db: RwLock::new(db),
-            skip_frontiers,
             slots: RwLock::new(slots),
             metrics: Mutex::new(metrics),
             sequencer: Mutex::new(Sequencer {
@@ -1679,7 +1628,6 @@ impl std::fmt::Debug for ExchangeEngine {
         f.debug_struct("ExchangeEngine")
             .field("active", &self.active_updates())
             .field("pending_frontiers", &lock(&self.shared.pending).len())
-            .field("skip_frontiers", &self.shared.skip_frontiers)
             .finish_non_exhaustive()
     }
 }
@@ -1944,69 +1892,79 @@ mod tests {
     /// unanswered frontier, keeps asking while that holds, and acts again as
     /// soon as one answer lands. A gate that never closes (a busy-spinning
     /// thread) trips the action bound; one that closes early leaves requests
-    /// unpublished. That answer is issued while the test still holds the
-    /// sequencer: it must wait in `enter` with none of its effects visible,
-    /// and apply once the guard is released.
+    /// unpublished — with a frontier delay each request is published at a
+    /// later visit of its own, and only the gate may park. That answer is
+    /// issued while the test still holds the sequencer: it must wait in
+    /// `enter` with none of its effects visible, and apply once the guard is
+    /// released.
     #[test]
     fn skipping_sequencer_parks_only_when_every_live_update_is_blocked() {
-        let (db, mappings, ops) = frontier_fixture(3);
-        let shared = ExchangeEngine::make_shared(
-            db,
-            mappings,
-            EngineConfig { free_running: true, ..EngineConfig::default() },
-            None,
-            SlotTable { base: 0, cells: VecDeque::new() },
-            Vec::new(),
-            0,
-            RunMetrics::default(),
-        );
-        assert!(shared.skip_frontiers);
-        let engine = ExchangeEngine { shared, thread: None };
-        engine.submit_batch(ops).unwrap();
-        let shared = &engine.shared;
-        let mut cur = lock(&shared.sequencer);
-        let act_until_parked = |cur: &mut Sequencer| {
-            for actions in 0.. {
-                assert!(actions < 1_000, "the sequencer never asks to sleep");
-                match shared.det_action(cur).unwrap() {
-                    DetProgress::Acted => {}
-                    DetProgress::AwaitingAnswer => return actions,
-                    DetProgress::Idle => panic!("three updates are live"),
+        for frontier_delay_rounds in [0, 1] {
+            let (db, mappings, ops) = frontier_fixture(3);
+            let shared = ExchangeEngine::make_shared(
+                db,
+                mappings,
+                EngineConfig {
+                    free_running: true,
+                    scheduler: SchedulerConfig {
+                        frontier_delay_rounds,
+                        ..EngineConfig::default().scheduler
+                    },
+                    ..EngineConfig::default()
+                },
+                None,
+                SlotTable { base: 0, cells: VecDeque::new() },
+                Vec::new(),
+                0,
+                RunMetrics::default(),
+            );
+            let engine = ExchangeEngine { shared, thread: None };
+            engine.submit_batch(ops).unwrap();
+            let shared = &engine.shared;
+            let mut cur = lock(&shared.sequencer);
+            let act_until_parked = |cur: &mut Sequencer| {
+                for actions in 0.. {
+                    assert!(actions < 1_000, "the sequencer never asks to sleep");
+                    match shared.det_action(cur).unwrap() {
+                        DetProgress::Acted => {}
+                        DetProgress::AwaitingAnswer => return actions,
+                        DetProgress::Idle => panic!("three updates are live"),
+                    }
                 }
-            }
-            unreachable!()
-        };
-        assert!(act_until_parked(&mut cur) >= 3, "each update stepped to its frontier first");
-        assert_eq!(cur.live.len(), 3);
-        assert_eq!(shared.unanswered.load(Ordering::SeqCst), 3, "every question is out");
-        let steps = engine.metrics().steps;
-        assert_eq!(act_until_parked(&mut cur), 0, "still nothing to do");
+                unreachable!()
+            };
+            assert!(act_until_parked(&mut cur) >= 3, "each update stepped to its frontier first");
+            assert_eq!(cur.live.len(), 3);
+            assert_eq!(shared.unanswered.load(Ordering::SeqCst), 3, "every question is out");
+            let steps = engine.metrics().steps;
+            assert_eq!(act_until_parked(&mut cur), 0, "still nothing to do");
 
-        // One answer: two of three are still blocked, so the gate is open
-        // and the answered update runs on to termination.
-        let asked = engine.pending_frontiers().pop().unwrap();
-        let decision = engine.read(|db| {
-            RandomResolver::seeded(1).resolve(&db.snapshot(asked.update), &asked.request)
-        });
-        let outcome = std::thread::scope(|s| {
-            let answering = s.spawn(|| engine.answer(asked.token, decision));
-            let deadline = std::time::Instant::now() + Duration::from_secs(60);
-            while shared.entering.load(Ordering::SeqCst) == 0 {
-                assert!(std::time::Instant::now() < deadline, "answer never reached enter()");
-                std::thread::yield_now();
-            }
-            assert!(!answering.is_finished(), "answered inside a sequencer action");
-            assert_eq!(engine.pending_frontiers().len(), 3, "the entry is still listed");
-            assert_eq!(shared.unanswered.load(Ordering::SeqCst), 3);
-            drop(cur);
-            answering.join().expect("answering thread")
-        });
-        assert_eq!(outcome.unwrap(), AnswerOutcome::Applied);
-        let mut cur = lock(&shared.sequencer);
-        assert!(act_until_parked(&mut cur) > 0, "the answered update acts");
-        assert!(engine.metrics().steps > steps);
-        assert_eq!(engine.active_updates(), 2);
-        assert_eq!(cur.live.len(), 2, "parked again behind the two open questions");
+            // One answer: two of three are still blocked, so the gate is open
+            // and the answered update runs on to termination.
+            let asked = engine.pending_frontiers().pop().unwrap();
+            let decision = engine.read(|db| {
+                RandomResolver::seeded(1).resolve(&db.snapshot(asked.update), &asked.request)
+            });
+            let outcome = std::thread::scope(|s| {
+                let answering = s.spawn(|| engine.answer(asked.token, decision));
+                let deadline = std::time::Instant::now() + Duration::from_secs(60);
+                while shared.entering.load(Ordering::SeqCst) == 0 {
+                    assert!(std::time::Instant::now() < deadline, "answer never reached enter()");
+                    std::thread::yield_now();
+                }
+                assert!(!answering.is_finished(), "answered inside a sequencer action");
+                assert_eq!(engine.pending_frontiers().len(), 3, "the entry is still listed");
+                assert_eq!(shared.unanswered.load(Ordering::SeqCst), 3);
+                drop(cur);
+                answering.join().expect("answering thread")
+            });
+            assert_eq!(outcome.unwrap(), AnswerOutcome::Applied);
+            let mut cur = lock(&shared.sequencer);
+            assert!(act_until_parked(&mut cur) > 0, "the answered update acts");
+            assert!(engine.metrics().steps > steps);
+            assert_eq!(engine.active_updates(), 2);
+            assert_eq!(cur.live.len(), 2, "parked again behind the two open questions");
+        }
     }
 
     /// A failed WAL append on the submit path must fail-stop the engine like

@@ -600,34 +600,42 @@ mod tests {
         engine.shutdown();
     }
 
+    /// The peer folds under either frontier policy: a replica has at most one
+    /// live update, so skipping renders the same bytes as blocking.
     #[test]
     fn local_submits_replicate_to_a_peer_and_render_identically() {
-        let a = replica(0);
-        let b = replica(1);
-        let stamp = a.submit_replicated(delete_review()).unwrap();
-        assert_eq!(stamp, EventStamp { lamport: 1, origin: NodeId(0) });
-        // The backward chase of the delete stalls on the negative frontier.
-        let stalled = a.pump_replication().unwrap();
-        assert_eq!(stalled, Some((stamp, 0)));
-        answer_all(&a, 4);
-        assert!(a.pump_replication().unwrap().is_none());
+        let (db, mappings) = travel();
+        let skipping = EngineBuilder::new().inline().free_running().replicated(NodeId(1));
+        for b in [replica(1), skipping.build(db, mappings).unwrap()] {
+            let a = replica(0);
+            let stamp = a.submit_replicated(delete_review()).unwrap();
+            assert_eq!(stamp, EventStamp { lamport: 1, origin: NodeId(0) });
+            // The backward chase of the delete stalls on the negative frontier.
+            let stalled = a.pump_replication().unwrap();
+            assert_eq!(stalled, Some((stamp, 0)));
+            answer_all(&a, 4);
+            assert!(a.pump_replication().unwrap().is_none());
 
-        // Ship everything to B: it folds the submit AND the recorded answers —
-        // no question is ever asked on B.
-        let delta = a.encode_deltas_since(&b.state_vector().unwrap()).unwrap();
-        let report = b.apply_remote_deltas(&delta).unwrap();
-        assert!(report.appended >= 2, "a submit and at least one answer");
-        assert_eq!(report.stalled, None);
-        assert!(b.pending_frontiers().is_empty(), "answered on A, never re-asked on B");
-        assert_eq!(a.state_vector().unwrap(), b.state_vector().unwrap());
+            // Ship everything to B: it folds the submit AND the recorded answers —
+            // no question is ever asked on B.
+            let delta = a.encode_deltas_since(&b.state_vector().unwrap()).unwrap();
+            let report = b.apply_remote_deltas(&delta).unwrap();
+            assert!(report.appended >= 2, "a submit and at least one answer");
+            assert_eq!(report.stalled, None);
+            assert!(b.pending_frontiers().is_empty(), "answered on A, never re-asked on B");
+            assert_eq!(a.state_vector().unwrap(), b.state_vector().unwrap());
 
-        let a_bytes = a.read(youtopia_storage::wal::serialize_database);
-        let b_bytes = b.read(youtopia_storage::wal::serialize_database);
-        assert_eq!(a_bytes, b_bytes, "same delivered set => byte-identical databases");
-        // The same update id was assigned on both sides (canonical order).
-        assert_eq!(b.replicated_update_id(stamp).unwrap(), a.replicated_update_id(stamp).unwrap());
-        a.shutdown();
-        b.shutdown();
+            let a_bytes = a.read(youtopia_storage::wal::serialize_database);
+            let b_bytes = b.read(youtopia_storage::wal::serialize_database);
+            assert_eq!(a_bytes, b_bytes, "same delivered set => byte-identical databases");
+            // The same update id was assigned on both sides (canonical order).
+            assert_eq!(
+                b.replicated_update_id(stamp).unwrap(),
+                a.replicated_update_id(stamp).unwrap()
+            );
+            a.shutdown();
+            b.shutdown();
+        }
     }
 
     #[test]

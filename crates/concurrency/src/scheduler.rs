@@ -105,8 +105,10 @@ impl SchedulerConfig {
 
 struct Slot {
     exec: UpdateExecution,
-    /// Rounds remaining before a pending frontier request is answered.
-    frontier_wait: usize,
+    /// Visits the slot still sits out: a fresh frontier request waits
+    /// `frontier_delay_rounds` of them before it is answered, and a
+    /// terminated update revived by an abort one before it restarts.
+    sit_out: usize,
 }
 
 /// A concurrent execution of a batch of updates over one database.
@@ -143,7 +145,7 @@ impl ConcurrentRun {
                     op,
                     config.chase_mode,
                 ),
-                frontier_wait: 0,
+                sit_out: 0,
             })
             .collect();
         let all_ids = slots.iter().map(|s| s.exec.id()).collect();
@@ -188,12 +190,11 @@ impl ConcurrentRun {
             for idx in 0..self.slots.len() {
                 match self.slots[idx].exec.state() {
                     UpdateState::Terminated => continue,
+                    _ if self.slots[idx].sit_out > 0 => {
+                        self.slots[idx].sit_out -= 1;
+                        progressed = true;
+                    }
                     UpdateState::AwaitingFrontier => {
-                        if self.slots[idx].frontier_wait > 0 {
-                            self.slots[idx].frontier_wait -= 1;
-                            progressed = true;
-                            continue;
-                        }
                         self.answer_frontier(idx, resolver)?;
                         progressed = true;
                     }
@@ -264,7 +265,7 @@ impl ConcurrentRun {
             self.perform_aborts(&to_abort);
 
             if outcome.frontier_request.is_some() {
-                self.slots[idx].frontier_wait = self.config.frontier_delay_rounds;
+                self.slots[idx].sit_out = self.config.frontier_delay_rounds;
             }
             // Step-level round robin hands control back after one step; the
             // stratum policy keeps going while the update remains ready.
@@ -341,15 +342,17 @@ impl ConcurrentRun {
 
     /// Performs the consolidated aborts: roll back each update's writes, clear
     /// its logs and dependency bookkeeping, and reset it to redo its initial
-    /// operation.
+    /// operation. A victim that had terminated sits out its next visit, the
+    /// rest of this round (victims are numbered above the writer): restarted
+    /// at once it would re-read what its fellow victims are rewriting.
     fn perform_aborts(&mut self, to_abort: &BTreeSet<UpdateId>) {
         for &victim in to_abort {
             let Some(slot) = self.slots.iter_mut().find(|s| s.exec.id() == victim) else {
                 continue;
             };
             self.db.rollback_update(victim);
+            slot.sit_out = usize::from(slot.exec.is_terminated());
             slot.exec.reset_for_restart();
-            slot.frontier_wait = 0;
             self.read_log.clear(victim);
             self.write_log.remove_update(victim);
             self.tracker.note_abort(victim);

@@ -57,8 +57,8 @@ pub(crate) enum DetProgress {
     Acted,
     /// Nothing is live; sleep until a submission arrives.
     Idle,
-    /// Published frontiers await their answers and the frontier policy lets
-    /// nothing act until one lands.
+    /// The gate is closed: published frontiers await their answers and the
+    /// frontier policy lets nothing act until one lands.
     AwaitingAnswer,
 }
 
@@ -276,11 +276,11 @@ impl EngineShared {
             self.unanswered.fetch_sub(1, Ordering::SeqCst);
         }
         slot.exec.reset_for_restart();
-        // Under the skipping policy a revived victim sits out its next visit,
-        // which is the rest of this round (victims are numbered above the
-        // writer): restarted at once it re-reads what the victims aborted
-        // with it are rewriting and cascades with them again.
-        slot.sit_out = usize::from(revive && self.skip_frontiers);
+        // A revived victim sits out its next visit, which is the rest of this
+        // round (victims are numbered above the writer): restarted at once it
+        // re-reads what the victims aborted with it are rewriting and
+        // cascades with them again. `ConcurrentRun` applies the same rule.
+        slot.sit_out = usize::from(revive);
         seq.read_log.clear(victim);
         seq.write_log.remove_update(victim);
         seq.tracker.note_abort(victim);
@@ -416,14 +416,14 @@ impl EngineShared {
     /// while there is nothing to act on.
     pub(crate) fn sequencer_thread(&self) {
         let _guard = WorkerGuard { shared: self };
-        while !self.stop.load(Ordering::SeqCst) {
-            // Generation first, actions second: any event that would unblock
-            // the sequencer (submission, answer) after this capture moves the
-            // generation and makes the wait below return immediately; any
-            // event before it is visible to the last `det_action`. No lost
-            // wakeups.
+        loop {
+            // Generation first, then the stop flag and the actions: any event
+            // that would unblock the sequencer (submission, answer, `halt`)
+            // after this capture moves the generation and makes the wait
+            // below return immediately; any event before it is visible to the
+            // check or the last `det_action`. No lost wakeups.
             let gen = self.signal.current();
-            if self.drive().is_err() {
+            if self.stop.load(Ordering::SeqCst) || self.drive().is_err() {
                 break;
             }
             self.signal.wait_past(gen);
@@ -473,22 +473,32 @@ impl EngineShared {
     /// *Skipping*: published slots are stepped past, and the sequencer only
     /// stops once every live slot is one (published slots stay live, so that
     /// is `unanswered >= live.len()`); an answer bumps the signal and the
-    /// loop resumes.
+    /// loop resumes. The gate is the only place that parks: a publish is an
+    /// action like any other, so an inline caller never gets control back
+    /// while some update is still Ready.
     pub(crate) fn det_action(&self, seq: &mut Sequencer) -> Result<DetProgress, ChaseError> {
         let unanswered = self.unanswered.load(Ordering::SeqCst);
-        let stop_at = if self.skip_frontiers { seq.live.len().max(1) } else { 1 };
+        let stop_at = if self.config.free_running { seq.live.len().max(1) } else { 1 };
         if unanswered >= stop_at {
             return Ok(DetProgress::AwaitingAnswer);
         }
         if seq.live.is_empty() {
             return Ok(DetProgress::Idle);
         }
+        // Past the gate every call is one action, counted before any of its
+        // effects (a snapshot taken by the quiescence GC at its end records
+        // the post-action count). WAL records carry the durable counter as
+        // their stamp, which is how replay knows how many actions to
+        // re-execute before injecting each one — so stepping past a
+        // published slot, which moves the cursor, counts like any other.
+        if let Some(d) = &self.durable {
+            d.actions.fetch_add(1, Ordering::SeqCst);
+        }
         let idx = match seq.live.range(seq.next..).next() {
             Some(&idx) => idx,
             None => {
                 // Round boundary.
                 seq.next = 0;
-                self.bump_action();
                 return Ok(DetProgress::Acted);
             }
         };
@@ -498,35 +508,21 @@ impl EngineShared {
             // stale live entry still names; evicted slots are terminal, so
             // this is the Terminated branch in disguise.
             seq.live.remove(&idx);
-            self.bump_action();
             return Ok(DetProgress::Acted);
         };
         let mut slot = lock(&cell);
         match slot.exec.state() {
             UpdateState::Terminated => {
                 seq.live.remove(&idx);
-                self.bump_action();
             }
             // Only the skipping policy gets past the gate with a published
             // slot live: step past it.
             UpdateState::AwaitingFrontier if slot.published.is_some() => {}
-            _ if slot.sit_out > 0 => {
-                slot.sit_out -= 1;
-                self.bump_action();
-            }
-            UpdateState::AwaitingFrontier => {
-                self.publish_frontier(&mut slot, idx);
-                return Ok(DetProgress::AwaitingAnswer);
-            }
+            _ if slot.sit_out > 0 => slot.sit_out -= 1,
+            UpdateState::AwaitingFrontier => self.publish_frontier(&mut slot, idx),
             UpdateState::Ready => {
                 drop(slot);
-                let left = self.det_run_ready_slot(seq, idx, &cell)?;
-                // The action is complete — and counted — *before* quiescence
-                // bookkeeping: a snapshot taken inside `maybe_gc` must record
-                // the post-action counter, or replaying its WAL tail would
-                // start one action short.
-                self.bump_action();
-                if left {
+                if self.det_run_ready_slot(seq, idx, &cell)? {
                     // It may have been the last active update; all slot locks
                     // are released again at this point. Waiters hear of the
                     // retirement here; one that saw it earlier (a status
@@ -581,7 +577,9 @@ impl EngineShared {
                 // Nobody waits on a published request under the skipping
                 // policy, so one that need not be delayed goes out with the
                 // step that raised it instead of costing its owner a round.
-                if self.skip_frontiers && slot.sit_out == 0 {
+                // Under blocking the publish closes the gate, so doing it
+                // here would park the rest of the round behind the question.
+                if self.config.free_running && slot.sit_out == 0 {
                     self.publish_frontier(&mut slot, idx);
                 }
             }

@@ -37,9 +37,8 @@
 //!   execution jumps straight to the current sequence (nothing behind it can
 //!   matter — an empty queue has no watched relations).
 //! * **Truncation** — quiescence GC clears the backlog (see [`clear`]), and
-//!   the store's backlog cap ([`youtopia_storage::DELTA_BACKLOG_CAP`] by
-//!   default, `EngineBuilder::delta_backlog_cap` to override) unconditionally
-//!   bounds it for engines that never go quiescent. A cursor behind the
+//!   the store's backlog cap ([`youtopia_storage::DELTA_BACKLOG_CAP`])
+//!   unconditionally bounds it for engines that never go quiescent. A cursor behind the
 //!   truncation point observes a *gap*
 //!   (`dirty_relations` returns `None`) and falls back to treating its whole
 //!   interest set as dirty; the per-violation epoch compare downstream then
@@ -59,8 +58,7 @@ pub struct ViolationIndexStats {
     /// Retained (not yet truncated) delta entries. Bounded by
     /// [`ViolationIndexStats::backlog_cap`] and cleared at quiescence.
     pub backlog_len: usize,
-    /// The unconditional retention bound of this store — the builder's
-    /// `delta_backlog_cap`, defaulting to
+    /// The unconditional retention bound of this store,
     /// [`DELTA_BACKLOG_CAP`](youtopia_storage::DELTA_BACKLOG_CAP).
     pub backlog_cap: usize,
 }

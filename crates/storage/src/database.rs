@@ -274,14 +274,6 @@ impl Database {
         self.store.delta_backlog_len()
     }
 
-    /// Overrides the write-delta backlog bound (see
-    /// [`VersionStore::set_delta_backlog_cap`]); surfaced through
-    /// `EngineBuilder::delta_backlog_cap` so replication tests can exercise
-    /// truncation-gap recovery without 32k mutations.
-    pub fn set_delta_backlog_cap(&mut self, cap: usize) {
-        self.store.set_delta_backlog_cap(cap)
-    }
-
     /// Drops the write-delta backlog of the shared violation feed (see
     /// [`VersionStore::truncate_delta_backlog`]). Safe at any time — stale
     /// cursors observe a gap and fall back to full revalidation — but meant

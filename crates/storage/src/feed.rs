@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn backlog_cap_is_configurable_per_store() {
         let (mut db, r, _) = fixture();
-        db.set_delta_backlog_cap(4);
+        db.store_mut().set_delta_backlog_cap(4);
         assert_eq!(db.version_store().delta_backlog_cap(), 4);
         for _ in 0..10 {
             db.insert_by_name("R", &["v"], UpdateId(1));
@@ -130,7 +130,7 @@ mod tests {
         assert_eq!(db.dirty_relations(0, &[r]), None, "pre-cap window is a gap");
         assert_eq!(db.dirty_relations(6, &[r]), Some(vec![r]), "retained window answers");
         // The cap clamps to 1: a zero cap would make every window a gap forever.
-        db.set_delta_backlog_cap(0);
+        db.store_mut().set_delta_backlog_cap(0);
         db.insert_by_name("R", &["w"], UpdateId(1));
         assert_eq!(db.version_store().delta_backlog_len(), 1);
     }

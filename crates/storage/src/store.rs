@@ -21,9 +21,8 @@ use crate::version::{TupleVersion, UpdateId, VersionChain};
 /// engines that never go quiescent. Consumers whose cursor falls behind the
 /// truncation point fall back to treating every indexed relation as dirty,
 /// which the per-entry epoch compare then filters exactly — truncation is
-/// always safe, only (slightly) slower. Per-store override:
-/// [`VersionStore::set_delta_backlog_cap`] (surfaced as
-/// `EngineBuilder::delta_backlog_cap`).
+/// always safe, only (slightly) slower. Per-store override (tests):
+/// [`VersionStore::set_delta_backlog_cap`].
 pub const DELTA_BACKLOG_CAP: usize = 32 * 1024;
 
 /// Versioned tuple storage for all relations of one database.

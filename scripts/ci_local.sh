@@ -85,8 +85,8 @@ stage_bench() {
     cargo run -p youtopia-bench --bin fig3 --release -- --runs 2 --updates 40 --no-naive
     echo "==> [bench] frozen end-to-end harness builds and runs against the workspace"
     cargo test --release --offline --manifest-path perf/Cargo.toml
-    # The inline, threaded and durable caller shapes, one second each.
-    for workload in fig_batch workers_2 durable_crash; do
+    # Every workload, one second each: a schedule change reaches all six.
+    for workload in fig_batch deep_cascade day_open workers_2 durable_crash sync_heal; do
         cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --workload "$workload" --seed 1 --seconds 1 --trace 0
     done
 }

@@ -679,38 +679,42 @@ fn blocking_fixture(updates: usize) -> (Database, MappingSet, Vec<InitialOp>) {
 /// up nobody else. With u1's question deliberately left open, every other
 /// update of the batch runs to termination; answering it afterwards — which
 /// retroactively invalidates what the others read — still ends consistent.
+/// An inline engine skips too: `drive` runs it until only u1 is left.
 #[test]
 fn an_unanswered_frontier_holds_up_nobody_else() {
     let (db, mappings) = example_db();
-    let engine = EngineBuilder::new()
-        .tracker(TrackerKind::Precise)
-        .free_running()
-        .build(db.clone(), mappings)
-        .unwrap();
-    let handles = engine.submit_batch(example_ops(&db)).unwrap();
-    let (u1, others) = handles.split_first().unwrap();
+    let skipping = EngineBuilder::new().tracker(TrackerKind::Precise).free_running();
+    for builder in [skipping.clone(), skipping.inline()] {
+        let engine = builder.build(db.clone(), mappings.clone()).unwrap();
+        let handles = engine.submit_batch(example_ops(&db)).unwrap();
+        engine.drive().unwrap();
+        let (u1, others) = handles.split_first().unwrap();
 
-    await_condition("every other update terminated", || {
-        others.iter().all(|h| h.status() == UpdateStatus::Terminated)
-    });
-    assert_eq!(u1.status(), UpdateStatus::AwaitingFrontier);
-    assert!(!engine.is_quiescent());
-    let pending = engine.pending_frontiers();
-    assert_eq!(pending.len(), 1, "only u1 asks");
-    assert_eq!(pending[0].update, u1.id());
+        await_condition("every other update terminated", || {
+            others.iter().all(|h| h.status() == UpdateStatus::Terminated)
+        });
+        assert_eq!(u1.status(), UpdateStatus::AwaitingFrontier);
+        assert!(!engine.is_quiescent());
+        let pending = engine.pending_frontiers();
+        assert_eq!(pending.len(), 1, "only u1 asks");
+        assert_eq!(pending[0].update, u1.id());
 
-    // Delete the tour (Example 3.1's step 4): the conventions' excursions,
-    // suggested while the question was open, were premature.
-    let FrontierRequest::Negative(nf) = &pending[0].request else { panic!("negative frontier") };
-    let tour = nf.candidates.iter().find(|(_, _, d)| d.len() == 3).map(|(_, id, _)| *id).unwrap();
-    engine.answer(pending[0].token, FrontierDecision::Negative(vec![tour])).unwrap();
-    ResolverPump::new(&engine, &mut RandomResolver::seeded(5)).run_until_quiescent().unwrap();
-    for handle in &handles {
-        assert!(handle.wait().unwrap().terminated);
+        // Delete the tour (Example 3.1's step 4): the conventions' excursions,
+        // suggested while the question was open, were premature.
+        let FrontierRequest::Negative(nf) = &pending[0].request else {
+            panic!("negative frontier")
+        };
+        let tour =
+            nf.candidates.iter().find(|(_, _, d)| d.len() == 3).map(|(_, id, _)| *id).unwrap();
+        engine.answer(pending[0].token, FrontierDecision::Negative(vec![tour])).unwrap();
+        ResolverPump::new(&engine, &mut RandomResolver::seeded(5)).run_until_quiescent().unwrap();
+        for handle in &handles {
+            assert!(handle.wait().unwrap().terminated);
+        }
+        let (final_db, mappings, metrics) = engine.shutdown();
+        assert!(satisfies_all(&final_db.snapshot(UpdateId::OMNISCIENT), &mappings));
+        assert!(metrics.aborts > 0, "the late answer must have redone the premature readers");
     }
-    let (final_db, mappings, metrics) = engine.shutdown();
-    assert!(satisfies_all(&final_db.snapshot(UpdateId::OMNISCIENT), &mappings));
-    assert!(metrics.aborts > 0, "the late answer must have redone the premature readers");
 }
 
 /// The lost-wakeup case: once every live update is blocked on a published

@@ -12,6 +12,8 @@
 //!   recovery plus a re-feed of the dropped record is again byte-identical.
 //! * **Snapshots** — the same equality holds when periodic snapshots have
 //!   folded most of the log away, so recovery starts from snapshot state.
+//! * **Skipping** — a free-running engine answered from a second thread
+//!   recovers from its log alone, the only record of where answers landed.
 //! * **Retention** — with a finite [`EngineBuilder::retention_horizon`] the
 //!   slot table stays O(horizon) across tens of thousands of
 //!   submit/terminate cycles; evicted ids report
@@ -20,6 +22,7 @@
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -108,25 +111,30 @@ fn abort_set(stats: &[(UpdateId, UpdateStats)]) -> BTreeSet<UpdateId> {
     stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect()
 }
 
-/// Runs a generated workload through a durable deterministic engine in
-/// `dir`, submitting in small waves with a resolver pump in between so the
-/// log interleaves `Submit` and `Answer` records, and returns the reference
-/// observables plus the surviving durable artifacts.
-fn reference_run(seed: u64, dir: &Path, snapshot_every: u64, group_commit: usize) -> ReferenceRun {
+/// Runs a generated workload through a durable engine in `dir`, submitting in
+/// small waves with a resolver pump in between so the log interleaves
+/// `Submit` and `Answer` records, and returns the reference observables plus
+/// the surviving durable artifacts. A `skipping` engine is answered from a
+/// second thread while its chase thread steps past the open questions.
+fn reference_run(
+    seed: u64,
+    dir: &Path,
+    snapshot_every: u64,
+    group_commit: usize,
+    skipping: bool,
+) -> ReferenceRun {
     let mut experiment = ExperimentConfig::tiny();
     experiment.seed = seed;
+    experiment.workload_updates = if skipping { 40 } else { 10 };
     let fixture = build_fixture(&experiment).expect("fixture builds");
-    let ops: Vec<InitialOp> = generate_workload(
+    let ops = generate_workload(
         &experiment,
         &fixture.schema,
         &fixture.initial_db,
         &fixture.mappings,
         WorkloadKind::Mixed,
         seed,
-    )
-    .into_iter()
-    .take(10)
-    .collect();
+    );
     let first_number = experiment.initial_tuples as u64 + 1_000;
     let builder = EngineBuilder::new()
         .tracker(TrackerKind::Precise)
@@ -134,6 +142,7 @@ fn reference_run(seed: u64, dir: &Path, snapshot_every: u64, group_commit: usize
         .chase_mode(ChaseMode::Incremental)
         .frontier_delay_rounds(3)
         .first_update_number(first_number);
+    let builder = if skipping { builder.free_running() } else { builder };
     let durability = DurabilityConfig::new(dir)
         .with_snapshot_every(snapshot_every)
         .with_group_commit(group_commit);
@@ -144,10 +153,27 @@ fn reference_run(seed: u64, dir: &Path, snapshot_every: u64, group_commit: usize
         .expect("durable engine starts");
 
     let mut resolver = RandomResolver::seeded(seed ^ 0xE61E);
-    for wave in ops.chunks(3) {
-        engine.submit_batch(wave.to_vec()).expect("uncapped submission");
-        ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
-    }
+    let submitted = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        if skipping {
+            s.spawn(|| {
+                let mut resolver = RandomResolver::seeded(seed ^ 0xE61E);
+                while !submitted.load(Ordering::SeqCst) {
+                    ResolverPump::new(&engine, &mut resolver).drain().unwrap();
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+            });
+        }
+        for wave in ops.chunks(3) {
+            engine.submit_batch(wave.to_vec()).expect("uncapped submission");
+            if skipping {
+                await_quiescence(&engine, "skipping reference");
+            } else {
+                ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
+            }
+        }
+        submitted.store(true, Ordering::SeqCst);
+    });
     assert!(engine.is_quiescent(), "reference run must end quiescent");
     let stats = engine.update_stats();
     let aborts = abort_set(&stats);
@@ -349,7 +375,7 @@ fn recovery_matches_reference_at_every_boundary(
     group_commit: usize,
 ) {
     let ref_dir = TempDir::new("ref");
-    let reference = reference_run(seed, ref_dir.path(), snapshot_every, group_commit);
+    let reference = reference_run(seed, ref_dir.path(), snapshot_every, group_commit, false);
     sweep_every_boundary(
         &reference,
         ref_dir.path(),
@@ -397,7 +423,7 @@ proptest! {
     #[test]
     fn torn_final_record_is_dropped_exactly_and_replayable(seed in 0u64..10_000) {
         let ref_dir = TempDir::new("torn-ref");
-        let reference = reference_run(seed, ref_dir.path(), 1_000_000, 1);
+        let reference = reference_run(seed, ref_dir.path(), 1_000_000, 1, false);
         let n = reference.records.len();
         assert!(n >= 2, "a non-empty workload always logs past the header");
 
@@ -621,7 +647,7 @@ proptest! {
 #[test]
 fn recovery_rejects_a_mismatched_config() {
     let dir = TempDir::new("mismatch");
-    let reference = reference_run(7, dir.path(), 1_000_000, 1);
+    let reference = reference_run(7, dir.path(), 1_000_000, 1, false);
 
     let altered = reference.builder.clone().tracker(TrackerKind::Naive);
     let durability = DurabilityConfig::new(dir.path()).with_snapshot_every(1_000_000);
@@ -631,22 +657,28 @@ fn recovery_rejects_a_mismatched_config() {
     }
 }
 
-/// Free-running (non-deterministic) configs cannot be durable: replay cannot
-/// reproduce scheduling that was not a function of the event log.
+/// Skipping engines are durable. In a skipping run answered from a second
+/// thread, where each answer lands between sequencer actions is up to the OS,
+/// so only the log can reproduce it: every record-boundary prefix must
+/// replay, and the full log alone must give back the shut-down engine.
 #[test]
-fn durability_rejects_free_running_configs() {
-    let dir = TempDir::new("free");
-    let builder = EngineBuilder::new()
-        .tracker(TrackerKind::Precise)
-        .free_running()
-        .durable(DurabilityConfig::new(dir.path()));
-    match builder.clone().build(Database::new(), MappingSet::new()) {
-        Err(RecoveryError::FreeRunningUnsupported) => {}
-        other => panic!("expected FreeRunningUnsupported, got {other:?}"),
-    }
-    match builder.recover(MappingSet::new()) {
-        Err(RecoveryError::FreeRunningUnsupported) => {}
-        other => panic!("expected FreeRunningUnsupported, got {other:?}"),
+fn skipping_durable_runs_recover_from_their_log() {
+    for (snapshot_every, group_commit) in [(1_000_000, 1), (1_000_000, 8), (3, 1), (3, 8)] {
+        let label = format!("skipping, snapshot_every {snapshot_every}, group {group_commit}");
+        let ref_dir = TempDir::new("skip-ref");
+        let reference = reference_run(4242, ref_dir.path(), snapshot_every, group_commit, true);
+        let scratch = TempDir::new("skip-scratch");
+        for end in frame_boundaries(&reference.records, &scratch.path().join("reframe.log")) {
+            let cut = TempDir::new("skip-cut");
+            std::fs::copy(ref_dir.path().join("snapshot.bin"), cut.path().join("snapshot.bin"))
+                .unwrap();
+            std::fs::write(cut.path().join("wal.log"), &reference.wal_bytes[..end as usize])
+                .unwrap();
+            let durability = DurabilityConfig::new(cut.path()).with_snapshot_every(snapshot_every);
+            let recovered = reference.builder.clone().durable(durability);
+            recovered.recover(reference.mappings.clone()).expect(&label).shutdown();
+        }
+        recover_refeed_and_compare(&reference, ref_dir.path(), &[], &label);
     }
 }
 
@@ -654,7 +686,7 @@ fn durability_rejects_free_running_configs() {
 #[test]
 fn recovery_rejects_a_headerless_log() {
     let dir = TempDir::new("headerless");
-    let reference = reference_run(11, dir.path(), 1_000_000, 1);
+    let reference = reference_run(11, dir.path(), 1_000_000, 1, false);
     std::fs::write(dir.path().join("wal.log"), b"").unwrap();
     let durability = DurabilityConfig::new(dir.path()).with_snapshot_every(1_000_000);
     match reference.builder.clone().durable(durability).recover(reference.mappings.clone()) {

@@ -255,8 +255,7 @@ fn hand_off_bound(
     });
 }
 
-/// The three threaded engine shapes: a durable engine is always blocking (a
-/// threaded free-running one is refused at build time).
+/// The three threaded engine shapes: blocking, skipping and durable.
 #[test]
 fn callers_are_served_within_two_actions() {
     hand_off_bound("blocking", |b| b);
