@@ -10,10 +10,10 @@
 //! exactly submissions and answers, each stamped with the sequencer's *action
 //! counter* at the moment the event was admitted, so recovery can interleave
 //! replayed events with re-executed chase work at exactly the original
-//! points. A header record carries a fingerprint of the engine configuration
-//! and mapping set (replaying against a different configuration would silently
-//! diverge) plus the number of records already folded into the newest
-//! snapshot.
+//! points. A header record carries a fingerprint of the engine configuration,
+//! the mapping set and the schedule revision (replaying against a different
+//! configuration or older sequencer rules would silently diverge) plus the
+//! number of records already folded into the newest snapshot.
 //!
 //! Snapshots are taken at quiescence only, which is what keeps them small and
 //! simple: every retained slot is terminal (terminated or failed), so a slot
@@ -160,14 +160,18 @@ impl From<std::io::Error> for RecoveryError {
 /// knobs that steer the sequencer, the id assignment base, the per-update
 /// budget, the frontier escalation policy (a system auto-resolution in the
 /// log only replays correctly against the policy that produced it), the
-/// skipping frontier policy (written only when set, so blocking fingerprints
-/// are those of logs that predate it) and the mapping set. Deliberately
-/// excludes the admission cap and client fair-share state (rejected
-/// submissions never reach the log) and the retention horizon (eviction
-/// changes lookups, never chase behaviour).
+/// skipping frontier policy and the mapping set. The leading salt names the
+/// schedule revision: a change to the sequencer's rules (which update acts
+/// when, what counts as one action) bumps it, so a log or snapshot written
+/// under older rules is rejected instead of replaying divergently. `v2`: a
+/// revived victim sits out under both policies, and stepping past a
+/// published slot is one action. Deliberately excludes the admission cap
+/// and client fair-share state (rejected submissions never reach the log)
+/// and the retention horizon (eviction changes lookups, never chase
+/// behaviour).
 pub(crate) fn config_fingerprint(config: &EngineConfig, mappings: &MappingSet) -> u64 {
     let mut h = Fnv64::new();
-    h.write_str("youtopia-engine-wal-v1");
+    h.write_str("youtopia-engine-wal-v2");
     h.write_str(&format!("{:?}", config.scheduler.tracker));
     h.write_str(&format!("{:?}", config.scheduler.policy));
     h.write_str(&format!("{:?}", config.scheduler.chase_mode));
@@ -841,9 +845,10 @@ mod tests {
         let renumbered = EngineConfig { first_update_number: 50, ..EngineConfig::default() };
         let b = config_fingerprint(&renumbered, &mappings);
         assert_ne!(a, b);
-        // Pinned: the skipping policy left blocking fingerprints as they
-        // were, so every existing log still recovers.
-        assert_eq!(a, 0x0701_cf65_945a_8a06, "fingerprint is stable");
+        // Pinned: the value moves only with the schedule-revision salt. The
+        // `v1` value (0x0701_cf65_945a_8a06) belongs to logs whose revived
+        // victims did not sit out under blocking; those are rejected.
+        assert_eq!(a, 0xba6d_7583_e918_effb, "fingerprint is stable");
         let skipping = EngineConfig { free_running: true, ..EngineConfig::default() };
         assert_ne!(
             a,

@@ -1885,8 +1885,8 @@ mod tests {
         }
     }
 
-    /// The skipping policy's gate, driven by hand on an engine that was never
-    /// given its chase thread (so nothing races the assertions): the sequencer
+    /// The skipping policy's gate, driven by hand on an inline engine (no
+    /// chase thread, so nothing races the assertions): the sequencer
     /// asks to sleep — `AwaitingAnswer` is what sends `sequencer_thread` to
     /// the signal — exactly when every live update sits on a published,
     /// unanswered frontier, keeps asking while that holds, and acts again as
@@ -1896,38 +1896,39 @@ mod tests {
     /// later visit of its own, and only the gate may park. That answer is
     /// issued while the test still holds the sequencer: it must wait in
     /// `enter` with none of its effects visible, and apply once the guard is
-    /// released.
+    /// released. The engine is durable, and every action past the gate —
+    /// stepping past a published slot included — advances the counter that
+    /// stamps WAL records by exactly one; replay of a skipping log counts
+    /// on it.
     #[test]
     fn skipping_sequencer_parks_only_when_every_live_update_is_blocked() {
         for frontier_delay_rounds in [0, 1] {
+            let dir = std::env::temp_dir()
+                .join(format!("yt-engine-park-{}-{frontier_delay_rounds}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
             let (db, mappings, ops) = frontier_fixture(3);
-            let shared = ExchangeEngine::make_shared(
-                db,
-                mappings,
-                EngineConfig {
-                    free_running: true,
-                    scheduler: SchedulerConfig {
-                        frontier_delay_rounds,
-                        ..EngineConfig::default().scheduler
-                    },
-                    ..EngineConfig::default()
-                },
-                None,
-                SlotTable { base: 0, cells: VecDeque::new() },
-                Vec::new(),
-                0,
-                RunMetrics::default(),
-            );
-            let engine = ExchangeEngine { shared, thread: None };
+            let engine = EngineBuilder::new()
+                .inline()
+                .free_running()
+                .frontier_delay_rounds(frontier_delay_rounds)
+                .durable(DurabilityConfig::new(&dir))
+                .build(db, mappings)
+                .unwrap();
             engine.submit_batch(ops).unwrap();
             let shared = &engine.shared;
+            let counted = &shared.durable.as_ref().expect("built durable").actions;
             let mut cur = lock(&shared.sequencer);
             let act_until_parked = |cur: &mut Sequencer| {
+                let before = counted.load(Ordering::SeqCst);
                 for actions in 0.. {
                     assert!(actions < 1_000, "the sequencer never asks to sleep");
                     match shared.det_action(cur).unwrap() {
                         DetProgress::Acted => {}
-                        DetProgress::AwaitingAnswer => return actions,
+                        DetProgress::AwaitingAnswer => {
+                            let stamped = counted.load(Ordering::SeqCst) - before;
+                            assert_eq!(stamped, actions, "one stamp per action, none at the gate");
+                            return actions;
+                        }
                         DetProgress::Idle => panic!("three updates are live"),
                     }
                 }
@@ -1964,6 +1965,7 @@ mod tests {
             assert!(engine.metrics().steps > steps);
             assert_eq!(engine.active_updates(), 2);
             assert_eq!(cur.live.len(), 2, "parked again behind the two open questions");
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

@@ -21,8 +21,8 @@ use crate::version::{TupleVersion, UpdateId, VersionChain};
 /// engines that never go quiescent. Consumers whose cursor falls behind the
 /// truncation point fall back to treating every indexed relation as dirty,
 /// which the per-entry epoch compare then filters exactly — truncation is
-/// always safe, only (slightly) slower. Per-store override (tests):
-/// [`VersionStore::set_delta_backlog_cap`].
+/// always safe, only (slightly) slower. Only this crate's unit tests shrink
+/// it, per store.
 pub const DELTA_BACKLOG_CAP: usize = 32 * 1024;
 
 /// Versioned tuple storage for all relations of one database.
@@ -74,7 +74,8 @@ impl VersionStore {
     /// Overrides the delta-backlog bound (minimum 1). Shrinking below the
     /// current backlog takes effect on the next mutation; consumers behind the
     /// new truncation point observe a gap, exactly as under the default cap.
-    pub fn set_delta_backlog_cap(&mut self, cap: usize) {
+    #[cfg(test)]
+    pub(crate) fn set_delta_backlog_cap(&mut self, cap: usize) {
         self.delta_backlog_cap = cap.max(1);
     }
 
