@@ -296,8 +296,9 @@ fn bench_end_to_end_mapping_graph(c: &mut Criterion) {
 }
 
 /// The free-running schedule: one batch of updates through a free-running
-/// engine (the sequencer thread skipping published frontiers, the pump
-/// answering from the bench thread), on the two workloads that stress it from opposite ends —
+/// engine (the pump driving the sequencer past published frontiers and
+/// answering them on the bench thread), on the two workloads that stress it
+/// from opposite ends —
 /// `DeepCascade` (long chases, long-lived violation queues, little
 /// inter-update conflict) and `Skewed` (80% of operations on one hot
 /// relation, so validation and rollbacks contend).
@@ -365,7 +366,7 @@ fn disjoint_chains(chains: usize, depth: usize) -> (Database, MappingSet) {
 }
 
 /// The shared violation index under concurrent live updates: 16 disjoint
-/// chain cascades submitted to an inline deterministic engine in waves of
+/// chain cascades submitted to a deterministic engine in waves of
 /// 1, 4 or 16, so every configuration performs the *same* chase steps and
 /// only the number of concurrently live updates differs. With the shared
 /// delta feed, an update's per-step detection cost depends on the deltas
@@ -395,7 +396,6 @@ fn bench_shared_index(c: &mut Criterion) {
                 b.iter_batched(
                     || {
                         let engine = EngineBuilder::new()
-                            .inline()
                             .build(db.clone(), mappings.clone())
                             .expect("non-durable engines build infallibly");
                         (engine, ops.clone())

@@ -42,19 +42,28 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// A builder with the engine defaults: one sequencer thread that blocks
-    /// at published frontiers, no durability, unbounded admission/retention.
+    /// A builder with the engine defaults: a sequencer that blocks at
+    /// published frontiers, no durability, unbounded admission/retention.
     pub fn new() -> EngineBuilder {
         EngineBuilder::default()
     }
 
     // ---- chase / scheduling ----
 
-    /// No-op: an engine owns at most one chase thread, so there is no worker
-    /// count to set. Kept (storing nothing) only because the frozen `perf/`
-    /// harness calls it; to be retired with the next benchmark change.
+    /// No-op: an engine owns no thread — its callers drive it — so there is
+    /// no worker count to set. Kept (storing nothing) only because the
+    /// frozen `perf/` harness calls it; to be retired with the next
+    /// benchmark change.
     #[doc(hidden)]
     pub fn workers(self, _workers: usize) -> EngineBuilder {
+        self
+    }
+
+    /// No-op: every engine runs its sequencer on the caller threads that
+    /// drive it, so there is no threadless mode to choose. Kept (storing
+    /// nothing) only because the frozen `perf/` harness calls it.
+    #[doc(hidden)]
+    pub fn inline(self) -> EngineBuilder {
         self
     }
 
@@ -144,19 +153,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Inline mode: spawn **no** chase thread and run the sequencer on
-    /// whichever thread pumps the engine
-    /// ([`ResolverPump`](crate::ResolverPump),
-    /// [`UpdateHandle::wait`](crate::UpdateHandle::wait),
-    /// [`ExchangeEngine::wait_quiescent`], [`ExchangeEngine::drive`]). The
-    /// submit/poll/answer API is unchanged, but every cross-thread hand-off
-    /// disappears — [`UpdateExchange`](crate::UpdateExchange) uses this to
-    /// keep micro-chases at single-threaded cost.
-    pub fn inline(mut self) -> EngineBuilder {
-        self.config.inline = true;
-        self
-    }
-
     /// What the lifecycle sweeper ([`ExchangeEngine::sweep`]) does with a
     /// frontier request nobody answers: wait forever (the default), re-ask at
     /// higher priority, or auto-resolve with a system decision.
@@ -237,9 +233,10 @@ mod tests {
 
     #[test]
     fn builder_knobs_land_in_the_assembled_config() {
-        // The retained `workers` no-op stores nothing.
-        let eight = EngineBuilder::new().workers(8).config;
-        assert_eq!(format!("{eight:?}"), format!("{:?}", EngineConfig::default()));
+        // The retained `workers` and `inline` no-ops store nothing.
+        let default = format!("{:?}", EngineConfig::default());
+        assert_eq!(format!("{:?}", EngineBuilder::new().workers(8).config), default);
+        assert_eq!(format!("{:?}", EngineBuilder::new().inline().config), default);
         let b = EngineBuilder::new()
             .free_running()
             .tracker(TrackerKind::Precise)
@@ -252,7 +249,6 @@ mod tests {
             .admission_cap(8)
             .retention_horizon(16)
             .replicated(youtopia_core::replication::NodeId(4))
-            .inline()
             .escalation(EscalationPolicy::Wait);
         let c = b.config;
         assert!(c.free_running);
@@ -266,7 +262,6 @@ mod tests {
         assert_eq!(c.admission_cap, 8);
         assert_eq!(c.retention_horizon, 16);
         assert_eq!(c.replica, Some(youtopia_core::replication::NodeId(4)));
-        assert!(c.inline);
     }
 
     #[test]
@@ -274,7 +269,6 @@ mod tests {
         let (db, mappings) = travel();
         let c = db.relation_id("C").unwrap();
         let engine = EngineBuilder::new()
-            .inline()
             .replicated(youtopia_core::replication::NodeId(1))
             .build(db, mappings)
             .unwrap();
@@ -291,7 +285,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let (db, mappings) = travel();
         let err = EngineBuilder::new()
-            .inline()
             .replicated(youtopia_core::replication::NodeId(0))
             .durable(DurabilityConfig::new(&dir))
             .build(db, mappings);
@@ -303,7 +296,7 @@ mod tests {
     fn built_engines_run_updates_end_to_end() {
         let (db, mappings) = travel();
         let c = db.relation_id("C").unwrap();
-        let engine = EngineBuilder::new().inline().build(db, mappings).unwrap();
+        let engine = EngineBuilder::new().build(db, mappings).unwrap();
         let handle = engine
             .submit(InitialOp::Insert { relation: c, values: vec![Value::constant("Ithaca")] })
             .unwrap();
@@ -321,7 +314,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let (db, mappings) = travel();
         let c = db.relation_id("C").unwrap();
-        let builder = EngineBuilder::new().inline().durable(DurabilityConfig::new(&dir));
+        let builder = EngineBuilder::new().durable(DurabilityConfig::new(&dir));
         {
             let engine = builder.clone().build(db, mappings.clone()).unwrap();
             let mut resolver = RandomResolver::seeded(4);

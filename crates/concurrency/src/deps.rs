@@ -82,7 +82,7 @@ impl std::fmt::Display for TrackerKind {
 /// Tracks which updates read from which (lower-numbered) updates.
 ///
 /// `Send` so the engine can keep the boxed tracker in its sequencer state,
-/// which the chase thread and entering caller threads take turns holding.
+/// which driving and entering caller threads take turns holding.
 pub trait DependencyTracker: Send {
     /// The algorithm's name (`NAIVE`, `COARSE`, `PRECISE`).
     fn name(&self) -> &'static str;

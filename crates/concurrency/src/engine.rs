@@ -25,39 +25,37 @@
 //!   last-committed database state (a read-lock session), the way a serving
 //!   tier would answer queries while chases run.
 //!
-//! An engine owns **at most one chase thread**. The paper's concurrency is
-//! logical — updates interleave at chase-step granularity because humans are
-//! slow at frontiers, and Algorithm 4 validates every step's writes against
-//! the stored reads — so nothing needs chase steps on several OS threads, and
-//! a measured second thread only queued on the `RwLock<Database>`. Sequencer
-//! actions are atomic with respect to each other *and to the callers*:
-//! `submit`, `answer` and `sweep`'s auto-resolutions take the sequencer lock
+//! An engine owns **no thread**. The paper's concurrency is logical —
+//! updates interleave at chase-step granularity because humans are slow at
+//! frontiers, and Algorithm 4 validates every step's writes against the
+//! stored reads — so the sequencer runs on whichever caller thread drives
+//! it: [`ExchangeEngine::drive`], [`UpdateHandle::wait`],
+//! [`ExchangeEngine::wait_quiescent`] and [`ResolverPump`] all run actions
+//! until nothing can act (`wait` stops earlier, once its own update has
+//! terminated), and the waiters then sleep on the engine's signal until an
+//! answer, a submission or a shutdown moves it. Sequencer actions
+//! are atomic with respect to each other *and to the callers*: `submit`,
+//! `answer` and `sweep`'s auto-resolutions take the sequencer lock
 //! (`EngineShared::enter`) and so land **between** two actions, on every
-//! engine — inline or threaded, plain, durable or replicated. What does run
-//! concurrently with an action is `read`, the status accessors and
-//! `metrics()` only, which is why steps stay two-phase over an
-//! `RwLock<Database>` and slots and metrics keep their own locks: none of
-//! them may wait for an action.
+//! engine — plain, durable or replicated. What does run concurrently with an
+//! action is `read`, the status accessors and `metrics()` only, which is why
+//! steps stay two-phase over an `RwLock<Database>` and slots and metrics keep
+//! their own locks: none of them may wait for an action.
 //!
 //! There is **one scheduler**: the round-robin cursor of `ConcurrentRun`
 //! (Algorithm 3) over the live updates, one action per visit, with the same
 //! rules — a terminated update an abort revives sits out the rest of the
-//! round. Two choices sit on top of it:
-//!
-//! * **who runs the loop** — one sequencer thread (the default), or no thread
-//!   at all ([`EngineBuilder::inline`](crate::EngineBuilder::inline): the loop
-//!   runs on whichever caller thread pumps or waits);
-//! * **what the loop does while a published frontier is unanswered** — *block*
-//!   (the default: nothing acts until the answer lands, the pull-based
-//!   analogue of the reference's synchronous resolver call, so a batch
-//!   submitted before anything steps is byte-identical to the reference —
-//!   pinned by `tests/engine_equivalence.rs`), or *skip*
-//!   ([`EngineBuilder::free_running`](crate::EngineBuilder::free_running): the
-//!   cursor steps past published slots and parks only when every live update
-//!   is blocked, so the schedule depends on where answers land — recorded by
-//!   the WAL stamp on a durable engine; since nobody waits on a published
-//!   request, an undelayed one goes out with the step that raised it). Either
-//!   policy runs on every engine, inline, durable or replicated.
+//! round. One choice sits on top of it: what the loop does while a published
+//! frontier is unanswered — *block* (the default: nothing acts until the
+//! answer lands, the pull-based analogue of the reference's synchronous
+//! resolver call, so a batch submitted before anything steps is
+//! byte-identical to the reference — pinned by `tests/engine_equivalence.rs`),
+//! or *skip* ([`EngineBuilder::free_running`](crate::EngineBuilder::free_running):
+//! the cursor steps past published slots and parks only when every live
+//! update is blocked, so the schedule depends on where answers land —
+//! recorded by the WAL stamp on a durable engine; since nobody waits on a
+//! published request, an undelayed one goes out with the step that raised
+//! it). Either policy runs on every engine, durable or replicated.
 //!
 //! Unlike the inline resolvers of the batch world, an answer can arrive long
 //! after the snapshot the user looked at: writes may commit in between. That
@@ -68,8 +66,8 @@
 //!
 //! Lock order (outermost first): sequencer → slots table → admission → slot →
 //! pending → database → metrics → WAL writer. The sequencer lock is held by
-//! whoever runs an action (the chase thread, or the caller driving an inline
-//! engine) or enters between two (`enter`); its holder is the only stepper,
+//! whichever caller runs an action (`drive`) or enters between two
+//! (`enter`); its holder is the only stepper,
 //! aborter, log writer and WAL appender, takes one slot lock at a time, and
 //! shares slot locks only with status accessors, which never wait on a second
 //! one. A [`ResolverPump`] consults its resolver under the database read lock
@@ -78,7 +76,6 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, Weak};
-use std::thread::JoinHandle;
 
 use youtopia_core::{
     ChaseError, EscalationPolicy, FrontierDecision, FrontierResolver, FrontierToken, InitialOp,
@@ -118,7 +115,6 @@ pub(crate) struct EngineConfig {
     pub(crate) max_steps_per_update: usize,
     pub(crate) admission_cap: usize,
     pub(crate) retention_horizon: usize,
-    pub(crate) inline: bool,
     /// Part of the durable config fingerprint — a WAL written under one
     /// escalation policy is not replayed under another.
     pub(crate) escalation: EscalationPolicy,
@@ -139,7 +135,6 @@ impl Default for EngineConfig {
             max_steps_per_update: usize::MAX,
             admission_cap: usize::MAX,
             retention_horizon: usize::MAX,
-            inline: false,
             escalation: EscalationPolicy::Wait,
             replica: None,
         }
@@ -580,14 +575,13 @@ impl EngineShared {
 
     /// The one way into the chase for a caller: takes the sequencer lock, so
     /// whatever the caller does with the guard lands between two sequencer
-    /// actions. `std` mutexes barge — a chase thread that re-locks in a loop
-    /// would win against a parked caller for many actions in a row — so the
-    /// caller announces itself first and [`sequencer_thread`] stands back
-    /// until every announced caller holds (or has held) the lock: a caller
-    /// is served before the sequencer's next action, or the one after if it
-    /// announces itself just as the sequencer locks.
-    ///
-    /// [`sequencer_thread`]: Self::sequencer_thread
+    /// actions. `std` mutexes barge — a thread in
+    /// [`drive_until`](Self::drive_until) re-locks in a loop and would win
+    /// against a parked caller for many actions in a row — so the caller
+    /// announces itself first and the driver stands back until every
+    /// announced caller holds (or has held) the lock: a caller is served
+    /// before the sequencer's next action, or the one after if it announces
+    /// itself just as a driver locks.
     pub(crate) fn enter(&self) -> MutexGuard<'_, Sequencer> {
         self.entering.fetch_add(1, Ordering::SeqCst);
         let seq = lock(&self.sequencer);
@@ -885,14 +879,11 @@ impl EngineShared {
 /// (or a [`ResolverPump`]), and read committed state with [`read`](Self::read).
 pub struct ExchangeEngine {
     pub(crate) shared: Arc<EngineShared>,
-    /// The one chase thread; `None` for an inline engine (and after `halt`).
-    thread: Option<JoinHandle<()>>,
 }
 
 impl ExchangeEngine {
-    /// Starts an engine over `db` and `mappings`: its chase thread (none for
-    /// an inline engine) is spawned immediately and stays alive — parked when
-    /// idle — until [`shutdown`](Self::shutdown) or drop.
+    /// Creates an engine over `db` and `mappings`. It runs nothing on its
+    /// own: callers drive it (see the module docs).
     pub(crate) fn new(db: Database, mappings: MappingSet, config: EngineConfig) -> ExchangeEngine {
         let shared = Self::make_shared(
             db,
@@ -904,8 +895,7 @@ impl ExchangeEngine {
             0,
             RunMetrics::default(),
         );
-        let thread = Self::spawn_chase_thread(&shared);
-        ExchangeEngine { shared, thread }
+        ExchangeEngine { shared }
     }
 
     /// Starts a **durable** engine under `durability.dir`: every submission
@@ -965,8 +955,7 @@ impl ExchangeEngine {
             0,
             RunMetrics::default(),
         );
-        let thread = Self::spawn_chase_thread(&shared);
-        Ok(ExchangeEngine { shared, thread })
+        Ok(ExchangeEngine { shared })
     }
 
     /// Recovers a durable engine from `durability.dir`: loads the newest
@@ -1088,8 +1077,7 @@ impl ExchangeEngine {
             .replaying
             .store(false, Ordering::SeqCst);
         replayed?;
-        let thread = Self::spawn_chase_thread(&shared);
-        Ok(ExchangeEngine { shared, thread })
+        Ok(ExchangeEngine { shared })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1131,19 +1119,6 @@ impl ExchangeEngine {
                 .map(|node| Mutex::new(crate::replicate::ReplicationState::new(node))),
             config,
         })
-    }
-
-    /// Starts the engine's chase thread: none for an inline engine, otherwise
-    /// exactly one, running the sequencer.
-    fn spawn_chase_thread(shared: &Arc<EngineShared>) -> Option<JoinHandle<()>> {
-        if shared.config.inline {
-            return None;
-        }
-        let shared = Arc::clone(shared);
-        let spawned = std::thread::Builder::new()
-            .name("youtopia-engine-0".into())
-            .spawn(move || shared.sequencer_thread());
-        Some(spawned.expect("spawn engine chase thread"))
     }
 
     /// Submits one update. See [`submit_batch`](Self::submit_batch).
@@ -1403,18 +1378,15 @@ impl ExchangeEngine {
         report
     }
 
-    /// Advances an inline engine until its sequencer goes idle or blocks on
-    /// an unanswered frontier, then returns — unlike
-    /// [`wait_quiescent`](Self::wait_quiescent), blocking on a frontier is
-    /// not an error, so open-loop harnesses can interleave driving,
-    /// selective answering ([`pending_frontiers`](Self::pending_frontiers) /
+    /// Runs the sequencer on the calling thread until it goes idle or its
+    /// gate closes on an unanswered frontier, then returns — unlike
+    /// [`wait_quiescent`](Self::wait_quiescent), it never sleeps, so
+    /// open-loop harnesses can interleave driving, selective answering
+    /// ([`pending_frontiers`](Self::pending_frontiers) /
     /// [`answer`](Self::answer)) and [`sweep`](Self::sweep) on one thread.
-    /// On a threaded engine this is a no-op (the chase thread makes progress
-    /// on its own); either way a fatal engine error is reported.
+    /// A fatal engine error is reported.
     pub fn drive(&self) -> Result<(), ChaseError> {
-        if self.shared.config.inline {
-            self.shared.drive()?;
-        }
+        self.shared.drive_until(|| false)?;
         match self.error() {
             Some(e) => Err(e),
             None => Ok(()),
@@ -1522,53 +1494,37 @@ impl ExchangeEngine {
         lock(&self.shared.error).clone()
     }
 
-    /// Blocks until the engine is quiescent, returning the fatal error if it
-    /// failed instead. The caller is responsible for answering frontiers
-    /// while waiting (or doing so from another thread / a [`ResolverPump`]) —
-    /// an unanswered frontier never becomes quiescent, and on an inline
-    /// engine (which has no threads to wait on) it is reported as an error
-    /// rather than a hang.
+    /// Drives the engine until it is quiescent, returning the fatal error if
+    /// it failed instead. While the gate is closed on an unanswered frontier
+    /// it sleeps until something moves, so someone must be answering
+    /// meanwhile — another thread, or a [`ResolverPump`] instead of this
+    /// call: an unanswered frontier never becomes quiescent.
     pub fn wait_quiescent(&self) -> Result<(), ChaseError> {
         loop {
-            if let Some(e) = self.error() {
-                return Err(e);
-            }
+            // Generation first: an answer landing after this capture moves
+            // the generation past it, and one landing before it is seen by
+            // the drive.
             let gen = self.shared.signal.current();
+            self.drive()?;
             if self.is_quiescent() {
                 return Ok(());
-            }
-            if self.shared.config.inline {
-                self.shared.drive()?;
-                if self.is_quiescent() {
-                    return Ok(());
-                }
-                if !lock(&self.shared.pending).is_empty() {
-                    return Err(ChaseError::InvalidDecision(
-                        "inline engine blocked on an unanswered frontier; \
-                         answer it via pending_frontiers()/answer() or a ResolverPump"
-                            .into(),
-                    ));
-                }
-                continue;
             }
             self.shared.signal.wait_past(gen);
         }
     }
 
-    /// Stops the chase thread and joins it (idempotent).
-    fn halt(&mut self) {
+    /// Stops the engine (idempotent): a caller driving it returns at its
+    /// next action boundary, and every waiter wakes.
+    fn halt(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.signal.bump();
-        if let Some(handle) = self.thread.take() {
-            let _ = handle.join();
-        }
     }
 
     /// Shuts the engine down and returns the database, mappings and
     /// accumulated metrics. In-flight updates are left wherever their last
     /// committed step put them (partial chases are *not* rolled back — check
     /// [`is_quiescent`](Self::is_quiescent) first if that matters).
-    pub fn shutdown(mut self) -> (Database, MappingSet, RunMetrics) {
+    pub fn shutdown(self) -> (Database, MappingSet, RunMetrics) {
         self.halt();
         // A clean shutdown is a durability point: close any open group-commit
         // window so the log on disk covers everything that was logged.
@@ -1577,15 +1533,15 @@ impl ExchangeEngine {
         }
         let mut shared = Arc::clone(&self.shared);
         drop(self);
-        // The chase thread is joined, but a cloned `UpdateHandle` may be
-        // mid-`wait()` on another thread, holding a transient upgrade of its
-        // weak reference. The stop flag (set by `halt`) makes every such call
-        // return on its next check; keep nudging the signal until the last
-        // transient strong reference drops. An `Arc` drop cannot notify a
-        // condvar, so this is necessarily a poll — but with bounded
-        // exponential backoff (capped at ~1 ms) instead of a hot yield loop
-        // that would burn a core for as long as a handle-holder stays
-        // descheduled.
+        // A cloned `UpdateHandle` may be mid-`wait()` on another thread —
+        // driving the sequencer or asleep on the signal — holding a transient
+        // upgrade of its weak reference. The stop flag (set by `halt`) makes
+        // every such call return on its next check; keep nudging the signal
+        // until the last transient strong reference drops. An `Arc` drop
+        // cannot notify a condvar, so this is necessarily a poll — but with
+        // bounded exponential backoff (capped at ~1 ms) instead of a hot
+        // yield loop that would burn a core for as long as a handle-holder
+        // stays descheduled.
         let mut spins = 0u32;
         let shared = loop {
             match Arc::try_unwrap(shared) {
@@ -1657,9 +1613,10 @@ impl UpdateHandle {
         self.id
     }
 
-    /// Where the update currently stands. In free-running mode a
-    /// `Terminated` status is definitive only once the engine is quiescent:
-    /// a still-running lower-priority update can conflict with and revive it.
+    /// Where the update currently stands. A `Terminated` status is
+    /// definitive only once the engine is quiescent: under either frontier
+    /// policy, a still-running lower-numbered update can conflict with and
+    /// revive it.
     pub fn status(&self) -> UpdateStatus {
         let slot = lock(&self.cell);
         if slot.failed.is_some() {
@@ -1690,61 +1647,51 @@ impl UpdateHandle {
         lock(&self.cell).failed.clone()
     }
 
-    /// Blocks until the update terminates (returning its report) or fails
-    /// (returning the error — the update's own budget error, or the engine's
-    /// fatal error). Someone must be answering frontiers meanwhile; on an
-    /// inline engine (which has no one else), a frontier reached while
-    /// waiting is reported as an error rather than a hang.
+    /// Drives the engine until the update terminates (returning its report)
+    /// or fails (returning the error — the update's own budget error, or the
+    /// engine's fatal error), and reports a shutdown instead of blocking
+    /// forever. While the gate is closed on an unanswered frontier it sleeps
+    /// until something moves, so someone must be answering meanwhile (another
+    /// thread, or a [`ResolverPump`] instead of this call).
     pub fn wait(&self) -> Result<UpdateReport, ChaseError> {
+        let shut_down = || {
+            ChaseError::InvalidDecision(format!(
+                "engine shut down while update {} was in flight",
+                self.id
+            ))
+        };
         loop {
-            {
-                let slot = lock(&self.cell);
-                if let Some(e) = &slot.failed {
-                    return Err(e.clone());
-                }
-                if slot.exec.is_terminated() {
-                    return Ok(UpdateReport::for_execution(&slot.exec));
-                }
-            }
             let Some(shared) = self.shared.upgrade() else {
-                return Err(ChaseError::InvalidDecision(format!(
-                    "engine shut down while update {} was in flight",
-                    self.id
-                )));
+                return self.outcome().unwrap_or_else(|| Err(shut_down()));
             };
+            // Generation first, then the checks and the drive: an event that
+            // would end the wait (the update retiring on another driver, an
+            // answer, a shutdown) moves the generation past this capture or
+            // is visible below. No lost wake-ups.
+            let gen = shared.signal.current();
+            if let Some(outcome) = self.outcome() {
+                return outcome;
+            }
             if let Some(e) = lock(&shared.error).clone() {
                 return Err(e);
             }
             if shared.stop.load(Ordering::SeqCst) {
-                return Err(ChaseError::InvalidDecision(format!(
-                    "engine shut down while update {} was in flight",
-                    self.id
-                )));
+                return Err(shut_down());
             }
-            if shared.config.inline {
-                shared.drive()?;
-                let blocked = {
-                    let slot = lock(&self.cell);
-                    slot.failed.is_none() && !slot.exec.is_terminated()
-                };
-                if blocked && !lock(&shared.pending).is_empty() {
-                    return Err(ChaseError::InvalidDecision(format!(
-                        "update {} is blocked on a frontier on an inline engine; \
-                         answer it via pending_frontiers()/answer() or a ResolverPump",
-                        self.id
-                    )));
-                }
-                continue;
-            }
-            let gen = shared.signal.current();
-            {
-                let slot = lock(&self.cell);
-                if slot.failed.is_some() || slot.exec.is_terminated() {
-                    continue;
-                }
-            }
+            // Between actions, not only once the engine goes idle: with
+            // other updates streaming in it may never do so.
+            shared.drive_until(|| self.outcome().is_some())?;
             shared.signal.wait_past(gen);
         }
+    }
+
+    /// The update's final outcome, once it has one.
+    fn outcome(&self) -> Option<Result<UpdateReport, ChaseError>> {
+        let slot = lock(&self.cell);
+        if let Some(e) = &slot.failed {
+            return Some(Err(e.clone()));
+        }
+        slot.exec.is_terminated().then(|| Ok(UpdateReport::for_execution(&slot.exec)))
     }
 }
 
@@ -1803,33 +1750,20 @@ impl<'e, 'r> ResolverPump<'e, 'r> {
     /// drain left behind.
     pub fn run_until_quiescent(&mut self) -> Result<(), ChaseError> {
         loop {
-            if self.engine.shared.config.inline {
-                // Caller-driven engine: chase until idle or blocked, then
-                // answer. Every loop iteration either makes chase progress,
-                // answers a frontier, or observes quiescence — no waiting.
-                self.engine.shared.drive()?;
-            }
+            // Chase until idle or blocked, then answer. Alone on the engine
+            // every pass either makes chase progress, answers a frontier or
+            // observes quiescence; the sleep is for a pass that did none of
+            // that because another thread holds the work (mid-answer, say),
+            // and anything it does after this capture wakes it.
+            let gen = self.engine.shared.signal.current();
+            self.engine.drive()?;
             self.drain()?;
             self.engine.sweep();
             if let Some(e) = self.engine.error() {
                 return Err(e);
             }
-            let gen = self.engine.shared.signal.current();
             if self.engine.is_quiescent() {
                 return Ok(());
-            }
-            if self.engine.shared.config.inline {
-                continue;
-            }
-            // A frontier published between drain() returning empty and the
-            // generation capture has already bumped the generation we are
-            // about to sleep on — with the chase thread parked behind it, nobody
-            // would ever bump again. Re-checking the queue *after* the
-            // capture closes the lost-wakeup window: either we see the entry
-            // here and drain it, or its publish bumps past `gen` and the
-            // wait returns immediately.
-            if !lock(&self.engine.shared.pending).is_empty() {
-                continue;
             }
             self.engine.shared.signal.wait_past(gen);
         }
@@ -1844,7 +1778,6 @@ impl std::fmt::Debug for ResolverPump<'_, '_> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::mpsc;
     use std::time::Duration;
 
     use youtopia_core::RandomResolver;
@@ -1870,25 +1803,10 @@ mod tests {
         (db, mappings, ops)
     }
 
-    /// The hidden `workers` knob is a no-op: whatever it says, a threaded
-    /// engine owns one chase thread and an inline engine none.
-    #[test]
-    fn no_engine_configuration_owns_more_than_one_chase_thread() {
-        for workers in [1usize, 2, 4, 8] {
-            let build = |builder: EngineBuilder| {
-                let (db, mappings, _) = frontier_fixture(0);
-                builder.workers(workers).build(db, mappings).unwrap()
-            };
-            assert!(build(EngineBuilder::new()).thread.is_some(), "deterministic");
-            assert!(build(EngineBuilder::new().free_running()).thread.is_some(), "free-running");
-            assert!(build(EngineBuilder::new().inline()).thread.is_none(), "caller-driven");
-        }
-    }
-
-    /// The skipping policy's gate, driven by hand on an inline engine (no
-    /// chase thread, so nothing races the assertions): the sequencer
-    /// asks to sleep — `AwaitingAnswer` is what sends `sequencer_thread` to
-    /// the signal — exactly when every live update sits on a published,
+    /// The skipping policy's gate, driven action by action on the test
+    /// thread: the sequencer asks to sleep — `AwaitingAnswer` is what ends a
+    /// `drive` and sends a waiter to the signal — exactly when every live
+    /// update sits on a published,
     /// unanswered frontier, keeps asking while that holds, and acts again as
     /// soon as one answer lands. A gate that never closes (a busy-spinning
     /// thread) trips the action bound; one that closes early leaves requests
@@ -1908,7 +1826,6 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
             let (db, mappings, ops) = frontier_fixture(3);
             let engine = EngineBuilder::new()
-                .inline()
                 .free_running()
                 .frontier_delay_rounds(frontier_delay_rounds)
                 .durable(DurabilityConfig::new(&dir))
@@ -1978,11 +1895,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("yt-engine-full-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (db, mappings, mut ops) = frontier_fixture(2);
-        let engine = EngineBuilder::new()
-            .inline()
-            .durable(DurabilityConfig::new(&dir))
-            .build(db, mappings)
-            .unwrap();
+        let engine =
+            EngineBuilder::new().durable(DurabilityConfig::new(&dir)).build(db, mappings).unwrap();
         let durable = engine.shared.durable.as_ref().expect("built durable");
         *lock(&durable.wal) = WalWriter::create(std::path::Path::new("/dev/full")).unwrap();
 
@@ -1998,17 +1912,10 @@ mod tests {
     /// A wave submitted the moment the one before it is seen quiescent is
     /// admitted into collected logs: the submit enters after the action that
     /// retired the last update, and that action ends with the quiescence GC.
-    /// Checked right after each admission — the sequencer may already be
-    /// stepping the new wave, so "collected" means nothing is left of the
-    /// wave before it in the write log, the read log or the tracker.
-    ///
-    /// The same 200 waves are the liveness check for the hand-off the other
-    /// way: `submit`/`answer` hold the sequencer lock on the *caller's*
-    /// thread and need not bump the signal after releasing it, so the chase
-    /// thread must pick the lock up by mutex handoff, not wait for a wake-up
-    /// that never comes. One-update waves through a durable engine (an fsync
-    /// inside every hold) give that window every chance to open; a watchdog
-    /// turns a hang into a failure.
+    /// Checked right after each admission: nothing is left of the wave
+    /// before it in the write log, the read log or the tracker. One-update
+    /// waves through a durable engine add a WAL record and a snapshot check
+    /// to every retirement.
     #[test]
     fn callers_admit_each_wave_into_collected_logs() {
         const WAVES: u64 = 200;
@@ -2019,51 +1926,36 @@ mod tests {
             let (db, mappings, ops) = frontier_fixture((WAVES * wave_size) as usize);
             let relations: Vec<_> = db.catalog().relation_ids().collect();
             let engine = builder.build(db, mappings).unwrap();
-            let (tx, rx) = mpsc::channel();
-            let driver = std::thread::spawn(move || {
-                let mut resolver = RandomResolver::seeded(3);
-                let mut ops = ops.into_iter();
-                for wave in 0..WAVES {
-                    let batch = ops.by_ref().take(wave_size as usize).collect();
-                    let first = engine.submit_batch(batch).unwrap()[0].id();
-                    {
-                        let seq = engine.shared.enter();
-                        assert!(
-                            seq.write_log.entries().iter().all(|w| w.update >= first),
-                            "wave {wave}: writes of earlier waves survived into this one"
-                        );
-                        for old in (first.0.saturating_sub(wave_size)..first.0).map(UpdateId) {
-                            let reads = relations
-                                .iter()
-                                .flat_map(|r| seq.read_log.reads_touching(old, *r))
-                                .count();
-                            assert_eq!(reads, 0, "wave {wave}: {old} still has stored reads");
-                        }
-                        for new in (first.0..first.0 + wave_size).map(UpdateId) {
-                            assert!(
-                                seq.tracker.dependencies_of(new).iter().all(|d| *d >= first),
-                                "wave {wave}: {new} depends on an earlier wave"
-                            );
-                        }
+            let mut resolver = RandomResolver::seeded(3);
+            let mut ops = ops.into_iter();
+            for wave in 0..WAVES {
+                let batch = ops.by_ref().take(wave_size as usize).collect();
+                let first = engine.submit_batch(batch).unwrap()[0].id();
+                {
+                    let seq = engine.shared.enter();
+                    assert!(
+                        seq.write_log.entries().iter().all(|w| w.update >= first),
+                        "wave {wave}: writes of earlier waves survived into this one"
+                    );
+                    for old in (first.0.saturating_sub(wave_size)..first.0).map(UpdateId) {
+                        let reads = relations
+                            .iter()
+                            .flat_map(|r| seq.read_log.reads_touching(old, *r))
+                            .count();
+                        assert_eq!(reads, 0, "wave {wave}: {old} still has stored reads");
                     }
-                    ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
+                    for new in (first.0..first.0 + wave_size).map(UpdateId) {
+                        assert!(
+                            seq.tracker.dependencies_of(new).iter().all(|d| *d >= first),
+                            "wave {wave}: {new} depends on an earlier wave"
+                        );
+                    }
                 }
-                let quiescent = engine.is_quiescent();
-                let _ = tx.send((quiescent, engine.shutdown().2.frontier_ops));
-            });
-            match rx.recv_timeout(Duration::from_secs(120)) {
-                // Every update asks once; an aborted one asks again.
-                Ok((quiescent, answered)) => {
-                    assert!(quiescent && answered >= (WAVES * wave_size) as usize)
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => panic!("engine hung"),
-                // The driver dropped its sender without sending: an assertion
-                // above failed; surface it.
-                Err(mpsc::RecvTimeoutError::Disconnected) => {}
+                ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
             }
-            if let Err(panic) = driver.join() {
-                std::panic::resume_unwind(panic);
-            }
+            assert!(engine.is_quiescent());
+            // Every update asks once; an aborted one asks again.
+            assert!(engine.shutdown().2.frontier_ops >= (WAVES * wave_size) as usize);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,7 +1,7 @@
 //! The single-update exchange facade, now a client of the engine.
 //!
-//! [`UpdateExchange`] owns a long-lived [`ExchangeEngine`] (inline,
-//! deterministic) and runs one update at a time to completion, consulting a
+//! [`UpdateExchange`] owns a long-lived, deterministic [`ExchangeEngine`]
+//! and runs one update at a time to completion, consulting a
 //! [`FrontierResolver`] whenever a chase blocks. This is the API the examples
 //! use, the workload generator uses to build the initial database of
 //! Section 6, and the simplest way to try the system (see
@@ -56,7 +56,7 @@ impl DerefMut for DbRefMut<'_> {
     }
 }
 
-/// Owns a database plus mappings (inside an inline engine) and runs
+/// Owns a database plus mappings (inside an engine) and runs
 /// updates one at a time.
 pub struct UpdateExchange {
     engine: ExchangeEngine,
@@ -70,20 +70,18 @@ impl UpdateExchange {
 
     /// Creates an exchange whose engine is configured by `builder` — set any
     /// knob ([`EngineBuilder::max_steps_per_update`],
-    /// [`EngineBuilder::chase_mode`], ...) before passing it in. The exchange
-    /// forces inline mode regardless: one update at a time needs no chase
-    /// thread, and a threadless engine keeps micro-chases at
-    /// single-threaded cost (no cross-thread handoff per step or frontier
-    /// answer). The step valve is per-update, not global (the builder's
-    /// default): a runaway chase fails its own update and leaves the
-    /// exchange usable.
+    /// [`EngineBuilder::chase_mode`], ...) before passing it in. The engine
+    /// runs each update on the calling thread of
+    /// [`run_update`](Self::run_update), so micro-chases stay at
+    /// single-threaded cost. The step valve is per-update, not global (the
+    /// builder's default): a runaway chase fails its own update and leaves
+    /// the exchange usable.
     pub fn with_builder(
         db: Database,
         mappings: MappingSet,
         builder: EngineBuilder,
     ) -> UpdateExchange {
         let engine = builder
-            .inline()
             .build(db, mappings)
             .expect("engine construction only fails for durable builders");
         UpdateExchange { engine }

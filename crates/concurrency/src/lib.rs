@@ -15,8 +15,8 @@
 //! [`ExchangeEngine`]: [`ExchangeEngine::submit`] accepts updates at any time,
 //! blocked chases surface as [`ExchangeEngine::pending_frontiers`] and resume
 //! via [`ExchangeEngine::answer`]; [`UpdateExchange`] is a thin single-update
-//! façade over it. An engine owns at most one chase thread (see the `engine`
-//! module docs).
+//! façade over it. An engine owns no thread: its sequencer runs on whichever
+//! caller drives or waits on it (see the `engine` module docs).
 //!
 //! ```
 //! use youtopia_concurrency::{ConcurrentRun, SchedulerConfig, TrackerKind};

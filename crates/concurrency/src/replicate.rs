@@ -46,7 +46,6 @@
 //! re-asked on another.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 use youtopia_core::replication::{
@@ -224,33 +223,6 @@ impl ReplicationState {
     }
 }
 
-/// Blocks until the engine is *settled*: idle, blocked on a published
-/// frontier, or failed. On an inline engine this drives the sequencer on the
-/// calling thread; on a threaded one it waits for the chase thread.
-fn settle(engine: &ExchangeEngine) -> Result<(), SyncError> {
-    let shared: &EngineShared = &engine.shared;
-    if shared.config.inline {
-        shared.drive().map_err(SyncError::Engine)?;
-    } else {
-        loop {
-            if shared.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let gen = shared.signal.current();
-            if shared.unanswered.load(Ordering::SeqCst) > 0
-                || shared.active.load(Ordering::SeqCst) == 0
-            {
-                break;
-            }
-            shared.signal.wait_past(gen);
-        }
-    }
-    match engine.error() {
-        Some(e) => Err(SyncError::Engine(e)),
-        None => Ok(()),
-    }
-}
-
 /// Admits one replicated update through the internal submission path (no
 /// handle, no admission cap — fold admissions are never refused; backpressure
 /// belongs at the edge that accepted the original submit).
@@ -289,7 +261,7 @@ fn apply_recorded_answer(
 
 /// The state of the fold's current update after settling.
 enum CurrentState {
-    Running, // still chasing (threaded engine mid-flight)
+    Running, // still chasing (only when the engine is stopping)
     Blocked,
     Done,
 }
@@ -318,7 +290,8 @@ fn pump(
         return Err(SyncError::RebuildRequired);
     }
     loop {
-        settle(engine)?;
+        // Settle: idle, blocked on a published frontier, or failed.
+        engine.drive().map_err(SyncError::Engine)?;
         if let Some(stamp) = st.current {
             let au = st.admitted.get_mut(&stamp).expect("current is admitted");
             match current_state(shared, au.update) {
@@ -385,7 +358,7 @@ pub(crate) fn answer_replicated(
     };
     let position = st.admitted.get(&target).expect("admitted").answers_applied;
     let outcome = shared.apply_answer(&mut seq, token, entry, decision.clone(), origin)?;
-    // The fold below drives (or waits for) the sequencer itself.
+    // The fold below drives the sequencer itself.
     drop(seq);
     match outcome {
         AnswerOutcome::Stale => Ok(AnswerOutcome::Stale),
@@ -554,7 +527,7 @@ mod tests {
 
     fn replica(node: u32) -> ExchangeEngine {
         let (db, mappings) = travel();
-        EngineBuilder::new().inline().replicated(NodeId(node)).build(db, mappings).unwrap()
+        EngineBuilder::new().replicated(NodeId(node)).build(db, mappings).unwrap()
     }
 
     /// Deletes the genesis review tuple — every replica shares the genesis,
@@ -594,7 +567,7 @@ mod tests {
     #[test]
     fn replication_api_requires_a_replica() {
         let (db, mappings) = travel();
-        let engine = EngineBuilder::new().inline().build(db, mappings).unwrap();
+        let engine = EngineBuilder::new().build(db, mappings).unwrap();
         assert_eq!(engine.state_vector().unwrap_err(), SyncError::NotReplicated);
         assert!(engine.node_id().is_none());
         engine.shutdown();
@@ -605,7 +578,7 @@ mod tests {
     #[test]
     fn local_submits_replicate_to_a_peer_and_render_identically() {
         let (db, mappings) = travel();
-        let skipping = EngineBuilder::new().inline().free_running().replicated(NodeId(1));
+        let skipping = EngineBuilder::new().free_running().replicated(NodeId(1));
         for b in [replica(1), skipping.build(db, mappings).unwrap()] {
             let a = replica(0);
             let stamp = a.submit_replicated(delete_review()).unwrap();

@@ -62,20 +62,19 @@ pub(crate) enum DetProgress {
     AwaitingAnswer,
 }
 
-/// Lives for the whole body of the chase thread. A thread that exits its loop
-/// normally does so only on `stop` (or after `fail` set it); one that
-/// unwinds from a panic would otherwise leave pumps and `wait()`ers blocked
-/// forever on a signal nobody will bump — this guard's drop turns that into a
-/// visible engine failure instead.
+/// Lives for the whole of a [`drive_until`](EngineShared::drive_until). A caller that
+/// unwinds from a panic mid-action would otherwise leave the engine
+/// half-stepped and every other waiter asleep on a signal nobody will bump —
+/// this guard's drop turns that into a visible engine failure instead.
 struct WorkerGuard<'a> {
     shared: &'a EngineShared,
 }
 
 impl Drop for WorkerGuard<'_> {
     fn drop(&mut self) {
-        if !self.shared.stop.load(Ordering::SeqCst) {
+        if std::thread::panicking() {
             self.shared.fail(ChaseError::InvalidDecision(
-                "engine chase thread exited unexpectedly (panic in a chase step?)".into(),
+                "a caller panicked while driving the engine (panic in a chase step?)".into(),
             ));
         }
     }
@@ -412,39 +411,23 @@ impl EngineShared {
     // The sequencer: the reference round-robin loop, open world
     // ------------------------------------------------------------------
 
-    /// Body of the chase thread: drives the sequencer, asleep on the signal
-    /// while there is nothing to act on.
-    pub(crate) fn sequencer_thread(&self) {
+    /// Drives the sequencer on the calling thread until it goes idle, blocks
+    /// on an unanswered frontier or `done` holds (tested between actions),
+    /// one action per lock acquisition so other callers can enter between
+    /// two. Several threads may drive at once; each action still runs alone.
+    /// A step error, or a panic mid-action, fails the engine.
+    pub(crate) fn drive_until(&self, done: impl Fn() -> bool) -> Result<(), ChaseError> {
         let _guard = WorkerGuard { shared: self };
         loop {
-            // Generation first, then the stop flag and the actions: any event
-            // that would unblock the sequencer (submission, answer, `halt`)
-            // after this capture moves the generation and makes the wait
-            // below return immediately; any event before it is visible to the
-            // check or the last `det_action`. No lost wakeups.
-            let gen = self.signal.current();
-            if self.stop.load(Ordering::SeqCst) || self.drive().is_err() {
-                break;
+            if done() {
+                return Ok(());
             }
-            self.signal.wait_past(gen);
-        }
-    }
-
-    /// Drives the sequencer — on the chase thread, or on the calling thread
-    /// of an inline engine — until it goes idle or blocks on an unanswered
-    /// frontier, one action per lock acquisition so callers can enter between
-    /// two. A step error fails the engine.
-    pub(crate) fn drive(&self) -> Result<(), ChaseError> {
-        loop {
             // Callers first (see `enter`). Each one is about to take the
             // lock, so this spins for a wake-up latency, not for a caller's
             // critical section — that is waited out inside `lock` below.
             while self.entering.load(Ordering::SeqCst) != 0 {
                 std::thread::yield_now();
             }
-            // A *blocking* lock, never `try_lock` + sleep: the mutex handoff
-            // is what keeps the sequencer live across a caller's release,
-            // which need not be followed by a signal bump.
             let mut seq = lock(&self.sequencer);
             if self.stop.load(Ordering::SeqCst) {
                 return Ok(());
@@ -474,7 +457,7 @@ impl EngineShared {
     /// stops once every live slot is one (published slots stay live, so that
     /// is `unanswered >= live.len()`); an answer bumps the signal and the
     /// loop resumes. The gate is the only place that parks: a publish is an
-    /// action like any other, so an inline caller never gets control back
+    /// action like any other, so a driving caller never gets control back
     /// while some update is still Ready.
     pub(crate) fn det_action(&self, seq: &mut Sequencer) -> Result<DetProgress, ChaseError> {
         let unanswered = self.unanswered.load(Ordering::SeqCst);

@@ -52,7 +52,6 @@ fn build_engine(
     first_update: u64,
 ) -> ExchangeEngine {
     EngineBuilder::new()
-        .inline()
         .replicated(id)
         .first_update_number(first_update)
         .build(db, mappings)

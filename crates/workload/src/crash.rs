@@ -117,8 +117,8 @@ pub fn run_crash_recovery(
                 .submit_batch(batch.clone())
                 .map_err(|e| ChaseError::InvalidDecision(e.to_string()))?;
         }
-        // The crash: drop without `shutdown()`. The chase thread stops wherever
-        // its next step boundary falls; nothing further reaches the log.
+        // The crash: drop without `shutdown()`. Nothing has driven the last
+        // wave's chase, and nothing further reaches the log.
         drop(engine);
     }
 

@@ -2,7 +2,7 @@
 //! stress run of the admission-QoS and frontier-lifecycle machinery.
 //!
 //! Thousands of identified clients submit a skewed workload through a
-//! saturation-capped inline [`ExchangeEngine`] at Poisson arrival times,
+//! saturation-capped [`ExchangeEngine`] at Poisson arrival times,
 //! while the simulated human answerers misbehave: a [`SlowResolver`] answers
 //! only requests that have already waited, and an [`AbandoningResolver`]
 //! never answers some of them at all. The engine survives on its own
@@ -214,7 +214,7 @@ pub struct ScenarioReport {
 
 /// Runs the survival scenario: per virtual tick, submit the tick's Poisson
 /// arrivals (and any matured retries) as identified clients, drive the
-/// inline engine until it blocks, let the faulty humans answer what they
+/// engine until it blocks, let the faulty humans answer what they
 /// deign to, and run one lifecycle sweep. The loop ends when every update
 /// ever submitted is terminal and nothing is pending — or at
 /// [`ScenarioConfig::max_ticks`], which the caller should treat as failure
@@ -234,7 +234,6 @@ pub fn run_million_user_day(sc: &ScenarioConfig) -> Result<ScenarioReport, Chase
     let arrivals = poisson_arrival_ticks(ops.len(), sc.rate, sc.experiment.seed ^ 0x0DAE);
 
     let engine = EngineBuilder::new()
-        .inline()
         .admission_cap(sc.admission_cap)
         .first_update_number(sc.experiment.initial_tuples as u64 + 1_000)
         .escalation(EscalationPolicy::AutoResolve {

@@ -75,13 +75,9 @@ fn main() {
     // blocks on a question only a human can answer.
     let u1 = engine.submit(InitialOp::Delete { relation: r, tuple: review }).unwrap();
     println!("submitted u1 = {} (delete the XYZ review)", u1.id());
-    let pending = loop {
-        let pending = engine.pending_frontiers();
-        if !pending.is_empty() {
-            break pending;
-        }
-        std::thread::yield_now();
-    };
+    // Run the chase on this thread until it needs a human.
+    engine.drive().unwrap();
+    let pending = engine.pending_frontiers();
     println!("u1 status: {:?}", u1.status());
     assert_eq!(u1.status(), UpdateStatus::AwaitingFrontier);
 

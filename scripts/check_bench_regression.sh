@@ -21,12 +21,6 @@
 # summary, so the new group is guarded from its first run — commit the seeded
 # file in the PR that adds the bench.
 #
-# The chase/free_running/* group is exempt from the hard tier: it benchmarks
-# a threaded engine (its one chase thread against the pumping bench thread)
-# whose medians on the 1-core shared runner are dominated by OS scheduling of
-# the two, so a 2x swing there is noise, not signal. The soft tier still
-# warns on it.
-#
 # Update the baselines intentionally by copying target/BENCH_*.json over
 # bench-baselines/ in the PR that changes the perf.
 #
@@ -37,10 +31,9 @@ SOFT=${1:-25}
 HARD=${2:-100}
 BASELINE_DIR="$(dirname "$0")/../bench-baselines"
 TARGET_DIR="$(dirname "$0")/../target"
-# Benchmark id prefixes the hard tier guards, and the exemption within them.
+# Benchmark id prefixes the hard tier guards.
 # (BENCH_storage_ops.json's ids use the `storage/` prefix.)
 HARD_GROUPS='^(chase/|storage/)'
-HARD_EXEMPT='^chase/free_running/'
 
 if ! command -v jq >/dev/null 2>&1; then
     echo "jq not found; skipping bench regression check"
@@ -71,8 +64,7 @@ for baseline in "$BASELINE_DIR"/BENCH_*.json; do
     while IFS=$'\t' read -r id base_ns cur_ns; do
         pct=$(jq -n --argjson b "$base_ns" --argjson c "$cur_ns" \
             '(($c - $b) / $b * 100) | round')
-        if [ "$pct" -gt "$HARD" ] && echo "$id" | grep -qE "$HARD_GROUPS" \
-            && ! echo "$id" | grep -qE "$HARD_EXEMPT"; then
+        if [ "$pct" -gt "$HARD" ] && echo "$id" | grep -qE "$HARD_GROUPS"; then
             echo "::error file=bench-baselines/$name::$id regressed ${pct}% (baseline ${base_ns}ns -> ${cur_ns}ns, hard threshold ${HARD}%)"
             hard_hits=$((hard_hits + 1))
         elif [ "$pct" -gt "$SOFT" ]; then

@@ -39,10 +39,10 @@ stage_test() {
 stage_stress() {
     echo "==> [stress] free-running stress lane (ignored tests)"
     cargo test -q --release --test parallel_stress -- --ignored
-    echo "==> [stress] callers enter between actions (GC wins every wave; hand-off bound; three caller threads)"
+    echo "==> [stress] callers enter between actions (GC wins every wave; hand-off bound; three caller threads; waiters wake)"
     cargo test -q --release -p youtopia-concurrency --lib callers_
     cargo test -q --release --test parallel_stress
-    echo "==> [stress] engine equivalence (batch engine = ConcurrentRun; live session; skipping policy)"
+    echo "==> [stress] engine equivalence (batch engine = ConcurrentRun; live session; skipping policy; waiters)"
     cargo test -q --release --test engine_equivalence
     echo "==> [stress] violation-index equivalence (feed-driven engine = FullRecheck reference; drained backlog)"
     cargo test -q --release --test viewmaint_equivalence

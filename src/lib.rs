@@ -30,7 +30,8 @@
 //! let mut mappings = MappingSet::new();
 //! mappings.add_parsed(db.catalog(), "sigma1: C(c) -> exists a, l. S(a, l, c)").unwrap();
 //!
-//! // A long-lived service: its chase thread outlives any one update.
+//! // A long-lived service: it outlives any one update, and whoever waits on
+//! // it drives its chase.
 //! let c = db.relation_id("C").unwrap();
 //! let engine = EngineBuilder::new().build(db, mappings).unwrap();
 //! let handle = engine

@@ -15,10 +15,15 @@
 //!   the frontier is answered through [`ExchangeEngine::answer`], and the
 //!   admission cap yields [`SubmitError::Saturated`] backpressure.
 //! * **Skipping policy** — a free-running engine steps past an unanswered
-//!   frontier, sleeps when everything is blocked, wakes on an answer and
-//!   honours the frontier delay.
+//!   frontier and honours the frontier delay.
+//! * **Waiters** — under either policy, a caller waiting on the engine drives
+//!   it until the gate closes, sleeps, and wakes on an answer or a shutdown
+//!   from another thread; `wait()` returns once its own update terminates,
+//!   even while other updates keep arriving.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -237,24 +242,11 @@ fn example_db() -> (Database, MappingSet) {
     (db, mappings)
 }
 
-/// Polls `condition` until it holds, failing the test after 30 s — a hung
-/// engine must fail, not hang the suite.
-fn await_condition(what: &str, mut condition: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !condition() {
-        assert!(Instant::now() < deadline, "timed out waiting until {what}");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// Waits until the engine lists at least one pending frontier.
-fn await_pending(engine: &ExchangeEngine) -> youtopia::PendingFrontier {
-    let mut first = None;
-    await_condition("a frontier is published", || {
-        first = engine.pending_frontiers().into_iter().next();
-        first.is_some()
-    });
-    first.expect("just observed")
+/// Drives the engine until its gate closes and returns the first question
+/// it lists.
+fn drive_to_question(engine: &ExchangeEngine) -> youtopia::PendingFrontier {
+    engine.drive().unwrap();
+    engine.pending_frontiers().into_iter().next().expect("a frontier is published")
 }
 
 /// The acceptance scenario: while u1 is blocked on its negative frontier, u2
@@ -275,7 +267,7 @@ fn updates_submitted_mid_chase_commit_after_answer() {
     // u1: delete the review; its backward chase blocks on a negative frontier
     // (delete the attraction or the tour?).
     let u1 = engine.submit(InitialOp::Delete { relation: r, tuple: review }).unwrap();
-    let pf = await_pending(&engine);
+    let pf = drive_to_question(&engine);
     assert_eq!(pf.update, u1.id());
     assert_eq!(u1.status(), UpdateStatus::AwaitingFrontier);
 
@@ -344,7 +336,7 @@ fn saturation_is_backpressure_not_failure() {
 
     let engine = EngineBuilder::new().admission_cap(1).free_running().build(db, mappings).unwrap();
     let u1 = engine.submit(InitialOp::Delete { relation: r, tuple: review }).unwrap();
-    let pf = await_pending(&engine);
+    let pf = drive_to_question(&engine);
 
     // The engine is full: the second submission is rejected, not queued.
     let op = InitialOp::Insert {
@@ -424,6 +416,7 @@ fn wait_policy_with_sweeps_matches_the_reference() {
     let mut resolver = RandomResolver::seeded(99);
     let mut pump = ResolverPump::new(&engine, &mut resolver);
     loop {
+        engine.drive().unwrap();
         let report = engine.sweep();
         assert!(report.re_asked.is_empty() && report.auto_resolved.is_empty());
         pump.drain().unwrap();
@@ -446,7 +439,7 @@ fn wait_policy_with_sweeps_matches_the_reference() {
 fn saturated_clients_retrying_after_the_hint_are_admitted() {
     let (db, mappings) = example_db();
     let v = db.relation_id("V").unwrap();
-    let engine = EngineBuilder::new().admission_cap(2).inline().build(db, mappings).unwrap();
+    let engine = EngineBuilder::new().admission_cap(2).build(db, mappings).unwrap();
     let conv = |name: &str| InitialOp::Insert {
         relation: v,
         values: vec![Value::constant("Syracuse"), Value::constant(name)],
@@ -479,7 +472,7 @@ fn saturated_clients_retrying_after_the_hint_are_admitted() {
 fn starving_low_priority_clients_are_eventually_admitted() {
     let (db, mappings) = example_db();
     let v = db.relation_id("V").unwrap();
-    let engine = EngineBuilder::new().admission_cap(1).inline().build(db, mappings).unwrap();
+    let engine = EngineBuilder::new().admission_cap(1).build(db, mappings).unwrap();
     let conv = |name: &str| InitialOp::Insert {
         relation: v,
         values: vec![Value::constant("Syracuse"), Value::constant(name)],
@@ -518,7 +511,7 @@ fn answered_tokens_go_stale() {
     let review = db.scan(r, UpdateId::OMNISCIENT)[0].0;
     let engine = EngineBuilder::new().free_running().build(db, mappings).unwrap();
     let u1 = engine.submit(InitialOp::Delete { relation: r, tuple: review }).unwrap();
-    let pf = await_pending(&engine);
+    let pf = drive_to_question(&engine);
     let FrontierRequest::Negative(nf) = &pf.request else { panic!("expected negative frontier") };
     let first = nf.candidates.first().map(|(_, id, _)| *id).unwrap();
     let decision = FrontierDecision::Negative(vec![first]);
@@ -602,7 +595,7 @@ fn free_running_mode_leaves_a_consistent_database() {
 #[test]
 fn free_running_with_interference_repairs_premature_reads() {
     // The Example 3.1 scenario under free-running: whenever the answers land
-    // relative to the chase thread's steps, every surviving excursion must be
+    // relative to the sequencer's steps, every surviving excursion must be
     // backed by a still-existing tour.
     let (db, mappings) = example_db();
     for seed in 0..4u64 {
@@ -655,7 +648,7 @@ fn stratum_policy_terminates_in_both_modes() {
 }
 
 // ---------------------------------------------------------------------------
-// The skipping frontier policy (`free_running`), threaded
+// The skipping frontier policy (`free_running`), and waiters on either policy
 // ---------------------------------------------------------------------------
 
 /// `C(c) -> ∃a,l. S(a, l, c)` over a seeded `S(ITH, NY, Ithaca)`: inserting
@@ -679,82 +672,199 @@ fn blocking_fixture(updates: usize) -> (Database, MappingSet, Vec<InitialOp>) {
 /// up nobody else. With u1's question deliberately left open, every other
 /// update of the batch runs to termination; answering it afterwards — which
 /// retroactively invalidates what the others read — still ends consistent.
-/// An inline engine skips too: `drive` runs it until only u1 is left.
+/// `drive` runs the engine until only u1 is left.
 #[test]
 fn an_unanswered_frontier_holds_up_nobody_else() {
     let (db, mappings) = example_db();
-    let skipping = EngineBuilder::new().tracker(TrackerKind::Precise).free_running();
-    for builder in [skipping.clone(), skipping.inline()] {
-        let engine = builder.build(db.clone(), mappings.clone()).unwrap();
-        let handles = engine.submit_batch(example_ops(&db)).unwrap();
-        engine.drive().unwrap();
-        let (u1, others) = handles.split_first().unwrap();
+    let engine = EngineBuilder::new()
+        .tracker(TrackerKind::Precise)
+        .free_running()
+        .build(db.clone(), mappings)
+        .unwrap();
+    let handles = engine.submit_batch(example_ops(&db)).unwrap();
+    engine.drive().unwrap();
+    let (u1, others) = handles.split_first().unwrap();
+    assert!(others.iter().all(|h| h.status() == UpdateStatus::Terminated));
+    assert_eq!(u1.status(), UpdateStatus::AwaitingFrontier);
+    assert!(!engine.is_quiescent());
+    let pending = engine.pending_frontiers();
+    assert_eq!(pending.len(), 1, "only u1 asks");
+    assert_eq!(pending[0].update, u1.id());
 
-        await_condition("every other update terminated", || {
-            others.iter().all(|h| h.status() == UpdateStatus::Terminated)
-        });
-        assert_eq!(u1.status(), UpdateStatus::AwaitingFrontier);
-        assert!(!engine.is_quiescent());
-        let pending = engine.pending_frontiers();
-        assert_eq!(pending.len(), 1, "only u1 asks");
-        assert_eq!(pending[0].update, u1.id());
+    // Delete the tour (Example 3.1's step 4): the conventions' excursions,
+    // suggested while the question was open, were premature.
+    let FrontierRequest::Negative(nf) = &pending[0].request else { panic!("negative frontier") };
+    let tour = nf.candidates.iter().find(|(_, _, d)| d.len() == 3).map(|(_, id, _)| *id).unwrap();
+    engine.answer(pending[0].token, FrontierDecision::Negative(vec![tour])).unwrap();
+    ResolverPump::new(&engine, &mut RandomResolver::seeded(5)).run_until_quiescent().unwrap();
+    for handle in &handles {
+        assert!(handle.wait().unwrap().terminated);
+    }
+    let (final_db, mappings, metrics) = engine.shutdown();
+    assert!(satisfies_all(&final_db.snapshot(UpdateId::OMNISCIENT), &mappings));
+    assert!(metrics.aborts > 0, "the late answer must have redone the premature readers");
+}
 
-        // Delete the tour (Example 3.1's step 4): the conventions' excursions,
-        // suggested while the question was open, were premature.
-        let FrontierRequest::Negative(nf) = &pending[0].request else {
-            panic!("negative frontier")
-        };
-        let tour =
-            nf.candidates.iter().find(|(_, _, d)| d.len() == 3).map(|(_, id, _)| *id).unwrap();
-        engine.answer(pending[0].token, FrontierDecision::Negative(vec![tour])).unwrap();
-        ResolverPump::new(&engine, &mut RandomResolver::seeded(5)).run_until_quiescent().unwrap();
-        for handle in &handles {
-            assert!(handle.wait().unwrap().terminated);
+/// Waits until a waiter driving `engine` on another thread has parked: the
+/// gate is closed — a question listed under blocking, one per live update
+/// under skipping — and no step ran for 20 ms. Returns the waiter's result
+/// instead if it reports back on `rx` first; fails after 30 s.
+fn await_parked<T>(engine: &ExchangeEngine, skipping: bool, rx: &mpsc::Receiver<T>) -> Option<T> {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        assert!(Instant::now() < deadline, "the waiter neither parked nor returned");
+        let steps = engine.metrics().steps;
+        match rx.recv_timeout(Duration::from_millis(20)) {
+            Ok(result) => return Some(result),
+            Err(mpsc::RecvTimeoutError::Disconnected) => panic!("the waiter panicked"),
+            Err(mpsc::RecvTimeoutError::Timeout) => {}
         }
-        let (final_db, mappings, metrics) = engine.shutdown();
-        assert!(satisfies_all(&final_db.snapshot(UpdateId::OMNISCIENT), &mappings));
-        assert!(metrics.aborts > 0, "the late answer must have redone the premature readers");
+        let gate = if skipping { engine.active_updates().max(1) } else { 1 };
+        if engine.metrics().steps == steps && engine.pending_frontiers().len() >= gate {
+            return None;
+        }
     }
 }
 
-/// The lost-wakeup case: once every live update is blocked on a published
-/// frontier the chase thread goes to sleep (nothing steps any more), and an
-/// `answer` — the only event left that can create work — wakes it.
+/// Answers, from the test thread, the question a waiter on another thread
+/// is parked behind, one at a time, until the waiter reports back on `rx`.
+fn answer_until_returned<T>(engine: &ExchangeEngine, skipping: bool, rx: &mpsc::Receiver<T>) -> T {
+    let mut resolver = RandomResolver::seeded(2);
+    loop {
+        if let Some(result) = await_parked(engine, skipping, rx) {
+            return result;
+        }
+        let pf = engine.pending_frontiers().remove(0);
+        let decision = engine.read(|db| resolver.resolve(&db.snapshot(pf.update), &pf.request));
+        assert_eq!(engine.answer(pf.token, decision).unwrap(), youtopia::AnswerOutcome::Applied);
+    }
+}
+
+/// The lost-wakeup case, under both frontier policies. A waiter — `wait()`
+/// on one update, or `wait_quiescent()` — drives the engine on its own
+/// thread until the gate closes, then sleeps: nothing steps any more. An
+/// `answer` from the test thread, the only event left that can create work,
+/// wakes it to drive on, and it returns once what it waits for holds. A
+/// parked `wait()` returns the shutdown error as soon as the engine shuts
+/// down. Every waiter is watchdogged.
 #[test]
 fn a_fully_blocked_sequencer_sleeps_and_wakes_on_answer() {
-    let (db, mappings, ops) = blocking_fixture(3);
-    let engine = EngineBuilder::new().free_running().build(db, mappings).unwrap();
-    let handles = engine.submit_batch(ops).unwrap();
-    await_condition("all three questions are published", || engine.pending_frontiers().len() == 3);
-    let steps = engine.metrics().steps;
-    std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(engine.metrics().steps, steps, "nothing is left to step");
-    assert_eq!(engine.active_updates(), 3);
-    assert!(handles.iter().all(|h| h.status() == UpdateStatus::AwaitingFrontier));
+    for skipping in [false, true] {
+        let build = || {
+            let (db, mappings, ops) = blocking_fixture(3);
+            let builder = EngineBuilder::new();
+            let builder = if skipping { builder.free_running() } else { builder };
+            let engine = builder.build(db, mappings).unwrap();
+            let handles = engine.submit_batch(ops).unwrap();
+            (engine, handles)
+        };
 
-    // Answer the highest-numbered update: its writes can abort nobody, so
-    // the other two questions stay exactly as published.
-    let before = engine.pending_frontiers();
-    let last = before.iter().find(|pf| pf.update == handles[2].id()).unwrap();
-    let decision = engine
-        .read(|db| RandomResolver::seeded(1).resolve(&db.snapshot(last.update), &last.request));
-    assert_eq!(engine.answer(last.token, decision).unwrap(), youtopia::AnswerOutcome::Applied);
-    await_condition("the answered update terminated", || {
-        handles[2].status() == UpdateStatus::Terminated
-    });
-    assert!(engine.metrics().steps > steps, "the sequencer resumed");
-    let still: Vec<_> = engine.pending_frontiers().iter().map(|pf| pf.token).collect();
-    assert_eq!(still, vec![before[0].token, before[1].token]);
+        let (engine, handles) = build();
+        let (tx, rx) = mpsc::channel();
+        let last = handles[2].clone();
+        std::thread::spawn(move || tx.send(last.wait()));
+        assert!(await_parked(&engine, skipping, &rx).is_none(), "nobody answers, so it parks");
+        assert_eq!(engine.active_updates(), 3);
+        if skipping {
+            // Every update sits at its published question. Answer the
+            // highest-numbered one: its writes can abort nobody, so the
+            // other two questions stay exactly as published.
+            assert!(handles.iter().all(|h| h.status() == UpdateStatus::AwaitingFrontier));
+            let before = engine.pending_frontiers();
+            let steps = engine.metrics().steps;
+            let pf = before.iter().find(|pf| pf.update == handles[2].id()).unwrap();
+            let decision = engine
+                .read(|db| RandomResolver::seeded(1).resolve(&db.snapshot(pf.update), &pf.request));
+            let applied = engine.answer(pf.token, decision).unwrap();
+            assert_eq!(applied, youtopia::AnswerOutcome::Applied);
+            let outcome = rx.recv_timeout(Duration::from_secs(30)).expect("the waiter slept");
+            assert!(outcome.unwrap().terminated);
+            assert!(engine.metrics().steps > steps, "the waiter resumed driving");
+            let still: Vec<_> = engine.pending_frontiers().iter().map(|pf| pf.token).collect();
+            assert_eq!(still, vec![before[0].token, before[1].token]);
+        } else {
+            assert_eq!(engine.pending_frontiers().len(), 1, "the gate closes on one question");
+            assert!(answer_until_returned(&engine, skipping, &rx).unwrap().terminated);
+        }
+        ResolverPump::new(&engine, &mut RandomResolver::seeded(3)).run_until_quiescent().unwrap();
+        let (final_db, mappings, _) = engine.shutdown();
+        assert!(satisfies_all(&final_db.snapshot(UpdateId::OMNISCIENT), &mappings));
 
-    ResolverPump::new(&engine, &mut RandomResolver::seeded(2)).run_until_quiescent().unwrap();
-    let (final_db, mappings, _) = engine.shutdown();
-    assert!(satisfies_all(&final_db.snapshot(UpdateId::OMNISCIENT), &mappings));
+        let (engine, handles) = build();
+        let engine = Arc::new(engine);
+        let (tx, rx) = mpsc::channel();
+        let driver = Arc::clone(&engine);
+        std::thread::spawn(move || tx.send(driver.wait_quiescent()));
+        answer_until_returned(&engine, skipping, &rx).unwrap();
+        assert!(handles.iter().all(|h| h.status() == UpdateStatus::Terminated));
+
+        let (engine, handles) = build();
+        let (tx, rx) = mpsc::channel();
+        let first = handles[0].clone();
+        std::thread::spawn(move || tx.send(first.wait()));
+        assert!(await_parked(&engine, skipping, &rx).is_none(), "nobody answers, so it parks");
+        let shutting_down = std::thread::spawn(move || engine.shutdown());
+        let outcome = rx.recv_timeout(Duration::from_secs(30)).expect("the waiter slept through");
+        assert!(outcome.is_err(), "a shut-down engine cannot finish the update");
+        shutting_down.join().unwrap();
+    }
+}
+
+/// A waiter returns once its own update terminates, not once the engine
+/// goes idle: a second thread tops the engine up with a wave of updates
+/// whenever fewer than 64 are in flight, so it never idles, yet `wait()` on
+/// the first update comes back before the stream runs out. Only the waiter
+/// drives, so the stream cannot run out while it is descheduled.
+/// `C(c) -> D(c)` asks no questions, so nobody needs to answer.
+#[test]
+fn a_waiter_returns_while_others_keep_submitting() {
+    for skipping in [false, true] {
+        let mut db = Database::new();
+        let c = db.add_relation("C", ["city"]).unwrap();
+        db.add_relation("D", ["city"]).unwrap();
+        let mut mappings = MappingSet::new();
+        mappings.add_parsed(db.catalog(), "copy: C(c) -> D(c)").unwrap();
+        let builder = EngineBuilder::new().tracker(TrackerKind::Precise);
+        let builder = if skipping { builder.free_running() } else { builder };
+        let engine = builder.build(db, mappings).unwrap();
+        let insert = |i: usize| InitialOp::Insert {
+            relation: c,
+            values: vec![Value::constant(&format!("city{i}"))],
+        };
+        let first = engine.submit(insert(0)).unwrap();
+        let returned = AtomicBool::new(false);
+        let cut_short = std::thread::scope(|s| {
+            let streamer = s.spawn(|| {
+                let mut wave = 0;
+                while wave < 200 {
+                    if returned.load(Ordering::SeqCst) {
+                        return true;
+                    }
+                    if engine.active_updates() >= 64 {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    wave += 1;
+                    engine.submit_batch((0..16).map(|i| insert(wave * 16 + i)).collect()).unwrap();
+                }
+                false
+            });
+            assert!(first.wait().unwrap().terminated);
+            returned.store(true, Ordering::SeqCst);
+            streamer.join().unwrap()
+        });
+        assert!(cut_short, "skipping {skipping}: wait() returned only after the stream ended");
+        engine.wait_quiescent().unwrap();
+        let (final_db, mappings, _) = engine.shutdown();
+        assert!(satisfies_all(&final_db.snapshot(UpdateId::OMNISCIENT), &mappings));
+    }
 }
 
 /// `frontier_delay_rounds` is a property of the cursor loop, not of the
 /// frontier policy: a skipping engine withholds a request for that many
 /// rounds too. With a delay nobody lives to see, the update blocks but its
-/// question is never listed; with a short one it is.
+/// question is never listed (a waiter drives it on another thread, round
+/// after round, until the engine is dropped); with a short one it is.
 #[test]
 fn frontier_delay_applies_under_the_skipping_policy() {
     let (db, mappings, ops) = blocking_fixture(1);
@@ -764,15 +874,20 @@ fn frontier_delay_applies_under_the_skipping_policy() {
         .build(db.clone(), mappings.clone())
         .unwrap();
     let handle = forever.submit(ops[0].clone()).unwrap();
-    await_condition("the update reached its frontier", || {
-        handle.status() == UpdateStatus::AwaitingFrontier
-    });
+    let driver = handle.clone();
+    let waiter = std::thread::spawn(move || driver.wait());
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while handle.status() != UpdateStatus::AwaitingFrontier {
+        assert!(Instant::now() < deadline, "the update never reached its frontier");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     std::thread::sleep(Duration::from_millis(20));
     assert!(forever.pending_frontiers().is_empty(), "the delay withholds the request");
     drop(forever);
+    assert!(waiter.join().unwrap().is_err(), "dropping the engine stops its driver");
 
     let short =
         EngineBuilder::new().free_running().frontier_delay_rounds(3).build(db, mappings).unwrap();
     let handle = short.submit(ops[0].clone()).unwrap();
-    assert_eq!(await_pending(&short).update, handle.id());
+    assert_eq!(drive_to_question(&short).update, handle.id());
 }

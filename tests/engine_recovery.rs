@@ -23,7 +23,7 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use proptest::prelude::*;
 use youtopia::chase::{ChaseMode, UpdateStats};
@@ -115,7 +115,7 @@ fn abort_set(stats: &[(UpdateId, UpdateStats)]) -> BTreeSet<UpdateId> {
 /// small waves with a resolver pump in between so the log interleaves
 /// `Submit` and `Answer` records, and returns the reference observables plus
 /// the surviving durable artifacts. A `skipping` engine is answered from a
-/// second thread while its chase thread steps past the open questions.
+/// second thread while the test thread drives it past the open questions.
 fn reference_run(
     seed: u64,
     dir: &Path,
@@ -167,7 +167,7 @@ fn reference_run(
         for wave in ops.chunks(3) {
             engine.submit_batch(wave.to_vec()).expect("uncapped submission");
             if skipping {
-                await_quiescence(&engine, "skipping reference");
+                engine.wait_quiescent().expect("skipping reference settles");
             } else {
                 ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
             }
@@ -197,31 +197,14 @@ fn reference_run(
     }
 }
 
-/// A record payload with its action stamp zeroed. Stamps record the exact
-/// serialization point an event landed at, which races benignly with
-/// autonomous chase-thread progress (the deterministic sequencer makes the *state*
-/// independent of that race), so a re-fed log matches the reference
-/// record-for-record only once stamps are scrubbed.
-fn scrub_stamp(payload: &[u8]) -> Vec<u8> {
-    let mut bytes = payload.to_vec();
-    if let Some(&tag) = bytes.first() {
-        // Submit { first: u64, stamp: u64, .. } / Answer { token: u64,
-        // stamp: u64, .. } — the stamp is bytes 9..17 either way.
-        if (tag == 1 || tag == 2) && bytes.len() >= 17 {
-            bytes[9..17].fill(0);
-        }
-    }
-    bytes
-}
-
-/// Asserts the re-fed log in `dir` carries the same record sequence as the
-/// reference — same headers, same submissions (ids and operations), same
-/// answers (tokens and decisions), in the same order — modulo action stamps.
+/// Asserts the re-fed log in `dir` carries the same records as the reference
+/// byte for byte — same headers, same submissions (ids and operations), same
+/// answers (tokens and decisions), in the same order, at the same action
+/// stamps. One caller thread drives both runs under the blocking policy, so
+/// where each record lands is a function of the call sequence.
 fn assert_log_matches_reference(dir: &Path, reference: &ReferenceRun, label: &str) {
     let refed = read_wal(&dir.join("wal.log")).expect("re-fed wal parses").records;
-    let lhs: Vec<Vec<u8>> = refed.iter().map(|p| scrub_stamp(p)).collect();
-    let rhs: Vec<Vec<u8>> = reference.records.iter().map(|p| scrub_stamp(p)).collect();
-    assert_eq!(lhs, rhs, "{label}: re-fed log records (stamps scrubbed)");
+    assert_eq!(refed, reference.records, "{label}: re-fed log records");
 }
 
 /// Byte offsets of each record-frame boundary in a log holding `records`:
@@ -239,16 +222,13 @@ fn frame_boundaries(records: &[Vec<u8>], scratch: &Path) -> Vec<u64> {
         .collect()
 }
 
-/// Waits (with a deadline) until the engine reaches quiescence on its own.
+/// Drives the engine and asserts it settled quiescent: nothing it needs
+/// from the caller is left unanswered.
 fn await_quiescence(engine: &ExchangeEngine, label: &str) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !engine.is_quiescent() {
-        if let Some(e) = engine.error() {
-            panic!("{label}: engine failed while settling: {e}");
-        }
-        assert!(Instant::now() < deadline, "{label}: engine never became quiescent");
-        std::thread::sleep(Duration::from_micros(50));
+    if let Err(e) = engine.drive() {
+        panic!("{label}: engine failed while settling: {e}");
     }
+    assert!(engine.is_quiescent(), "{label}: engine is blocked on an unanswered frontier");
 }
 
 /// Re-feeds decoded WAL tail records through the **public** API: submissions
@@ -277,20 +257,13 @@ fn refeed(engine: &ExchangeEngine, tail: &[WalRecord], label: &str) {
                 );
             }
             WalRecord::Answer { token, decision, origin, .. } => {
-                let deadline = Instant::now() + Duration::from_secs(30);
-                loop {
-                    if engine.pending_frontiers().iter().any(|pf| pf.token.0 == *token) {
-                        break;
-                    }
-                    if let Some(e) = engine.error() {
-                        panic!("{label}: engine failed before republishing token {token}: {e}");
-                    }
-                    assert!(
-                        Instant::now() < deadline,
-                        "{label}: token {token} was never republished after recovery"
-                    );
-                    std::thread::yield_now();
+                if let Err(e) = engine.drive() {
+                    panic!("{label}: engine failed before republishing token {token}: {e}");
                 }
+                assert!(
+                    engine.pending_frontiers().iter().any(|pf| pf.token.0 == *token),
+                    "{label}: token {token} was not republished after recovery"
+                );
                 let outcome = engine
                     .answer_with_origin(FrontierToken(*token), decision.clone(), *origin)
                     .expect("logged decision re-applies");
@@ -477,12 +450,14 @@ fn settle_with_escalations(
     resolver: &mut RandomResolver,
     policy: EscalationPolicy,
 ) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !engine.is_quiescent() {
-        if let Some(e) = engine.error() {
+    for pass in 0.. {
+        if let Err(e) = engine.drive() {
             panic!("escalated reference: engine failed while settling: {e}");
         }
-        assert!(Instant::now() < deadline, "escalated reference never became quiescent");
+        if engine.is_quiescent() {
+            return;
+        }
+        assert!(pass < 100_000, "escalated reference never became quiescent");
         for pf in engine.pending_frontiers() {
             let by_hand = match policy {
                 EscalationPolicy::Wait => true,
@@ -496,7 +471,6 @@ fn settle_with_escalations(
             engine.answer(pf.token, decision).expect("hand answer applies");
         }
         engine.sweep();
-        std::thread::sleep(Duration::from_micros(200));
     }
 }
 
@@ -619,9 +593,9 @@ fn re_asked_runs_recover_byte_identically() {
 }
 
 proptest! {
-    // The boundary sweep recovers O(records) engines per case, and the
-    // escalated settle loop sleeps between sweeps, so keep the case count
-    // low — the pinned tests above already guarantee escalations occur.
+    // The boundary sweep recovers O(records) engines per case, so keep the
+    // case count low — the pinned tests above already guarantee escalations
+    // occur.
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     /// Crash anywhere in an auto-resolving run: recover + re-feed ≡ never

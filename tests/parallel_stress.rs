@@ -1,27 +1,31 @@
-//! The chase thread against caller threads, watchdogged: a deadlock or
-//! livelock fails by timeout instead of hanging the suite.
+//! Caller threads driving, answering and entering one engine at once,
+//! watchdogged: a deadlock or livelock fails by timeout instead of hanging
+//! the suite.
 //!
 //! **Free-running stress lane** — `#[ignore]`d in the default suite; CI runs
 //! it explicitly with `cargo test --release -- --ignored` in the stress job,
 //! where real OS preemption produces interleavings a 1-shot unit test cannot.
-//! Each case runs a sizeable workload free-running: the sequencer thread
-//! steps, skips published frontiers and locks abort victims while the
-//! [`ResolverPump`] answers from the watchdogged test thread. Afterwards the
-//! system invariants must hold: every update terminated, the final database
-//! satisfies every mapping, and the per-update statistics are sane.
+//! Each case runs a sizeable workload free-running: a second thread drives
+//! the sequencer (`wait_quiescent`) — stepping, skipping published frontiers
+//! and locking abort victims — while the watchdogged test thread answers
+//! every question as it appears ([`ResolverPump::drain`], polled), so
+//! answers race a running sequencer.
+//! Afterwards the system invariants must hold: every update terminated, the
+//! final database satisfies every mapping, and the per-update statistics
+//! are sane.
 //!
 //! **Callers enter between two sequencer actions** (`EngineShared::enter`) —
 //! what that costs a caller, and that it cannot deadlock:
 //!
-//! * *Hand-off bound* — while a large batch keeps the chase thread busy, a
-//!   `submit` or an `answer` from another thread is served before the
-//!   sequencer's next action, or the one after. Without the hand-off the
-//!   chase thread re-takes the (barging) sequencer lock for many actions in a
-//!   row and a caller waits tens of them.
-//! * *Three caller threads* — a submitter, a [`ResolverPump`] and a poller
-//!   (`sweep` with `AutoResolve`, so it answers too, plus the status, `read`
-//!   and `metrics` accessors) against one threaded engine: no deadlock,
-//!   every update terminates, every mapping holds.
+//! * *Hand-off bound* — while a driver thread keeps the sequencer busy on a
+//!   large batch, a `submit` or an `answer` from another thread is served
+//!   before the sequencer's next action, or the one after. Without the
+//!   hand-off the driver re-takes the (barging) sequencer lock for many
+//!   actions in a row and a caller waits tens of them.
+//! * *Three caller threads* — a submitter, a [`ResolverPump`] (which drives)
+//!   and a poller (`sweep` with `AutoResolve`, so it answers too, plus the
+//!   status, `read` and `metrics` accessors) against one engine: no
+//!   deadlock, every update terminates, every mapping holds.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -103,9 +107,22 @@ fn stress_once(
         let (fixture, ops, builder) = workload(seed, kind, updates);
         let engine = build(builder.tracker(tracker).policy(policy).free_running(), &fixture);
         engine.submit_batch(ops).expect("uncapped submission");
-        ResolverPump::new(&engine, &mut RandomResolver::seeded(seed ^ 0x57E55))
-            .run_until_quiescent()
-            .unwrap();
+        std::thread::scope(|s| {
+            let driver = s.spawn(|| engine.wait_quiescent());
+            // Answer each question as it appears, without driving: a pump
+            // that also drives (`run_until_quiescent`) answers only once its
+            // drive returns, i.e. once every live update is blocked, and the
+            // batched answers abort what ran meanwhile — on seed 14 that is
+            // a ~94,000-abort storm lasting ~740 s on a 2-core machine, far
+            // past the watchdog.
+            let mut resolver = RandomResolver::seeded(seed ^ 0x57E55);
+            let mut pump = ResolverPump::new(&engine, &mut resolver);
+            while !engine.is_quiescent() && engine.error().is_none() {
+                pump.drain().unwrap();
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            driver.join().expect("driver thread").unwrap();
+        });
         let stats = engine.update_stats();
         let (db, mappings, metrics) = engine.shutdown();
 
@@ -154,7 +171,7 @@ fn free_running_deep_cascade_precise() {
     );
 }
 
-/// The stratum policy under free-running: the chase thread holds an update
+/// The stratum policy under free-running: the sequencer holds an update
 /// for whole deterministic strata, so more answers and aborts pile up behind
 /// each owned-slot window.
 #[test]
@@ -198,9 +215,10 @@ fn within_two(deltas: &[usize]) -> usize {
     100 * deltas.iter().filter(|d| **d <= 2).count() / deltas.len()
 }
 
-/// Probes caller latency in sequencer actions: `BATCH` concurrent inserts keep
-/// the chase thread stepping while this thread answers every question the
-/// engine asks and submits `PROBES` single updates a millisecond apart,
+/// Probes caller latency in sequencer actions: a driver thread waits on each
+/// of `BATCH` concurrent inserts in turn, stepping the sequencer, while this
+/// thread answers every question the engine asks and submits `PROBES`
+/// single updates a millisecond apart,
 /// reading `metrics().steps` (one step per action under step-level round
 /// robin) around each call. A probe counts an action too many when this
 /// thread is preempted between the call's return and the second read, so the
@@ -218,7 +236,8 @@ fn hand_off_bound(
         let (fixture, mut ops, builder) = workload(7, WorkloadKind::AllInserts, BATCH + PROBES);
         let probes = ops.split_off(BATCH);
         let engine = build(shape(builder), &fixture);
-        engine.submit_batch(ops).unwrap();
+        let batch = engine.submit_batch(ops).unwrap();
+        let driver = std::thread::spawn(move || batch.iter().try_for_each(|h| h.wait().map(drop)));
         let mut resolver = RandomResolver::seeded(5);
         let (mut submits, mut answers) = (Vec::new(), Vec::new());
         for op in probes {
@@ -238,7 +257,7 @@ fn hand_off_bound(
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(
-            engine.active_updates() > PROBES,
+            !driver.is_finished(),
             "{label}: the batch finished early, so the probes met an idle sequencer"
         );
         assert!(
@@ -251,11 +270,13 @@ fn hand_off_bound(
         );
         // The batch is left unfinished: what it would go on to prove, the
         // three-caller case below and the equivalence suites already do.
+        // Shutting down stops the driver mid-batch.
         engine.shutdown();
+        assert!(driver.join().unwrap().is_err(), "{label}: the driver saw the shutdown");
     });
 }
 
-/// The three threaded engine shapes: blocking, skipping and durable.
+/// Three engine shapes: blocking, skipping and durable.
 #[test]
 fn callers_are_served_within_two_actions() {
     hand_off_bound("blocking", |b| b);
@@ -267,7 +288,7 @@ fn callers_are_served_within_two_actions() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Submitter, pump and poller share one threaded engine under each frontier
+/// Submitter, pump and poller share one engine under each frontier
 /// policy. The poller's sweeps auto-resolve what the pump has not answered
 /// after two of them, so all three threads enter the sequencer while it runs.
 #[test]

@@ -23,7 +23,6 @@
 //!   need it — after trivial cycles and after a real chased workload alike.
 
 use std::collections::{BTreeSet, HashMap};
-use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use youtopia::chase::ChaseMode;
@@ -196,24 +195,12 @@ fn trivial_fixture() -> (Database, MappingSet, youtopia::RelationId) {
     (db, MappingSet::new(), k)
 }
 
-/// Spin-waits (with a deadline) until the quiescence GC has truncated the
-/// shared delta backlog. The pump observes quiescence the instant the last
-/// action commits, which can be a moment before the chase thread that committed it
-/// finishes its GC pass — so "drained" is an eventually-true condition, never
-/// an instantaneous one.
-fn await_drained_backlog(engine: &ExchangeEngine, context: &str) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if engine.violation_index().backlog_len == 0 {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "{context}: backlog never drained ({} entries left)",
-            engine.violation_index().backlog_len
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+/// Asserts the quiescence GC has truncated the shared delta backlog. It is
+/// the tail of the action that retired the last update, and that action ran
+/// on the caller's own thread before it could observe quiescence.
+fn assert_drained_backlog(engine: &ExchangeEngine, context: &str) {
+    let left = engine.violation_index().backlog_len;
+    assert_eq!(left, 0, "{context}: backlog not drained at quiescence");
 }
 
 /// ≥16k submit/terminate cycles: each writes at least one delta, so without
@@ -254,7 +241,7 @@ fn long_lived_engines_hold_bounded_delta_backlog() {
         }
     }
     engine.wait_quiescent().expect("engine drains");
-    await_drained_backlog(&engine, "trivial cycles");
+    assert_drained_backlog(&engine, "trivial cycles");
     // The sequence number itself never resets — cursors must keep advancing
     // monotonically across truncations.
     assert!(engine.violation_index().delta_seq >= cycles);
@@ -293,7 +280,7 @@ fn chased_workload_drains_the_backlog_at_quiescence() {
     engine.submit_batch(ops).expect("uncapped submission");
     let mut resolver = RandomResolver::seeded(config.seed ^ 0xE61E);
     ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
-    await_drained_backlog(&engine, "chased workload");
+    assert_drained_backlog(&engine, "chased workload");
     let (db, mappings, _) = engine.shutdown();
     assert!(satisfies_all(&db.snapshot(UpdateId::OMNISCIENT), &mappings));
 }
