@@ -22,8 +22,6 @@
 //! [`youtopia_storage::wal::serialize_database`].
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64};
-use std::sync::Mutex;
 
 use youtopia_core::{
     decode_chase_error, decode_decision, decode_initial_op, encode_chase_error, encode_decision,
@@ -187,24 +185,24 @@ pub(crate) fn config_fingerprint(config: &EngineConfig, mappings: &MappingSet) -
     h.finish()
 }
 
-/// The engine-side durable state hanging off `EngineShared`.
+/// The engine-side durable state, part of the engine's `Core`.
 pub(crate) struct DurableEngineState {
     pub(crate) config: DurabilityConfig,
     pub(crate) fingerprint: u64,
-    pub(crate) wal: Mutex<WalWriter>,
+    pub(crate) wal: WalWriter,
     /// Records ever logged (including those folded into snapshots).
-    pub(crate) records: AtomicU64,
+    pub(crate) records: u64,
     /// Records covered by the newest snapshot.
-    pub(crate) last_snapshot: AtomicU64,
+    pub(crate) last_snapshot: u64,
     /// The sequencer's action counter: bumped once per sequencer action (a
     /// step, a publish, a visit sat out or stepped past, a round boundary).
     /// Submissions and answers are stamped with it so replay reproduces the
     /// original interleaving of logged events and re-executed chase work.
-    pub(crate) actions: AtomicU64,
+    pub(crate) actions: u64,
     /// Set during recovery replay: suppresses snapshot writing (the log is
     /// being read) — replayed events are injected directly and never
     /// re-appended.
-    pub(crate) replaying: AtomicBool,
+    pub(crate) replaying: bool,
 }
 
 // ---------------------------------------------------------------------------

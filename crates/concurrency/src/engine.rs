@@ -22,8 +22,8 @@
 //!   queue through any existing [`FrontierResolver`] for compatibility with
 //!   the batch world.
 //! * **Snapshot reads** — [`ExchangeEngine::read`] runs a closure over the
-//!   last-committed database state (a read-lock session), the way a serving
-//!   tier would answer queries while chases run.
+//!   last-committed database state, between two sequencer actions, the way a
+//!   serving tier would answer queries while chases run.
 //!
 //! An engine owns **no thread**. The paper's concurrency is logical —
 //! updates interleave at chase-step granularity because humans are slow at
@@ -33,14 +33,21 @@
 //! [`ExchangeEngine::wait_quiescent`] and [`ResolverPump`] all run actions
 //! until nothing can act (`wait` stops earlier, once its own update has
 //! terminated), and the waiters then sleep on the engine's signal until an
-//! answer, a submission or a shutdown moves it. Sequencer actions
-//! are atomic with respect to each other *and to the callers*: `submit`,
-//! `answer` and `sweep`'s auto-resolutions take the sequencer lock
-//! (`EngineShared::enter`) and so land **between** two actions, on every
-//! engine — plain, durable or replicated. What does run concurrently with an
-//! action is `read`, the status accessors and `metrics()` only, which is why
-//! steps stay two-phase over an `RwLock<Database>` and slots and metrics keep
-//! their own locks: none of them may wait for an action.
+//! answer, a submission or a shutdown moves it.
+//!
+//! There is **one lock**. All mutable engine state — the database, the slot
+//! table, the sequencer's logs and cursor, pending frontiers, admission,
+//! metrics, the fatal error and a durable engine's WAL writer — is one
+//! `Core` behind one mutex, and a sequencer action is one acquisition of it.
+//! Every caller — `submit`, `answer`, `sweep`, `read`, `metrics`, the status
+//! accessors and every handle method, on every engine (plain, durable or
+//! replicated) — takes the same lock through `EngineShared::enter` and so
+//! lands **between** two actions. A driver stands back for an announced
+//! caller, so a caller waits for at most the action in flight and the next.
+//! Outside the lock are only what never changes (mappings, configuration)
+//! and the stop flag and wake-up signal; a replica's replication state has a
+//! mutex of its own, taken before the core's, because the fold drives the
+//! engine across many actions while holding it.
 //!
 //! There is **one scheduler**: the round-robin cursor of `ConcurrentRun`
 //! (Algorithm 3) over the live updates, one action per visit, with the same
@@ -61,21 +68,12 @@
 //! after the snapshot the user looked at: writes may commit in between. That
 //! is exactly the cooperative setting — the machinery that keeps it sound is
 //! unchanged: the request's plan-time reads are in the read log, the
-//! decision's correction queries are recorded in the same read-lock session
-//! that applies them, and any conflicting later write aborts the update.
-//!
-//! Lock order (outermost first): sequencer → slots table → admission → slot →
-//! pending → database → metrics → WAL writer. The sequencer lock is held by
-//! whichever caller runs an action (`drive`) or enters between two
-//! (`enter`); its holder is the only stepper,
-//! aborter, log writer and WAL appender, takes one slot lock at a time, and
-//! shares slot locks only with status accessors, which never wait on a second
-//! one. A [`ResolverPump`] consults its resolver under the database read lock
-//! alone; a replica's replication state sits outside the sequencer.
+//! decision's correction queries are recorded under the same lock hold that
+//! applies them, and any conflicting later write aborts the update.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, Weak};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 
 use youtopia_core::{
     ChaseError, EscalationPolicy, FrontierDecision, FrontierResolver, FrontierToken, InitialOp,
@@ -91,10 +89,9 @@ use crate::durable::{
     encode_snapshot, encode_submit, DurabilityConfig, DurableEngineState, RecoveryError,
     SlotSummary, SnapshotMeta, WalRecord,
 };
-use crate::log::{ReadLog, WriteLog};
 use crate::metrics::RunMetrics;
 use crate::scheduler::SchedulerConfig;
-use crate::sequencer::{DetProgress, Sequencer};
+use crate::sequencer::{Core, DetProgress};
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
@@ -312,28 +309,58 @@ pub(crate) struct Slot {
     pub(crate) published: Option<FrontierToken>,
     /// Terminal per-update failure (step budget); never cleared.
     pub(crate) failed: Option<ChaseError>,
+    /// Shared with the update's handles, if it has any: filled with the
+    /// slot's last view when the slot leaves the engine (evicted by
+    /// compaction, or dropped with the engine), so a handle keeps answering
+    /// after that.
+    detached: Option<Arc<OnceLock<SlotView>>>,
 }
 
-pub(crate) type SlotCell = Mutex<Slot>;
-
-/// The slot table: a sliding window of update records. `base` counts slots
-/// evicted by compaction; slot index `i` (= update number −
-/// `first_update_number`) lives at `cells[i − base]`.
-/// Eviction is front-only and restricted to terminal slots, so every index
-/// below `base` names an update that is terminal forever.
-pub(crate) struct SlotTable {
-    pub(crate) base: usize,
-    pub(crate) cells: VecDeque<Arc<SlotCell>>,
-}
-
-impl SlotTable {
-    /// Number of slots ever admitted (retained + evicted).
-    pub(crate) fn total(&self) -> usize {
-        self.base + self.cells.len()
+impl Slot {
+    /// Boxed: a retained slot costs one allocation of its own size, not a
+    /// share of a doubling buffer of them.
+    fn new(exec: UpdateExecution, failed: Option<ChaseError>) -> Box<Slot> {
+        Box::new(Slot { exec, sit_out: 0, published: None, failed, detached: None })
     }
 
-    fn get(&self, idx: usize) -> Option<&Arc<SlotCell>> {
-        idx.checked_sub(self.base).and_then(|i| self.cells.get(i))
+    fn view(&self) -> SlotView {
+        let status = match (&self.failed, self.exec.state()) {
+            (Some(_), _) => UpdateStatus::Failed,
+            (None, UpdateState::Ready) => UpdateStatus::Running,
+            (None, UpdateState::AwaitingFrontier) => UpdateStatus::AwaitingFrontier,
+            (None, UpdateState::Terminated) => UpdateStatus::Terminated,
+        };
+        SlotView {
+            report: UpdateReport::for_execution(&self.exec),
+            status,
+            failed: self.failed.clone(),
+        }
+    }
+
+    /// Hands the slot's last view to the handles still holding it.
+    pub(crate) fn detach(&self) {
+        if let Some(cell) = self.detached.as_ref().filter(|cell| Arc::strong_count(cell) > 1) {
+            let _ = cell.set(self.view());
+        }
+    }
+}
+
+/// What a handle reports about its update.
+#[derive(Clone, Debug)]
+struct SlotView {
+    report: UpdateReport,
+    status: UpdateStatus,
+    failed: Option<ChaseError>,
+}
+
+impl SlotView {
+    /// The update's final outcome, once it has one.
+    fn outcome(self) -> Option<Result<UpdateReport, ChaseError>> {
+        match (self.failed, self.status) {
+            (Some(e), _) => Some(Err(e)),
+            (None, UpdateStatus::Terminated) => Some(Ok(self.report)),
+            (None, _) => None,
+        }
     }
 }
 
@@ -366,7 +393,7 @@ pub struct SweepReport {
 
 /// Per-client admission bookkeeping (see [`ExchangeEngine::submit_batch_as`]).
 #[derive(Default)]
-struct ClientAdmission {
+pub(crate) struct ClientAdmission {
     /// Slot indices this client was admitted for; pruned lazily (terminal or
     /// evicted slots drop out at the next admission check).
     admitted: Vec<usize>,
@@ -381,35 +408,16 @@ struct ClientAdmission {
 }
 
 pub(crate) struct EngineShared {
-    pub(crate) mappings: MappingSet,
-    pub(crate) db: RwLock<Database>,
+    /// Shared with [`ExchangeEngine::shutdown`], which hands the set back.
+    pub(crate) mappings: Arc<MappingSet>,
     pub(crate) config: EngineConfig,
-    /// Growable (and front-compacted) slot table; index = update number −
-    /// `first_update_number`.
-    pub(crate) slots: RwLock<SlotTable>,
-    pub(crate) metrics: Mutex<RunMetrics>,
-    /// Sequencer state; see [`enter`](Self::enter) for how callers take it.
-    pub(crate) sequencer: Mutex<Sequencer>,
-    /// Callers waiting in [`enter`](Self::enter) for the sequencer lock.
+    /// Every piece of mutable engine state; see [`enter`](Self::enter) for
+    /// how callers take it.
+    pub(crate) core: Mutex<Core>,
+    /// Callers waiting in [`enter`](Self::enter) for the core lock.
     pub(crate) entering: AtomicUsize,
-    /// Outstanding frontier requests, keyed by token (= publish order).
-    pub(crate) pending: Mutex<BTreeMap<u64, PendingEntry>>,
-    /// Per-client fair-share admission state, keyed by [`ClientId`].
-    /// Anonymous submissions (no client) bypass it entirely and see only the
-    /// global cap — the pre-QoS admission path, byte-identical.
-    admission: Mutex<BTreeMap<ClientId, ClientAdmission>>,
-    /// Number of slots with a published-but-unanswered frontier: what the
-    /// sequencer gates on. Drops once an answer has been *applied* (or the
-    /// token invalidated by an abort).
-    pub(crate) unanswered: AtomicUsize,
-    next_token: AtomicU64,
-    /// Non-terminated, non-failed updates (admission + quiescence).
-    pub(crate) active: AtomicUsize,
     pub(crate) stop: AtomicBool,
-    error: Mutex<Option<ChaseError>>,
     pub(crate) signal: Signal,
-    /// Durable state (WAL writer, counters); `None` on a plain engine.
-    pub(crate) durable: Option<DurableEngineState>,
     /// Replication mechanism state (event logs, canonical fold bookkeeping);
     /// `None` unless the engine is a replica. See `crate::replicate`.
     pub(crate) replication: Option<Mutex<crate::replicate::ReplicationState>>,
@@ -423,20 +431,7 @@ impl EngineShared {
     /// eventual.
     const STARVATION_DEFICIT: u64 = 16;
 
-    /// Whether the slot at `idx` can never run again (terminated, failed, or
-    /// evicted by compaction — eviction is restricted to terminal slots).
-    fn slot_terminal_locked(slots: &SlotTable, idx: usize) -> bool {
-        match slots.get(idx) {
-            None => true,
-            Some(cell) => {
-                let slot = lock(cell);
-                slot.failed.is_some() || slot.exec.is_terminated()
-            }
-        }
-    }
-
-    /// Fair-share admission check for a batch of `n` updates, called with the
-    /// slot table locked (so in-flight counts cannot move underneath it).
+    /// Fair-share admission check for a batch of `n` updates.
     ///
     /// Anonymous submissions (`client == None`) see only the global cap —
     /// the pre-QoS behavior. Identified submissions additionally get:
@@ -454,12 +449,12 @@ impl EngineShared {
     /// reserves it the next freed slot, and admission resets the deficit.
     fn check_admission(
         &self,
-        slots: &SlotTable,
+        core: &mut Core,
         client: Option<(ClientId, Priority)>,
         n: usize,
     ) -> Result<(), SubmitError> {
         let cap = self.config.admission_cap;
-        let active = self.active.load(Ordering::SeqCst);
+        let active = core.active;
         let Some((client_id, priority)) = client else {
             if active.saturating_add(n) > cap {
                 let retry_after = RetryAfter { completions: active.saturating_add(n) - cap };
@@ -467,11 +462,17 @@ impl EngineShared {
             }
             return Ok(());
         };
-        let mut admission = lock(&self.admission);
         // Lazily prune: a client's in-flight count is its admitted slots that
-        // are still live. Terminal and evicted slots drop out here.
+        // are still live. Terminal and evicted slots drop out here (eviction
+        // is restricted to terminal slots).
+        let Core { admission, slots, base, .. } = core;
+        let live = |idx: usize| {
+            idx.checked_sub(*base)
+                .and_then(|i| slots.get(i))
+                .is_some_and(|slot| slot.failed.is_none() && !slot.exec.is_terminated())
+        };
         for state in admission.values_mut() {
-            state.admitted.retain(|&idx| !Self::slot_terminal_locked(slots, idx));
+            state.admitted.retain(|&idx| live(idx));
         }
         admission.retain(|_, s| !s.admitted.is_empty() || s.deficit > 0);
         let entry = admission.entry(client_id).or_default();
@@ -491,7 +492,7 @@ impl EngineShared {
         // Rule 0: the global cap binds everyone.
         if active.saturating_add(n) > cap {
             let over = active.saturating_add(n) - cap;
-            return Err(reject(&mut admission, over));
+            return Err(reject(admission, over));
         }
         let starving = deficit >= Self::STARVATION_DEFICIT;
         // Rule 1: weighted fair share, while other clients contend. A
@@ -506,7 +507,7 @@ impl EngineShared {
             let in_flight = entry.admitted.len();
             if in_flight.saturating_add(n) > share {
                 let over = in_flight.saturating_add(n) - share;
-                return Err(reject(&mut admission, over));
+                return Err(reject(admission, over));
             }
         }
         // Rule 2: starvation reservation. Admitting would leave fewer free
@@ -519,7 +520,7 @@ impl EngineShared {
                 .count();
             let free_after = cap.saturating_sub(active.saturating_add(n));
             if others_starving > free_after {
-                return Err(reject(&mut admission, 1));
+                return Err(reject(admission, 1));
             }
         }
         Ok(())
@@ -528,52 +529,37 @@ impl EngineShared {
     /// Records a successful identified admission: the client's deficit is
     /// paid off and its in-flight slots are tracked for fair-share checks.
     fn record_admission(
-        &self,
+        core: &mut Core,
         client: Option<(ClientId, Priority)>,
         slots: std::ops::Range<usize>,
     ) {
         let Some((client_id, priority)) = client else { return };
-        let mut admission = lock(&self.admission);
-        let entry = admission.entry(client_id).or_default();
+        let entry = core.admission.entry(client_id).or_default();
         entry.deficit = 0;
         entry.weight = priority.weight();
         entry.admitted.extend(slots);
     }
 
-    /// The cell at `idx`, or `None` when compaction evicted it. Callers on
-    /// abort paths treat `None` as "terminal, nothing to do" — eviction is
-    /// restricted to updates that can never be revived.
-    pub(crate) fn slot_cell(&self, idx: usize) -> Option<Arc<SlotCell>> {
-        self.slots.read().unwrap_or_else(|e| e.into_inner()).get(idx).cloned()
-    }
-
-    /// Single-acquisition keyed lookup: the index *and* the cell under one
-    /// read lock, so a concurrent compaction cannot evict the slot between
-    /// the bounds check and the fetch. `None` when the update was never
-    /// admitted or its record was evicted.
-    pub(crate) fn lookup_cell(&self, update: UpdateId) -> Option<(usize, Arc<SlotCell>)> {
-        let idx = update.0.checked_sub(self.config.first_update_number)? as usize;
-        let slots = self.slots.read().unwrap_or_else(|e| e.into_inner());
-        Some((idx, slots.get(idx)?.clone()))
+    /// The slot index of `update`, if it could ever have been admitted.
+    pub(crate) fn index_of(&self, update: UpdateId) -> Option<usize> {
+        update.0.checked_sub(self.config.first_update_number).map(|i| i as usize)
     }
 
     /// Keyed lookup distinguishing "evicted" from "never admitted".
-    pub(crate) fn lookup(&self, update: UpdateId) -> Result<Arc<SlotCell>, LookupError> {
-        let Some(idx) = update.0.checked_sub(self.config.first_update_number).map(|i| i as usize)
-        else {
-            return Err(LookupError::UnknownUpdate(update));
-        };
-        let slots = self.slots.read().unwrap_or_else(|e| e.into_inner());
-        if idx >= slots.total() {
-            return Err(LookupError::UnknownUpdate(update));
-        }
-        match slots.get(idx) {
-            Some(cell) => Ok(cell.clone()),
-            None => Err(LookupError::SlotEvicted(update)),
+    pub(crate) fn lookup<'c>(
+        &self,
+        core: &'c Core,
+        update: UpdateId,
+    ) -> Result<&'c Slot, LookupError> {
+        match self.index_of(update) {
+            Some(idx) if idx < core.total() => {
+                core.slot(idx).ok_or(LookupError::SlotEvicted(update))
+            }
+            _ => Err(LookupError::UnknownUpdate(update)),
         }
     }
 
-    /// The one way into the chase for a caller: takes the sequencer lock, so
+    /// The one way into the engine for a caller: takes the core lock, so
     /// whatever the caller does with the guard lands between two sequencer
     /// actions. `std` mutexes barge — a thread in
     /// [`drive_until`](Self::drive_until) re-locks in a loop and would win
@@ -582,40 +568,30 @@ impl EngineShared {
     /// announced caller holds (or has held) the lock: a caller is served
     /// before the sequencer's next action, or the one after if it announces
     /// itself just as a driver locks.
-    pub(crate) fn enter(&self) -> MutexGuard<'_, Sequencer> {
+    pub(crate) fn enter(&self) -> MutexGuard<'_, Core> {
         self.entering.fetch_add(1, Ordering::SeqCst);
-        let seq = lock(&self.sequencer);
+        let core = lock(&self.core);
         self.entering.fetch_sub(1, Ordering::SeqCst);
-        seq
+        core
     }
 
-    /// Admits `ops` into the locked slot table with consecutive priority
-    /// numbers and into the live set, returning the new cells. Shared by the
-    /// public submit path, recovery replay and the replicated fold (which is
-    /// why it does not build handles or touch the WAL).
-    pub(crate) fn admit(
-        &self,
-        seq: &mut Sequencer,
-        slots: &mut SlotTable,
-        ops: Vec<InitialOp>,
-    ) -> Vec<(UpdateId, Arc<SlotCell>)> {
-        let base = slots.total();
+    /// Admits `ops` with consecutive priority numbers into the slot table
+    /// and the live set, returning their ids. Shared by the public submit
+    /// path, recovery replay and the replicated fold (which is why it does
+    /// not build handles or touch the WAL).
+    pub(crate) fn admit(&self, core: &mut Core, ops: Vec<InitialOp>) -> Vec<UpdateId> {
+        let base = core.total();
         let mut out = Vec::with_capacity(ops.len());
         for (i, op) in ops.into_iter().enumerate() {
             let id = UpdateId(self.config.first_update_number + (base + i) as u64);
-            let cell = Arc::new(Mutex::new(Slot {
-                exec: UpdateExecution::with_mode(id, op, self.config.scheduler.chase_mode),
-                sit_out: 0,
-                published: None,
-                failed: None,
-            }));
-            slots.cells.push_back(Arc::clone(&cell));
-            seq.all_ids.push(id);
-            seq.live.insert(base + i);
-            out.push((id, cell));
+            let exec = UpdateExecution::with_mode(id, op, self.config.scheduler.chase_mode);
+            core.slots.push_back(Slot::new(exec, None));
+            core.all_ids.push(id);
+            core.live.insert(base + i);
+            out.push(id);
         }
-        self.active.fetch_add(out.len(), Ordering::SeqCst);
-        lock(&self.metrics).workload_size += out.len();
+        core.active += out.len();
+        core.metrics.workload_size += out.len();
         out
     }
 
@@ -625,27 +601,25 @@ impl EngineShared {
     /// call landed — directly, bypassing the public API, so nothing is
     /// re-appended to the log.
     fn replay(&self, tail: impl Iterator<Item = WalRecord>) -> Result<(), RecoveryError> {
-        let mut seq = lock(&self.sequencer);
+        let mut core = lock(&self.core);
         for record in tail {
             match record {
                 WalRecord::Header { .. } => {
                     return Err(RecoveryError::Corrupt("header record mid-log".into()));
                 }
                 WalRecord::Submit { first, stamp, ops } => {
-                    self.drive_to_stamp(&mut seq, stamp)?;
-                    let mut slots = self.slots.write().unwrap_or_else(|e| e.into_inner());
-                    let expected = self.config.first_update_number + slots.total() as u64;
+                    self.drive_to_stamp(&mut core, stamp)?;
+                    let expected = self.config.first_update_number + core.total() as u64;
                     if first != expected {
                         return Err(RecoveryError::Replay(format!(
                             "submission logged as u{first} would be admitted as u{expected}"
                         )));
                     }
-                    self.admit(&mut seq, &mut slots, ops);
+                    self.admit(&mut core, ops);
                 }
                 WalRecord::Answer { token, stamp, decision, origin } => {
-                    self.drive_to_stamp(&mut seq, stamp)?;
-                    let entry = lock(&self.pending).remove(&token);
-                    let Some(entry) = entry else {
+                    self.drive_to_stamp(&mut core, stamp)?;
+                    let Some(entry) = core.pending.remove(&token) else {
                         return Err(RecoveryError::Replay(format!(
                             "answer for token {token} found nothing pending"
                         )));
@@ -654,13 +628,13 @@ impl EngineShared {
                     // rejected here too (deterministically), restoring the
                     // pending entry — its retry records follow in the log.
                     // System answers replay from the log exactly like human
-                    // ones: the live sweeper is suppressed while `replaying`,
-                    // so an escalation is never re-decided.
+                    // ones: nothing sweeps during replay, so an escalation is
+                    // never re-decided.
                     let _ =
-                        self.apply_answer(&mut seq, FrontierToken(token), entry, decision, origin);
+                        self.apply_answer(&mut core, FrontierToken(token), entry, decision, origin);
                 }
             }
-            if let Some(e) = lock(&self.error).clone() {
+            if let Some(e) = &core.error {
                 return Err(RecoveryError::Replay(format!("engine failed during replay: {e}")));
             }
         }
@@ -670,10 +644,9 @@ impl EngineShared {
     /// Runs the sequencer until the durable action counter reaches `stamp`.
     /// Falling idle, the gate closing (which takes no action) or moving past
     /// the stamp all mean the log does not describe this engine's history.
-    fn drive_to_stamp(&self, seq: &mut Sequencer, stamp: u64) -> Result<(), RecoveryError> {
-        let d = self.durable.as_ref().expect("replay requires a durable engine");
+    fn drive_to_stamp(&self, core: &mut Core, stamp: u64) -> Result<(), RecoveryError> {
         loop {
-            let now = d.actions.load(Ordering::SeqCst);
+            let now = core.durable.as_ref().expect("replay requires a durable engine").actions;
             if now == stamp {
                 return Ok(());
             }
@@ -682,7 +655,7 @@ impl EngineShared {
                     "overshot action stamp {stamp} (counter is at {now})"
                 )));
             }
-            let stuck = match self.det_action(seq) {
+            let stuck = match self.det_action(core) {
                 Ok(DetProgress::Acted) => continue,
                 Ok(DetProgress::AwaitingAnswer) => "blocked on an unanswered frontier",
                 Ok(DetProgress::Idle) => "sequencer idle",
@@ -697,68 +670,57 @@ impl EngineShared {
         }
     }
 
-    pub(crate) fn fail(&self, e: ChaseError) {
-        let mut slot = lock(&self.error);
-        if slot.is_none() {
-            *slot = Some(e);
-        }
+    /// Fail-stops the engine: records the first fatal error and wakes every
+    /// waiter. The caller holds the core lock, so a caller entering after it
+    /// sees the error.
+    pub(crate) fn fail(&self, core: &mut Core, e: ChaseError) {
+        core.error.get_or_insert(e);
         self.stop.store(true, Ordering::SeqCst);
         self.signal.bump();
     }
 
     /// Writes a snapshot (and restarts the log) if the engine is durable, not
-    /// replaying, and enough records accumulated since the last one. The
-    /// caller holds the slots write lock at quiescence — every retained slot
-    /// is terminal and the database is stable.
-    pub(crate) fn maybe_snapshot_locked(&self, slots: &SlotTable) {
-        let Some(d) = &self.durable else { return };
-        if d.replaying.load(Ordering::SeqCst) {
+    /// replaying, and enough records accumulated since the last one. Called
+    /// at quiescence — every retained slot is terminal and the database is
+    /// stable.
+    pub(crate) fn maybe_snapshot(&self, core: &mut Core) {
+        let Some(d) = &core.durable else { return };
+        if d.replaying || d.records - d.last_snapshot < d.config.snapshot_every {
             return;
         }
-        let records = d.records.load(Ordering::SeqCst);
-        if records - d.last_snapshot.load(Ordering::SeqCst) < d.config.snapshot_every {
-            return;
-        }
-        if let Err(e) = self.write_snapshot_locked(slots, records) {
-            self.fail(ChaseError::InvalidDecision(format!("snapshot write failed: {e}")));
+        if let Err(e) = Self::write_snapshot(core) {
+            self.fail(core, ChaseError::InvalidDecision(format!("snapshot write failed: {e}")));
         }
     }
 
-    fn write_snapshot_locked(
-        &self,
-        slots: &SlotTable,
-        records: u64,
-    ) -> Result<(), youtopia_storage::WalError> {
-        let d = self.durable.as_ref().expect("snapshot on a durable engine");
+    fn write_snapshot(core: &mut Core) -> Result<(), youtopia_storage::WalError> {
+        let Core { db, slots, base, metrics, next_token, durable, .. } = core;
+        let d = durable.as_mut().expect("snapshot on a durable engine");
         // The log being superseded must be fully on disk before the snapshot
         // that claims to cover it: a crash between the two may fall back to
         // replaying the old log, whose tail would otherwise be missing.
-        lock(&d.wal).flush()?;
-        let mut summaries = Vec::with_capacity(slots.cells.len());
-        for cell in &slots.cells {
-            let slot = lock(cell);
-            summaries.push(SlotSummary {
+        d.wal.flush()?;
+        let records = d.records;
+        let summaries = slots
+            .iter()
+            .map(|slot| SlotSummary {
                 id: slot.exec.id().0,
                 initial: slot.exec.initial().clone(),
                 stats: slot.exec.stats(),
                 terminated: slot.exec.is_terminated(),
                 failed: slot.failed.clone(),
-            });
-        }
+            })
+            .collect();
         let meta = SnapshotMeta {
             fingerprint: d.fingerprint,
             records,
-            actions: d.actions.load(Ordering::SeqCst),
-            next_token: self.next_token.load(Ordering::SeqCst),
-            slot_base: slots.base as u64,
+            actions: d.actions,
+            next_token: *next_token,
+            slot_base: *base as u64,
             slots: summaries,
-            metrics: lock(&self.metrics).clone(),
+            metrics: metrics.clone(),
         };
-        let bytes = {
-            let db = self.db.read().unwrap_or_else(|e| e.into_inner());
-            encode_snapshot(&meta, &db)
-        };
-        write_file_atomic(&d.config.snapshot_path(), &bytes)?;
+        write_file_atomic(&d.config.snapshot_path(), &encode_snapshot(&meta, db))?;
         // Restart the log under a fresh header whose base records how much
         // the snapshot now covers. Written to a sibling and renamed, so a
         // crash leaves either the old full log (its surplus head is skipped
@@ -772,48 +734,43 @@ impl EngineShared {
         std::fs::rename(&tmp, &wal_path)?;
         let mut writer = WalWriter::open_append(&wal_path, len)?;
         writer.set_group_commit(d.config.group_commit);
-        *lock(&d.wal) = writer;
-        d.last_snapshot.store(records, Ordering::SeqCst);
+        d.wal = writer;
+        d.last_snapshot = records;
         Ok(())
     }
 
     /// Appends one record to the write-ahead log (no-op on a plain engine),
     /// stamped with the action count it is logged at. The caller holds the
-    /// sequencer lock, so the stamp is the point between two actions where
-    /// replay must inject the record.
+    /// core lock, so the stamp is the point between two actions where replay
+    /// must inject the record.
     fn log_record(
-        &self,
+        core: &mut Core,
         encode: impl FnOnce(u64) -> Vec<u8>,
     ) -> Result<(), youtopia_storage::WalError> {
-        let Some(d) = &self.durable else { return Ok(()) };
-        lock(&d.wal).append(&encode(d.actions.load(Ordering::SeqCst)))?;
-        d.records.fetch_add(1, Ordering::SeqCst);
+        let Some(d) = &mut core.durable else { return Ok(()) };
+        d.wal.append(&encode(d.actions))?;
+        d.records += 1;
         Ok(())
     }
 
-    /// Publishes the locked slot's pending frontier request under a fresh
-    /// token, inside the sequencer action that counted it. Idempotent while
-    /// a token is outstanding.
-    pub(crate) fn publish_frontier(&self, slot: &mut Slot, idx: usize) {
+    /// Publishes the slot's pending frontier request under a fresh token,
+    /// inside the sequencer action that counted it. Idempotent while a token
+    /// is outstanding.
+    pub(crate) fn publish_frontier(&self, core: &mut Core, idx: usize) {
+        let token = FrontierToken(core.next_token);
+        let published_at = core.durable.as_ref().map_or(0, |d| d.actions);
+        let slot = core.slot_mut(idx).expect("publishing a retained slot");
         if slot.published.is_some() {
             return;
         }
-        let token = FrontierToken(self.next_token.fetch_add(1, Ordering::SeqCst));
         let request = slot.exec.pending_frontier().expect("state is AwaitingFrontier").clone();
         slot.published = Some(token);
-        self.unanswered.fetch_add(1, Ordering::SeqCst);
-        let published_at =
-            self.durable.as_ref().map(|d| d.actions.load(Ordering::SeqCst)).unwrap_or(0);
-        lock(&self.pending).insert(
+        let update = slot.exec.id();
+        core.next_token += 1;
+        core.unanswered += 1;
+        core.pending.insert(
             token.0,
-            PendingEntry {
-                update: slot.exec.id(),
-                slot: idx,
-                request,
-                published_at,
-                age: 0,
-                escalations: 0,
-            },
+            PendingEntry { update, slot: idx, request, published_at, age: 0, escalations: 0 },
         );
         self.signal.bump();
     }
@@ -824,49 +781,40 @@ impl EngineShared {
     /// is restored under the same token so the user can retry.
     pub(crate) fn apply_answer(
         &self,
-        seq: &mut Sequencer,
+        core: &mut Core,
         token: FrontierToken,
         entry: PendingEntry,
         decision: FrontierDecision,
         origin: ResolutionOrigin,
     ) -> Result<AnswerOutcome, ChaseError> {
-        let Some(cell) = self.slot_cell(entry.slot) else { return Ok(AnswerOutcome::Stale) };
-        let mut slot = lock(&cell);
+        let idx = entry.slot;
+        let Some(slot) = core.slot_mut(idx) else { return Ok(AnswerOutcome::Stale) };
         if slot.published != Some(token) || slot.exec.state() != UpdateState::AwaitingFrontier {
             return Ok(AnswerOutcome::Stale);
         }
         let id = slot.exec.id();
-        {
-            // One read-lock session covers the frontier resolution and the
-            // recording of its correction queries: a write committing after
-            // this session needs the write lock, i.e. happens after the reads
-            // it must be validated against are in the log.
-            let db = self.db.read().unwrap_or_else(|e| e.into_inner());
-            match slot.exec.resolve_frontier(&self.mappings, decision) {
-                Ok(reads) => {
-                    {
-                        let mut metrics = lock(&self.metrics);
-                        metrics.frontier_ops += 1;
-                        if origin == ResolutionOrigin::System {
-                            // Replay-stable (recounted from the WAL's origin
-                            // bytes), so it survives snapshot folding — see
-                            // the snapshot codec.
-                            metrics.auto_resolutions += 1;
-                        }
-                    }
-                    self.record_reads_locked(seq, &db, id, reads);
+        match slot.exec.resolve_frontier(&self.mappings, decision) {
+            Ok(reads) => {
+                core.metrics.frontier_ops += 1;
+                if origin == ResolutionOrigin::System {
+                    // Replay-stable (recounted from the WAL's origin bytes),
+                    // so it survives snapshot folding — see the snapshot
+                    // codec.
+                    core.metrics.auto_resolutions += 1;
                 }
-                Err(e) => {
-                    // The execution restored its request; re-list it under
-                    // the same token so the user can retry.
-                    lock(&self.pending).insert(token.0, entry);
-                    return Err(e);
-                }
+                // Recorded under the same lock hold as the resolution: a
+                // write committing later is validated against these reads.
+                self.record_reads(core, id, reads);
+            }
+            Err(e) => {
+                // The execution restored its request; re-list it under the
+                // same token so the user can retry.
+                core.pending.insert(token.0, entry);
+                return Err(e);
             }
         }
-        slot.published = None;
-        self.unanswered.fetch_sub(1, Ordering::SeqCst);
-        drop(slot);
+        core.slot_mut(idx).expect("answered slot is retained").published = None;
+        core.unanswered -= 1;
         self.signal.bump();
         Ok(AnswerOutcome::Applied)
     }
@@ -885,17 +833,7 @@ impl ExchangeEngine {
     /// Creates an engine over `db` and `mappings`. It runs nothing on its
     /// own: callers drive it (see the module docs).
     pub(crate) fn new(db: Database, mappings: MappingSet, config: EngineConfig) -> ExchangeEngine {
-        let shared = Self::make_shared(
-            db,
-            mappings,
-            config,
-            None,
-            SlotTable { base: 0, cells: VecDeque::new() },
-            Vec::new(),
-            0,
-            RunMetrics::default(),
-        );
-        ExchangeEngine { shared }
+        ExchangeEngine { shared: Self::make_shared(mappings, config, Core::new(db, &config, None)) }
     }
 
     /// Starts a **durable** engine under `durability.dir`: every submission
@@ -939,23 +877,14 @@ impl ExchangeEngine {
         let durable = DurableEngineState {
             config: durability,
             fingerprint,
-            wal: Mutex::new(wal),
-            records: AtomicU64::new(0),
-            last_snapshot: AtomicU64::new(0),
-            actions: AtomicU64::new(0),
-            replaying: AtomicBool::new(false),
+            wal,
+            records: 0,
+            last_snapshot: 0,
+            actions: 0,
+            replaying: false,
         };
-        let shared = Self::make_shared(
-            db,
-            mappings,
-            config,
-            Some(durable),
-            SlotTable { base: 0, cells: VecDeque::new() },
-            Vec::new(),
-            0,
-            RunMetrics::default(),
-        );
-        Ok(ExchangeEngine { shared })
+        let core = Core::new(db, &config, Some(durable));
+        Ok(ExchangeEngine { shared: Self::make_shared(mappings, config, core) })
     }
 
     /// Recovers a durable engine from `durability.dir`: loads the newest
@@ -1019,8 +948,7 @@ impl ExchangeEngine {
 
         // Rebuild the slot table. Snapshots are taken at quiescence, so every
         // summarised slot is terminal — inactive, nothing to put in the live set.
-        let mut cells = VecDeque::with_capacity(meta.slots.len());
-        let mut all_ids = Vec::with_capacity(meta.slots.len());
+        let mut slots = VecDeque::with_capacity(meta.slots.len());
         for summary in &meta.slots {
             if !summary.terminated && summary.failed.is_none() {
                 return Err(RecoveryError::Corrupt(format!(
@@ -1036,15 +964,8 @@ impl ExchangeEngine {
                 summary.stats,
                 summary.terminated,
             );
-            cells.push_back(Arc::new(Mutex::new(Slot {
-                exec,
-                sit_out: 0,
-                published: None,
-                failed: summary.failed.clone(),
-            })));
-            all_ids.push(id);
+            slots.push_back(Slot::new(exec, summary.failed.clone()));
         }
-        let slots = SlotTable { base: meta.slot_base as usize, cells };
         // Reopen the log for appends at its validated length (discarding any
         // torn tail record) *before* replay: replay injects records directly
         // and never re-appends, so the write position is already final.
@@ -1053,67 +974,31 @@ impl ExchangeEngine {
         let durable = DurableEngineState {
             config: durability,
             fingerprint,
-            wal: Mutex::new(writer),
-            records: AtomicU64::new(total_records),
-            last_snapshot: AtomicU64::new(meta.records),
-            actions: AtomicU64::new(meta.actions),
-            replaying: AtomicBool::new(true),
+            wal: writer,
+            records: total_records,
+            last_snapshot: meta.records,
+            actions: meta.actions,
+            replaying: true,
         };
-        let shared = Self::make_shared(
-            db,
-            mappings,
-            config,
-            Some(durable),
-            slots,
-            all_ids,
-            meta.next_token,
-            meta.metrics.clone(),
-        );
-        let replayed = shared.replay(tail.into_iter().skip(skip));
-        shared
-            .durable
-            .as_ref()
-            .expect("recovered engine is durable")
-            .replaying
-            .store(false, Ordering::SeqCst);
-        replayed?;
+        let mut core = Core::new(db, &config, Some(durable));
+        core.all_ids = slots.iter().map(|slot| slot.exec.id()).collect();
+        core.slots = slots;
+        core.base = meta.slot_base as usize;
+        core.next_token = meta.next_token;
+        core.metrics = meta.metrics;
+        let shared = Self::make_shared(mappings, config, core);
+        shared.replay(tail.into_iter().skip(skip))?;
+        lock(&shared.core).durable.as_mut().expect("recovered engine is durable").replaying = false;
         Ok(ExchangeEngine { shared })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn make_shared(
-        db: Database,
-        mappings: MappingSet,
-        config: EngineConfig,
-        durable: Option<DurableEngineState>,
-        slots: SlotTable,
-        all_ids: Vec<UpdateId>,
-        next_token: u64,
-        metrics: RunMetrics,
-    ) -> Arc<EngineShared> {
+    fn make_shared(mappings: MappingSet, config: EngineConfig, core: Core) -> Arc<EngineShared> {
         Arc::new(EngineShared {
-            mappings,
-            db: RwLock::new(db),
-            slots: RwLock::new(slots),
-            metrics: Mutex::new(metrics),
-            sequencer: Mutex::new(Sequencer {
-                next: 0,
-                live: BTreeSet::new(),
-                all_ids,
-                read_log: ReadLog::default(),
-                write_log: WriteLog::default(),
-                tracker: config.scheduler.tracker.build(),
-            }),
+            mappings: Arc::new(mappings),
+            core: Mutex::new(core),
             entering: AtomicUsize::new(0),
-            pending: Mutex::new(BTreeMap::new()),
-            admission: Mutex::new(BTreeMap::new()),
-            unanswered: AtomicUsize::new(0),
-            next_token: AtomicU64::new(next_token),
-            active: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
-            error: Mutex::new(None),
             signal: Signal::new(),
-            durable,
             replication: config
                 .replica
                 .map(|node| Mutex::new(crate::replicate::ReplicationState::new(node))),
@@ -1185,39 +1070,47 @@ impl ExchangeEngine {
             return Ok(Vec::new());
         }
         let shared = &self.shared;
+        // Admission happens between two sequencer actions: the batch becomes
+        // live at one point of the schedule, and on a durable engine the WAL
+        // record's action stamp names that point for replay. The stop flag is
+        // read under the lock: an engine that fail-stopped while this caller
+        // waited to enter admits nothing.
+        let mut core = shared.enter();
         if shared.stop.load(Ordering::SeqCst) {
             return Err(SubmitError::ShutDown);
         }
         if shared.replication.is_some() {
             return Err(SubmitError::Replicated);
         }
-        // Admission happens between two sequencer actions: the batch becomes
-        // live at one point of the schedule, and on a durable engine the WAL
-        // record's action stamp names that point for replay.
-        let mut seq = shared.enter();
-        let mut slots = shared.slots.write().unwrap_or_else(|e| e.into_inner());
-        shared.check_admission(&slots, client, ops.len())?;
-        let base = slots.total();
+        shared.check_admission(&mut core, client, ops.len())?;
+        let base = core.total();
         // Logged before any effect is visible: a submission the caller saw
         // admitted is in the log, and one that failed to log was never
         // admitted.
         let first = shared.config.first_update_number + base as u64;
-        if let Err(e) = shared.log_record(|stamp| encode_submit(first, stamp, &ops)) {
+        if let Err(e) =
+            EngineShared::log_record(&mut core, |stamp| encode_submit(first, stamp, &ops))
+        {
             // Nothing was admitted, but the log is now in an unknown state
             // (under group commit, earlier acknowledged records of this
             // window were never synced): fail-stop, as `answer` does.
-            shared.fail(ChaseError::InvalidDecision(format!("durability failure: {e}")));
+            shared.fail(&mut core, ChaseError::InvalidDecision(format!("durability failure: {e}")));
             return Err(SubmitError::Durability(e.to_string()));
         }
         let count = ops.len();
-        let handles: Vec<UpdateHandle> = shared
-            .admit(&mut seq, &mut slots, ops)
+        let ids = shared.admit(&mut core, ops);
+        EngineShared::record_admission(&mut core, client, base..base + count);
+        let first_new = core.slots.len() - count;
+        let handles = ids
             .into_iter()
-            .map(|(id, cell)| UpdateHandle { id, cell, shared: Arc::downgrade(shared) })
+            .zip(core.slots.range_mut(first_new..))
+            .map(|(id, slot)| UpdateHandle {
+                id,
+                detached: Arc::clone(slot.detached.insert(Arc::default())),
+                shared: Arc::downgrade(shared),
+            })
             .collect();
-        shared.record_admission(client, base..base + count);
-        drop(slots);
-        drop(seq);
+        drop(core);
         shared.signal.bump();
         Ok(handles)
     }
@@ -1231,7 +1124,10 @@ impl ExchangeEngine {
     /// [`EscalationPolicy::ReAsk`] raises a request's priority in a
     /// pull-based world.
     pub fn pending_frontiers(&self) -> Vec<PendingFrontier> {
-        let mut out: Vec<PendingFrontier> = lock(&self.shared.pending)
+        let mut out: Vec<PendingFrontier> = self
+            .shared
+            .enter()
+            .pending
             .iter()
             .map(|(token, entry)| PendingFrontier {
                 token: FrontierToken(*token),
@@ -1270,33 +1166,33 @@ impl ExchangeEngine {
         origin: ResolutionOrigin,
     ) -> Result<AnswerOutcome, ChaseError> {
         let shared = &self.shared;
-        // Fail-stop: a failed engine (a WAL append or sync error above all)
-        // takes no further answers — its log no longer matches its history.
-        if let Some(e) = self.error() {
-            return Err(e);
-        }
         // A replica records the decision as a replicated event (so peers
         // replay it instead of re-asking) and continues the canonical fold.
         if shared.replication.is_some() {
             return crate::replicate::answer_replicated(self, token, decision, origin);
         }
-        // The sequencer is held across remove → append → apply: the decision
-        // lands between two actions, and on a durable engine the log order is
-        // the order decisions' effects landed, the stamp pinning the
-        // interleaving point.
-        let mut seq = shared.enter();
-        let entry = lock(&shared.pending).remove(&token.0);
-        let Some(entry) = entry else { return Ok(AnswerOutcome::Stale) };
-        if let Err(e) = shared.log_record(|stamp| encode_answer(token.0, stamp, &decision, origin))
-        {
+        // The core is held across check → remove → append → apply: the
+        // decision lands between two actions, and on a durable engine the
+        // log order is the order decisions' effects landed, the stamp pinning
+        // the interleaving point.
+        let mut core = shared.enter();
+        // Fail-stop: a failed engine (a WAL append or sync error above all)
+        // takes no further answers — its log no longer matches its history.
+        if let Some(e) = &core.error {
+            return Err(e.clone());
+        }
+        let Some(entry) = core.pending.remove(&token.0) else { return Ok(AnswerOutcome::Stale) };
+        if let Err(e) = EngineShared::log_record(&mut core, |stamp| {
+            encode_answer(token.0, stamp, &decision, origin)
+        }) {
             // Restore the entry so the request is not silently lost, then
             // fail the engine: its log no longer matches its history.
-            lock(&shared.pending).insert(token.0, entry);
+            core.pending.insert(token.0, entry);
             let err = ChaseError::InvalidDecision(format!("durability failure: {e}"));
-            shared.fail(err.clone());
+            shared.fail(&mut core, err.clone());
             return Err(err);
         }
-        shared.apply_answer(&mut seq, token, entry, decision, origin)
+        shared.apply_answer(&mut core, token, entry, decision, origin)
     }
 
     /// One pass of the frontier lifecycle sweeper: every pending request ages
@@ -1309,26 +1205,19 @@ impl ExchangeEngine {
     ///
     /// The sweep schedule is caller-owned, like answering itself: a
     /// [`ResolverPump`] sweeps once per drain pass, and open-loop harnesses
-    /// sweep once per virtual tick. Sweeping is suppressed during recovery
-    /// replay (escalations come from the log there) and is a no-op under
+    /// sweep once per virtual tick. Recovery replay never sweeps
+    /// (escalations come from the log there), and sweeping is a no-op under
     /// [`EscalationPolicy::Wait`] beyond the aging.
     pub fn sweep(&self) -> SweepReport {
         let shared = &self.shared;
         let mut report = SweepReport::default();
-        if let Some(d) = &shared.durable {
-            if d.replaying.load(Ordering::SeqCst) {
-                return report;
-            }
-        }
         let policy = shared.config.escalation;
-        // Age every entry and collect the expired ones. The pending lock is
-        // dropped before any escalation is applied (apply_answer locks slot
-        // then pending — the documented order).
-        let mut re_ask: Vec<u64> = Vec::new();
+        // Age every entry and collect the expired ones; the auto-resolutions
+        // enter again, one answer at a time.
         let mut auto: Vec<(u64, FrontierDecision)> = Vec::new();
         {
-            let mut pending = lock(&shared.pending);
-            for (token, entry) in pending.iter_mut() {
+            let mut core = shared.enter();
+            for (token, entry) in core.pending.iter_mut() {
                 entry.age += 1;
                 report.aged += 1;
                 match policy {
@@ -1337,7 +1226,7 @@ impl ExchangeEngine {
                         if entry.age >= after.max(1) {
                             entry.age = 0;
                             entry.escalations += 1;
-                            re_ask.push(*token);
+                            report.re_asked.push(FrontierToken(*token));
                         }
                     }
                     EscalationPolicy::AutoResolve { after, decision } => {
@@ -1353,10 +1242,9 @@ impl ExchangeEngine {
                     }
                 }
             }
+            core.metrics.re_asks += report.re_asked.len();
         }
-        if !re_ask.is_empty() {
-            lock(&shared.metrics).re_asks += re_ask.len();
-            report.re_asked = re_ask.into_iter().map(FrontierToken).collect();
+        if !report.re_asked.is_empty() {
             // Re-publication is a notification event: waiters and pumps see
             // the escalated entries at the head of pending_frontiers().
             shared.signal.bump();
@@ -1386,20 +1274,20 @@ impl ExchangeEngine {
     /// [`answer`](Self::answer)) and [`sweep`](Self::sweep) on one thread.
     /// A fatal engine error is reported.
     pub fn drive(&self) -> Result<(), ChaseError> {
-        self.shared.drive_until(|| false)?;
+        self.shared.drive_until(|_| false)?;
         match self.error() {
             Some(e) => Err(e),
             None => Ok(()),
         }
     }
 
-    /// Runs a closure over the last-committed database state (a read-lock
-    /// snapshot session). Do not hold long-running work inside the closure —
-    /// writers (chase steps) queue behind it — and do not `submit` or `answer`
-    /// from inside it: those wait for the running action, which may be
-    /// waiting to write.
+    /// Runs a closure over the last-committed database state, between two
+    /// sequencer actions: it waits for the action in flight, and no action
+    /// runs until it returns, so keep it short. The closure must not call
+    /// any method of this engine or of its handles — each of them waits for
+    /// the lock the closure is holding, and deadlocks.
     pub fn read<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
-        f(&self.shared.db.read().unwrap_or_else(|e| e.into_inner()))
+        f(&self.shared.enter().db)
     }
 
     /// The mapping set the engine chases against (fixed at construction).
@@ -1411,7 +1299,7 @@ impl ExchangeEngine {
     /// `wall_time` is not tracked by the engine — it belongs to whoever owns
     /// the session).
     pub fn metrics(&self) -> RunMetrics {
-        lock(&self.shared.metrics).clone()
+        self.shared.enter().metrics.clone()
     }
 
     /// Per-update execution statistics of every **retained** update, in
@@ -1421,15 +1309,8 @@ impl ExchangeEngine {
     /// [`update_stats_of`](Self::update_stats_of) to distinguish evicted from
     /// unknown ids.
     pub fn update_stats(&self) -> Vec<(UpdateId, UpdateStats)> {
-        let slots = self.shared.slots.read().unwrap_or_else(|e| e.into_inner());
-        slots
-            .cells
-            .iter()
-            .map(|cell| {
-                let slot = lock(cell);
-                (slot.exec.id(), slot.exec.stats())
-            })
-            .collect()
+        let core = self.shared.enter();
+        core.slots.iter().map(|slot| (slot.exec.id(), slot.exec.stats())).collect()
     }
 
     /// The execution statistics of one update (index lookup — prefer this
@@ -1437,19 +1318,17 @@ impl ExchangeEngine {
     /// with [`LookupError::SlotEvicted`] once compaction has dropped the
     /// record, [`LookupError::UnknownUpdate`] for an id never admitted.
     pub fn update_stats_of(&self, update: UpdateId) -> Result<UpdateStats, LookupError> {
-        let cell = self.shared.lookup(update)?;
-        let slot = lock(&cell);
-        Ok(slot.exec.stats())
+        Ok(self.shared.lookup(&self.shared.enter(), update)?.exec.stats())
     }
 
     /// The completion report of one update: `Ok(Some(..))` once it has
     /// terminated, `Ok(None)` while it is still in flight (or failed), and a
     /// [`LookupError`] when the id is unknown or its record was evicted. An
-    /// [`UpdateHandle`] pins its own record and keeps answering after
-    /// eviction; this keyed lookup is for callers holding only the id.
+    /// [`UpdateHandle`] keeps answering after eviction; this keyed lookup is
+    /// for callers holding only the id.
     pub fn update_report_of(&self, update: UpdateId) -> Result<Option<UpdateReport>, LookupError> {
-        let cell = self.shared.lookup(update)?;
-        let slot = lock(&cell);
+        let core = self.shared.enter();
+        let slot = self.shared.lookup(&core, update)?;
         Ok(slot.exec.is_terminated().then(|| UpdateReport::for_execution(&slot.exec)))
     }
 
@@ -1463,20 +1342,19 @@ impl ExchangeEngine {
 
     /// The priority number the next submission will receive.
     pub fn next_update_id(&self) -> UpdateId {
-        let slots = self.shared.slots.read().unwrap_or_else(|e| e.into_inner());
-        UpdateId(self.shared.config.first_update_number + slots.total() as u64)
+        UpdateId(self.shared.config.first_update_number + self.shared.enter().total() as u64)
     }
 
     /// Number of update records currently retained in the slot table (grows
     /// with submissions, shrinks when compaction evicts terminal records past
     /// the retention horizon).
     pub fn retained_slots(&self) -> usize {
-        self.shared.slots.read().unwrap_or_else(|e| e.into_inner()).cells.len()
+        self.shared.enter().slots.len()
     }
 
     /// Number of in-flight (non-terminated, non-failed) updates.
     pub fn active_updates(&self) -> usize {
-        self.shared.active.load(Ordering::SeqCst)
+        self.shared.enter().active
     }
 
     /// Whether nothing is running, queued or awaiting an answer. Quiescence
@@ -1484,14 +1362,14 @@ impl ExchangeEngine {
     /// submission can create activity (an update leaves the active count only
     /// after everything its last action revived has entered it).
     pub fn is_quiescent(&self) -> bool {
-        self.shared.active.load(Ordering::SeqCst) == 0 && lock(&self.shared.pending).is_empty()
+        self.shared.enter().is_quiescent()
     }
 
     /// The fatal error that stopped the engine, if any (the global
     /// [`EngineBuilder::max_total_steps`](crate::EngineBuilder::max_total_steps)
     /// valve, or a poisoned decision).
     pub fn error(&self) -> Option<ChaseError> {
-        lock(&self.shared.error).clone()
+        self.shared.enter().error.clone()
     }
 
     /// Drives the engine until it is quiescent, returning the fatal error if
@@ -1526,50 +1404,26 @@ impl ExchangeEngine {
     /// [`is_quiescent`](Self::is_quiescent) first if that matters).
     pub fn shutdown(self) -> (Database, MappingSet, RunMetrics) {
         self.halt();
+        // Taken out between two actions: a handle's `wait()` still driving
+        // on another thread returns at its next lock, on the stop flag.
+        let mut core = self.shared.enter();
         // A clean shutdown is a durability point: close any open group-commit
         // window so the log on disk covers everything that was logged.
-        if let Some(d) = &self.shared.durable {
-            let _ = lock(&d.wal).flush();
+        if let Some(d) = &mut core.durable {
+            let _ = d.wal.flush();
         }
-        let mut shared = Arc::clone(&self.shared);
+        let db = std::mem::take(&mut core.db);
+        let metrics = std::mem::take(&mut core.metrics);
+        drop(core);
+        let mut mappings = Arc::clone(&self.shared.mappings);
         drop(self);
-        // A cloned `UpdateHandle` may be mid-`wait()` on another thread —
-        // driving the sequencer or asleep on the signal — holding a transient
-        // upgrade of its weak reference. The stop flag (set by `halt`) makes
-        // every such call return on its next check; keep nudging the signal
-        // until the last transient strong reference drops. An `Arc` drop
-        // cannot notify a condvar, so this is necessarily a poll — but with
-        // bounded exponential backoff (capped at ~1 ms) instead of a hot
-        // yield loop that would burn a core for as long as a handle-holder
-        // stays descheduled.
-        let mut spins = 0u32;
-        let shared = loop {
-            match Arc::try_unwrap(shared) {
-                Ok(inner) => break inner,
-                Err(still_shared) => {
-                    still_shared.signal.bump();
-                    if spins < 10 {
-                        std::thread::yield_now();
-                    } else {
-                        let exp = (spins - 10).min(10);
-                        std::thread::sleep(std::time::Duration::from_micros(1 << exp));
-                    }
-                    spins += 1;
-                    shared = still_shared;
-                }
-            }
+        let mappings = match Arc::get_mut(&mut mappings) {
+            Some(only) => std::mem::take(only),
+            // That waiter still holds the engine: copy the set rather than
+            // wait for it to let go.
+            None => MappingSet::clone(&mappings),
         };
-        let db = shared.db.into_inner().unwrap_or_else(|e| e.into_inner());
-        let metrics = shared.metrics.into_inner().unwrap_or_else(|e| e.into_inner());
-        (db, shared.mappings, metrics)
-    }
-
-    pub(crate) fn db_read(&self) -> std::sync::RwLockReadGuard<'_, Database> {
-        self.shared.db.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub(crate) fn db_write(&self) -> std::sync::RwLockWriteGuard<'_, Database> {
-        self.shared.db.write().unwrap_or_else(|e| e.into_inner())
+        (db, mappings, metrics)
     }
 }
 
@@ -1583,7 +1437,7 @@ impl std::fmt::Debug for ExchangeEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExchangeEngine")
             .field("active", &self.active_updates())
-            .field("pending_frontiers", &lock(&self.shared.pending).len())
+            .field("pending_frontiers", &self.shared.enter().pending.len())
             .finish_non_exhaustive()
     }
 }
@@ -1591,20 +1445,21 @@ impl std::fmt::Debug for ExchangeEngine {
 /// A ticket for one submitted update. Clonable; outlives the engine safely
 /// (methods needing the engine report shutdown instead of blocking forever).
 ///
-/// The handle pins its own slot record: with a finite
+/// With a finite
 /// [`EngineBuilder::retention_horizon`](crate::EngineBuilder::retention_horizon),
 /// the engine's keyed lookups ([`ExchangeEngine::update_stats_of`],
 /// [`ExchangeEngine::update_report_of`]) report
 /// [`LookupError::SlotEvicted`] once compaction drops a terminated record,
 /// but a live handle keeps answering [`status`](Self::status) /
-/// [`stats`](Self::stats) / [`report`](Self::report) from the pinned cell —
-/// retention bounds the *engine's* memory, not a handle the caller chose to
-/// keep.
+/// [`stats`](Self::stats) / [`report`](Self::report) — compaction, and the
+/// engine's end, leave the record's last view with the handles still
+/// holding it. Retention bounds the *engine's* memory, not a handle the
+/// caller chose to keep.
 #[derive(Clone)]
 pub struct UpdateHandle {
     id: UpdateId,
-    cell: Arc<SlotCell>,
     shared: Weak<EngineShared>,
+    detached: Arc<OnceLock<SlotView>>,
 }
 
 impl UpdateHandle {
@@ -1618,33 +1473,25 @@ impl UpdateHandle {
     /// policy, a still-running lower-numbered update can conflict with and
     /// revive it.
     pub fn status(&self) -> UpdateStatus {
-        let slot = lock(&self.cell);
-        if slot.failed.is_some() {
-            return UpdateStatus::Failed;
-        }
-        match slot.exec.state() {
-            UpdateState::Ready => UpdateStatus::Running,
-            UpdateState::AwaitingFrontier => UpdateStatus::AwaitingFrontier,
-            UpdateState::Terminated => UpdateStatus::Terminated,
-        }
+        self.view().status
     }
 
     /// Execution counters so far.
     pub fn stats(&self) -> UpdateStats {
-        lock(&self.cell).exec.stats()
+        self.view().report.stats
     }
 
     /// The completion report, once the update has terminated — assembled
     /// through the same [`UpdateReport::for_execution`] path every runner
     /// uses.
     pub fn report(&self) -> Option<UpdateReport> {
-        let slot = lock(&self.cell);
-        slot.exec.is_terminated().then(|| UpdateReport::for_execution(&slot.exec))
+        let view = self.view();
+        (view.status == UpdateStatus::Terminated).then_some(view.report)
     }
 
     /// The update's terminal failure, if it exceeded its step budget.
     pub fn error(&self) -> Option<ChaseError> {
-        lock(&self.cell).failed.clone()
+        self.view().failed
     }
 
     /// Drives the engine until the update terminates (returning its report)
@@ -1662,36 +1509,53 @@ impl UpdateHandle {
         };
         loop {
             let Some(shared) = self.shared.upgrade() else {
-                return self.outcome().unwrap_or_else(|| Err(shut_down()));
+                return self.view().outcome().unwrap_or_else(|| Err(shut_down()));
             };
             // Generation first, then the checks and the drive: an event that
             // would end the wait (the update retiring on another driver, an
             // answer, a shutdown) moves the generation past this capture or
             // is visible below. No lost wake-ups.
             let gen = shared.signal.current();
-            if let Some(outcome) = self.outcome() {
-                return outcome;
-            }
-            if let Some(e) = lock(&shared.error).clone() {
-                return Err(e);
-            }
-            if shared.stop.load(Ordering::SeqCst) {
-                return Err(shut_down());
+            {
+                let core = shared.enter();
+                if let Some(outcome) = self.view_in(&shared, &core).outcome() {
+                    return outcome;
+                }
+                if let Some(e) = &core.error {
+                    return Err(e.clone());
+                }
+                if shared.stop.load(Ordering::SeqCst) {
+                    return Err(shut_down());
+                }
             }
             // Between actions, not only once the engine goes idle: with
             // other updates streaming in it may never do so.
-            shared.drive_until(|| self.outcome().is_some())?;
+            shared.drive_until(|core| self.view_in(&shared, core).outcome().is_some())?;
             shared.signal.wait_past(gen);
         }
     }
 
-    /// The update's final outcome, once it has one.
-    fn outcome(&self) -> Option<Result<UpdateReport, ChaseError>> {
-        let slot = lock(&self.cell);
-        if let Some(e) = &slot.failed {
-            return Some(Err(e.clone()));
+    /// The update as it stands now, read between two actions.
+    fn view(&self) -> SlotView {
+        match self.shared.upgrade() {
+            Some(shared) => self.view_in(&shared, &shared.enter()),
+            // The engine is gone or going: its core hands every held slot's
+            // view over as it drops, which may still be under way.
+            None => loop {
+                if let Some(view) = self.detached.get() {
+                    break view.clone();
+                }
+                std::thread::yield_now();
+            },
         }
-        slot.exec.is_terminated().then(|| Ok(UpdateReport::for_execution(&slot.exec)))
+    }
+
+    /// The update as `core` holds it, or as it was when it left the core.
+    fn view_in(&self, shared: &EngineShared, core: &Core) -> SlotView {
+        match shared.index_of(self.id).and_then(|idx| core.slot(idx)) {
+            Some(slot) => slot.view(),
+            None => self.detached.get().expect("an evicted slot leaves its view").clone(),
+        }
     }
 }
 
@@ -1833,16 +1697,16 @@ mod tests {
                 .unwrap();
             engine.submit_batch(ops).unwrap();
             let shared = &engine.shared;
-            let counted = &shared.durable.as_ref().expect("built durable").actions;
-            let mut cur = lock(&shared.sequencer);
-            let act_until_parked = |cur: &mut Sequencer| {
-                let before = counted.load(Ordering::SeqCst);
+            let counted = |core: &Core| core.durable.as_ref().expect("built durable").actions;
+            let mut cur = lock(&shared.core);
+            let act_until_parked = |cur: &mut Core| {
+                let before = counted(cur);
                 for actions in 0.. {
                     assert!(actions < 1_000, "the sequencer never asks to sleep");
                     match shared.det_action(cur).unwrap() {
                         DetProgress::Acted => {}
                         DetProgress::AwaitingAnswer => {
-                            let stamped = counted.load(Ordering::SeqCst) - before;
+                            let stamped = counted(cur) - before;
                             assert_eq!(stamped, actions, "one stamp per action, none at the gate");
                             return actions;
                         }
@@ -1853,36 +1717,41 @@ mod tests {
             };
             assert!(act_until_parked(&mut cur) >= 3, "each update stepped to its frontier first");
             assert_eq!(cur.live.len(), 3);
-            assert_eq!(shared.unanswered.load(Ordering::SeqCst), 3, "every question is out");
-            let steps = engine.metrics().steps;
+            assert_eq!(cur.unanswered, 3, "every question is out");
+            let steps = cur.metrics.steps;
             assert_eq!(act_until_parked(&mut cur), 0, "still nothing to do");
 
             // One answer: two of three are still blocked, so the gate is open
             // and the answered update runs on to termination.
-            let asked = engine.pending_frontiers().pop().unwrap();
-            let decision = engine.read(|db| {
-                RandomResolver::seeded(1).resolve(&db.snapshot(asked.update), &asked.request)
-            });
+            let (&token, asked) = cur.pending.iter().next_back().unwrap();
+            let asked = (FrontierToken(token), asked.update, asked.request.clone());
+            let decision = RandomResolver::seeded(1).resolve(&cur.db.snapshot(asked.1), &asked.2);
             let outcome = std::thread::scope(|s| {
-                let answering = s.spawn(|| engine.answer(asked.token, decision));
-                let deadline = std::time::Instant::now() + Duration::from_secs(60);
-                while shared.entering.load(Ordering::SeqCst) == 0 {
-                    assert!(std::time::Instant::now() < deadline, "answer never reached enter()");
-                    std::thread::yield_now();
-                }
+                let answering = s.spawn(|| engine.answer(asked.0, decision));
+                await_entering(shared, 1);
                 assert!(!answering.is_finished(), "answered inside a sequencer action");
-                assert_eq!(engine.pending_frontiers().len(), 3, "the entry is still listed");
-                assert_eq!(shared.unanswered.load(Ordering::SeqCst), 3);
+                assert_eq!(cur.pending.len(), 3, "the entry is still listed");
+                assert_eq!(cur.unanswered, 3);
                 drop(cur);
                 answering.join().expect("answering thread")
             });
             assert_eq!(outcome.unwrap(), AnswerOutcome::Applied);
-            let mut cur = lock(&shared.sequencer);
+            let mut cur = lock(&shared.core);
             assert!(act_until_parked(&mut cur) > 0, "the answered update acts");
-            assert!(engine.metrics().steps > steps);
-            assert_eq!(engine.active_updates(), 2);
+            assert!(cur.metrics.steps > steps);
+            assert_eq!(cur.active, 2);
             assert_eq!(cur.live.len(), 2, "parked again behind the two open questions");
+            drop(cur);
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Spins until `n` callers wait in `enter` for the lock the test holds.
+    fn await_entering(shared: &EngineShared, n: usize) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while shared.entering.load(Ordering::SeqCst) < n {
+            assert!(std::time::Instant::now() < deadline, "callers never reached enter()");
+            std::thread::yield_now();
         }
     }
 
@@ -1897,8 +1766,8 @@ mod tests {
         let (db, mappings, mut ops) = frontier_fixture(2);
         let engine =
             EngineBuilder::new().durable(DurabilityConfig::new(&dir)).build(db, mappings).unwrap();
-        let durable = engine.shared.durable.as_ref().expect("built durable");
-        *lock(&durable.wal) = WalWriter::create(std::path::Path::new("/dev/full")).unwrap();
+        engine.shared.enter().durable.as_mut().expect("built durable").wal =
+            WalWriter::create(std::path::Path::new("/dev/full")).unwrap();
 
         let err = engine.submit(ops.pop().unwrap()).unwrap_err();
         assert!(matches!(err, SubmitError::Durability(_)), "typed error, got {err:?}");
@@ -1906,6 +1775,46 @@ mod tests {
         assert_eq!(engine.active_updates(), 0, "nothing was admitted");
         assert!(matches!(engine.submit(ops.pop().unwrap()), Err(SubmitError::ShutDown)));
         assert!(engine.drive().is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Fail-stop is decided under the lock: an `answer` and a `submit` that
+    /// wait in `enter` while the engine fails must see the failure once they
+    /// hold the core — the answer returns the engine error, the submission
+    /// is refused, nothing is admitted and, on a durable engine, nothing
+    /// reaches the log.
+    #[test]
+    fn callers_waiting_to_enter_see_a_fail_stop() {
+        let dir = std::env::temp_dir().join(format!("yt-engine-failstop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable = EngineBuilder::new().durable(DurabilityConfig::new(&dir));
+        for builder in [EngineBuilder::new(), durable] {
+            let (db, mappings, mut ops) = frontier_fixture(2);
+            let engine = builder.build(db, mappings).unwrap();
+            engine.submit(ops.pop().unwrap()).unwrap();
+            engine.drive().unwrap();
+            let asked = engine.pending_frontiers().pop().expect("the update asks");
+            let decision = engine.read(|db| {
+                RandomResolver::seeded(1).resolve(&db.snapshot(asked.update), &asked.request)
+            });
+            let records = |core: &Core| core.durable.as_ref().map(|d| d.records);
+            let mut cur = engine.shared.enter();
+            let (active, logged) = (cur.active, records(&cur));
+            let (answered, submitted) = std::thread::scope(|s| {
+                let answering = s.spawn(|| engine.answer(asked.token, decision));
+                let submitting = s.spawn(|| engine.submit(ops.pop().unwrap()).map(|h| h.id()));
+                await_entering(&engine.shared, 2);
+                engine.shared.fail(&mut cur, ChaseError::InvalidDecision("injected".into()));
+                drop(cur);
+                (answering.join().unwrap(), submitting.join().unwrap())
+            });
+            let failure = Err(ChaseError::InvalidDecision("injected".into()));
+            assert_eq!(answered, failure, "the answer sees the engine error");
+            assert_eq!(submitted, Err(SubmitError::ShutDown));
+            let cur = engine.shared.enter();
+            assert_eq!(cur.active, active, "nothing was admitted");
+            assert_eq!(records(&cur), logged, "nothing was logged after the failure");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

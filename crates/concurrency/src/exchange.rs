@@ -15,7 +15,7 @@
 //! duplicated metrics assembly.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::{RwLockReadGuard, RwLockWriteGuard};
+use std::sync::MutexGuard;
 
 use youtopia_core::{ChaseError, FrontierResolver, InitialOp, UpdateReport, UpdateStats};
 use youtopia_mappings::{satisfies_all, MappingSet};
@@ -23,36 +23,48 @@ use youtopia_storage::{Database, NullId, RelationId, TupleId, UpdateId, Value};
 
 use crate::builder::EngineBuilder;
 use crate::engine::{ExchangeEngine, ResolverPump, UpdateHandle, UpdateStatus};
+use crate::sequencer::Core;
 
-/// Read access to the exchange's database: a snapshot-session guard that
-/// dereferences to [`Database`]. A chase step (if one were mid-flight) queues
-/// behind it; drop it before submitting the next update.
-#[derive(Debug)]
-pub struct DbRef<'a>(RwLockReadGuard<'a, Database>);
+/// Read access to the exchange's database: a guard that dereferences to
+/// [`Database`]. It holds the engine's one lock, so every other engine call
+/// waits for it — drop it before the next call on the exchange or its
+/// engine (two guards alive in one expression deadlock too).
+pub struct DbRef<'a>(MutexGuard<'a, Core>);
 
 impl Deref for DbRef<'_> {
     type Target = Database;
     fn deref(&self) -> &Database {
-        &self.0
+        &self.0.db
+    }
+}
+
+impl std::fmt::Debug for DbRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.db.fmt(f)
     }
 }
 
 /// Mutable access to the exchange's database (e.g. to register relations or
-/// seed tuples outside of update exchange). Holds the engine's write lock —
-/// drop it before running updates.
-#[derive(Debug)]
-pub struct DbRefMut<'a>(RwLockWriteGuard<'a, Database>);
+/// seed tuples outside of update exchange). Holds the engine's one lock, like
+/// [`DbRef`] — drop it before running updates.
+pub struct DbRefMut<'a>(MutexGuard<'a, Core>);
 
 impl Deref for DbRefMut<'_> {
     type Target = Database;
     fn deref(&self) -> &Database {
-        &self.0
+        &self.0.db
     }
 }
 
 impl DerefMut for DbRefMut<'_> {
     fn deref_mut(&mut self) -> &mut Database {
-        &mut self.0
+        &mut self.0.db
+    }
+}
+
+impl std::fmt::Debug for DbRefMut<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.db.fmt(f)
     }
 }
 
@@ -93,15 +105,15 @@ impl UpdateExchange {
         &self.engine
     }
 
-    /// The database (a read-guard that dereferences to [`Database`]).
+    /// The database (a [`DbRef`] guard that dereferences to [`Database`]).
     pub fn db(&self) -> DbRef<'_> {
-        DbRef(self.engine.db_read())
+        DbRef(self.engine.shared.enter())
     }
 
     /// Mutable access to the database (e.g. to register relations or seed
     /// tuples outside of update exchange).
     pub fn db_mut(&mut self) -> DbRefMut<'_> {
-        DbRefMut(self.engine.db_write())
+        DbRefMut(self.engine.shared.enter())
     }
 
     /// The mapping set (fixed at construction, like every engine's).
@@ -331,8 +343,9 @@ mod tests {
         // Something on the LHS had to go.
         let a = ex.db().relation_id("A").unwrap();
         let t = ex.db().relation_id("T").unwrap();
-        let total = ex.db().visible_count(a, UpdateId::OMNISCIENT)
-            + ex.db().visible_count(t, UpdateId::OMNISCIENT);
+        let db = ex.db();
+        let total =
+            db.visible_count(a, UpdateId::OMNISCIENT) + db.visible_count(t, UpdateId::OMNISCIENT);
         assert!(total < 2);
     }
 

@@ -118,9 +118,8 @@ struct AnswerRecord {
     origin: ResolutionOrigin,
 }
 
-/// The replication bookkeeping hanging off `EngineShared` (one mutex,
-/// outermost in the lock order: replication → sequencer → slots → slot →
-/// pending).
+/// The replication bookkeeping hanging off `EngineShared`, behind a mutex of
+/// its own, taken before the core's.
 pub(crate) struct ReplicationState {
     node: NodeId,
     /// Lamport clock: max of every lamport seen, floor for own events.
@@ -225,15 +224,20 @@ impl ReplicationState {
 
 /// Admits one replicated update through the internal submission path (no
 /// handle, no admission cap — fold admissions are never refused; backpressure
-/// belongs at the edge that accepted the original submit).
-fn admit_internal(shared: &EngineShared, op: youtopia_core::InitialOp) -> UpdateId {
-    let mut seq = shared.enter();
-    let mut slots = shared.slots.write().unwrap_or_else(|e| e.into_inner());
-    let id = shared.admit(&mut seq, &mut slots, vec![op])[0].0;
-    drop(slots);
-    drop(seq);
+/// belongs at the edge that accepted the original submit). A fail-stopped
+/// engine, checked on the core this call holds, admits nothing.
+fn admit_internal(
+    shared: &EngineShared,
+    op: youtopia_core::InitialOp,
+) -> Result<UpdateId, SyncError> {
+    let mut core = shared.enter();
+    if let Some(e) = &core.error {
+        return Err(SyncError::Engine(e.clone()));
+    }
+    let id = shared.admit(&mut core, vec![op])[0];
+    drop(core);
     shared.signal.bump();
-    id
+    Ok(id)
 }
 
 /// Applies a recorded answer to the (unique, serial-fold) pending frontier of
@@ -247,16 +251,12 @@ fn apply_recorded_answer(
     decision: FrontierDecision,
     origin: ResolutionOrigin,
 ) {
-    let mut seq = shared.enter();
-    let removed = {
-        let mut pending = lock(&shared.pending);
-        let token = pending.iter().find(|(_, e)| e.update == update).map(|(&t, _)| t);
-        token.and_then(|t| pending.remove(&t).map(|e| (t, e)))
-    };
-    let Some((token, entry)) = removed else { return };
+    let mut core = shared.enter();
+    let token = core.pending.iter().find(|(_, e)| e.update == update).map(|(&t, _)| t);
+    let Some((token, entry)) = token.and_then(|t| core.pending.remove_entry(&t)) else { return };
     // Applied advances the fold; Err re-listed the entry (consumed no-op);
     // Stale cannot happen (the slot was observed blocked under this entry).
-    let _ = shared.apply_answer(&mut seq, FrontierToken(token), entry, decision, origin);
+    let _ = shared.apply_answer(&mut core, FrontierToken(token), entry, decision, origin);
 }
 
 /// The state of the fold's current update after settling.
@@ -267,8 +267,8 @@ enum CurrentState {
 }
 
 fn current_state(shared: &EngineShared, update: UpdateId) -> CurrentState {
-    let Ok(cell) = shared.lookup(update) else { return CurrentState::Done };
-    let slot = lock(&cell);
+    let core = shared.enter();
+    let Ok(slot) = shared.lookup(&core, update) else { return CurrentState::Done };
     if slot.failed.is_some() || slot.exec.is_terminated() {
         return CurrentState::Done;
     }
@@ -320,7 +320,7 @@ fn pump(
         }
         match st.pending_submits.pop_first() {
             Some((stamp, op)) => {
-                let update = admit_internal(shared, op);
+                let update = admit_internal(shared, op)?;
                 st.admitted.insert(stamp, AdmittedUpdate { update, answers_applied: 0 });
                 st.by_update.insert(update, stamp);
                 st.last_admitted = Some(stamp);
@@ -343,23 +343,26 @@ pub(crate) fn answer_replicated(
     let shared = &engine.shared;
     let repl = shared.replication.as_ref().expect("caller checked");
     let mut st = lock(repl);
+    let mut core = shared.enter();
+    // Fail-stop, checked on the core this caller holds.
+    if let Some(e) = &core.error {
+        return Err(e.clone());
+    }
     if st.needs_rebuild {
         return Err(ChaseError::InvalidDecision(
             "replica is behind the canonical fold: rebuild before answering".into(),
         ));
     }
-    let mut seq = shared.enter();
-    let entry = lock(&shared.pending).remove(&token.0);
-    let Some(entry) = entry else { return Ok(AnswerOutcome::Stale) };
+    let Some(entry) = core.pending.remove(&token.0) else { return Ok(AnswerOutcome::Stale) };
     let Some(&target) = st.by_update.get(&entry.update) else {
         // Not a replicated update (cannot happen: plain submits are refused).
-        lock(&shared.pending).insert(token.0, entry);
+        core.pending.insert(token.0, entry);
         return Err(ChaseError::InvalidDecision("frontier belongs to no replicated update".into()));
     };
     let position = st.admitted.get(&target).expect("admitted").answers_applied;
-    let outcome = shared.apply_answer(&mut seq, token, entry, decision.clone(), origin)?;
+    let outcome = shared.apply_answer(&mut core, token, entry, decision.clone(), origin)?;
     // The fold below drives the sequencer itself.
-    drop(seq);
+    drop(core);
     match outcome {
         AnswerOutcome::Stale => Ok(AnswerOutcome::Stale),
         AnswerOutcome::Applied => {

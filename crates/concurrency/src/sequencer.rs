@@ -1,18 +1,22 @@
-//! The sequencer: the state behind the engine's one sequencer lock and the
-//! loop that drives it — the reference round-robin scheduler (Algorithms 3
-//! and 4) in open-world form. `engine.rs` is the service shell around it.
+//! The sequencer: the engine's [`Core`] — every piece of mutable engine state,
+//! behind the one lock — and the loop that drives it, the reference
+//! round-robin scheduler (Algorithms 3 and 4) in open-world form. `engine.rs`
+//! is the service shell around it.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use youtopia_core::{ChaseError, ReadQuery, StepOutcome, UpdateState};
 use youtopia_storage::{Database, TupleChange, UpdateId};
 
 use crate::conflict::direct_conflicts;
 use crate::deps::DependencyTracker;
-use crate::engine::{lock, EngineShared, Slot, SlotCell, SlotTable};
+use crate::durable::DurableEngineState;
+use crate::engine::{
+    lock, ClientAdmission, ClientId, EngineConfig, EngineShared, PendingEntry, Slot,
+};
 use crate::log::{ReadLog, WriteLog};
+use crate::metrics::RunMetrics;
 use crate::scheduler::SchedulingPolicy;
 
 /// The change a rollback performs when it undoes `change`: rolling back an
@@ -35,20 +39,110 @@ fn invert_change(change: &TupleChange) -> TupleChange {
     }
 }
 
-/// The sequencer's state (`det_*` names the loop that drives it), all of it
-/// behind the one sequencer lock: the next index of the round-robin cursor
-/// plus the set of live (non-terminated, non-failed) slot indices, so a
-/// long-lived engine does not re-scan thousands of terminated slots per round
-/// — iterating the live set in ascending order per round visits exactly the
-/// slots the reference loop would act on, in the same order — and the
-/// reference scheduler's logs, dependency tracker and retained update ids.
-pub(crate) struct Sequencer {
+/// The engine's state, all of it behind the one lock (`EngineShared::core`):
+/// whoever holds it runs an action (`drive_until`) or enters between two
+/// (`EngineShared::enter`), so every field is a plain value.
+///
+/// The round-robin cursor is `next` plus the set of live (non-terminated,
+/// non-failed) slot indices, so a long-lived engine does not re-scan
+/// thousands of terminated slots per round — iterating the live set in
+/// ascending order per round visits exactly the slots the reference loop
+/// would act on, in the same order.
+pub(crate) struct Core {
+    pub(crate) db: Database,
+    /// The retained update records: slot index `i` (= update number −
+    /// `first_update_number`) lives at `slots[i − base]`, where `base` counts
+    /// the slots compaction evicted. Eviction is front-only and restricted
+    /// to terminal slots, so every index below `base` names an update that
+    /// is terminal forever.
+    pub(crate) slots: VecDeque<Box<Slot>>,
+    pub(crate) base: usize,
     pub(crate) next: usize,
     pub(crate) live: BTreeSet<usize>,
     pub(crate) all_ids: Vec<UpdateId>,
     pub(crate) read_log: ReadLog,
     pub(crate) write_log: WriteLog,
     pub(crate) tracker: Box<dyn DependencyTracker>,
+    /// Outstanding frontier requests, keyed by token (= publish order).
+    pub(crate) pending: BTreeMap<u64, PendingEntry>,
+    /// Per-client fair-share admission state. Anonymous submissions (no
+    /// client) bypass it entirely and see only the global cap.
+    pub(crate) admission: BTreeMap<ClientId, ClientAdmission>,
+    pub(crate) metrics: RunMetrics,
+    /// The fatal error that stopped the engine; set once, never cleared.
+    pub(crate) error: Option<ChaseError>,
+    /// Non-terminated, non-failed updates (admission + quiescence).
+    pub(crate) active: usize,
+    /// Slots with a published-but-unanswered frontier: what the gate tests.
+    /// Drops once an answer has been *applied* (or the token invalidated by
+    /// an abort).
+    pub(crate) unanswered: usize,
+    pub(crate) next_token: u64,
+    /// WAL writer, counters and replay flag; `None` on a plain engine.
+    pub(crate) durable: Option<DurableEngineState>,
+}
+
+impl Core {
+    /// An empty core over `db`.
+    pub(crate) fn new(
+        db: Database,
+        config: &EngineConfig,
+        durable: Option<DurableEngineState>,
+    ) -> Core {
+        Core {
+            db,
+            slots: VecDeque::new(),
+            base: 0,
+            next: 0,
+            live: BTreeSet::new(),
+            all_ids: Vec::new(),
+            read_log: ReadLog::default(),
+            write_log: WriteLog::default(),
+            tracker: config.scheduler.tracker.build(),
+            pending: BTreeMap::new(),
+            admission: BTreeMap::new(),
+            metrics: RunMetrics::default(),
+            error: None,
+            active: 0,
+            unanswered: 0,
+            next_token: 0,
+            durable,
+        }
+    }
+
+    /// Number of slots ever admitted (retained + evicted).
+    pub(crate) fn total(&self) -> usize {
+        self.base + self.slots.len()
+    }
+
+    /// The slot at `idx`, or `None` when it was never admitted or compaction
+    /// evicted it — on abort paths, "terminal, nothing to do".
+    pub(crate) fn slot(&self, idx: usize) -> Option<&Slot> {
+        idx.checked_sub(self.base).and_then(|i| self.slots.get(i)).map(Box::as_ref)
+    }
+
+    pub(crate) fn slot_mut(&mut self, idx: usize) -> Option<&mut Slot> {
+        idx.checked_sub(self.base).and_then(|i| self.slots.get_mut(i)).map(Box::as_mut)
+    }
+
+    /// The retained slot at `idx`; callers reach it through the live set or
+    /// a pending entry, which name no evicted slot.
+    fn live_slot(&mut self, idx: usize) -> &mut Slot {
+        self.slot_mut(idx).expect("live slots are retained")
+    }
+
+    /// Whether nothing is running, queued or awaiting an answer.
+    pub(crate) fn is_quiescent(&self) -> bool {
+        self.active == 0 && self.pending.is_empty()
+    }
+}
+
+impl Drop for Core {
+    /// Handles outlive the engine: each one still held keeps the view of its
+    /// update as the engine leaves it.
+    fn drop(&mut self) {
+        self.slots.iter().for_each(|slot| slot.detach());
+    }
 }
 
 /// What one sequencer action accomplished.
@@ -73,9 +167,12 @@ struct WorkerGuard<'a> {
 impl Drop for WorkerGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.shared.fail(ChaseError::InvalidDecision(
-                "a caller panicked while driving the engine (panic in a chase step?)".into(),
-            ));
+            self.shared.fail(
+                &mut lock(&self.shared.core),
+                ChaseError::InvalidDecision(
+                    "a caller panicked while driving the engine (panic in a chase step?)".into(),
+                ),
+            );
         }
     }
 }
@@ -86,17 +183,10 @@ impl EngineShared {
     // ------------------------------------------------------------------
 
     /// Records the read queries a step (or frontier resolution) performed:
-    /// dependencies first, then the retained read log. The caller holds the
-    /// database read lock — recording before that lock is released is what
-    /// guarantees any later-committing write sees these reads when it
-    /// validates.
-    pub(crate) fn record_reads_locked(
-        &self,
-        seq: &mut Sequencer,
-        db: &Database,
-        reader: UpdateId,
-        reads: Vec<ReadQuery>,
-    ) {
+    /// dependencies first, then the retained read log. Recording inside the
+    /// action that read is what guarantees any later write sees these reads
+    /// when it validates.
+    pub(crate) fn record_reads(&self, core: &mut Core, reader: UpdateId, reads: Vec<ReadQuery>) {
         if reads.is_empty() {
             return;
         }
@@ -109,80 +199,63 @@ impl EngineShared {
         // step) is pure overhead. Updates submitted later get numbered above
         // `reader` and record normally. This is what keeps the one-at-a-time
         // `UpdateExchange` façade at near single-threaded cost.
-        if self.active.load(Ordering::SeqCst) <= 1 {
+        if core.active <= 1 {
             return;
         }
-        let snap = db.snapshot(reader);
-        seq.tracker.record_reads(reader, &reads, &seq.write_log, &snap, &self.mappings);
-        seq.read_log.record(reader, reads, &self.mappings);
+        let snap = core.db.snapshot(reader);
+        core.tracker.record_reads(reader, &reads, &core.write_log, &snap, &self.mappings);
+        core.read_log.record(reader, reads, &self.mappings);
     }
 
-    /// Executes one chase step for the locked slot: write half under the
-    /// database write lock, read half (analysis, logging, read recording and
-    /// conflict collection) under a read lock. Returns the step outcome and
-    /// the consolidated abort set — the caller executes the aborts
-    /// synchronously, under the sequencer.
+    /// Executes one chase step for the slot at `idx`, then logs it and
+    /// collects the conflicts it caused. Returns the step outcome and the
+    /// consolidated abort set — the caller executes the aborts in the same
+    /// action.
     fn step_and_validate(
         &self,
-        seq: &mut Sequencer,
-        slot: &mut Slot,
+        core: &mut Core,
+        idx: usize,
     ) -> Result<(StepOutcome, BTreeSet<UpdateId>), ChaseError> {
+        let slot = &mut core.slots[idx - core.base];
         // Safety valve, checked per step so the error names the update that
         // was actually stepping when the limit tripped.
-        if lock(&self.metrics).steps >= self.config.scheduler.max_total_steps {
+        if core.metrics.steps >= self.config.scheduler.max_total_steps {
             return Err(ChaseError::StepLimitExceeded {
                 update: slot.exec.id(),
                 limit: self.config.scheduler.max_total_steps,
             });
         }
-        let applied = {
-            let mut db = self.db.write().unwrap_or_else(|e| e.into_inner());
-            slot.exec.begin_step(&mut db)?
-        };
-        let db = self.db.read().unwrap_or_else(|e| e.into_inner());
-        let outcome = slot.exec.finish_step(&db, &self.mappings, applied)?;
-        {
-            let mut metrics = lock(&self.metrics);
-            metrics.steps += 1;
-            metrics.changes += outcome.writes.iter().map(|w| w.changes.len()).sum::<usize>();
-        }
+        let outcome = slot.exec.step(&mut core.db, &self.mappings)?;
+        core.metrics.steps += 1;
+        core.metrics.changes += outcome.writes.iter().map(|w| w.changes.len()).sum::<usize>();
         let id = outcome.update;
 
         // Log writes (for dependency tracking) and reads (for conflicts).
-        seq.write_log.push_all(&outcome.writes);
-        seq.tracker.record_writes(id, &outcome.writes);
-        self.record_reads_locked(seq, &db, id, outcome.reads.clone());
+        core.write_log.push_all(&outcome.writes);
+        core.tracker.record_writes(id, &outcome.writes);
+        self.record_reads(core, id, outcome.reads.clone());
 
         // Algorithm 4: check every change against the stored reads of
         // higher-numbered updates; cascade through the tracker.
         let changes: Vec<TupleChange> =
             outcome.writes.iter().flat_map(|w| w.changes.iter().cloned()).collect();
-        let to_abort = self.collect_aborts_locked(seq, &db, id, &changes);
+        let to_abort = self.collect_aborts(core, id, &changes);
         Ok((outcome, to_abort))
     }
 
     /// Computes the consolidated abort set caused by a step's changes —
     /// direct conflicts plus the transitive read-dependents of each directly
     /// conflicting update — with the same candidate walk and request
-    /// accounting as the single-threaded scheduler. The caller holds the
-    /// database read lock.
-    fn collect_aborts_locked(
+    /// accounting as the single-threaded scheduler.
+    fn collect_aborts(
         &self,
-        seq: &Sequencer,
-        db: &Database,
+        core: &mut Core,
         writer: UpdateId,
         changes: &[TupleChange],
     ) -> BTreeSet<UpdateId> {
         let mut pending: BTreeSet<UpdateId> = BTreeSet::new();
-        let conflicts = direct_conflicts(db, &self.mappings, writer, changes, &seq.read_log);
-        if conflicts.is_empty() {
-            return pending;
-        }
-        // Request counters accumulate locally so the global metrics mutex is
-        // taken once, at the end — a caller's `metrics()` must not queue
-        // behind the cascade walk.
-        let direct_requests = conflicts.len();
-        let mut cascading_requests = 0usize;
+        let conflicts = direct_conflicts(&core.db, &self.mappings, writer, changes, &core.read_log);
+        core.metrics.direct_conflict_requests += conflicts.len();
         for reader in conflicts.into_iter().map(|c| c.reader) {
             pending.insert(reader);
             // Cascade: everyone who (transitively) read from the aborted
@@ -192,11 +265,11 @@ impl EngineShared {
             let mut visited: BTreeSet<UpdateId> = BTreeSet::new();
             visited.insert(reader);
             while let Some(a) = stack.pop() {
-                for dependent in seq.tracker.dependents_of(a, &seq.all_ids) {
+                for dependent in core.tracker.dependents_of(a, &core.all_ids) {
                     if dependent <= writer {
                         continue;
                     }
-                    cascading_requests += 1;
+                    core.metrics.cascading_abort_requests += 1;
                     pending.insert(dependent);
                     if visited.insert(dependent) {
                         stack.push(dependent);
@@ -204,9 +277,6 @@ impl EngineShared {
                 }
             }
         }
-        let mut metrics = lock(&self.metrics);
-        metrics.direct_conflict_requests += direct_requests;
-        metrics.cascading_abort_requests += cascading_requests;
         pending
     }
 
@@ -217,7 +287,7 @@ impl EngineShared {
     /// back into the abort worklist.
     fn validate_rollback(
         &self,
-        seq: &Sequencer,
+        core: &mut Core,
         victim: UpdateId,
         rolled_back: &[TupleChange],
     ) -> Vec<UpdateId> {
@@ -225,101 +295,90 @@ impl EngineShared {
         if rolled_back.is_empty() {
             return undone_readers;
         }
-        let db = self.db.read().unwrap_or_else(|e| e.into_inner());
-        for conflict in direct_conflicts(&db, &self.mappings, victim, rolled_back, &seq.read_log) {
+        for conflict in
+            direct_conflicts(&core.db, &self.mappings, victim, rolled_back, &core.read_log)
+        {
             if !undone_readers.contains(&conflict.reader) {
                 undone_readers.push(conflict.reader);
             }
         }
-        drop(db);
-        if !undone_readers.is_empty() {
-            // One metrics acquisition after the walk — query re-evaluation
-            // must not hold the global counter mutex.
-            lock(&self.metrics).direct_conflict_requests += undone_readers.len();
-        }
+        core.metrics.direct_conflict_requests += undone_readers.len();
         undone_readers
     }
 
-    /// Performs the consolidated abort of a slot whose lock the caller holds:
-    /// roll back its writes, invalidate its published frontier token, clear
-    /// its logs and dependency bookkeeping, reset it to redo its initial
-    /// operation. `revive` is true when the slot had already terminated — the
-    /// abort brings it back into the active count and the caller must put it
-    /// back into the live set.
-    fn execute_abort(
-        &self,
-        seq: &mut Sequencer,
-        slot: &mut Slot,
-        revive: bool,
-        validate: bool,
-    ) -> Vec<UpdateId> {
-        let victim = slot.exec.id();
-        // `validate` captures the victim's logged changes before they go
-        // away; their inverses are validated like writes. Conflict-decided
-        // aborts pass `false`: they happen inside the action whose
-        // validation decided them, exactly like the single-threaded
-        // reference, so no reader can slip in between and validating would
-        // only skew reference metrics. The dependents of a budget failure,
-        // which fires outside any validation, pass `true`.
-        let rolled_back: Vec<TupleChange> = if validate {
-            seq.write_log.changes_of(victim).map(invert_change).collect()
+    /// Rolls the slot at `idx` back: undoes its writes, withdraws its
+    /// published frontier token and drops its logged reads and writes.
+    /// Returns the update and, when `validate`, the inverses of its logged
+    /// changes — the rollback, to be validated like a write.
+    fn roll_back(core: &mut Core, idx: usize, validate: bool) -> (UpdateId, Vec<TupleChange>) {
+        let victim = core.live_slot(idx).exec.id();
+        let rolled_back = if validate {
+            core.write_log.changes_of(victim).map(invert_change).collect()
         } else {
             Vec::new()
         };
-        {
-            let mut db = self.db.write().unwrap_or_else(|e| e.into_inner());
-            db.rollback_update(victim);
+        core.db.rollback_update(victim);
+        if let Some(token) = core.live_slot(idx).published.take() {
+            core.pending.remove(&token.0);
+            core.unanswered -= 1;
         }
-        if let Some(token) = slot.published.take() {
-            lock(&self.pending).remove(&token.0);
-            self.unanswered.fetch_sub(1, Ordering::SeqCst);
-        }
+        core.read_log.clear(victim);
+        core.write_log.remove_update(victim);
+        (victim, rolled_back)
+    }
+
+    /// Performs the consolidated abort of the slot at `idx`: roll back its
+    /// writes, invalidate its published frontier token, clear its logs and
+    /// dependency bookkeeping, reset it to redo its initial operation.
+    /// `revive` is true when the slot had already terminated — the abort
+    /// brings it back into the active count and the caller must put it back
+    /// into the live set.
+    fn execute_abort(
+        &self,
+        core: &mut Core,
+        idx: usize,
+        revive: bool,
+        validate: bool,
+    ) -> Vec<UpdateId> {
+        // Conflict-decided aborts pass `validate = false`: they happen inside
+        // the action whose validation decided them, exactly like the
+        // single-threaded reference, so no reader can slip in between and
+        // validating would only skew reference metrics. The dependents of a
+        // budget failure, which fires outside any validation, pass `true`.
+        let (victim, rolled_back) = Self::roll_back(core, idx, validate);
+        let slot = core.live_slot(idx);
         slot.exec.reset_for_restart();
         // A revived victim sits out its next visit, which is the rest of this
         // round (victims are numbered above the writer): restarted at once it
         // re-reads what the victims aborted with it are rewriting and
         // cascades with them again. `ConcurrentRun` applies the same rule.
         slot.sit_out = usize::from(revive);
-        seq.read_log.clear(victim);
-        seq.write_log.remove_update(victim);
-        seq.tracker.note_abort(victim);
-        seq.tracker.clear_update(victim);
-        lock(&self.metrics).aborts += 1;
-        let undone_readers = self.validate_rollback(seq, victim, &rolled_back);
+        core.tracker.note_abort(victim);
+        core.tracker.clear_update(victim);
+        core.metrics.aborts += 1;
+        let undone_readers = self.validate_rollback(core, victim, &rolled_back);
         if revive {
-            self.active.fetch_add(1, Ordering::SeqCst);
+            core.active += 1;
         }
         self.signal.bump();
         undone_readers
     }
 
-    /// Fails the locked slot terminally (per-update step budget): its writes
-    /// are rolled back, its logs and bookkeeping cleared, and the error left
-    /// on the slot for its handle. Unlike an abort it does not restart. The
-    /// slot stays in the `active` count until the caller has aborted the
-    /// returned dependents.
-    fn fail_slot(&self, seq: &mut Sequencer, slot: &mut Slot, error: ChaseError) -> Vec<UpdateId> {
-        let victim = slot.exec.id();
+    /// Fails the slot at `idx` terminally (per-update step budget): its
+    /// writes are rolled back, its logs and bookkeeping cleared, and the
+    /// error left on the slot for its handle. Unlike an abort it does not
+    /// restart. The slot stays in the `active` count until the caller has
+    /// aborted the returned dependents.
+    fn fail_slot(&self, core: &mut Core, idx: usize, error: ChaseError) -> Vec<UpdateId> {
         // Unlike a conflict-decided abort, a budget failure fires at an
         // arbitrary point in the schedule — its rollback can retroactively
         // invalidate reads other updates already performed, so it is always
         // validated like a write and the caller must abort the returned
         // dependents.
-        let rolled_back: Vec<TupleChange> =
-            seq.write_log.changes_of(victim).map(invert_change).collect();
-        {
-            let mut db = self.db.write().unwrap_or_else(|e| e.into_inner());
-            db.rollback_update(victim);
-        }
-        if let Some(token) = slot.published.take() {
-            lock(&self.pending).remove(&token.0);
-            self.unanswered.fetch_sub(1, Ordering::SeqCst);
-        }
-        seq.read_log.clear(victim);
-        seq.write_log.remove_update(victim);
-        seq.tracker.clear_update(victim);
-        slot.failed = Some(error);
-        self.validate_rollback(seq, victim, &rolled_back)
+        let (victim, rolled_back) = Self::roll_back(core, idx, true);
+        core.tracker.clear_update(victim);
+        core.live_slot(idx).failed = Some(error);
+        self.validate_rollback(core, victim, &rolled_back)
     }
 
     /// Quiescence garbage collection: once nothing is active or awaiting an
@@ -331,16 +390,16 @@ impl EngineShared {
     /// reader walk alone would otherwise scan every past null-occurrence
     /// query on every change).
     ///
-    /// Runs at the end of the action that retired the last active update,
-    /// under the sequencer lock: the next submission enters after it and
-    /// finds freshly cleared logs its updates have not touched yet.
-    fn maybe_gc(&self, seq: &mut Sequencer) {
-        if self.active.load(Ordering::SeqCst) != 0 {
+    /// Runs at the end of the action that retired the last active update:
+    /// the next submission enters after it and finds freshly cleared logs
+    /// its updates have not touched yet.
+    fn maybe_gc(&self, core: &mut Core) {
+        if core.active != 0 {
             return;
         }
-        seq.read_log = ReadLog::default();
-        seq.write_log = WriteLog::default();
-        seq.tracker = self.config.scheduler.tracker.build();
+        core.read_log = ReadLog::default();
+        core.write_log = WriteLog::default();
+        core.tracker = self.config.scheduler.tracker.build();
         // The shared violation index's delta backlog is dead for the same
         // reason: only live executions hold cursors into it, and there are
         // none. Dropping it (rather than letting the cap drain it lazily)
@@ -348,63 +407,44 @@ impl EngineShared {
         // across idle periods; any later-admitted update starts at the
         // post-truncation sequence, and a stale cursor would surface as a gap
         // (all-dirty fallback), not a missed delta.
-        crate::viewmaint::clear(&mut self.db.write().unwrap_or_else(|e| e.into_inner()));
-        let mut slots = self.slots.write().unwrap_or_else(|e| e.into_inner());
-        self.compact_locked(seq, &mut slots);
+        crate::viewmaint::clear(&mut core.db);
+        self.compact(core);
         // Quiescence is a durability point: any group-commit window still
         // open is flushed so an idle engine never sits on unsynced records.
-        if let Some(d) = &self.durable {
-            if let Err(e) = lock(&d.wal).flush() {
-                self.fail(ChaseError::InvalidDecision(format!("wal flush failed: {e}")));
+        if let Some(d) = &mut core.durable {
+            if let Err(e) = d.wal.flush() {
+                self.fail(core, ChaseError::InvalidDecision(format!("wal flush failed: {e}")));
                 return;
             }
         }
-        self.maybe_snapshot_locked(&slots);
+        self.maybe_snapshot(core);
     }
 
     /// Evicts terminal slots past the retention horizon from the front of the
-    /// locked table, together with their per-update log and tracker state.
+    /// table, together with their per-update log and tracker state.
     /// Front-only eviction is what keeps it sound: abort victims are always
     /// numbered strictly above the conflicting writer, so once every slot
     /// below an update is evicted (hence terminal, by induction from slot 0,
     /// which has no lower neighbours at all), no writer that could revive it
     /// or consult its reads can ever run again.
-    fn compact_locked(&self, seq: &mut Sequencer, slots: &mut SlotTable) {
-        let horizon = self.config.retention_horizon;
-        while slots.cells.len() > horizon {
-            let Some(front) = slots.cells.front() else { break };
-            let Ok(slot) = front.try_lock() else { break };
-            let terminal = slot.failed.is_some() || slot.exec.is_terminated();
-            if !terminal || slot.published.is_some() {
+    fn compact(&self, core: &mut Core) {
+        while core.slots.len() > self.config.retention_horizon {
+            let Some(front) = core.slots.front() else { break };
+            let terminal = front.failed.is_some() || front.exec.is_terminated();
+            if !terminal || front.published.is_some() {
                 break;
             }
+            let slot = core.slots.pop_front().expect("front exists");
+            core.base += 1;
+            slot.detach();
             let id = slot.exec.id();
-            drop(slot);
-            slots.cells.pop_front();
-            slots.base += 1;
-            seq.read_log.clear(id);
-            seq.write_log.remove_update(id);
-            seq.tracker.clear_update(id);
-            if let Ok(pos) = seq.all_ids.binary_search(&id) {
-                seq.all_ids.remove(pos);
+            core.read_log.clear(id);
+            core.write_log.remove_update(id);
+            core.tracker.clear_update(id);
+            if let Ok(pos) = core.all_ids.binary_search(&id) {
+                core.all_ids.remove(pos);
             }
         }
-    }
-
-    /// Opportunistic compaction: a cheap read-locked length check, then the
-    /// write-locked eviction walk only when the horizon is actually exceeded.
-    fn maybe_compact(&self, seq: &mut Sequencer) {
-        if self.config.retention_horizon == usize::MAX {
-            return;
-        }
-        {
-            let slots = self.slots.read().unwrap_or_else(|e| e.into_inner());
-            if slots.cells.len() <= self.config.retention_horizon {
-                return;
-            }
-        }
-        let mut slots = self.slots.write().unwrap_or_else(|e| e.into_inner());
-        self.compact_locked(seq, &mut slots);
     }
 
     // ------------------------------------------------------------------
@@ -412,32 +452,29 @@ impl EngineShared {
     // ------------------------------------------------------------------
 
     /// Drives the sequencer on the calling thread until it goes idle, blocks
-    /// on an unanswered frontier or `done` holds (tested between actions),
-    /// one action per lock acquisition so other callers can enter between
-    /// two. Several threads may drive at once; each action still runs alone.
-    /// A step error, or a panic mid-action, fails the engine.
-    pub(crate) fn drive_until(&self, done: impl Fn() -> bool) -> Result<(), ChaseError> {
+    /// on an unanswered frontier or `done` holds (tested under the lock,
+    /// between actions), one action per lock acquisition so other callers
+    /// can enter between two. Several threads may drive at once; each action
+    /// still runs alone. A step error, or a panic mid-action, fails the
+    /// engine.
+    pub(crate) fn drive_until(&self, done: impl Fn(&Core) -> bool) -> Result<(), ChaseError> {
         let _guard = WorkerGuard { shared: self };
         loop {
-            if done() {
-                return Ok(());
-            }
             // Callers first (see `enter`). Each one is about to take the
             // lock, so this spins for a wake-up latency, not for a caller's
             // critical section — that is waited out inside `lock` below.
             while self.entering.load(Ordering::SeqCst) != 0 {
                 std::thread::yield_now();
             }
-            let mut seq = lock(&self.sequencer);
-            if self.stop.load(Ordering::SeqCst) {
+            let mut core = lock(&self.core);
+            if self.stop.load(Ordering::SeqCst) || done(&core) {
                 return Ok(());
             }
-            match self.det_action(&mut seq) {
+            match self.det_action(&mut core) {
                 Ok(DetProgress::Acted) => {}
                 Ok(DetProgress::Idle | DetProgress::AwaitingAnswer) => return Ok(()),
                 Err(e) => {
-                    drop(seq);
-                    self.fail(e.clone());
+                    self.fail(&mut core, e.clone());
                     return Err(e);
                 }
             }
@@ -459,13 +496,12 @@ impl EngineShared {
     /// loop resumes. The gate is the only place that parks: a publish is an
     /// action like any other, so a driving caller never gets control back
     /// while some update is still Ready.
-    pub(crate) fn det_action(&self, seq: &mut Sequencer) -> Result<DetProgress, ChaseError> {
-        let unanswered = self.unanswered.load(Ordering::SeqCst);
-        let stop_at = if self.config.free_running { seq.live.len().max(1) } else { 1 };
-        if unanswered >= stop_at {
+    pub(crate) fn det_action(&self, core: &mut Core) -> Result<DetProgress, ChaseError> {
+        let stop_at = if self.config.free_running { core.live.len().max(1) } else { 1 };
+        if core.unanswered >= stop_at {
             return Ok(DetProgress::AwaitingAnswer);
         }
-        if seq.live.is_empty() {
+        if core.live.is_empty() {
             return Ok(DetProgress::Idle);
         }
         // Past the gate every call is one action, counted before any of its
@@ -474,135 +510,122 @@ impl EngineShared {
         // their stamp, which is how replay knows how many actions to
         // re-execute before injecting each one — so stepping past a
         // published slot, which moves the cursor, counts like any other.
-        if let Some(d) = &self.durable {
-            d.actions.fetch_add(1, Ordering::SeqCst);
+        if let Some(d) = &mut core.durable {
+            d.actions += 1;
         }
-        let idx = match seq.live.range(seq.next..).next() {
+        let idx = match core.live.range(core.next..).next() {
             Some(&idx) => idx,
             None => {
                 // Round boundary.
-                seq.next = 0;
+                core.next = 0;
                 return Ok(DetProgress::Acted);
             }
         };
-        seq.next = idx + 1;
-        let Some(cell) = self.slot_cell(idx) else {
-            // Compaction (which runs under this same lock) evicted a slot a
-            // stale live entry still names; evicted slots are terminal, so
-            // this is the Terminated branch in disguise.
-            seq.live.remove(&idx);
+        core.next = idx + 1;
+        let Some(slot) = core.slot_mut(idx) else {
+            // Compaction evicted a slot a stale live entry still names;
+            // evicted slots are terminal, so this is the Terminated branch in
+            // disguise.
+            core.live.remove(&idx);
             return Ok(DetProgress::Acted);
         };
-        let mut slot = lock(&cell);
         match slot.exec.state() {
             UpdateState::Terminated => {
-                seq.live.remove(&idx);
+                core.live.remove(&idx);
             }
             // Only the skipping policy gets past the gate with a published
             // slot live: step past it.
             UpdateState::AwaitingFrontier if slot.published.is_some() => {}
             _ if slot.sit_out > 0 => slot.sit_out -= 1,
-            UpdateState::AwaitingFrontier => self.publish_frontier(&mut slot, idx),
+            UpdateState::AwaitingFrontier => self.publish_frontier(core, idx),
             UpdateState::Ready => {
-                drop(slot);
-                if self.det_run_ready_slot(seq, idx, &cell)? {
-                    // It may have been the last active update; all slot locks
-                    // are released again at this point. Waiters hear of the
-                    // retirement here; one that saw it earlier (a status
-                    // accessor needs no wake-up) and submits its next wave
-                    // still enters after the collection.
-                    self.maybe_gc(seq);
+                if self.det_run_ready_slot(core, idx)? {
+                    // It may have been the last active update. Waiters hear
+                    // of the retirement here; one that saw it earlier (a
+                    // status accessor needs no wake-up) and submits its next
+                    // wave still enters after the collection.
+                    self.maybe_gc(core);
                     self.signal.bump();
                 }
-                self.maybe_compact(seq);
+                self.compact(core);
             }
         }
         Ok(DetProgress::Acted)
     }
 
     /// The reference `run_ready_slot`: step, validate, abort synchronously,
-    /// honour the scheduling policy. The whole routine runs under the
-    /// sequencer, which is the only stepper and aborter; a victim's lock is
-    /// held at most briefly by a caller thread (a status read). Returns
-    /// whether the slot left the live set and the active count for good
-    /// (terminated or failed).
-    fn det_run_ready_slot(
-        &self,
-        seq: &mut Sequencer,
-        idx: usize,
-        cell: &Arc<SlotCell>,
-    ) -> Result<bool, ChaseError> {
+    /// honour the scheduling policy. Returns whether the slot left the live
+    /// set and the active count for good (terminated or failed).
+    fn det_run_ready_slot(&self, core: &mut Core, idx: usize) -> Result<bool, ChaseError> {
         loop {
-            let mut slot = lock(cell);
+            let slot = core.live_slot(idx);
             if slot.exec.stats().steps >= self.config.max_steps_per_update {
                 let err = ChaseError::StepLimitExceeded {
                     update: slot.exec.id(),
                     limit: self.config.max_steps_per_update,
                 };
-                let dependents = self.fail_slot(seq, &mut slot, err);
-                drop(slot);
+                let dependents = self.fail_slot(core, idx, err);
                 // Quiescence ordering: the failed slot leaves `active` only
                 // after every dependent its rollback revived has re-entered
-                // the count. The other way round, a concurrent
-                // `wait_quiescent` could observe `active == 0` between the
-                // two with a revived update still to run.
-                self.det_abort_worklist(seq, dependents, true);
-                seq.live.remove(&idx);
-                self.active.fetch_sub(1, Ordering::SeqCst);
+                // the count, so `active == 0` never holds with a revived
+                // update still to run.
+                self.det_abort_worklist(core, dependents, true);
+                core.live.remove(&idx);
+                core.active -= 1;
                 return Ok(true);
             }
-            let (outcome, to_abort) = self.step_and_validate(seq, &mut slot)?;
-            drop(slot);
-            self.det_abort_worklist(seq, to_abort, false);
-            let mut slot = lock(cell);
+            let (outcome, to_abort) = self.step_and_validate(core, idx)?;
+            self.det_abort_worklist(core, to_abort, false);
             if outcome.frontier_request.is_some() {
-                slot.sit_out = self.config.scheduler.frontier_delay_rounds;
+                let delay = self.config.scheduler.frontier_delay_rounds;
+                core.live_slot(idx).sit_out = delay;
                 // Nobody waits on a published request under the skipping
                 // policy, so one that need not be delayed goes out with the
                 // step that raised it instead of costing its owner a round.
                 // Under blocking the publish closes the gate, so doing it
                 // here would park the rest of the round behind the question.
-                if self.config.free_running && slot.sit_out == 0 {
-                    self.publish_frontier(&mut slot, idx);
+                if self.config.free_running && delay == 0 {
+                    self.publish_frontier(core, idx);
                 }
             }
-            if slot.exec.is_terminated() {
-                seq.live.remove(&idx);
-                self.active.fetch_sub(1, Ordering::SeqCst);
+            let state = core.live_slot(idx).exec.state();
+            if state == UpdateState::Terminated {
+                core.live.remove(&idx);
+                core.active -= 1;
                 return Ok(true);
             }
             // Step-level round robin hands control back after one step; the
             // stratum policy keeps going while the update remains ready.
             if self.config.scheduler.policy == SchedulingPolicy::StepRoundRobin
-                || slot.exec.state() != UpdateState::Ready
+                || state != UpdateState::Ready
             {
                 return Ok(false);
             }
         }
     }
 
-    /// Executes an abort set under the sequencer, in ascending order; revived
-    /// (previously terminated) victims rejoin the live set. `validate` (see
+    /// Executes an abort set in ascending order; revived (previously
+    /// terminated) victims rejoin the live set. `validate` (see
     /// [`Self::execute_abort`]) checks each rollback like a write and feeds
     /// the victims whose reads it retroactively invalidated back into the
     /// worklist.
     fn det_abort_worklist(
         &self,
-        seq: &mut Sequencer,
+        core: &mut Core,
         victims: impl IntoIterator<Item = UpdateId>,
         validate: bool,
     ) {
         let mut work: VecDeque<UpdateId> = victims.into_iter().collect();
         while let Some(victim) = work.pop_front() {
-            let Some((vidx, cell)) = self.lookup_cell(victim) else { continue };
-            let mut slot = lock(&cell);
+            let Some(vidx) = self.index_of(victim) else { continue };
+            let Some(slot) = core.slot(vidx) else { continue };
             if slot.failed.is_some() {
                 continue;
             }
             let was_terminated = slot.exec.is_terminated();
-            work.extend(self.execute_abort(seq, &mut slot, was_terminated, validate));
+            work.extend(self.execute_abort(core, vidx, was_terminated, validate));
             if was_terminated {
-                seq.live.insert(vidx);
+                core.live.insert(vidx);
             }
         }
     }

@@ -475,12 +475,8 @@ impl UpdateExecution {
 
     /// The write half of a chase step: performs the writes scheduled by the
     /// previous step (or the initial user operation) and returns their
-    /// effects. This is the only part of a step that needs exclusive database
-    /// access; the engine calls it under the database write lock and runs
-    /// [`Self::finish_step`] under a read lock, so callers' snapshot reads
-    /// and answers overlap with the analysis half. Calling the two halves
-    /// back to back is exactly [`Self::step`].
-    pub fn begin_step(&mut self, db: &mut Database) -> Result<Vec<AppliedWrite>, ChaseError> {
+    /// effects.
+    fn begin_step(&mut self, db: &mut Database) -> Result<Vec<AppliedWrite>, ChaseError> {
         if self.state != UpdateState::Ready {
             return Err(ChaseError::NotReady(self.id));
         }
@@ -499,12 +495,10 @@ impl UpdateExecution {
     /// The read half of a chase step: violation detection, queue maintenance
     /// and repair planning over the writes `applied` by [`Self::begin_step`].
     /// Only needs a shared database borrow (fresh nulls come from an atomic
-    /// counter). In a concurrent setting other updates may commit writes
-    /// between the two halves; that is exactly the premature-read situation
-    /// the optimistic scheduler already handles — every read this half
-    /// performs is returned in the [`StepOutcome`] for logging, and a later
-    /// conflict check aborts this update if one of those reads was premature.
-    pub fn finish_step(
+    /// counter). Every read it performs is returned in the [`StepOutcome`]
+    /// for logging, so a later conflict check can abort this update if one
+    /// of those reads was premature.
+    fn finish_step(
         &mut self,
         db: &Database,
         mappings: &MappingSet,

@@ -27,10 +27,10 @@ pub struct Database {
     catalog: Catalog,
     store: VersionStore,
     next_tuple: u64,
-    /// Atomic so [`Database::fresh_null`] works through a shared borrow: the
-    /// engine plans repairs (which mint fresh nulls) under a read lock it
-    /// shares with callers' snapshot reads, while tuple and sequence ids are
-    /// only allocated by writes, which hold the write lock.
+    /// Atomic so [`Database::fresh_null`] works through a shared borrow:
+    /// repair planning mints fresh nulls while it holds the database through
+    /// `&Database` (the snapshots it reads borrow it), whereas tuple and
+    /// sequence ids are only allocated by writes, which hold `&mut`.
     next_null: AtomicU64,
     next_seq: u64,
 }

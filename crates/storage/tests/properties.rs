@@ -122,9 +122,9 @@ proptest! {
 }
 
 /// `Database` (and everything reachable from a shared borrow of it — the
-/// memoising caches included) must stay `Send + Sync`: the parallel chase
-/// scheduler shares one database across worker threads behind an `RwLock`,
-/// and the read path is exercised concurrently under the read lock.
+/// memoising caches included) must stay `Send + Sync`: the engine keeps it
+/// behind one mutex that whichever caller thread holds it reads and writes,
+/// and a `&Database` may cross threads.
 #[test]
 fn database_and_views_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}

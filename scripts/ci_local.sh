@@ -48,6 +48,10 @@ stage_stress() {
     cargo test -q --release --test viewmaint_equivalence
     echo "==> [stress] determinism (seeds, sweep threads, engine vs reference)"
     cargo test -q --release --test determinism
+    echo "==> [stress] dev-profile repeat (caller races that only unoptimised builds have shown)"
+    for run in 1 2 3; do
+        cargo test -q --test engine_equivalence --test engine_recovery --test parallel_stress --test viewmaint_equivalence
+    done
     echo "==> [stress] million-user-day survival scenario"
     cargo test -q --release -p youtopia-workload scenario
     echo "==> [stress] fig3 smoke on both schedulers (reference, engine)"

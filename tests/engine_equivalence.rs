@@ -6,8 +6,8 @@
 //!   [`RunMetrics`] (modulo wall clock), the same per-update statistics and
 //!   therefore the same abort *sets* — across trackers, scheduling policies
 //!   and chase modes. This pins the submit/poll/answer pipeline (open-world
-//!   slots, token-based frontier resolution, the pump, the two-phase step
-//!   over the sequencer's logs) to the reference semantics.
+//!   slots, token-based frontier resolution, the pump, the step over the
+//!   sequencer's logs) to the reference semantics.
 //! * **Staggered determinism** — `ArrivalProcess::Staggered` waves through
 //!   the live engine are reproducible and independent of `through_engine`.
 //! * **Live session** — an update submitted *while* the engine is chasing

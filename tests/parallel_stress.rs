@@ -18,10 +18,11 @@
 //! what that costs a caller, and that it cannot deadlock:
 //!
 //! * *Hand-off bound* — while a driver thread keeps the sequencer busy on a
-//!   large batch, a `submit` or an `answer` from another thread is served
-//!   before the sequencer's next action, or the one after. Without the
-//!   hand-off the driver re-takes the (barging) sequencer lock for many
-//!   actions in a row and a caller waits tens of them.
+//!   large batch, a `submit`, an `answer` or an accessor (`pending_frontiers`,
+//!   `read`, a handle's `status`) from another thread is served before the
+//!   sequencer's next action, or the one after. Without the hand-off the
+//!   driver re-takes the (barging) lock for many actions in a row and a
+//!   caller waits tens of them.
 //! * *Three caller threads* — a submitter, a [`ResolverPump`] (which drives)
 //!   and a poller (`sweep` with `AutoResolve`, so it answers too, plus the
 //!   status, `read` and `metrics` accessors) against one engine: no
@@ -215,16 +216,25 @@ fn within_two(deltas: &[usize]) -> usize {
     100 * deltas.iter().filter(|d| **d <= 2).count() / deltas.len()
 }
 
+/// Runs `call` and returns its result with the steps the sequencer took
+/// around it, read from `metrics()` before and after.
+fn steps_around<T>(engine: &ExchangeEngine, call: impl FnOnce() -> T) -> (T, usize) {
+    let before = engine.metrics().steps;
+    let out = call();
+    (out, engine.metrics().steps - before)
+}
+
 /// Probes caller latency in sequencer actions: a driver thread waits on each
 /// of `BATCH` concurrent inserts in turn, stepping the sequencer, while this
 /// thread answers every question the engine asks and submits `PROBES`
-/// single updates a millisecond apart,
-/// reading `metrics().steps` (one step per action under step-level round
-/// robin) around each call. A probe counts an action too many when this
-/// thread is preempted between the call's return and the second read, so the
-/// bound is asserted for nine probes in ten, not for all. A blocking engine
-/// that has asked nothing by the last probe answers nothing; the skipping one
-/// is where an answer meets a running sequencer.
+/// single updates a millisecond apart, and calls the `pending_frontiers`,
+/// `read` and handle `status` accessors on the way, reading
+/// `metrics().steps` (one step per action under step-level round robin)
+/// around each call. A probe counts an action too many when this thread is
+/// preempted between the call's return and the second read, so the bound is
+/// asserted for nine probes in ten, not for all. A blocking engine that has
+/// asked nothing by the last probe answers nothing; the skipping one is
+/// where an answer meets a running sequencer.
 fn hand_off_bound(
     label: &'static str,
     shape: impl FnOnce(EngineBuilder) -> EngineBuilder + Send + 'static,
@@ -235,39 +245,49 @@ fn hand_off_bound(
     with_deadline(Duration::from_secs(300), label, move || {
         let (fixture, mut ops, builder) = workload(7, WorkloadKind::AllInserts, BATCH + PROBES);
         let probes = ops.split_off(BATCH);
+        let relation = fixture.initial_db.catalog().relation_ids().next().unwrap();
         let engine = build(shape(builder), &fixture);
         let batch = engine.submit_batch(ops).unwrap();
         let driver = std::thread::spawn(move || batch.iter().try_for_each(|h| h.wait().map(drop)));
         let mut resolver = RandomResolver::seeded(5);
-        let (mut submits, mut answers) = (Vec::new(), Vec::new());
+        let (mut submits, mut answers, mut listings, mut reads, mut statuses) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
         for op in probes {
-            for asked in engine.pending_frontiers() {
+            let (pending, steps) = steps_around(&engine, || engine.pending_frontiers());
+            listings.push(steps);
+            for asked in pending {
                 let decision =
                     engine.read(|db| resolver.resolve(&db.snapshot(asked.update), &asked.request));
-                let before = engine.metrics().steps;
-                let outcome = engine.answer(asked.token, decision).unwrap();
-                let steps = engine.metrics().steps - before;
+                let (outcome, steps) =
+                    steps_around(&engine, || engine.answer(asked.token, decision).unwrap());
                 if outcome == AnswerOutcome::Applied {
                     answers.push(steps);
                 }
             }
-            let before = engine.metrics().steps;
-            engine.submit(op).unwrap();
-            submits.push(engine.metrics().steps - before);
+            let read = || engine.read(|db| db.visible_count(relation, UpdateId::OMNISCIENT));
+            reads.push(steps_around(&engine, read).1);
+            let (handle, steps) = steps_around(&engine, || engine.submit(op).unwrap());
+            submits.push(steps);
+            statuses.push(steps_around(&engine, || handle.status()).1);
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(
             !driver.is_finished(),
             "{label}: the batch finished early, so the probes met an idle sequencer"
         );
-        assert!(
-            within_two(&submits) >= 90,
-            "{label}: submits waited {submits:?} actions, more than two in over a tenth"
-        );
-        assert!(
-            within_two(&answers) >= 90,
-            "{label}: answers waited {answers:?} actions, more than two in over a tenth"
-        );
+        let waits = [
+            ("submits", submits),
+            ("answers", answers),
+            ("pending_frontiers", listings),
+            ("reads", reads),
+            ("statuses", statuses),
+        ];
+        for (call, steps) in &waits {
+            assert!(
+                within_two(steps) >= 90,
+                "{label}: {call} waited {steps:?} actions, more than two in over a tenth"
+            );
+        }
         // The batch is left unfinished: what it would go on to prove, the
         // three-caller case below and the equivalence suites already do.
         // Shutting down stops the driver mid-batch.
