@@ -1,14 +1,16 @@
 //! Micro-benchmarks for violation detection: the incremental violation
-//! queries a chase step poses (Section 4.2) and full-relation scans, plus the
-//! per-write "does this change the answer?" check used by conflict detection
-//! and the `PRECISE` tracker.
+//! queries a chase step poses (Section 4.2) and full-relation scans, the
+//! "find more specific tuples" correction query a forward repair poses, plus
+//! the per-write "does this change the answer?" check used by conflict
+//! detection and the `PRECISE` tracker.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use youtopia_core::more_specific_tuples;
 use youtopia_mappings::{
     change_affects_query, find_violations, violations_from_change, MappingSet, ViolationQuery,
     ViolationSeed,
 };
-use youtopia_storage::{Database, TupleChange, UpdateId, Value, Write};
+use youtopia_storage::{Database, TupleChange, TupleData, UpdateId, Value, Write};
 
 /// A travel-style database with `per_relation` rows in each relation.
 fn setup(per_relation: usize) -> (Database, MappingSet, TupleChange) {
@@ -89,10 +91,31 @@ fn bench_affectedness_check(c: &mut Criterion) {
     group.finish();
 }
 
+/// The correction query for a frontier tuple `R('co3', 'attr3', x)` against
+/// a grown `R`: one matching row however large the relation is, so the time
+/// must stay flat in `size` (an index probe, not a scan of `R`).
+fn bench_more_specific(c: &mut Criterion) {
+    let mut group = c.benchmark_group("violations/more_specific");
+    group.sample_size(15);
+    for size in [1_000usize, 10_000] {
+        let (db, _, _) = setup(size);
+        let r = db.relation_id("R").unwrap();
+        let pattern: TupleData =
+            vec![Value::constant("co3"), Value::constant("attr3"), Value::Null(db.fresh_null())]
+                .into();
+        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
+            let snap = db.snapshot(UpdateId::OMNISCIENT);
+            b.iter(|| black_box(more_specific_tuples(&snap, r, &pattern).len()))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_incremental_detection,
     bench_full_scan_detection,
-    bench_affectedness_check
+    bench_affectedness_check,
+    bench_more_specific
 );
 criterion_main!(benches);

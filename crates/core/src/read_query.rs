@@ -8,7 +8,7 @@
 
 use youtopia_mappings::{change_affects_query, MappingSet, ViolationQuery};
 use youtopia_storage::{
-    is_more_specific, DataView, NullId, RelationId, TupleChange, TupleData, TupleId,
+    is_more_specific, probe_smallest, DataView, NullId, RelationId, TupleChange, TupleData, TupleId,
 };
 
 /// A read query performed by a chase step.
@@ -58,11 +58,9 @@ impl ReadQuery {
     pub fn answer_size(&self, view: &dyn DataView, mappings: &MappingSet) -> usize {
         match self {
             ReadQuery::Violation(q) => q.evaluate(view, mappings).len(),
-            ReadQuery::MoreSpecific { relation, pattern } => view
-                .scan(*relation)
-                .into_iter()
-                .filter(|(_, data)| is_more_specific(data, pattern))
-                .count(),
+            ReadQuery::MoreSpecific { relation, pattern } => {
+                more_specific_tuples(view, *relation, pattern).len()
+            }
             ReadQuery::NullOccurrences { null } => view.null_occurrences(*null).len(),
         }
     }
@@ -107,13 +105,29 @@ impl ReadQuery {
     }
 }
 
-/// The answer to the "find more specific tuples" correction query.
+/// The answer to the "find more specific tuples" correction query: the
+/// visible tuples of `relation` more specific than `pattern`, in `TupleId`
+/// order — exactly the order of `view.scan(relation)` filtered by
+/// [`is_more_specific`], which is what frontier candidate lists (and so the
+/// schedule) are built from.
+///
+/// A homomorphism is the identity on constants, so every answer carries the
+/// pattern's constant at each constant column. The query therefore probes
+/// the column index on the constant column whose bucket is smallest
+/// ([`probe_smallest`]) and sorts the probe's rows by id, since bucket order
+/// is append order, not id order. It scans only when the pattern has no
+/// constant.
 pub fn more_specific_tuples(
     view: &dyn DataView,
     relation: RelationId,
     pattern: &TupleData,
 ) -> Vec<(TupleId, TupleData)> {
-    view.scan(relation).into_iter().filter(|(_, data)| is_more_specific(data, pattern)).collect()
+    let constants =
+        pattern.iter().enumerate().filter(|(_, value)| value.is_const()).map(|(c, v)| (c, *v));
+    let mut rows = probe_smallest(view, relation, constants);
+    rows.retain(|(_, data)| is_more_specific(data, pattern));
+    rows.sort_unstable_by_key(|(id, _)| *id);
+    rows
 }
 
 #[cfg(test)]

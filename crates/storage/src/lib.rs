@@ -54,7 +54,9 @@ pub mod wal;
 
 pub use database::Database;
 pub use error::StorageError;
-pub use query::{evaluate, restrict, satisfiable, variables_of, Atom, Bindings, QueryMatch, Term};
+pub use query::{
+    evaluate, probe_smallest, restrict, satisfiable, variables_of, Atom, Bindings, QueryMatch, Term,
+};
 pub use relation::RelationStore;
 pub use schema::{Catalog, RelationId, RelationSchema};
 pub use snapshot::{DataView, OverlaySnapshot, Snapshot, TupleOverride};

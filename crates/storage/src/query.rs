@@ -179,8 +179,14 @@ pub struct QueryMatch {
 /// `None`).
 ///
 /// Evaluation is a backtracking join: at each step the engine picks the
-/// unprocessed atom with the most bound terms and uses the column index for
-/// candidate retrieval when possible.
+/// unprocessed atom with the most bound terms (ties go to the relation with
+/// fewer logical tuples) and retrieves its candidates by probing the column
+/// index on the bound column whose bucket is smallest ([`probe_smallest`]),
+/// scanning only when no term is bound. Both choices use
+/// [`DataView::size_estimate`], which is O(1) and reads no tuple.
+///
+/// The *set* of matches does not depend on these choices; their order does.
+/// Callers that need a canonical order sort the result.
 pub fn evaluate(
     view: &dyn DataView,
     atoms: &[Atom],
@@ -212,26 +218,53 @@ fn bound_term_value(term: &Term, bindings: &Bindings) -> Option<Value> {
 }
 
 /// Scores an atom for join ordering: atoms with more bound terms first;
-/// ties broken by smaller relation.
+/// ties broken by the smaller relation estimate (logical tuple count).
 fn atom_score(view: &dyn DataView, atom: &Atom, bindings: &Bindings) -> (usize, usize) {
     let bound = atom.terms.iter().filter(|t| bound_term_value(t, bindings).is_some()).count();
     // Negate boundness by subtracting from a large constant so that a smaller
     // score is better (we sort ascending).
-    (usize::MAX - bound, view.relation_size(atom.relation))
+    (usize::MAX - bound, view.size_estimate(atom.relation, None))
 }
 
+/// The rows of `relation` that may hold `value` at `column` for every
+/// `(column, value)` in `probes`: the candidates of the probe whose index
+/// bucket is smallest ([`DataView::size_estimate`]; ties go to the earlier
+/// probe), or the whole relation when `probes` is empty. Rows come in the
+/// view's probe or scan order, and the caller still has to check them
+/// against every probe. A lone probe is taken without an estimate.
+pub fn probe_smallest(
+    view: &dyn DataView,
+    relation: RelationId,
+    probes: impl IntoIterator<Item = (usize, Value)>,
+) -> Vec<(TupleId, TupleData)> {
+    let mut probes = probes.into_iter();
+    let Some(mut best) = probes.next() else {
+        return view.scan(relation);
+    };
+    let mut best_size = None;
+    for probe in probes {
+        let current = *best_size.get_or_insert_with(|| view.size_estimate(relation, Some(best)));
+        let size = view.size_estimate(relation, Some(probe));
+        if size < current {
+            (best, best_size) = (probe, Some(size));
+        }
+    }
+    view.candidates(relation, best.0, best.1)
+}
+
+/// The atom's candidate rows: an index probe on the bound column with the
+/// smallest bucket, or a scan when no term is bound.
 fn candidate_tuples(
     view: &dyn DataView,
     atom: &Atom,
     bindings: &Bindings,
 ) -> Vec<(TupleId, TupleData)> {
-    // Use the first bound column as an index probe if there is one.
-    for (col, term) in atom.terms.iter().enumerate() {
-        if let Some(value) = bound_term_value(term, bindings) {
-            return view.candidates(atom.relation, col, value);
-        }
-    }
-    view.scan(atom.relation)
+    let bound = atom
+        .terms
+        .iter()
+        .enumerate()
+        .filter_map(|(col, term)| bound_term_value(term, bindings).map(|value| (col, value)));
+    probe_smallest(view, atom.relation, bound)
 }
 
 #[allow(clippy::too_many_arguments)]

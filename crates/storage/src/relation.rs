@@ -57,8 +57,8 @@ pub struct RelationStore {
     /// share a fixture database across worker threads.
     visible_cache: Mutex<HashMap<UpdateId, VisibleRows>>,
     /// reader → visible-row count. Separate from the row cache so count-only
-    /// paths (`visible_count`, the join planner's `relation_size`) never pay
-    /// for materialising rows.
+    /// paths (`visible_count`, `total_visible`) never pay for materialising
+    /// rows.
     count_cache: Mutex<HashMap<UpdateId, usize>>,
     /// (reader, column, value) → visible candidate rows: the per-column
     /// *visible-value* memo. Candidate probes dominate the read half of a
@@ -285,6 +285,20 @@ impl RelationStore {
         out
     }
 
+    /// An O(1), reader-independent upper bound on the rows a read returns:
+    /// with `Some((column, value))` the length of that column's index bucket
+    /// (stale entries included, so it bounds [`RelationStore::candidates`]
+    /// for every reader), with `None` the logical tuple count (which bounds
+    /// [`RelationStore::scan`]). Reads no version chain and takes no lock.
+    pub fn size_estimate(&self, probe: Option<(usize, Value)>) -> usize {
+        match probe {
+            Some((column, value)) => {
+                self.index.get(column).and_then(|m| m.get(&value)).map_or(0, Vec::len)
+            }
+            None => self.logical_len(),
+        }
+    }
+
     /// Removes every version created by `update`. Returns the ids of logical
     /// tuples that vanished entirely (their only versions belonged to the
     /// aborted update).
@@ -392,6 +406,36 @@ mod tests {
         // Old index entry for x1 must not produce a match any more.
         assert!(store.candidates(0, x1, UpdateId::OMNISCIENT).is_empty());
         assert_eq!(store.candidates(0, c, UpdateId::OMNISCIENT).len(), 1);
+    }
+
+    #[test]
+    fn size_estimate_bounds_every_reader_without_reading_chains() {
+        let mut store = RelationStore::new(RelationId(0), 2);
+        let x1 = V::Null(NullId(1));
+        let a = V::constant("a");
+        let c = V::constant("c");
+        store.insert_new(TupleId(1), version(1, 1, Some(&[a, x1])));
+        store.insert_new(TupleId(2), version(2, 2, Some(&[a, c])));
+        store.push_version(TupleId(1), version(3, 3, Some(&[a, c])));
+        store.push_version(TupleId(2), version(4, 4, None));
+        // Buckets keep stale entries: x1's survives the replacement, and
+        // tuple 1's new version re-enters the `a` bucket behind tuple 2.
+        assert_eq!(store.size_estimate(Some((1, x1))), 1);
+        assert_eq!(store.size_estimate(Some((1, c))), 2);
+        assert_eq!(store.size_estimate(Some((0, a))), 3);
+        assert_eq!(store.size_estimate(Some((0, c))), 0);
+        assert_eq!(store.size_estimate(Some((7, a))), 0);
+        assert_eq!(store.size_estimate(None), 2);
+        for reader in 0..6 {
+            let reader = UpdateId(reader);
+            for (col, value) in [(0, a), (1, x1), (1, c)] {
+                assert!(
+                    store.candidates(col, value, reader).len()
+                        <= store.size_estimate(Some((col, value)))
+                );
+            }
+            assert!(store.visible_count(reader) <= store.size_estimate(None));
+        }
     }
 
     #[test]

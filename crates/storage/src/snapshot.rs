@@ -40,9 +40,24 @@ pub trait DataView {
     /// Visible tuples (across relations) containing a labeled null.
     fn null_occurrences(&self, null: NullId) -> Vec<(RelationId, TupleId, TupleData)>;
 
-    /// Number of visible tuples in a relation.
+    /// Number of visible tuples in a relation (exact, so it may read every
+    /// version chain; query planning uses [`DataView::size_estimate`]).
     fn relation_size(&self, relation: RelationId) -> usize {
         self.scan(relation).len()
+    }
+
+    /// An O(1), reader-independent upper bound on the rows a read returns,
+    /// used to pick the cheapest access path: with `Some((column, value))`
+    /// it bounds `candidates(relation, column, value)` (the column index's
+    /// bucket length), with `None` it bounds `scan(relation)` (the logical
+    /// tuple count). Only comparisons between estimates of one view matter.
+    ///
+    /// The default reads nothing and returns `0` for every probe, so every
+    /// estimate ties and planners fall back to their first choice (the first
+    /// bound column; among equally bound atoms, the first remaining one).
+    fn size_estimate(&self, relation: RelationId, probe: Option<(usize, Value)>) -> usize {
+        let _ = (relation, probe);
+        0
     }
 }
 
@@ -98,6 +113,10 @@ impl DataView for Snapshot<'_> {
 
     fn relation_size(&self, relation: RelationId) -> usize {
         self.db.visible_count(relation, self.reader)
+    }
+
+    fn size_estimate(&self, relation: RelationId, probe: Option<(usize, Value)>) -> usize {
+        self.db.version_store().relation(relation).map_or(0, |s| s.size_estimate(probe))
     }
 }
 
@@ -246,6 +265,11 @@ impl<V: DataView + ?Sized> DataView for OverlaySnapshot<'_, V> {
         rows.sort_by_key(|(_, id, _)| *id);
         rows
     }
+
+    fn size_estimate(&self, relation: RelationId, probe: Option<(usize, Value)>) -> usize {
+        // Every override can add at most one row to any read.
+        self.base.size_estimate(relation, probe) + self.overrides.len()
+    }
 }
 
 #[cfg(test)]
@@ -314,6 +338,48 @@ mod tests {
         // Candidate lookup on the old value no longer returns t1.
         assert!(overlay.candidates(r, 0, V::constant("a")).iter().all(|(id, _)| *id != t1));
         assert!(overlay.candidates(r, 0, V::constant("z")).iter().any(|(id, _)| *id == t1));
+    }
+
+    #[test]
+    fn size_estimates_bound_reads_and_overlays_add_their_overrides() {
+        let (db, r, t1, t2) = setup();
+        let a = V::constant("a");
+        let snap = db.snapshot(UpdateId(1));
+        // Reader-independent: reader 1 sees one row, the estimate counts two.
+        assert_eq!(snap.size_estimate(r, None), 2);
+        assert_eq!(snap.size_estimate(r, Some((0, a))), 2);
+        assert_eq!(snap.size_estimate(r, Some((1, V::constant("b")))), 1);
+        assert_eq!(snap.size_estimate(r, Some((1, V::constant("zzz")))), 0);
+        assert_eq!(snap.size_estimate(RelationId(9), None), 0);
+
+        let z: TupleData = vec![V::constant("z"), V::constant("z")].into();
+        let overlay = OverlaySnapshot::new(&snap).hide(r, t1).with_tuple(r, t2, z);
+        assert_eq!(overlay.size_estimate(r, None), 4);
+        assert_eq!(overlay.size_estimate(r, Some((0, V::constant("z")))), 2);
+        assert!(overlay.candidates(r, 0, V::constant("z")).len() <= 2);
+
+        // The trait default reads nothing and ties every probe.
+        struct Empty(Catalog);
+        impl DataView for Empty {
+            fn catalog(&self) -> &Catalog {
+                &self.0
+            }
+            fn tuple(&self, _: RelationId, _: TupleId) -> Option<TupleData> {
+                unreachable!("size_estimate must not read")
+            }
+            fn scan(&self, _: RelationId) -> Vec<(TupleId, TupleData)> {
+                unreachable!("size_estimate must not read")
+            }
+            fn candidates(&self, _: RelationId, _: usize, _: Value) -> Vec<(TupleId, TupleData)> {
+                unreachable!("size_estimate must not read")
+            }
+            fn null_occurrences(&self, _: NullId) -> Vec<(RelationId, TupleId, TupleData)> {
+                unreachable!("size_estimate must not read")
+            }
+        }
+        let empty = Empty(db.catalog().clone());
+        assert_eq!(empty.size_estimate(r, None), 0);
+        assert_eq!(empty.size_estimate(r, Some((0, a))), 0);
     }
 
     #[test]

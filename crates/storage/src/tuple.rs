@@ -151,10 +151,19 @@ pub fn specialization(general: &[Value], specific: &[Value]) -> Option<HashMap<N
     Some(map)
 }
 
-/// Convenience wrapper around [`specialization`]: is `specific` more specific
-/// than `general`?
+/// Is `specific` more specific than `general`? The same test as
+/// `specialization(general, specific).is_some()`, without building the
+/// substitution: `f` is a function iff every null of `general` maps to the
+/// value at its previous occurrence, which the tuples themselves hold.
 pub fn is_more_specific(specific: &[Value], general: &[Value]) -> bool {
-    specialization(general, specific).is_some()
+    specific.len() == general.len()
+        && general.iter().zip(specific).enumerate().all(|(i, (g, s))| match g {
+            // f must be the identity on constants.
+            Value::Const(_) => g == s,
+            Value::Null(_) => {
+                general[..i].iter().zip(specific).all(|(prev_g, prev_s)| prev_g != g || prev_s == s)
+            }
+        })
 }
 
 /// Returns `true` if the two tuples are *homomorphically equivalent* under the
@@ -222,6 +231,44 @@ mod tests {
         assert!(is_more_specific(&specific, &general));
         let subst = specialization(&general, &specific).unwrap();
         assert_eq!(subst.get(&NullId(1)), Some(&n(2)));
+    }
+
+    /// Every pair of tuples over two constants and three nulls, arities 0–3
+    /// (repeated nulls included): the allocation-free check agrees with the
+    /// substitution-building one.
+    #[test]
+    fn is_more_specific_agrees_with_specialization() {
+        let alphabet = [c("a"), c("b"), n(1), n(2), n(3)];
+        let mut tuples: Vec<Vec<Value>> = vec![Vec::new()];
+        for arity in 1..=3u32 {
+            for code in 0..alphabet.len().pow(arity) {
+                let mut code = code;
+                let tuple = (0..arity)
+                    .map(|_| {
+                        let v = alphabet[code % alphabet.len()];
+                        code /= alphabet.len();
+                        v
+                    })
+                    .collect();
+                tuples.push(tuple);
+            }
+        }
+        let mut holds = 0;
+        for general in &tuples {
+            for specific in &tuples {
+                let expected = specialization(general, specific).is_some();
+                assert_eq!(
+                    is_more_specific(specific, general),
+                    expected,
+                    "specific {specific:?} vs general {general:?}"
+                );
+                holds += usize::from(expected);
+            }
+        }
+        // Both outcomes occur, repeated-null failures among them.
+        assert!(holds > 0 && holds < tuples.len() * tuples.len());
+        assert!(!is_more_specific(&[c("a"), n(2)], &[n(1), n(1)]));
+        assert!(is_more_specific(&[n(2), n(2)], &[n(1), n(1)]));
     }
 
     #[test]

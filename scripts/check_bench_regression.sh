@@ -6,8 +6,10 @@
 #     regressed median — advisory, never fails the job (the CI runner is a
 #     single shared core, so medians are indicative, not authoritative);
 #   * hard tier  (default >100%): a median on the guarded benchmark groups
-#     (chase/* and storage_ops/*) that at least doubled fails the job — a 2x
-#     regression is beyond scheduler noise even on a shared core.
+#     (chase/*, storage_ops/* and violations/more_specific/*) that at least
+#     doubled fails the job — a 2x regression is beyond scheduler noise even
+#     on a shared core. violations/more_specific/* is guarded because the
+#     correction query falling back to a relation scan costs 10–100x there.
 #
 # A baseline file whose corresponding target/BENCH_<name>.json was never
 # produced is a HARD ERROR (a bench binary was renamed or dropped), and so is
@@ -33,7 +35,7 @@ BASELINE_DIR="$(dirname "$0")/../bench-baselines"
 TARGET_DIR="$(dirname "$0")/../target"
 # Benchmark id prefixes the hard tier guards.
 # (BENCH_storage_ops.json's ids use the `storage/` prefix.)
-HARD_GROUPS='^(chase/|storage/)'
+HARD_GROUPS='^(chase/|storage/|violations/more_specific/)'
 
 if ! command -v jq >/dev/null 2>&1; then
     echo "jq not found; skipping bench regression check"
