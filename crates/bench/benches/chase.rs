@@ -7,7 +7,9 @@
 //! path, so `BENCH_chase.json` records the step-cost-vs-queue-size win.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use youtopia_concurrency::{EngineBuilder, ResolverPump, TrackerKind, UpdateExchange};
+use youtopia_concurrency::{
+    ConcurrentRun, EngineBuilder, ResolverPump, SchedulerConfig, TrackerKind, UpdateExchange,
+};
 use youtopia_core::{ChaseMode, InitialOp, RandomResolver, UnifyResolver, UpdateExecution};
 use youtopia_mappings::MappingSet;
 use youtopia_storage::{Database, UpdateId, Value};
@@ -251,8 +253,9 @@ fn bench_end_to_end(c: &mut Criterion) {
 }
 
 /// End-to-end chase over the paper-scale generated mapping graph: a slice of
-/// the deep-cascade workload run through the single-threaded exchange, under
-/// both queue-maintenance modes.
+/// the deep-cascade workload run one update at a time (a one-op
+/// `ConcurrentRun` per update, numbered in submission order), under both
+/// queue-maintenance modes.
 fn bench_end_to_end_mapping_graph(c: &mut Criterion) {
     let mut config = ExperimentConfig::quick();
     config.initial_tuples = 200;
@@ -272,21 +275,19 @@ fn bench_end_to_end_mapping_graph(c: &mut Criterion) {
     for (label, mode) in
         [("incremental", ChaseMode::Incremental), ("full_recheck", ChaseMode::FullRecheck)]
     {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &mode, |b, &mode| {
+        let scheduler = SchedulerConfig::default().with_chase_mode(mode);
+        group.bench_with_input(BenchmarkId::from_parameter(label), &scheduler, |b, &scheduler| {
             b.iter_batched(
-                || {
-                    UpdateExchange::with_builder(
-                        fixture.initial_db.clone(),
-                        fixture.mappings.clone(),
-                        EngineBuilder::new().chase_mode(mode),
-                    )
-                },
-                |mut exchange| {
+                || (fixture.initial_db.clone(), fixture.mappings.clone()),
+                |(mut db, mut mappings)| {
                     let mut user = RandomResolver::seeded(9);
-                    for op in &ops {
-                        exchange.run_update(op.clone(), &mut user).unwrap();
+                    for (number, op) in (1..).zip(&ops) {
+                        let mut run =
+                            ConcurrentRun::new(db, mappings, vec![op.clone()], number, scheduler);
+                        run.run(&mut user).unwrap();
+                        (db, mappings, _) = run.into_parts();
                     }
-                    black_box(exchange.db().total_visible(UpdateId::OMNISCIENT))
+                    black_box(db.total_visible(UpdateId::OMNISCIENT))
                 },
                 criterion::BatchSize::LargeInput,
             )

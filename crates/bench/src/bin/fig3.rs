@@ -17,7 +17,7 @@ fn main() {
         Err(message) => {
             eprintln!("error: {message}");
             eprintln!(
-                "usage: fig3 [--paper|--quick] [--runs N] [--updates N] [--seed N] [--no-naive] [--threads N] [--engine] [--csv]"
+                "usage: fig3 [--paper|--quick] [--runs N] [--updates N] [--seed N] [--no-naive] [--threads N] [--csv]"
             );
             std::process::exit(2);
         }

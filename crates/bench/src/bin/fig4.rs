@@ -18,7 +18,7 @@ fn main() {
         Err(message) => {
             eprintln!("error: {message}");
             eprintln!(
-                "usage: fig4 [--paper|--quick] [--runs N] [--updates N] [--seed N] [--no-naive] [--threads N] [--engine] [--csv]"
+                "usage: fig4 [--paper|--quick] [--runs N] [--updates N] [--seed N] [--no-naive] [--threads N] [--csv]"
             );
             std::process::exit(2);
         }

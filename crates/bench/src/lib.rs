@@ -52,9 +52,6 @@ impl Default for FigureOptions {
 ///   densities).
 /// * `--threads N` — worker threads for the sweep (0 = one per core, the
 ///   default). Results are identical at any thread count.
-/// * `--engine` — run each chase through a deterministic `ExchangeEngine`
-///   instead of the `ConcurrentRun` reference scheduler (the default).
-///   Results are identical either way.
 /// * `--csv` — also print CSV output.
 pub fn parse_figure_options<I: IntoIterator<Item = String>>(
     args: I,
@@ -87,7 +84,6 @@ pub fn parse_figure_options<I: IntoIterator<Item = String>>(
                 options.config.worker_threads =
                     value.parse().map_err(|_| format!("bad --threads value `{value}`"))?;
             }
-            "--engine" => options.config.through_engine = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -172,14 +168,6 @@ mod tests {
         assert_eq!(options.config.worker_threads, 3);
         assert!(parse_figure_options(args(&["--threads", "x"])).is_err());
         assert!(parse_figure_options(args(&["--threads"])).is_err());
-    }
-
-    #[test]
-    fn engine_flag_selects_the_engine_path() {
-        assert!(!parse_figure_options(args(&[])).unwrap().config.through_engine);
-        let options = parse_figure_options(args(&["--engine"])).unwrap();
-        assert!(options.config.through_engine);
-        assert_eq!(options.config.worker_threads, 0, "sweep threads are independent");
     }
 
     #[test]

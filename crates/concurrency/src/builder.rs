@@ -5,9 +5,12 @@
 //! the only way to construct an [`ExchangeEngine`] — plain, durable or
 //! replicated. The single-update facade takes a builder too
 //! ([`UpdateExchange::with_builder`](crate::UpdateExchange::with_builder)).
-//! Durable state written by a built engine can only be recovered under a
-//! builder with the same chase, scheduling, numbering and escalation settings
-//! (they are fingerprinted into the snapshot and the log header).
+//! The schedule (one chase step per visit, Section 6's round robin) and the
+//! delta-driven chase are fixed; the builder sets what varies between
+//! deployments. Durable state written by a built engine can only be
+//! recovered under a builder with the same tracker, frontier, step-valve,
+//! numbering and escalation settings (they are fingerprinted into the
+//! snapshot and the log header).
 //!
 //! ```
 //! use youtopia_concurrency::{EngineBuilder, TrackerKind};
@@ -24,14 +27,13 @@
 //! engine.shutdown();
 //! ```
 
-use youtopia_core::{ChaseMode, EscalationPolicy};
+use youtopia_core::EscalationPolicy;
 use youtopia_mappings::MappingSet;
 use youtopia_storage::Database;
 
 use crate::deps::TrackerKind;
 use crate::durable::{DurabilityConfig, RecoveryError};
 use crate::engine::{EngineConfig, ExchangeEngine};
-use crate::scheduler::SchedulingPolicy;
 
 /// Fluent construction of an [`ExchangeEngine`] (durable or not). See the
 /// [module docs](self).
@@ -69,21 +71,7 @@ impl EngineBuilder {
 
     /// Dependency tracker for cascading aborts (default `COARSE`).
     pub fn tracker(mut self, tracker: TrackerKind) -> EngineBuilder {
-        self.config.scheduler.tracker = tracker;
-        self
-    }
-
-    /// How the sequencer interleaves ready updates (default: one step per
-    /// visit).
-    pub fn policy(mut self, policy: SchedulingPolicy) -> EngineBuilder {
-        self.config.scheduler.policy = policy;
-        self
-    }
-
-    /// Violation-queue maintenance mode (default delta-driven;
-    /// [`ChaseMode::FullRecheck`] is the differential reference).
-    pub fn chase_mode(mut self, mode: ChaseMode) -> EngineBuilder {
-        self.config.scheduler.chase_mode = mode;
+        self.config.tracker = tracker;
         self
     }
 
@@ -103,7 +91,7 @@ impl EngineBuilder {
     /// update stays blocked after reaching a frontier before its request is
     /// published (default 0).
     pub fn frontier_delay_rounds(mut self, rounds: usize) -> EngineBuilder {
-        self.config.scheduler.frontier_delay_rounds = rounds;
+        self.config.frontier_delay_rounds = rounds;
         self
     }
 
@@ -112,7 +100,7 @@ impl EngineBuilder {
     /// by default on a long-lived engine; bound individual updates with
     /// [`max_steps_per_update`](Self::max_steps_per_update) instead.
     pub fn max_total_steps(mut self, steps: usize) -> EngineBuilder {
-        self.config.scheduler.max_total_steps = steps;
+        self.config.max_total_steps = steps;
         self
     }
 
@@ -240,8 +228,6 @@ mod tests {
         let b = EngineBuilder::new()
             .free_running()
             .tracker(TrackerKind::Precise)
-            .policy(SchedulingPolicy::StratumRoundRobin)
-            .chase_mode(ChaseMode::FullRecheck)
             .frontier_delay_rounds(2)
             .max_total_steps(99)
             .first_update_number(10)
@@ -252,11 +238,9 @@ mod tests {
             .escalation(EscalationPolicy::Wait);
         let c = b.config;
         assert!(c.free_running);
-        assert_eq!(c.scheduler.tracker, TrackerKind::Precise);
-        assert_eq!(c.scheduler.policy, SchedulingPolicy::StratumRoundRobin);
-        assert_eq!(c.scheduler.chase_mode, ChaseMode::FullRecheck);
-        assert_eq!(c.scheduler.frontier_delay_rounds, 2);
-        assert_eq!(c.scheduler.max_total_steps, 99);
+        assert_eq!(c.tracker, TrackerKind::Precise);
+        assert_eq!(c.frontier_delay_rounds, 2);
+        assert_eq!(c.max_total_steps, 99);
         assert_eq!(c.first_update_number, 10);
         assert_eq!(c.max_steps_per_update, 500);
         assert_eq!(c.admission_cap, 8);

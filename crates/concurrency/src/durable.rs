@@ -154,27 +154,29 @@ impl From<std::io::Error> for RecoveryError {
     }
 }
 
-/// Fingerprint of everything replay determinism depends on: the scheduler
-/// knobs that steer the sequencer, the id assignment base, the per-update
-/// budget, the frontier escalation policy (a system auto-resolution in the
-/// log only replays correctly against the policy that produced it), the
-/// skipping frontier policy and the mapping set. The leading salt names the
-/// schedule revision: a change to the sequencer's rules (which update acts
-/// when, what counts as one action) bumps it, so a log or snapshot written
-/// under older rules is rejected instead of replaying divergently. `v2`: a
-/// revived victim sits out under both policies, and stepping past a
-/// published slot is one action. Deliberately excludes the admission cap
-/// and client fair-share state (rejected submissions never reach the log)
-/// and the retention horizon (eviction changes lookups, never chase
-/// behaviour).
+/// Fingerprint of everything replay determinism depends on: the tracker,
+/// frontier delay and step valve that steer the sequencer, the id assignment
+/// base, the per-update budget, the frontier escalation policy (a system
+/// auto-resolution in the log only replays correctly against the policy that
+/// produced it), the skipping frontier policy and the mapping set. The
+/// leading salt names the schedule revision: a change to the sequencer's
+/// rules (which update acts when, what counts as one action) bumps it, so a
+/// log or snapshot written under older rules is rejected instead of
+/// replaying divergently. `v2`: a revived victim sits out under both
+/// policies, and stepping past a published slot is one action. Deliberately
+/// excludes the admission cap and client fair-share state (rejected
+/// submissions never reach the log) and the retention horizon (eviction
+/// changes lookups, never chase behaviour).
 pub(crate) fn config_fingerprint(config: &EngineConfig, mappings: &MappingSet) -> u64 {
     let mut h = Fnv64::new();
     h.write_str("youtopia-engine-wal-v2");
-    h.write_str(&format!("{:?}", config.scheduler.tracker));
-    h.write_str(&format!("{:?}", config.scheduler.policy));
-    h.write_str(&format!("{:?}", config.scheduler.chase_mode));
-    h.write_u64(config.scheduler.frontier_delay_rounds as u64);
-    h.write_u64(config.scheduler.max_total_steps as u64);
+    h.write_str(&format!("{:?}", config.tracker));
+    // The interleaving policy and the chase mode are fixed now; hashing the
+    // spellings of their old defaults keeps existing logs recoverable.
+    h.write_str("StepRoundRobin");
+    h.write_str("Incremental");
+    h.write_u64(config.frontier_delay_rounds as u64);
+    h.write_u64(config.max_total_steps as u64);
     h.write_u64(config.first_update_number);
     h.write_u64(config.max_steps_per_update as u64);
     h.write_str(&format!("{:?}", config.escalation));

@@ -50,13 +50,18 @@
 //! engine across many actions while holding it.
 //!
 //! There is **one scheduler**: the round-robin cursor of `ConcurrentRun`
-//! (Algorithm 3) over the live updates, one action per visit, with the same
-//! rules — a terminated update an abort revives sits out the rest of the
-//! round. One choice sits on top of it: what the loop does while a published
-//! frontier is unanswered — *block* (the default: nothing acts until the
-//! answer lands, the pull-based analogue of the reference's synchronous
-//! resolver call, so a batch submitted before anything steps is
-//! byte-identical to the reference — pinned by `tests/engine_equivalence.rs`),
+//! (Algorithm 3) over the live updates, one action (at most one chase step)
+//! per visit, with the same rules — a terminated update an abort revives
+//! sits out the rest of the round. The chase is fixed too: every execution
+//! maintains its violation queue from the delta feed
+//! ([`ChaseMode::Incremental`](youtopia_core::ChaseMode)); the full-recheck
+//! chase survives only in `ConcurrentRun`, as the test oracle the
+//! equivalence suites compare the engine against. One choice sits on top of
+//! the scheduler: what the loop does while a published frontier is
+//! unanswered — *block* (the default: nothing acts until the answer lands,
+//! the pull-based analogue of the reference's synchronous resolver call, so
+//! a batch submitted before anything steps is byte-identical to the
+//! reference — pinned by `tests/engine_equivalence.rs`),
 //! or *skip* ([`EngineBuilder::free_running`](crate::EngineBuilder::free_running):
 //! the cursor steps past published slots and parks only when every live
 //! update is blocked, so the schedule depends on where answers land —
@@ -84,13 +89,13 @@ use youtopia_mappings::MappingSet;
 use youtopia_storage::wal::{read_wal, write_file_atomic, WalWriter};
 use youtopia_storage::{Database, UpdateId};
 
+use crate::deps::TrackerKind;
 use crate::durable::{
     config_fingerprint, decode_record, decode_snapshot, encode_answer, encode_header,
     encode_snapshot, encode_submit, DurabilityConfig, DurableEngineState, RecoveryError,
     SlotSummary, SnapshotMeta, WalRecord,
 };
 use crate::metrics::RunMetrics;
-use crate::scheduler::SchedulerConfig;
 use crate::sequencer::{Core, DetProgress};
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -102,9 +107,9 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Each field is documented on the builder setter of the same name.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct EngineConfig {
-    /// The knobs shared with the batch world (tracker, policy, chase mode,
-    /// frontier delay, global step valve).
-    pub(crate) scheduler: SchedulerConfig,
+    pub(crate) tracker: TrackerKind,
+    pub(crate) frontier_delay_rounds: usize,
+    pub(crate) max_total_steps: usize,
     /// Skip — rather than block at — published frontiers
     /// ([`EngineBuilder::free_running`](crate::EngineBuilder::free_running)).
     pub(crate) free_running: bool,
@@ -121,12 +126,14 @@ pub(crate) struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
+            tracker: TrackerKind::Coarse,
+            frontier_delay_rounds: 0,
             // `SchedulerConfig`'s cumulative step valve is a batch-run safety
             // net; on a long-lived service it would become a lifetime time
             // bomb (the engine dies for good once total steps ever executed
             // reach it). Default engines are therefore unbounded globally —
             // bound individual updates with `max_steps_per_update` instead.
-            scheduler: SchedulerConfig::default().with_max_total_steps(usize::MAX),
+            max_total_steps: usize::MAX,
             free_running: false,
             first_update_number: 1,
             max_steps_per_update: usize::MAX,
@@ -584,7 +591,7 @@ impl EngineShared {
         let mut out = Vec::with_capacity(ops.len());
         for (i, op) in ops.into_iter().enumerate() {
             let id = UpdateId(self.config.first_update_number + (base + i) as u64);
-            let exec = UpdateExecution::with_mode(id, op, self.config.scheduler.chase_mode);
+            let exec = UpdateExecution::new(id, op);
             core.slots.push_back(Slot::new(exec, None));
             core.all_ids.push(id);
             core.live.insert(base + i);
@@ -960,7 +967,6 @@ impl ExchangeEngine {
             let exec = UpdateExecution::restored(
                 id,
                 summary.initial.clone(),
-                config.scheduler.chase_mode,
                 summary.stats,
                 summary.terminated,
             );

@@ -82,7 +82,7 @@ impl UpdateExchange {
 
     /// Creates an exchange whose engine is configured by `builder` — set any
     /// knob ([`EngineBuilder::max_steps_per_update`],
-    /// [`EngineBuilder::chase_mode`], ...) before passing it in. The engine
+    /// [`EngineBuilder::tracker`], ...) before passing it in. The engine
     /// runs each update on the calling thread of
     /// [`run_update`](Self::run_update), so micro-chases stay at
     /// single-threaded cost. The step valve is per-update, not global (the

@@ -75,5 +75,5 @@ pub use exchange::{DbRef, DbRefMut, UpdateExchange};
 pub use log::{ReadLog, WriteLog};
 pub use metrics::{AveragedMetrics, RunMetrics};
 pub use replicate::{SyncError, SyncReport};
-pub use scheduler::{ConcurrentRun, SchedulerConfig, SchedulingPolicy};
+pub use scheduler::{ConcurrentRun, SchedulerConfig};
 pub use viewmaint::ViolationIndexStats;

@@ -22,26 +22,16 @@ use crate::deps::{DependencyTracker, TrackerKind};
 use crate::log::{ReadLog, WriteLog};
 use crate::metrics::RunMetrics;
 
-/// How the scheduler interleaves ready updates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedulingPolicy {
-    /// Round-robin at the granularity of individual chase steps — the policy
-    /// used for all experiments in Section 6.
-    StepRoundRobin,
-    /// Round-robin at the granularity of deterministic strata: a scheduled
-    /// update keeps stepping until it blocks on a frontier or terminates.
-    StratumRoundRobin,
-}
-
-/// Configuration of a batch run ([`ConcurrentRun`]). Long-lived engines are
-/// configured through [`EngineBuilder`](crate::EngineBuilder), which has a
-/// setter for each of these knobs.
+/// Configuration of a batch run ([`ConcurrentRun`]), which interleaves ready
+/// updates one chase step per visit — the round robin of every Section 6
+/// experiment. Long-lived engines are configured through
+/// [`EngineBuilder`](crate::EngineBuilder), which sets the tracker, the
+/// frontier delay and the step valve the same way; the chase mode is the
+/// reference's alone (an engine always chases [`ChaseMode::Incremental`]).
 #[derive(Clone, Copy, Debug)]
 pub struct SchedulerConfig {
     /// Which cascading-abort tracker to use.
     pub tracker: TrackerKind,
-    /// Interleaving policy.
-    pub policy: SchedulingPolicy,
     /// Safety valve: maximum total chase steps across the whole run.
     pub max_total_steps: usize,
     /// Number of scheduler rounds an update stays blocked after reaching a
@@ -59,7 +49,6 @@ impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             tracker: TrackerKind::Coarse,
-            policy: SchedulingPolicy::StepRoundRobin,
             max_total_steps: 5_000_000,
             frontier_delay_rounds: 0,
             chase_mode: ChaseMode::default(),
@@ -77,12 +66,6 @@ impl SchedulerConfig {
     // construction (`SchedulerConfig { tracker, ..Default::default() }`) in
     // new code: they read as a sentence and keep call sites compiling when
     // the struct grows a knob.
-
-    /// Replaces the interleaving policy.
-    pub fn with_policy(mut self, policy: SchedulingPolicy) -> SchedulerConfig {
-        self.policy = policy;
-        self
-    }
 
     /// Replaces the violation-queue maintenance mode.
     pub fn with_chase_mode(mut self, chase_mode: ChaseMode) -> SchedulerConfig {
@@ -235,51 +218,46 @@ impl ConcurrentRun {
     }
 
     fn run_ready_slot(&mut self, idx: usize) -> Result<(), ChaseError> {
-        loop {
-            // Safety valve: checked per step so the error names the update
-            // that was actually stepping when the limit tripped.
-            if self.metrics.steps >= self.config.max_total_steps {
-                return Err(ChaseError::StepLimitExceeded {
-                    update: self.slots[idx].exec.id(),
-                    limit: self.config.max_total_steps,
-                });
-            }
-            let outcome = {
-                let slot = &mut self.slots[idx];
-                slot.exec.step(&mut self.db, &self.mappings)?
-            };
-            self.metrics.steps += 1;
-            self.metrics.changes += outcome.writes.iter().map(|w| w.changes.len()).sum::<usize>();
-            let id = outcome.update;
+        // Safety valve: checked per step so the error names the update that
+        // was actually stepping when the limit tripped.
+        if self.metrics.steps >= self.config.max_total_steps {
+            return Err(ChaseError::StepLimitExceeded {
+                update: self.slots[idx].exec.id(),
+                limit: self.config.max_total_steps,
+            });
+        }
+        let outcome = {
+            let slot = &mut self.slots[idx];
+            slot.exec.step(&mut self.db, &self.mappings)?
+        };
+        self.metrics.steps += 1;
+        self.metrics.changes += outcome.writes.iter().map(|w| w.changes.len()).sum::<usize>();
+        let id = outcome.update;
 
-            // Log writes (for dependency tracking) and reads (for conflicts).
-            self.write_log.push_all(&outcome.writes);
-            self.tracker.record_writes(id, &outcome.writes);
-            self.record_reads(id, outcome.reads.clone());
+        // Log writes (for dependency tracking) and reads (for conflicts).
+        self.write_log.push_all(&outcome.writes);
+        self.tracker.record_writes(id, &outcome.writes);
+        self.record_reads(id, outcome.reads.clone());
 
-            // Algorithm 4: check every change against the stored reads of
-            // higher-numbered updates; cascade through the tracker.
-            let changes: Vec<TupleChange> =
-                outcome.writes.iter().flat_map(|w| w.changes.iter().cloned()).collect();
-            let to_abort = self.collect_aborts(id, &changes);
-            self.perform_aborts(&to_abort);
+        // Algorithm 4: check every change against the stored reads of
+        // higher-numbered updates; cascade through the tracker.
+        let changes: Vec<TupleChange> =
+            outcome.writes.iter().flat_map(|w| w.changes.iter().cloned()).collect();
+        let to_abort = self.collect_aborts(id, &changes);
+        self.perform_aborts(&to_abort);
 
-            if outcome.frontier_request.is_some() {
-                self.slots[idx].sit_out = self.config.frontier_delay_rounds;
-            }
-            // Step-level round robin hands control back after one step; the
-            // stratum policy keeps going while the update remains ready.
-            if self.config.policy == SchedulingPolicy::StepRoundRobin
-                || self.slots[idx].exec.state() != UpdateState::Ready
-            {
-                break;
-            }
+        if outcome.frontier_request.is_some() {
+            self.slots[idx].sit_out = self.config.frontier_delay_rounds;
         }
         Ok(())
     }
 
     fn record_reads(&mut self, reader: UpdateId, reads: Vec<ReadQuery>) {
-        if reads.is_empty() {
+        // A lone update's reads are never consulted: no other update writes
+        // against them or reads from it. Skipping them (as the engine does
+        // for its only in-flight update) keeps a one-op run at the cost of
+        // its chase.
+        if reads.is_empty() || self.slots.len() == 1 {
             return;
         }
         {
@@ -536,21 +514,6 @@ mod tests {
             precise.cascading_abort_requests
         );
         assert!(naive.aborts >= precise.aborts);
-    }
-
-    #[test]
-    fn stratum_policy_also_terminates() {
-        let (db, mappings) = example_3_1_db();
-        let ops = example_3_1_ops(&db);
-        let config = SchedulerConfig {
-            policy: SchedulingPolicy::StratumRoundRobin,
-            ..SchedulerConfig::default()
-        };
-        let mut run = ConcurrentRun::new(db, mappings, ops, 1, config);
-        let mut resolver = RandomResolver::seeded(2);
-        let metrics = run.run(&mut resolver).unwrap();
-        assert!(metrics.steps >= 2);
-        assert!(run.update_stats().iter().all(|(_, s)| s.steps > 0));
     }
 
     #[test]

@@ -17,7 +17,6 @@ use crate::engine::{
 };
 use crate::log::{ReadLog, WriteLog};
 use crate::metrics::RunMetrics;
-use crate::scheduler::SchedulingPolicy;
 
 /// The change a rollback performs when it undoes `change`: rolling back an
 /// insert deletes the tuple, rolling back a delete revives it, rolling back a
@@ -98,7 +97,7 @@ impl Core {
             all_ids: Vec::new(),
             read_log: ReadLog::default(),
             write_log: WriteLog::default(),
-            tracker: config.scheduler.tracker.build(),
+            tracker: config.tracker.build(),
             pending: BTreeMap::new(),
             admission: BTreeMap::new(),
             metrics: RunMetrics::default(),
@@ -219,10 +218,10 @@ impl EngineShared {
         let slot = &mut core.slots[idx - core.base];
         // Safety valve, checked per step so the error names the update that
         // was actually stepping when the limit tripped.
-        if core.metrics.steps >= self.config.scheduler.max_total_steps {
+        if core.metrics.steps >= self.config.max_total_steps {
             return Err(ChaseError::StepLimitExceeded {
                 update: slot.exec.id(),
-                limit: self.config.scheduler.max_total_steps,
+                limit: self.config.max_total_steps,
             });
         }
         let outcome = slot.exec.step(&mut core.db, &self.mappings)?;
@@ -399,7 +398,7 @@ impl EngineShared {
         }
         core.read_log = ReadLog::default();
         core.write_log = WriteLog::default();
-        core.tracker = self.config.scheduler.tracker.build();
+        core.tracker = self.config.tracker.build();
         // The shared violation index's delta backlog is dead for the same
         // reason: only live executions hold cursors into it, and there are
         // none. Dropping it (rather than letting the cap drain it lazily)
@@ -553,55 +552,45 @@ impl EngineShared {
         Ok(DetProgress::Acted)
     }
 
-    /// The reference `run_ready_slot`: step, validate, abort synchronously,
-    /// honour the scheduling policy. Returns whether the slot left the live
-    /// set and the active count for good (terminated or failed).
+    /// The reference `run_ready_slot`: one step, validated, with its aborts
+    /// executed synchronously. Returns whether the slot left the live set and
+    /// the active count for good (terminated or failed).
     fn det_run_ready_slot(&self, core: &mut Core, idx: usize) -> Result<bool, ChaseError> {
-        loop {
-            let slot = core.live_slot(idx);
-            if slot.exec.stats().steps >= self.config.max_steps_per_update {
-                let err = ChaseError::StepLimitExceeded {
-                    update: slot.exec.id(),
-                    limit: self.config.max_steps_per_update,
-                };
-                let dependents = self.fail_slot(core, idx, err);
-                // Quiescence ordering: the failed slot leaves `active` only
-                // after every dependent its rollback revived has re-entered
-                // the count, so `active == 0` never holds with a revived
-                // update still to run.
-                self.det_abort_worklist(core, dependents, true);
-                core.live.remove(&idx);
-                core.active -= 1;
-                return Ok(true);
-            }
-            let (outcome, to_abort) = self.step_and_validate(core, idx)?;
-            self.det_abort_worklist(core, to_abort, false);
-            if outcome.frontier_request.is_some() {
-                let delay = self.config.scheduler.frontier_delay_rounds;
-                core.live_slot(idx).sit_out = delay;
-                // Nobody waits on a published request under the skipping
-                // policy, so one that need not be delayed goes out with the
-                // step that raised it instead of costing its owner a round.
-                // Under blocking the publish closes the gate, so doing it
-                // here would park the rest of the round behind the question.
-                if self.config.free_running && delay == 0 {
-                    self.publish_frontier(core, idx);
-                }
-            }
-            let state = core.live_slot(idx).exec.state();
-            if state == UpdateState::Terminated {
-                core.live.remove(&idx);
-                core.active -= 1;
-                return Ok(true);
-            }
-            // Step-level round robin hands control back after one step; the
-            // stratum policy keeps going while the update remains ready.
-            if self.config.scheduler.policy == SchedulingPolicy::StepRoundRobin
-                || state != UpdateState::Ready
-            {
-                return Ok(false);
+        let slot = core.live_slot(idx);
+        if slot.exec.stats().steps >= self.config.max_steps_per_update {
+            let err = ChaseError::StepLimitExceeded {
+                update: slot.exec.id(),
+                limit: self.config.max_steps_per_update,
+            };
+            let dependents = self.fail_slot(core, idx, err);
+            // Quiescence ordering: the failed slot leaves `active` only after
+            // every dependent its rollback revived has re-entered the count,
+            // so `active == 0` never holds with a revived update still to run.
+            self.det_abort_worklist(core, dependents, true);
+            core.live.remove(&idx);
+            core.active -= 1;
+            return Ok(true);
+        }
+        let (outcome, to_abort) = self.step_and_validate(core, idx)?;
+        self.det_abort_worklist(core, to_abort, false);
+        if outcome.frontier_request.is_some() {
+            let delay = self.config.frontier_delay_rounds;
+            core.live_slot(idx).sit_out = delay;
+            // Nobody waits on a published request under the skipping policy,
+            // so one that need not be delayed goes out with the step that
+            // raised it instead of costing its owner a round. Under blocking
+            // the publish closes the gate, so doing it here would park the
+            // rest of the round behind the question.
+            if self.config.free_running && delay == 0 {
+                self.publish_frontier(core, idx);
             }
         }
+        if core.live_slot(idx).exec.state() != UpdateState::Terminated {
+            return Ok(false);
+        }
+        core.live.remove(&idx);
+        core.active -= 1;
+        Ok(true)
     }
 
     /// Executes an abort set in ascending order; revived (previously

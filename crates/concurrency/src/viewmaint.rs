@@ -22,10 +22,11 @@
 //! detection cost is independent of the number of concurrent updates. That is
 //! the property the `chase/shared_index` benchmark group pins.
 //!
-//! The referee is [`ChaseMode::FullRecheck`](youtopia_core::ChaseMode), which
-//! re-validates every queue in full and never consults the feed:
-//! `tests/viewmaint_equivalence.rs` pins a feed-driven engine equal to it
-//! (the per-update watermark path itself is gone).
+//! The referee is a [`ConcurrentRun`](crate::ConcurrentRun) under
+//! [`ChaseMode::FullRecheck`](youtopia_core::ChaseMode), which re-validates
+//! every queue in full and never consults the feed — a test oracle only, since
+//! every engine chases from the feed: `tests/viewmaint_equivalence.rs` pins
+//! the engine equal to it (the per-update watermark path itself is gone).
 //!
 //! # Lifecycle
 //!

@@ -261,11 +261,10 @@ impl UpdateExecution {
     pub fn restored(
         id: UpdateId,
         initial: InitialOp,
-        mode: ChaseMode,
         stats: UpdateStats,
         terminated: bool,
     ) -> UpdateExecution {
-        let mut exec = UpdateExecution::with_mode(id, initial, mode);
+        let mut exec = UpdateExecution::new(id, initial);
         exec.stats = stats;
         if terminated {
             exec.state = UpdateState::Terminated;

@@ -1,7 +1,7 @@
 //! Per-relation tuple storage: version chains plus a column index and a
 //! per-reader visible-set cache.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::schema::RelationId;
@@ -22,6 +22,11 @@ type VisibleRows = Arc<Vec<(TupleId, TupleData)>>;
 /// (every violation-query join leg issues one), so the bound is wider than
 /// [`VISIBLE_CACHE_MAX_READERS`].
 const CANDIDATE_CACHE_MAX_ENTRIES: usize = 1024;
+
+/// Buckets up to this long are de-duplicated by scanning their own prefix,
+/// which allocates nothing and beats hashing at this size; longer ones go
+/// through a set, so a hot value's bucket stays linear.
+const PREFIX_SCAN_MAX: usize = 32;
 
 /// Storage for the tuples of one relation.
 ///
@@ -261,16 +266,19 @@ impl RelationStore {
                 return (**rows).clone();
             }
         }
-        let mut seen = Vec::new();
         let mut out = Vec::new();
-        // Bucket order is the index's *append* order (stale entries included).
+        // Bucket order is the index's *append* order (stale entries included,
+        // so a re-versioned tuple can recur anywhere behind its first entry);
+        // the first occurrence wins.
         let bucket =
             self.index.get(column).and_then(|m| m.get(&value)).map_or(&[][..], Vec::as_slice);
-        for &tid in bucket {
-            if seen.contains(&tid) {
+        let short = bucket.len() <= PREFIX_SCAN_MAX;
+        let mut seen = HashSet::with_capacity(if short { 0 } else { bucket.len() });
+        for (i, &tid) in bucket.iter().enumerate() {
+            let recurs = if short { bucket[..i].contains(&tid) } else { !seen.insert(tid) };
+            if recurs {
                 continue;
             }
-            seen.push(tid);
             if let Some(data) = self.visible(tid, reader) {
                 if data.get(column) == Some(&value) {
                     out.push((tid, data));
@@ -436,6 +444,43 @@ mod tests {
             }
             assert!(store.visible_count(reader) <= store.size_estimate(None));
         }
+    }
+
+    #[test]
+    fn candidates_keep_first_append_order_across_recurring_entries() {
+        let mut store = RelationStore::new(RelationId(0), 2);
+        let x1 = V::Null(NullId(1));
+        let a = V::constant("a");
+        let c = V::constant("c");
+        store.insert_new(TupleId(1), version(1, 1, Some(&[a, x1])));
+        store.insert_new(TupleId(2), version(2, 2, Some(&[a, c])));
+        store.push_version(TupleId(1), version(3, 3, Some(&[a, c])));
+        // The `a` bucket is [1, 2, 1] and the `c` bucket [2, 1].
+        assert_eq!(store.size_estimate(Some((0, a))), 3);
+        let ids = |col, value, reader| -> Vec<TupleId> {
+            store.candidates(col, value, reader).into_iter().map(|(t, _)| t).collect()
+        };
+        let all = UpdateId::OMNISCIENT;
+        assert_eq!(ids(0, a, all), vec![TupleId(1), TupleId(2)]);
+        assert_eq!(ids(1, c, all), vec![TupleId(2), TupleId(1)]);
+        // Before update 3, tuple 1 still holds the null in column 1.
+        assert_eq!(ids(0, a, UpdateId(2)), vec![TupleId(1), TupleId(2)]);
+        assert_eq!(ids(1, c, UpdateId(2)), vec![TupleId(2)]);
+
+        // A bucket past the prefix-scan bound is de-duplicated through the
+        // set: tuple 1 leaves `a` and comes back behind everyone else.
+        let mut store = RelationStore::new(RelationId(0), 1);
+        let b = V::constant("b");
+        let n = PREFIX_SCAN_MAX as u64 + 8;
+        for t in 1..=n {
+            store.insert_new(TupleId(t), version(t, t, Some(&[a])));
+        }
+        store.push_version(TupleId(1), version(n + 1, n + 1, Some(&[b])));
+        store.push_version(TupleId(1), version(n + 2, n + 2, Some(&[a])));
+        assert_eq!(store.size_estimate(Some((0, a))), n as usize + 1);
+        let long: Vec<TupleId> =
+            store.candidates(0, a, UpdateId::OMNISCIENT).into_iter().map(|(t, _)| t).collect();
+        assert_eq!(long, (1..=n).map(TupleId).collect::<Vec<_>>());
     }
 
     #[test]

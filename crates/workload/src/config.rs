@@ -190,15 +190,8 @@ pub struct ExperimentConfig {
     /// seed, so the results are identical at any thread count. `0` means "one
     /// per available core".
     pub worker_threads: usize,
-    /// Which scheduler runs each chase: `false` uses the `ConcurrentRun`
-    /// reference; `true` submits through a deterministic `ExchangeEngine`,
-    /// whose sequencer commits steps in the reference serialisation order —
-    /// results are byte-identical either way (pinned by
-    /// `tests/determinism.rs`).
-    pub through_engine: bool,
-    /// How workload updates arrive at the scheduler: the paper's up-front
-    /// batch, or staggered waves through the live `ExchangeEngine` (staggered
-    /// runs always go through the engine).
+    /// How workload updates arrive at the engine: the paper's up-front batch,
+    /// or waves (staggered or Poisson) that each run to quiescence.
     pub arrival: ArrivalProcess,
 }
 
@@ -222,7 +215,6 @@ impl ExperimentConfig {
             seed: 2009,
             frontier_delay_rounds: 2,
             worker_threads: 0,
-            through_engine: false,
             arrival: ArrivalProcess::Batch,
         }
     }
@@ -246,7 +238,6 @@ impl ExperimentConfig {
             seed: 7,
             frontier_delay_rounds: 2,
             worker_threads: 0,
-            through_engine: false,
             arrival: ArrivalProcess::Batch,
         }
     }
@@ -268,7 +259,6 @@ impl ExperimentConfig {
             seed: 13,
             frontier_delay_rounds: 1,
             worker_threads: 0,
-            through_engine: false,
             arrival: ArrivalProcess::Batch,
         }
     }

@@ -13,8 +13,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use youtopia_concurrency::{
-    AveragedMetrics, ConcurrentRun, EngineBuilder, ResolverPump, RunMetrics, SchedulerConfig,
-    TrackerKind,
+    AveragedMetrics, EngineBuilder, ResolverPump, RunMetrics, SchedulerConfig, TrackerKind,
 };
 use youtopia_core::{ChaseError, InitialOp, RandomResolver};
 use youtopia_mappings::{satisfies_all, MappingSet};
@@ -125,6 +124,10 @@ pub fn build_fixture(config: &ExperimentConfig) -> Result<ExperimentFixture, Cha
 /// Runs one concurrent execution of one workload variant under one tracker and
 /// mapping prefix, returning its metrics. Exposed for benchmarks.
 ///
+/// The updates go through a deterministic [`ExchangeEngine`](youtopia_concurrency::ExchangeEngine)
+/// as [`ExperimentConfig::arrival`] prescribes, with frontier questions
+/// answered by a resolver seeded from `config.seed` and `variant`.
+///
 /// The workload is generated against the *active* mapping prefix. For the
 /// paper's kinds this changes nothing across a density sweep (they ignore the
 /// mappings), but [`WorkloadKind::DeepCascade`] aims its inserts at the
@@ -143,62 +146,19 @@ pub fn run_single(
     let mappings = fixture.mappings.prefix(mapping_count);
     let ops =
         generate_workload(config, &fixture.schema, &fixture.initial_db, &mappings, kind, variant);
-    let scheduler = SchedulerConfig::with_tracker(tracker)
-        .with_frontier_delay_rounds(config.frontier_delay_rounds);
-    // Workload updates get priority numbers above every update that built the
-    // initial database.
-    let first_number = config.initial_tuples as u64 + 1_000;
     let mut resolver = RandomResolver::seeded(config.seed ^ (variant.wrapping_mul(0x9E37_79B9)));
-    // Batch arrival runs the reference scheduler unless `through_engine`
-    // asks for the long-lived `ExchangeEngine`, whose deterministic sequencer
-    // commits steps in the reference serialisation order — the two paths are
-    // byte-identical (pinned by `tests/determinism.rs` and
-    // `tests/engine_equivalence.rs`). Staggered arrivals always go through
-    // the engine: waves must share one read log / tracker lifetime.
-    let metrics = if !config.through_engine && config.arrival == ArrivalProcess::Batch {
-        let mut run =
-            ConcurrentRun::new(fixture.initial_db.clone(), mappings, ops, first_number, scheduler);
-        let metrics = run.run(&mut resolver)?;
-        debug_assert!({
-            let (db, mappings, _) = run.into_parts();
-            satisfies_all(&db.snapshot(UpdateId::OMNISCIENT), &mappings)
-        });
-        metrics
-    } else {
-        run_single_through_engine(
-            fixture.initial_db.clone(),
-            mappings,
-            config,
-            scheduler,
-            first_number,
-            ops,
-            &mut resolver,
-        )?
-    };
-    Ok(metrics)
-}
-
-/// The engine-backed run: submit the workload according to the configured
-/// [`ArrivalProcess`], pump frontier answers through the resolver, and
-/// collect the engine's metrics once quiescent.
-#[allow(clippy::too_many_arguments)]
-fn run_single_through_engine(
-    db: Database,
-    mappings: MappingSet,
-    config: &ExperimentConfig,
-    scheduler: SchedulerConfig,
-    first_number: u64,
-    ops: Vec<InitialOp>,
-    resolver: &mut RandomResolver,
-) -> Result<RunMetrics, ChaseError> {
+    let db = fixture.initial_db.clone();
     let start = Instant::now();
-    // `max_total_steps` carries over too: a batch run through the engine
-    // keeps the reference scheduler's global valve.
+    // The engine's sequencer commits steps in the `ConcurrentRun` reference's
+    // serialisation order, so a batch run is byte-identical to the reference
+    // (pinned cell by cell by `tests/determinism.rs`). Workload updates get
+    // priority numbers above every update that built the initial database,
+    // and the run keeps the reference's global step valve.
     let engine = EngineBuilder::new()
-        .tracker(scheduler.tracker)
-        .frontier_delay_rounds(scheduler.frontier_delay_rounds)
-        .max_total_steps(scheduler.max_total_steps)
-        .first_update_number(first_number)
+        .tracker(tracker)
+        .frontier_delay_rounds(config.frontier_delay_rounds)
+        .max_total_steps(SchedulerConfig::default().max_total_steps)
+        .first_update_number(config.initial_tuples as u64 + 1_000)
         .build(db, mappings)
         .expect("non-durable engines build infallibly");
     let submit = |batch: Vec<InitialOp>| {
@@ -207,12 +167,12 @@ fn run_single_through_engine(
     match config.arrival {
         ArrivalProcess::Batch => {
             submit(ops)?;
-            ResolverPump::new(&engine, resolver).run_until_quiescent()?;
+            ResolverPump::new(&engine, &mut resolver).run_until_quiescent()?;
         }
         ArrivalProcess::Staggered { wave } => {
             for chunk in ops.chunks(wave.max(1)) {
                 submit(chunk.to_vec())?;
-                ResolverPump::new(&engine, resolver).run_until_quiescent()?;
+                ResolverPump::new(&engine, &mut resolver).run_until_quiescent()?;
             }
         }
         ArrivalProcess::Poisson { rate } => {
@@ -226,13 +186,13 @@ fn run_single_through_engine(
             for (op, tick) in ops.into_iter().zip(ticks) {
                 if tick != current {
                     submit(std::mem::take(&mut wave))?;
-                    ResolverPump::new(&engine, resolver).run_until_quiescent()?;
+                    ResolverPump::new(&engine, &mut resolver).run_until_quiescent()?;
                     current = tick;
                 }
                 wave.push(op);
             }
             submit(wave)?;
-            ResolverPump::new(&engine, resolver).run_until_quiescent()?;
+            ResolverPump::new(&engine, &mut resolver).run_until_quiescent()?;
         }
     }
     debug_assert!(

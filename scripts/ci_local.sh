@@ -44,9 +44,9 @@ stage_stress() {
     cargo test -q --release --test parallel_stress
     echo "==> [stress] engine equivalence (batch engine = ConcurrentRun; live session; skipping policy; waiters)"
     cargo test -q --release --test engine_equivalence
-    echo "==> [stress] violation-index equivalence (feed-driven engine = FullRecheck reference; drained backlog)"
+    echo "==> [stress] violation-index equivalence (engine = full-recheck ConcurrentRun oracle; drained backlog)"
     cargo test -q --release --test viewmaint_equivalence
-    echo "==> [stress] determinism (seeds, sweep threads, engine vs reference)"
+    echo "==> [stress] determinism (seeds, sweep threads, engine vs reference per cell)"
     cargo test -q --release --test determinism
     echo "==> [stress] dev-profile repeat (caller races that only unoptimised builds have shown)"
     for run in 1 2 3; do
@@ -54,9 +54,8 @@ stage_stress() {
     done
     echo "==> [stress] million-user-day survival scenario"
     cargo test -q --release -p youtopia-workload scenario
-    echo "==> [stress] fig3 smoke on both schedulers (reference, engine)"
+    echo "==> [stress] fig3 smoke"
     cargo run -p youtopia-bench --bin fig3 --release -- --runs 1 --updates 20 --no-naive
-    cargo run -p youtopia-bench --bin fig3 --release -- --runs 1 --updates 20 --no-naive --engine
 }
 
 stage_recovery() {

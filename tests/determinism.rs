@@ -10,10 +10,11 @@
 
 use std::time::Duration;
 
-use youtopia::workload::{build_fixture, run_single, to_csv, ExperimentResults};
+use youtopia::concurrency::SchedulerConfig;
+use youtopia::workload::{build_fixture, generate_workload, run_single, to_csv, ExperimentResults};
 use youtopia::{
-    run_experiment, ExperimentConfig, LatencySummary, RandomResolver, RunMetrics, TrackerKind,
-    UpdateExchange, UpdateId, WorkloadKind,
+    run_experiment, ConcurrentRun, ExperimentConfig, LatencySummary, RandomResolver, RunMetrics,
+    TrackerKind, UpdateExchange, UpdateId, WorkloadKind,
 };
 
 /// Replaces every wall-clock quantity in `metrics` with zero.
@@ -137,30 +138,50 @@ fn parallel_sweep_is_byte_identical_to_the_serial_sweep() {
 
 #[test]
 fn engine_backed_sweep_is_byte_identical_to_the_reference_sweep() {
-    // A deterministic engine commits steps in the reference serialisation
-    // order, so the *full experiment sweep* must be byte-identical whether
-    // each run uses the `ConcurrentRun` reference or submits through an
-    // `ExchangeEngine`.
-    let mut config = ExperimentConfig::tiny();
-    config.runs = 2;
-    config.worker_threads = 1; // isolate the chase scheduler from the sweep fan-out
-    let trackers = [TrackerKind::Coarse, TrackerKind::Precise];
-
+    // `run_single` submits every cell through a deterministic engine, which
+    // commits steps in the `ConcurrentRun` reference's serialisation order:
+    // each cell of the sweep must reproduce the reference run built from the
+    // same workload, resolver seed, update numbering and frontier delay.
+    let config = ExperimentConfig::tiny();
+    let fixture = build_fixture(&config).unwrap();
+    let first_number = config.initial_tuples as u64 + 1_000;
     for kind in [WorkloadKind::Mixed, WorkloadKind::DeepCascade] {
-        let reference = scrub_results_time(run_experiment(&config, kind, &trackers, None).unwrap());
-        let mut engine_config = config.clone();
-        engine_config.through_engine = true;
-        let engine =
-            scrub_results_time(run_experiment(&engine_config, kind, &trackers, None).unwrap());
-        assert_eq!(
-            reference.points, engine.points,
-            "{kind}: the engine must reproduce the reference points exactly"
-        );
-        assert_eq!(
-            to_csv(&reference),
-            to_csv(&engine),
-            "{kind}: CSV reports must be byte-identical across the two schedulers"
-        );
+        for &mapping_count in &config.mapping_counts {
+            let mappings = fixture.mappings.prefix(mapping_count);
+            for tracker in [TrackerKind::Coarse, TrackerKind::Precise] {
+                for variant in 0..config.runs as u64 {
+                    let engine =
+                        run_single(&fixture, &config, kind, mapping_count, tracker, variant)
+                            .unwrap();
+                    let ops = generate_workload(
+                        &config,
+                        &fixture.schema,
+                        &fixture.initial_db,
+                        &mappings,
+                        kind,
+                        variant,
+                    );
+                    let scheduler = SchedulerConfig::with_tracker(tracker)
+                        .with_frontier_delay_rounds(config.frontier_delay_rounds);
+                    let mut run = ConcurrentRun::new(
+                        fixture.initial_db.clone(),
+                        mappings.clone(),
+                        ops,
+                        first_number,
+                        scheduler,
+                    );
+                    let mut resolver =
+                        RandomResolver::seeded(config.seed ^ variant.wrapping_mul(0x9E37_79B9));
+                    let reference = run.run(&mut resolver).unwrap();
+                    assert_eq!(
+                        scrub_metrics_time(engine),
+                        scrub_metrics_time(reference),
+                        "{kind}, {mapping_count} mappings, {tracker}, variant {variant}: \
+                         the engine must reproduce the reference cell exactly"
+                    );
+                }
+            }
+        }
     }
 }
 

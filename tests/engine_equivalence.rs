@@ -4,12 +4,12 @@
 //!   deterministic engine must be indistinguishable from the single-threaded
 //!   [`ConcurrentRun`] reference: the same final database rendering, the same
 //!   [`RunMetrics`] (modulo wall clock), the same per-update statistics and
-//!   therefore the same abort *sets* — across trackers, scheduling policies
-//!   and chase modes. This pins the submit/poll/answer pipeline (open-world
-//!   slots, token-based frontier resolution, the pump, the step over the
-//!   sequencer's logs) to the reference semantics.
+//!   therefore the same abort *sets* — across trackers and workloads. This
+//!   pins the submit/poll/answer pipeline (open-world slots, token-based
+//!   frontier resolution, the pump, the step over the sequencer's logs) to
+//!   the reference semantics.
 //! * **Staggered determinism** — `ArrivalProcess::Staggered` waves through
-//!   the live engine are reproducible and independent of `through_engine`.
+//!   the live engine are reproducible.
 //! * **Live session** — an update submitted *while* the engine is chasing
 //!   earlier ones (one of them blocked on a frontier) commits correctly after
 //!   the frontier is answered through [`ExchangeEngine::answer`], and the
@@ -27,8 +27,7 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use youtopia::chase::ChaseMode;
-use youtopia::concurrency::{RunMetrics, SchedulerConfig, SchedulingPolicy};
+use youtopia::concurrency::{RunMetrics, SchedulerConfig};
 use youtopia::mappings::satisfies_all;
 use youtopia::workload::{
     build_fixture, generate_workload, run_single, ArrivalProcess, ExperimentConfig, WorkloadKind,
@@ -58,13 +57,7 @@ fn render(db: &Database) -> String {
 
 /// Runs one generated workload through the reference scheduler and through a
 /// batch-submitted engine, asserting byte equality.
-fn engine_matches_reference(
-    seed: u64,
-    tracker: TrackerKind,
-    kind: WorkloadKind,
-    policy: SchedulingPolicy,
-    chase_mode: ChaseMode,
-) {
+fn engine_matches_reference(seed: u64, tracker: TrackerKind, kind: WorkloadKind) {
     let mut config = ExperimentConfig::tiny();
     config.seed = seed;
     let fixture = build_fixture(&config).expect("fixture builds");
@@ -80,10 +73,7 @@ fn engine_matches_reference(
     .take(16)
     .collect();
     let first_number = config.initial_tuples as u64 + 1_000;
-    let scheduler = SchedulerConfig::with_tracker(tracker)
-        .with_policy(policy)
-        .with_chase_mode(chase_mode)
-        .with_frontier_delay_rounds(3);
+    let scheduler = SchedulerConfig::with_tracker(tracker).with_frontier_delay_rounds(3);
 
     let mut reference = ConcurrentRun::new(
         fixture.initial_db.clone(),
@@ -101,8 +91,6 @@ fn engine_matches_reference(
 
     let engine = EngineBuilder::new()
         .tracker(tracker)
-        .policy(policy)
-        .chase_mode(chase_mode)
         .frontier_delay_rounds(3)
         .first_update_number(first_number)
         .build(fixture.initial_db.clone(), fixture.mappings.clone())
@@ -110,7 +98,7 @@ fn engine_matches_reference(
     let handles = engine.submit_batch(ops.clone()).expect("uncapped submission");
     let mut resolver = RandomResolver::seeded(seed ^ 0xE61E);
     ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
-    let label = format!("seed {seed}, {tracker}, {kind}, {policy:?}, {chase_mode:?}");
+    let label = format!("seed {seed}, {tracker}, {kind}");
     for handle in &handles {
         assert_eq!(handle.status(), UpdateStatus::Terminated, "{label}: {:?}", handle.id());
         assert!(handle.report().expect("terminated").terminated, "{label}");
@@ -132,59 +120,33 @@ proptest! {
     /// backward repairs) — the workhorse combination.
     #[test]
     fn precise_mixed_batches_match_the_reference(seed in 0u64..10_000) {
-        engine_matches_reference(
-            seed,
-            TrackerKind::Precise,
-            WorkloadKind::Mixed,
-            SchedulingPolicy::StepRoundRobin,
-            ChaseMode::Incremental,
-        );
+        engine_matches_reference(seed, TrackerKind::Precise, WorkloadKind::Mixed);
     }
 
     /// COARSE over deep cascades: long violation queues cross many sequencer
     /// hand-offs and pump round-trips.
     #[test]
     fn coarse_deep_cascade_batches_match_the_reference(seed in 0u64..10_000) {
-        engine_matches_reference(
-            seed,
-            TrackerKind::Coarse,
-            WorkloadKind::DeepCascade,
-            SchedulingPolicy::StepRoundRobin,
-            ChaseMode::Incremental,
-        );
+        engine_matches_reference(seed, TrackerKind::Coarse, WorkloadKind::DeepCascade);
     }
 
-    /// NAIVE + the stratum policy + the reference chase mode, over the skewed
-    /// hot-relation workload: the engine must be agnostic of all three knobs.
+    /// NAIVE over the skewed hot-relation workload: the coarsest tracker
+    /// where conflicts are densest, so cascades are widest.
     #[test]
-    fn naive_stratum_full_recheck_batches_match_the_reference(seed in 0u64..10_000) {
-        engine_matches_reference(
-            seed,
-            TrackerKind::Naive,
-            WorkloadKind::Skewed,
-            SchedulingPolicy::StratumRoundRobin,
-            ChaseMode::FullRecheck,
-        );
+    fn naive_skewed_batches_match_the_reference(seed in 0u64..10_000) {
+        engine_matches_reference(seed, TrackerKind::Naive, WorkloadKind::Skewed);
     }
 
-    /// PRECISE + the reference chase mode over null-replacement-heavy work:
-    /// the engine must be agnostic of the queue maintenance mode where
-    /// unifications keep rewriting the violation queue.
+    /// PRECISE over null-replacement-heavy work, where unifications keep
+    /// rewriting the violation queue.
     #[test]
-    fn precise_full_recheck_null_replacement_batches_match_the_reference(seed in 0u64..10_000) {
-        engine_matches_reference(
-            seed,
-            TrackerKind::Precise,
-            WorkloadKind::NullReplacementHeavy,
-            SchedulingPolicy::StepRoundRobin,
-            ChaseMode::FullRecheck,
-        );
+    fn precise_null_replacement_batches_match_the_reference(seed in 0u64..10_000) {
+        engine_matches_reference(seed, TrackerKind::Precise, WorkloadKind::NullReplacementHeavy);
     }
 }
 
 /// Staggered arrivals (closed-loop waves through the live engine) are
-/// reproducible, and always go through the engine — so `through_engine` must
-/// not change them.
+/// reproducible.
 #[test]
 fn staggered_arrivals_are_deterministic() {
     let mut config = ExperimentConfig::tiny();
@@ -192,11 +154,7 @@ fn staggered_arrivals_are_deterministic() {
     let fixture = build_fixture(&config).expect("fixture builds");
     let mapping_count = *config.mapping_counts.last().unwrap();
 
-    let run_with = |through_engine: bool| {
-        let mut config = config.clone();
-        config.through_engine = through_engine;
-        // The fixture only depends on generator parameters, but rebuild the
-        // run from the shared one to keep this cheap and identical.
+    let run = || {
         scrub(
             run_single(
                 &fixture,
@@ -209,10 +167,9 @@ fn staggered_arrivals_are_deterministic() {
             .unwrap(),
         )
     };
-    let reference = run_with(false);
-    assert!(reference.steps > 0 && reference.workload_size > 0);
-    assert_eq!(run_with(false), reference, "staggered arrival must be reproducible");
-    assert_eq!(run_with(true), reference, "staggered arrival always runs through the engine");
+    let first = run();
+    assert!(first.steps > 0 && first.workload_size > 0);
+    assert_eq!(run(), first, "staggered arrival must be reproducible");
 }
 
 /// The Figure 2 fragment of Example 3.1 — the live-session fixture.
@@ -633,17 +590,6 @@ fn step_limit_guards_both_modes() {
             2,
         );
         assert!(matches!(result, Err(ChaseError::StepLimitExceeded { .. })));
-    }
-}
-
-#[test]
-fn stratum_policy_terminates_in_both_modes() {
-    let (db, mappings) = example_db();
-    for builder in [EngineBuilder::new(), EngineBuilder::new().free_running()] {
-        let builder = builder.policy(SchedulingPolicy::StratumRoundRobin);
-        let (_, metrics) =
-            run_batch(builder, (db.clone(), mappings.clone()), example_ops(&db), 2).unwrap();
-        assert!(metrics.steps >= 2);
     }
 }
 

@@ -26,8 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use proptest::prelude::*;
-use youtopia::chase::{ChaseMode, UpdateStats};
-use youtopia::concurrency::SchedulingPolicy;
+use youtopia::chase::UpdateStats;
 use youtopia::concurrency::{decode_record, WalRecord};
 use youtopia::mappings::satisfies_all;
 use youtopia::storage::wal::{read_wal, WalWriter};
@@ -138,8 +137,6 @@ fn reference_run(
     let first_number = experiment.initial_tuples as u64 + 1_000;
     let builder = EngineBuilder::new()
         .tracker(TrackerKind::Precise)
-        .policy(SchedulingPolicy::StepRoundRobin)
-        .chase_mode(ChaseMode::Incremental)
         .frontier_delay_rounds(3)
         .first_update_number(first_number);
     let builder = if skipping { builder.free_running() } else { builder };
@@ -501,8 +498,6 @@ fn escalated_reference_run(
     let first_number = experiment.initial_tuples as u64 + 1_000;
     let builder = EngineBuilder::new()
         .tracker(TrackerKind::Precise)
-        .policy(SchedulingPolicy::StepRoundRobin)
-        .chase_mode(ChaseMode::Incremental)
         .frontier_delay_rounds(3)
         .first_update_number(first_number)
         .escalation(policy);

@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
-use youtopia::concurrency::{RunMetrics, SchedulingPolicy};
+use youtopia::concurrency::RunMetrics;
 use youtopia::mappings::satisfies_all;
 use youtopia::workload::{build_fixture, generate_workload, ExperimentConfig, ExperimentFixture};
 use youtopia::{
@@ -96,17 +96,11 @@ fn build(builder: EngineBuilder, fixture: &ExperimentFixture) -> ExchangeEngine 
     builder.build(fixture.initial_db.clone(), fixture.mappings.clone()).expect("engine builds")
 }
 
-fn stress_once(
-    seed: u64,
-    tracker: TrackerKind,
-    kind: WorkloadKind,
-    policy: SchedulingPolicy,
-    updates: usize,
-) -> RunMetrics {
-    let label = format!("seed {seed}, {tracker}, {kind}, {policy:?}");
+fn stress_once(seed: u64, tracker: TrackerKind, kind: WorkloadKind, updates: usize) -> RunMetrics {
+    let label = format!("seed {seed}, {tracker}, {kind}");
     with_deadline(Duration::from_secs(120), &label.clone(), move || {
         let (fixture, ops, builder) = workload(seed, kind, updates);
-        let engine = build(builder.tracker(tracker).policy(policy).free_running(), &fixture);
+        let engine = build(builder.tracker(tracker).free_running(), &fixture);
         engine.submit_batch(ops).expect("uncapped submission");
         std::thread::scope(|s| {
             let driver = s.spawn(|| engine.wait_quiescent());
@@ -148,13 +142,7 @@ fn stress_once(
 #[test]
 #[ignore = "free-running stress lane: run with `cargo test --release -- --ignored`"]
 fn free_running_skewed_200_updates() {
-    let metrics = stress_once(
-        1,
-        TrackerKind::Coarse,
-        WorkloadKind::Skewed,
-        SchedulingPolicy::StepRoundRobin,
-        200,
-    );
+    let metrics = stress_once(1, TrackerKind::Coarse, WorkloadKind::Skewed, 200);
     assert!(metrics.changes > 0);
 }
 
@@ -163,28 +151,16 @@ fn free_running_skewed_200_updates() {
 #[test]
 #[ignore = "free-running stress lane: run with `cargo test --release -- --ignored`"]
 fn free_running_deep_cascade_precise() {
-    stress_once(
-        2,
-        TrackerKind::Precise,
-        WorkloadKind::DeepCascade,
-        SchedulingPolicy::StepRoundRobin,
-        200,
-    );
+    stress_once(2, TrackerKind::Precise, WorkloadKind::DeepCascade, 200);
 }
 
-/// The stratum policy under free-running: the sequencer holds an update
-/// for whole deterministic strata, so more answers and aborts pile up behind
-/// each owned-slot window.
+/// NAIVE over the mixed workload: every read-dependency cascades, and
+/// deletions' backward repairs raise frontier questions that race the
+/// sequencer.
 #[test]
 #[ignore = "free-running stress lane: run with `cargo test --release -- --ignored`"]
-fn free_running_mixed_stratum_policy() {
-    stress_once(
-        3,
-        TrackerKind::Naive,
-        WorkloadKind::Mixed,
-        SchedulingPolicy::StratumRoundRobin,
-        200,
-    );
+fn free_running_mixed_naive() {
+    stress_once(3, TrackerKind::Naive, WorkloadKind::Mixed, 200);
 }
 
 /// Several back-to-back seeds at a smaller size: schedule diversity matters
@@ -197,7 +173,6 @@ fn free_running_seed_sweep() {
             seed,
             if seed % 2 == 0 { TrackerKind::Coarse } else { TrackerKind::Precise },
             if seed % 2 == 0 { WorkloadKind::Mixed } else { WorkloadKind::Skewed },
-            SchedulingPolicy::StepRoundRobin,
             60,
         );
     }

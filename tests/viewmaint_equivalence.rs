@@ -3,20 +3,16 @@
 //!
 //! * **Oracle equivalence** — the shared violation index only decides *which*
 //!   queued violations a step re-validates, never what any update does: for
-//!   every generated workload, tracker and scheduling policy, an engine
-//!   maintaining its queues from the delta feed ([`ChaseMode::Incremental`])
-//!   must be byte-identical to the single-threaded [`ConcurrentRun`]
-//!   reference re-validating every queue in full ([`ChaseMode::FullRecheck`],
-//!   which never consults the feed) — the same final database (up to the
-//!   names of labeled nulls), the same per-update statistics (hence the same
-//!   abort sets) and the same [`RunMetrics`] modulo wall clock. Exact null
-//!   names and the null counter are pinned where both sides chase in the same
-//!   mode: `tests/engine_equivalence.rs` renders them byte-exactly for
-//!   Incremental engine ≡ Incremental reference
-//!   (`precise_mixed_batches_match_the_reference`,
-//!   `coarse_deep_cascade_batches_match_the_reference`) and FullRecheck engine
-//!   ≡ FullRecheck reference (`naive_stratum_full_recheck_…`,
-//!   `precise_full_recheck_null_replacement_…`).
+//!   every generated workload and tracker, an engine (which always maintains
+//!   its queues from the delta feed, [`ChaseMode::Incremental`]) must be
+//!   byte-identical to the single-threaded [`ConcurrentRun`] reference
+//!   re-validating every queue in full ([`ChaseMode::FullRecheck`], the test
+//!   oracle, which never consults the feed) — the same final database (up to
+//!   the names of labeled nulls), the same per-update statistics (hence the
+//!   same abort sets) and the same [`RunMetrics`] modulo wall clock. Exact
+//!   null names and the null counter are pinned where both sides chase in the
+//!   same mode: `tests/engine_equivalence.rs` renders them byte-exactly for
+//!   the engine ≡ an Incremental reference.
 //! * **Bounded backlog** — a long-lived engine cycling through tens of
 //!   thousands of trivial updates must not accumulate delta-log backlog: the
 //!   quiescence GC truncates the shared feed whenever no cursor can still
@@ -26,7 +22,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use proptest::prelude::*;
 use youtopia::chase::ChaseMode;
-use youtopia::concurrency::{RunMetrics, SchedulerConfig, SchedulingPolicy};
+use youtopia::concurrency::{RunMetrics, SchedulerConfig};
 use youtopia::mappings::satisfies_all;
 use youtopia::storage::DELTA_BACKLOG_CAP;
 use youtopia::workload::{build_fixture, generate_workload, ExperimentConfig, WorkloadKind};
@@ -73,12 +69,7 @@ fn render(db: &Database) -> String {
 /// Runs one generated workload through the `FullRecheck` reference scheduler,
 /// then through a feed-driven (`Incremental`) engine, asserting byte equality
 /// throughout.
-fn feed_driven_engine_matches_full_recheck(
-    seed: u64,
-    tracker: TrackerKind,
-    kind: WorkloadKind,
-    policy: SchedulingPolicy,
-) {
+fn feed_driven_engine_matches_full_recheck(seed: u64, tracker: TrackerKind, kind: WorkloadKind) {
     let mut config = ExperimentConfig::tiny();
     config.seed = seed;
     let fixture = build_fixture(&config).expect("fixture builds");
@@ -102,7 +93,6 @@ fn feed_driven_engine_matches_full_recheck(
         ops.clone(),
         first_number,
         SchedulerConfig::with_tracker(tracker)
-            .with_policy(policy)
             .with_chase_mode(ChaseMode::FullRecheck)
             .with_frontier_delay_rounds(3),
     );
@@ -115,7 +105,6 @@ fn feed_driven_engine_matches_full_recheck(
 
     let engine = EngineBuilder::new()
         .tracker(tracker)
-        .policy(policy)
         .frontier_delay_rounds(3)
         .first_update_number(first_number)
         .build(fixture.initial_db.clone(), fixture.mappings.clone())
@@ -123,7 +112,7 @@ fn feed_driven_engine_matches_full_recheck(
     let handles = engine.submit_batch(ops.clone()).expect("uncapped submission");
     let mut resolver = RandomResolver::seeded(seed ^ 0xE61E);
     ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
-    let label = format!("seed {seed}, {tracker}, {kind}, {policy:?}");
+    let label = format!("seed {seed}, {tracker}, {kind}");
     for handle in &handles {
         assert_eq!(handle.status(), UpdateStatus::Terminated, "{label}");
     }
@@ -147,12 +136,7 @@ proptest! {
     /// backward repairs) — the workhorse combination.
     #[test]
     fn precise_mixed_matches_the_full_recheck_oracle(seed in 0u64..10_000) {
-        feed_driven_engine_matches_full_recheck(
-            seed,
-            TrackerKind::Precise,
-            WorkloadKind::Mixed,
-            SchedulingPolicy::StepRoundRobin,
-        );
+        feed_driven_engine_matches_full_recheck(seed, TrackerKind::Precise, WorkloadKind::Mixed);
     }
 
     /// COARSE over deep cascades: long violation queues, many epochs per
@@ -163,21 +147,15 @@ proptest! {
             seed,
             TrackerKind::Coarse,
             WorkloadKind::DeepCascade,
-            SchedulingPolicy::StepRoundRobin,
         );
     }
 
-    /// NAIVE + the stratum policy over the skewed hot-relation workload:
-    /// an update keeps stepping between visits, so its cursor skips the
-    /// largest windows of other updates' deltas.
+    /// NAIVE over the skewed hot-relation workload: most deltas land on one
+    /// relation, so nearly every cursor window dirties the queued
+    /// violations that read it.
     #[test]
-    fn naive_stratum_skewed_matches_the_full_recheck_oracle(seed in 0u64..10_000) {
-        feed_driven_engine_matches_full_recheck(
-            seed,
-            TrackerKind::Naive,
-            WorkloadKind::Skewed,
-            SchedulingPolicy::StratumRoundRobin,
-        );
+    fn naive_skewed_matches_the_full_recheck_oracle(seed in 0u64..10_000) {
+        feed_driven_engine_matches_full_recheck(seed, TrackerKind::Naive, WorkloadKind::Skewed);
     }
 }
 
