@@ -37,17 +37,17 @@
 //!
 //! There is **one lock**. All mutable engine state — the database, the slot
 //! table, the sequencer's logs and cursor, pending frontiers, admission,
-//! metrics, the fatal error and a durable engine's WAL writer — is one
-//! `Core` behind one mutex, and a sequencer action is one acquisition of it.
+//! metrics, the fatal error, a durable engine's WAL writer and a replica's
+//! event logs and fold bookkeeping — is one `Core` behind one mutex, and a
+//! sequencer action is one acquisition of it.
 //! Every caller — `submit`, `answer`, `sweep`, `read`, `metrics`, the status
 //! accessors and every handle method, on every engine (plain, durable or
 //! replicated) — takes the same lock through `EngineShared::enter` and so
 //! lands **between** two actions. A driver stands back for an announced
 //! caller, so a caller waits for at most the action in flight and the next.
 //! Outside the lock are only what never changes (mappings, configuration)
-//! and the stop flag and wake-up signal; a replica's replication state has a
-//! mutex of its own, taken before the core's, because the fold drives the
-//! engine across many actions while holding it.
+//! and the stop flag and wake-up signal. A replica's canonical fold is a
+//! rule the driver tries before each action (see [`crate::replicate`]).
 //!
 //! There is **one scheduler**: the round-robin cursor of `ConcurrentRun`
 //! (Algorithm 3) over the live updates, one action (at most one chase step)
@@ -86,7 +86,7 @@ use youtopia_core::{
     UpdateStats,
 };
 use youtopia_mappings::MappingSet;
-use youtopia_storage::wal::{read_wal, write_file_atomic, WalWriter};
+use youtopia_storage::wal::{read_wal, serialize_database, write_file_atomic, WalWriter};
 use youtopia_storage::{Database, UpdateId};
 
 use crate::deps::TrackerKind;
@@ -425,9 +425,6 @@ pub(crate) struct EngineShared {
     pub(crate) entering: AtomicUsize,
     pub(crate) stop: AtomicBool,
     pub(crate) signal: Signal,
-    /// Replication mechanism state (event logs, canonical fold bookkeeping);
-    /// `None` unless the engine is a replica. See `crate::replicate`.
-    pub(crate) replication: Option<Mutex<crate::replicate::ReplicationState>>,
 }
 
 impl EngineShared {
@@ -840,7 +837,12 @@ impl ExchangeEngine {
     /// Creates an engine over `db` and `mappings`. It runs nothing on its
     /// own: callers drive it (see the module docs).
     pub(crate) fn new(db: Database, mappings: MappingSet, config: EngineConfig) -> ExchangeEngine {
-        ExchangeEngine { shared: Self::make_shared(mappings, config, Core::new(db, &config, None)) }
+        let mut core = Core::new(db, &config, None);
+        // A replica refolds from the database it was built on.
+        core.replica = config.replica.map(|node| {
+            crate::replicate::ReplicationState::new(node, serialize_database(&core.db))
+        });
+        ExchangeEngine { shared: Self::make_shared(mappings, config, core) }
     }
 
     /// Starts a **durable** engine under `durability.dir`: every submission
@@ -1005,9 +1007,6 @@ impl ExchangeEngine {
             entering: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             signal: Signal::new(),
-            replication: config
-                .replica
-                .map(|node| Mutex::new(crate::replicate::ReplicationState::new(node))),
             config,
         })
     }
@@ -1085,7 +1084,7 @@ impl ExchangeEngine {
         if shared.stop.load(Ordering::SeqCst) {
             return Err(SubmitError::ShutDown);
         }
-        if shared.replication.is_some() {
+        if shared.config.replica.is_some() {
             return Err(SubmitError::Replicated);
         }
         shared.check_admission(&mut core, client, ops.len())?;
@@ -1174,7 +1173,7 @@ impl ExchangeEngine {
         let shared = &self.shared;
         // A replica records the decision as a replicated event (so peers
         // replay it instead of re-asking) and continues the canonical fold.
-        if shared.replication.is_some() {
+        if shared.config.replica.is_some() {
             return crate::replicate::answer_replicated(self, token, decision, origin);
         }
         // The core is held across check → remove → append → apply: the

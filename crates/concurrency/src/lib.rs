@@ -51,7 +51,6 @@ pub mod conflict;
 pub mod deps;
 pub mod durable;
 pub mod engine;
-pub mod error;
 pub mod exchange;
 pub mod log;
 pub mod metrics;
@@ -70,7 +69,6 @@ pub use engine::{
     AnswerOutcome, ClientId, ExchangeEngine, Priority, ResolverPump, RetryAfter, SubmitError,
     SweepReport, UpdateHandle, UpdateStatus,
 };
-pub use error::EngineError;
 pub use exchange::{DbRef, DbRefMut, UpdateExchange};
 pub use log::{ReadLog, WriteLog};
 pub use metrics::{AveragedMetrics, RunMetrics};

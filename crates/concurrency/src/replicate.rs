@@ -29,14 +29,20 @@
 //!   unchanged — so equal event sets render byte-identical databases,
 //!   tuple ids, null ids and update numbers included.
 //!
+//! The replication state lives in the engine's one `Core`, and the fold is a
+//! rule of the sequencer's action: before each action, a blocked current
+//! update is fed its recorded answer, and a finished one makes way for the
+//! canonical next submit. A replication call enters once, changes the logs
+//! and drives.
+//!
 //! Events that arrive *behind* the fold (a partition heals and a concurrent
 //! submit sorts before one already applied; a canonically smaller answer
 //! displaces an applied one) cannot be folded incrementally. The engine then
-//! reports [`SyncReport::rebuild_required`] and refuses further replicated
-//! work: the policy layer (`youtopia-replication`'s `ReplicaNode`) rebuilds a
-//! fresh engine from the genesis database and replays the merged logs — same
-//! fold, same bytes, by construction. Incremental application is thus an
-//! optimisation of replay, never a second semantics.
+//! **refolds in place**, under the same lock: the old core is dropped, a
+//! fresh one starts over the genesis database the engine was built on, every
+//! logged submit is queued again, and the fold reruns — same fold, same
+//! bytes, by construction ([`SyncReport::rebuilt`]). Incremental application
+//! is thus an optimisation of replay, never a second semantics.
 //!
 //! A fold can **stall**: the canonical next question has no recorded answer
 //! yet (it is waiting for a human somewhere). The stalled frontier is exactly
@@ -46,15 +52,17 @@
 //! re-asked on another.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::MutexGuard;
 
 use youtopia_core::replication::{
     DeltaBatch, DeltaEntry, EventStamp, NodeId, ReplicationEvent, StateVector,
 };
 use youtopia_core::{ChaseError, FrontierDecision, FrontierToken, ResolutionOrigin, UpdateState};
-use youtopia_storage::UpdateId;
+use youtopia_storage::wal::deserialize_database;
+use youtopia_storage::{Database, UpdateId};
 
-use crate::engine::{lock, AnswerOutcome, EngineShared, ExchangeEngine};
+use crate::engine::{AnswerOutcome, EngineShared, ExchangeEngine};
+use crate::sequencer::{Core, DetProgress};
 
 /// Why a replication API call failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,9 +70,6 @@ pub enum SyncError {
     /// The engine was not built with a replica identity
     /// ([`crate::EngineBuilder::replicated`]).
     NotReplicated,
-    /// Events arrived behind the canonical fold; the node must be rebuilt
-    /// from its logs (see the module docs) before it can accept more work.
-    RebuildRequired,
     /// The underlying engine failed fatally while folding.
     Engine(ChaseError),
 }
@@ -73,9 +78,6 @@ impl std::fmt::Display for SyncError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SyncError::NotReplicated => write!(f, "engine has no replica identity"),
-            SyncError::RebuildRequired => {
-                write!(f, "events arrived behind the canonical fold: rebuild from logs required")
-            }
             SyncError::Engine(e) => write!(f, "engine failed during replicated fold: {e}"),
         }
     }
@@ -94,9 +96,9 @@ pub struct SyncReport {
     /// log end: `(origin, local_len)` — ask the peer again from `local_len`.
     /// The batch's other entries were still applied.
     pub gaps: Vec<(NodeId, u64)>,
-    /// The fold can no longer proceed incrementally; rebuild from logs
-    /// (events were still appended, so `export_replication_log` is complete).
-    pub rebuild_required: bool,
+    /// Events landed behind the fold, so the engine refolded its whole event
+    /// set from the genesis database (see the module docs).
+    pub rebuilt: bool,
     /// After folding, the node is blocked on a question with no recorded
     /// answer: `(target update, position)` of the canonical next decision.
     pub stalled: Option<(EventStamp, u32)>,
@@ -118,10 +120,12 @@ struct AnswerRecord {
     origin: ResolutionOrigin,
 }
 
-/// The replication bookkeeping hanging off `EngineShared`, behind a mutex of
-/// its own, taken before the core's.
+/// A replica's bookkeeping: `Core::replica`, behind the engine's one lock.
 pub(crate) struct ReplicationState {
     node: NodeId,
+    /// The database the engine was built on, serialized: what a refold
+    /// starts over.
+    genesis: Vec<u8>,
     /// Lamport clock: max of every lamport seen, floor for own events.
     clock: u64,
     /// Per-origin append-only event logs (everything known, fold input).
@@ -129,34 +133,23 @@ pub(crate) struct ReplicationState {
     /// Submits not yet admitted, keyed by canonical stamp.
     pending_submits: BTreeMap<EventStamp, youtopia_core::InitialOp>,
     /// Admitted submits, keyed by stamp (admission order = canonical order).
+    /// The fold is serial, so the last entry is both its high-water mark and
+    /// the only update that can still run or ask.
     admitted: BTreeMap<EventStamp, AdmittedUpdate>,
-    /// Reverse index: engine update id → submit stamp.
-    by_update: BTreeMap<UpdateId, EventStamp>,
     /// Canonical winner per `(target, position)`.
     answers: BTreeMap<(EventStamp, u32), AnswerRecord>,
-    /// Stamp of the most recently admitted submit (the fold's high-water
-    /// mark); a submit arriving below it means rebuild.
-    last_admitted: Option<EventStamp>,
-    /// The admitted-but-not-terminated submit (serial fold: at most one).
-    current: Option<EventStamp>,
-    /// Set when an event arrived behind the fold; cleared only by rebuild
-    /// (i.e. never on this engine — the rebuilt engine starts clean).
-    needs_rebuild: bool,
 }
 
 impl ReplicationState {
-    pub(crate) fn new(node: NodeId) -> ReplicationState {
+    pub(crate) fn new(node: NodeId, genesis: Vec<u8>) -> ReplicationState {
         ReplicationState {
             node,
+            genesis,
             clock: 0,
             logs: BTreeMap::new(),
             pending_submits: BTreeMap::new(),
             admitted: BTreeMap::new(),
-            by_update: BTreeMap::new(),
             answers: BTreeMap::new(),
-            last_admitted: None,
-            current: None,
-            needs_rebuild: false,
         }
     }
 
@@ -168,166 +161,156 @@ impl ReplicationState {
         sv
     }
 
-    /// Ingests one event at the tail of `origin`'s log, updating the clock,
-    /// the pending/answer indexes and the rebuild flag.
-    fn ingest(&mut self, origin: NodeId, event: ReplicationEvent) {
+    /// Ingests one event at the tail of `origin`'s log, updating the clock
+    /// and the pending/answer indexes. Returns whether the event lands
+    /// behind the fold.
+    fn ingest(&mut self, origin: NodeId, event: ReplicationEvent) -> bool {
         self.clock = self.clock.max(event.lamport());
         let stamp = event.stamp(origin);
-        match &event {
+        let behind = match &event {
             ReplicationEvent::Submit { op, .. } => {
-                if self.last_admitted.is_some_and(|last| stamp < last) {
-                    self.needs_rebuild = true;
-                }
                 self.pending_submits.insert(stamp, op.clone());
+                self.admitted.last_key_value().is_some_and(|(&last, _)| stamp < last)
             }
             ReplicationEvent::Answer { target, position, decision, origin: res_origin, .. } => {
                 let key = (*target, *position);
-                let record =
-                    AnswerRecord { stamp, decision: decision.clone(), origin: *res_origin };
                 match self.answers.get(&key) {
-                    Some(existing) if existing.stamp <= stamp => {
-                        // Canonical loser (or duplicate): a no-op everywhere.
-                    }
-                    Some(_) => {
-                        // A canonically smaller answer displaces the winner.
-                        // If the old winner was already folded in, the fold
-                        // prefix is wrong — rebuild.
-                        if self
-                            .admitted
-                            .get(target)
-                            .is_some_and(|au| *position < au.answers_applied)
-                        {
-                            self.needs_rebuild = true;
-                        }
+                    // Canonical loser (or duplicate): a no-op everywhere.
+                    Some(existing) if existing.stamp <= stamp => false,
+                    displaced => {
+                        // A canonically smaller answer displacing one the
+                        // fold already applied makes the fold prefix wrong.
+                        let behind = displaced.is_some()
+                            && self
+                                .admitted
+                                .get(target)
+                                .is_some_and(|au| *position < au.answers_applied);
+                        let record =
+                            AnswerRecord { stamp, decision: decision.clone(), origin: *res_origin };
                         self.answers.insert(key, record);
-                    }
-                    None => {
-                        self.answers.insert(key, record);
+                        behind
                     }
                 }
             }
-        }
+        };
         self.logs.entry(origin).or_default().push(event);
+        behind
     }
 
     /// Appends a locally produced event to the own log (stamping it with the
-    /// next Lamport tick) and returns its stamp.
+    /// next Lamport tick) and returns its stamp. Its tick is past every
+    /// lamport seen, so it never lands behind the fold.
     fn append_own(&mut self, make: impl FnOnce(u64) -> ReplicationEvent) -> EventStamp {
         self.clock += 1;
         let event = make(self.clock);
         debug_assert_eq!(event.lamport(), self.clock);
         let stamp = event.stamp(self.node);
-        self.ingest(self.node, event);
+        let behind = self.ingest(self.node, event);
+        debug_assert!(!behind, "own events extend the fold");
         stamp
     }
-}
 
-/// Admits one replicated update through the internal submission path (no
-/// handle, no admission cap — fold admissions are never refused; backpressure
-/// belongs at the edge that accepted the original submit). A fail-stopped
-/// engine, checked on the core this call holds, admits nothing.
-fn admit_internal(
-    shared: &EngineShared,
-    op: youtopia_core::InitialOp,
-) -> Result<UpdateId, SyncError> {
-    let mut core = shared.enter();
-    if let Some(e) = &core.error {
-        return Err(SyncError::Engine(e.clone()));
+    /// Forgets the fold and queues every logged submit again; the logs and
+    /// the recorded answers stay.
+    fn unfold(&mut self) {
+        self.admitted.clear();
+        for (&origin, log) in &self.logs {
+            for event in log {
+                if let ReplicationEvent::Submit { op, .. } = event {
+                    self.pending_submits.insert(event.stamp(origin), op.clone());
+                }
+            }
+        }
     }
-    let id = shared.admit(&mut core, vec![op])[0];
-    drop(core);
-    shared.signal.bump();
-    Ok(id)
 }
 
-/// Applies a recorded answer to the (unique, serial-fold) pending frontier of
-/// `update`. An invalid decision is *consumed deterministically*: the
-/// question stays pending and the fold waits for the next position's answer —
-/// every replica rejects the same decision at the same position, so this too
-/// converges.
-fn apply_recorded_answer(
-    shared: &EngineShared,
-    update: UpdateId,
-    decision: FrontierDecision,
-    origin: ResolutionOrigin,
-) {
-    let mut core = shared.enter();
-    let token = core.pending.iter().find(|(_, e)| e.update == update).map(|(&t, _)| t);
-    let Some((token, entry)) = token.and_then(|t| core.pending.remove_entry(&t)) else { return };
-    // Applied advances the fold; Err re-listed the entry (consumed no-op);
-    // Stale cannot happen (the slot was observed blocked under this entry).
-    let _ = shared.apply_answer(&mut core, FrontierToken(token), entry, decision, origin);
-}
-
-/// The state of the fold's current update after settling.
+/// Where the fold's current update stands.
 enum CurrentState {
-    Running, // still chasing (only when the engine is stopping)
-    Blocked,
+    /// Still chasing.
+    Running,
+    /// Blocked on the question published under this token.
+    Blocked(FrontierToken),
+    /// Terminated, failed or evicted: the next submit may be admitted.
     Done,
 }
 
-fn current_state(shared: &EngineShared, update: UpdateId) -> CurrentState {
-    let core = shared.enter();
-    let Ok(slot) = shared.lookup(&core, update) else { return CurrentState::Done };
-    if slot.failed.is_some() || slot.exec.is_terminated() {
-        return CurrentState::Done;
-    }
-    if slot.published.is_some() && slot.exec.state() == UpdateState::AwaitingFrontier {
-        return CurrentState::Blocked;
-    }
-    CurrentState::Running
+fn replica(core: &Core) -> &ReplicationState {
+    core.replica.as_ref().expect("replication call on a replica")
 }
 
-/// Drives the canonical fold as far as the recorded events allow: settle,
-/// feed recorded answers, admit the canonical next submit, repeat. Returns
-/// the stall point, if any. Must be called with the replication mutex held.
-fn pump(
-    engine: &ExchangeEngine,
-    st: &mut ReplicationState,
-) -> Result<Option<(EventStamp, u32)>, SyncError> {
-    let shared: &EngineShared = &engine.shared;
-    if st.needs_rebuild {
-        return Err(SyncError::RebuildRequired);
+fn replica_mut(core: &mut Core) -> &mut ReplicationState {
+    core.replica.as_mut().expect("replication call on a replica")
+}
+
+impl EngineShared {
+    fn current_state(&self, core: &Core, update: UpdateId) -> CurrentState {
+        let Ok(slot) = self.lookup(core, update) else { return CurrentState::Done };
+        if slot.failed.is_some() || slot.exec.is_terminated() {
+            return CurrentState::Done;
+        }
+        match slot.published {
+            Some(token) if slot.exec.state() == UpdateState::AwaitingFrontier => {
+                CurrentState::Blocked(token)
+            }
+            _ => CurrentState::Running,
+        }
     }
-    loop {
-        // Settle: idle, blocked on a published frontier, or failed.
-        engine.drive().map_err(SyncError::Engine)?;
-        if let Some(stamp) = st.current {
-            let au = st.admitted.get_mut(&stamp).expect("current is admitted");
-            match current_state(shared, au.update) {
-                CurrentState::Done => {
-                    st.current = None;
-                    continue;
-                }
-                CurrentState::Running => {
-                    // Settle returned while the update still runs: only
-                    // possible when the engine is stopping.
-                    return Ok(None);
-                }
-                CurrentState::Blocked => {
-                    let position = au.answers_applied;
-                    match st.answers.get(&(stamp, position)) {
-                        Some(record) => {
-                            let (decision, origin) = (record.decision.clone(), record.origin);
-                            au.answers_applied += 1;
-                            apply_recorded_answer(shared, au.update, decision, origin);
-                            continue;
-                        }
-                        None => return Ok(Some((stamp, position))),
+
+    /// The fold's rule, tried before every sequencer action: feed a blocked
+    /// current update its recorded answer, or, once it is done, admit the
+    /// canonical next submit (no handle and no admission cap — backpressure
+    /// belongs at the edge that accepted the original submit). `None` leaves
+    /// the action to the sequencer: the engine is no replica, the current
+    /// update is running, nothing is queued, or the fold stalls on a
+    /// question with no recorded answer (and the gate parks the driver).
+    pub(crate) fn fold_action(&self, core: &mut Core) -> Option<DetProgress> {
+        let st = core.replica.as_ref()?;
+        if let Some((&stamp, au)) = st.admitted.last_key_value() {
+            match self.current_state(core, au.update) {
+                CurrentState::Running => return None,
+                CurrentState::Blocked(token) => {
+                    let record = st.answers.get(&(stamp, au.answers_applied))?;
+                    let (decision, origin) = (record.decision.clone(), record.origin);
+                    replica_mut(core).admitted.last_entry()?.get_mut().answers_applied += 1;
+                    // An invalid decision is consumed deterministically: the
+                    // question stays pending and the fold waits for the next
+                    // position's answer — every replica rejects the same
+                    // decision at the same position, so this too converges.
+                    if let Some(entry) = core.pending.remove(&token.0) {
+                        let _ = self.apply_answer(core, token, entry, decision, origin);
                     }
+                    return Some(DetProgress::Acted);
                 }
+                CurrentState::Done => {}
             }
         }
-        match st.pending_submits.pop_first() {
-            Some((stamp, op)) => {
-                let update = admit_internal(shared, op)?;
-                st.admitted.insert(stamp, AdmittedUpdate { update, answers_applied: 0 });
-                st.by_update.insert(update, stamp);
-                st.last_admitted = Some(stamp);
-                st.current = Some(stamp);
-            }
-            None => return Ok(None),
-        }
+        let (stamp, op) = replica_mut(core).pending_submits.pop_first()?;
+        let update = self.admit(core, vec![op])[0];
+        replica_mut(core).admitted.insert(stamp, AdmittedUpdate { update, answers_applied: 0 });
+        Some(DetProgress::Acted)
+    }
+
+    /// The canonical next question the fold waits on with no recorded
+    /// answer, if it is stalled.
+    fn stall_point(&self, core: &Core) -> Option<(EventStamp, u32)> {
+        let st = replica(core);
+        let (&stamp, au) = st.admitted.last_key_value()?;
+        let blocked = matches!(self.current_state(core, au.update), CurrentState::Blocked(_));
+        let key = (stamp, au.answers_applied);
+        (blocked && !st.answers.contains_key(&key)).then_some(key)
+    }
+
+    /// Refolds in place: the old core goes first (a refold never holds two
+    /// databases), a fresh one — fresh metrics included, as on a newly built
+    /// engine — starts over the decoded genesis, and the fold forgets what it
+    /// admitted. The caller drives the refold.
+    fn refold(&self, core: &mut Core) {
+        let mut st = core.replica.take().expect("refolding a replica");
+        *core = Core::new(Database::default(), &self.config, None);
+        core.db =
+            deserialize_database(&st.genesis).expect("genesis bytes came from serialize_database");
+        st.unfold();
+        core.replica = Some(st);
     }
 }
 
@@ -341,53 +324,62 @@ pub(crate) fn answer_replicated(
     origin: ResolutionOrigin,
 ) -> Result<AnswerOutcome, ChaseError> {
     let shared = &engine.shared;
-    let repl = shared.replication.as_ref().expect("caller checked");
-    let mut st = lock(repl);
     let mut core = shared.enter();
     // Fail-stop, checked on the core this caller holds.
     if let Some(e) = &core.error {
         return Err(e.clone());
     }
-    if st.needs_rebuild {
-        return Err(ChaseError::InvalidDecision(
-            "replica is behind the canonical fold: rebuild before answering".into(),
-        ));
-    }
     let Some(entry) = core.pending.remove(&token.0) else { return Ok(AnswerOutcome::Stale) };
-    let Some(&target) = st.by_update.get(&entry.update) else {
-        // Not a replicated update (cannot happen: plain submits are refused).
+    let current = replica(&core)
+        .admitted
+        .last_key_value()
+        .filter(|(_, au)| au.update == entry.update)
+        .map(|(&stamp, au)| (stamp, au.answers_applied));
+    let Some((target, position)) = current else {
+        // Only the fold's current update can ask (plain submits are refused).
         core.pending.insert(token.0, entry);
         return Err(ChaseError::InvalidDecision("frontier belongs to no replicated update".into()));
     };
-    let position = st.admitted.get(&target).expect("admitted").answers_applied;
-    let outcome = shared.apply_answer(&mut core, token, entry, decision.clone(), origin)?;
-    // The fold below drives the sequencer itself.
-    drop(core);
-    match outcome {
-        AnswerOutcome::Stale => Ok(AnswerOutcome::Stale),
-        AnswerOutcome::Applied => {
-            st.append_own(|lamport| ReplicationEvent::Answer {
-                lamport,
-                target,
-                position,
-                decision,
-                origin,
-            });
-            st.admitted.get_mut(&target).expect("admitted").answers_applied = position + 1;
-            match pump(engine, &mut st) {
-                Ok(_) => Ok(AnswerOutcome::Applied),
-                // The answer itself landed; a fold failure surfaces on the
-                // engine error (and every later call).
-                Err(SyncError::Engine(e)) => Err(e),
-                Err(_) => Ok(AnswerOutcome::Applied),
-            }
-        }
+    if replica(&core).answers.contains_key(&(target, position)) {
+        // A peer's answer arrived first; the fold feeds it at its next action.
+        core.pending.insert(token.0, entry);
+        return Ok(AnswerOutcome::Stale);
     }
+    let outcome = shared.apply_answer(&mut core, token, entry, decision.clone(), origin)?;
+    if outcome == AnswerOutcome::Applied {
+        let st = replica_mut(&mut core);
+        st.append_own(|lamport| ReplicationEvent::Answer {
+            lamport,
+            target,
+            position,
+            decision,
+            origin,
+        });
+        st.admitted.last_entry().expect("answered update is admitted").get_mut().answers_applied =
+            position + 1;
+        drop(core);
+        // The answer itself landed; a fold failure surfaces on the engine
+        // error (and every later call).
+        shared.drive_until(|_| false)?;
+    }
+    Ok(outcome)
 }
 
 impl ExchangeEngine {
-    fn replication(&self) -> Result<&Mutex<ReplicationState>, SyncError> {
-        self.shared.replication.as_ref().ok_or(SyncError::NotReplicated)
+    /// Enters a replica between two actions.
+    fn enter_replica(&self) -> Result<MutexGuard<'_, Core>, SyncError> {
+        self.node_id().ok_or(SyncError::NotReplicated)?;
+        Ok(self.shared.enter())
+    }
+
+    /// [`enter_replica`](Self::enter_replica) for a call that adds work: a
+    /// fail-stopped engine stays stopped and refuses it.
+    fn enter_live_replica(&self) -> Result<MutexGuard<'_, Core>, SyncError> {
+        let core = self.enter_replica()?;
+        match &core.error {
+            Some(e) => Err(SyncError::Engine(e.clone())),
+            None => Ok(core),
+        }
     }
 
     /// This engine's replica identity, if it has one.
@@ -398,15 +390,15 @@ impl ExchangeEngine {
     /// The node's [`StateVector`]: how much of each origin's event log it
     /// holds. The handshake currency of the delta protocol.
     pub fn state_vector(&self) -> Result<StateVector, SyncError> {
-        Ok(lock(self.replication()?).state_vector())
+        Ok(replica(&*self.enter_replica()?).state_vector())
     }
 
     /// Encodes everything `since` is missing as per-origin log suffixes —
     /// y-crdt's `encode_state_as_update(state_vector)`.
     pub fn encode_deltas_since(&self, since: &StateVector) -> Result<DeltaBatch, SyncError> {
-        let st = lock(self.replication()?);
+        let core = self.enter_replica()?;
         let mut entries = Vec::new();
-        for (&origin, log) in &st.logs {
+        for (&origin, log) in &replica(&core).logs {
             let have = since.get(origin) as usize;
             if have < log.len() {
                 entries.push(DeltaEntry {
@@ -419,20 +411,15 @@ impl ExchangeEngine {
         Ok(DeltaBatch { entries })
     }
 
-    /// The node's complete event history as one batch (every origin from
-    /// sequence 0) — the rebuild input.
-    pub fn export_replication_log(&self) -> Result<DeltaBatch, SyncError> {
-        self.encode_deltas_since(&StateVector::new())
-    }
-
     /// Applies a peer's delta batch: appends the unseen events to the local
     /// logs and drives the canonical fold as far as they allow. Duplicates
     /// are skipped, out-of-reach suffixes are reported as
     /// [`SyncReport::gaps`] (re-request from the returned position), and
-    /// events landing behind the fold set [`SyncReport::rebuild_required`].
+    /// events landing behind the fold refold the engine in place
+    /// ([`SyncReport::rebuilt`]).
     pub fn apply_remote_deltas(&self, batch: &DeltaBatch) -> Result<SyncReport, SyncError> {
-        let repl = self.replication()?;
-        let mut st = lock(repl);
+        let mut core = self.enter_live_replica()?;
+        let st = replica_mut(&mut core);
         let mut report = SyncReport::default();
         for entry in &batch.entries {
             let have = st.logs.get(&entry.origin).map(|l| l.len() as u64).unwrap_or(0);
@@ -443,21 +430,16 @@ impl ExchangeEngine {
             let skip = (have - entry.first_seq) as usize;
             report.duplicates += skip.min(entry.events.len());
             for event in entry.events.iter().skip(skip) {
-                st.ingest(entry.origin, event.clone());
+                report.rebuilt |= st.ingest(entry.origin, event.clone());
                 report.appended += 1;
             }
         }
-        match pump(self, &mut st) {
-            Ok(stalled) => {
-                report.stalled = stalled;
-                Ok(report)
-            }
-            Err(SyncError::RebuildRequired) => {
-                report.rebuild_required = true;
-                Ok(report)
-            }
-            Err(e) => Err(e),
+        if report.rebuilt {
+            self.shared.refold(&mut core);
         }
+        drop(core);
+        report.stalled = self.pump_replication()?;
+        Ok(report)
     }
 
     /// Submits one update *as this replica*: appends a submit event to the
@@ -466,13 +448,11 @@ impl ExchangeEngine {
     /// (resolve it to this engine's update id with
     /// [`replicated_update_id`](Self::replicated_update_id)).
     pub fn submit_replicated(&self, op: youtopia_core::InitialOp) -> Result<EventStamp, SyncError> {
-        let repl = self.replication()?;
-        let mut st = lock(repl);
-        if st.needs_rebuild {
-            return Err(SyncError::RebuildRequired);
-        }
-        let stamp = st.append_own(|lamport| ReplicationEvent::Submit { lamport, op });
-        pump(self, &mut st)?;
+        let mut core = self.enter_live_replica()?;
+        let stamp =
+            replica_mut(&mut core).append_own(|lamport| ReplicationEvent::Submit { lamport, op });
+        drop(core);
+        self.shared.drive_until(|_| false).map_err(SyncError::Engine)?;
         Ok(stamp)
     }
 
@@ -482,23 +462,21 @@ impl ExchangeEngine {
     /// assigned in canonical order — but differ after divergent prefixes, so
     /// the *stamp* is the portable name.
     pub fn replicated_update_id(&self, stamp: EventStamp) -> Result<Option<UpdateId>, SyncError> {
-        Ok(lock(self.replication()?).admitted.get(&stamp).map(|au| au.update))
-    }
-
-    /// Whether events have arrived behind the canonical fold, requiring a
-    /// rebuild from logs (see the module docs).
-    pub fn replication_needs_rebuild(&self) -> Result<bool, SyncError> {
-        Ok(lock(self.replication()?).needs_rebuild)
+        Ok(replica(&*self.enter_replica()?).admitted.get(&stamp).map(|au| au.update))
     }
 
     /// Drives the fold without new input (useful after answering through
-    /// [`ExchangeEngine::answer`], which already pumps, or to observe the
+    /// [`ExchangeEngine::answer`], which already folds, or to observe the
     /// stall point). Returns the canonical next unanswered question, if the
     /// fold is stalled on one.
     pub fn pump_replication(&self) -> Result<Option<(EventStamp, u32)>, SyncError> {
-        let repl = self.replication()?;
-        let mut st = lock(repl);
-        pump(self, &mut st)
+        self.node_id().ok_or(SyncError::NotReplicated)?;
+        self.shared.drive_until(|_| false).map_err(SyncError::Engine)?;
+        let core = self.shared.enter();
+        match &core.error {
+            Some(e) => Err(SyncError::Engine(e.clone())),
+            None => Ok(self.shared.stall_point(&core)),
+        }
     }
 }
 
@@ -620,7 +598,7 @@ mod tests {
         let b = replica(1);
         let _ = a.submit_replicated(delete_review()).unwrap();
         answer_all(&a, 4);
-        let full = a.export_replication_log().unwrap();
+        let full = a.encode_deltas_since(&StateVector::new()).unwrap();
         let r1 = b.apply_remote_deltas(&full).unwrap();
         assert!(r1.appended >= 2 && r1.duplicates == 0 && r1.gaps.is_empty());
         // Re-applying the same batch is pure duplicates.
@@ -640,7 +618,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_submits_behind_the_fold_require_rebuild() {
+    fn concurrent_submits_behind_the_fold_refold_in_place() {
         let a = replica(0);
         let b = replica(1);
         // Both nodes submit concurrently (no sync in between): both events
@@ -649,19 +627,51 @@ mod tests {
         let sa = a.submit_replicated(insert_city("Winery Tours HQ")).unwrap();
         let sb = b.submit_replicated(insert_city("Maid of the Mist HQ")).unwrap();
         assert!(sa < sb, "origin breaks the lamport tie");
+        let first = b.replicated_update_id(sb).unwrap().expect("B folded its own submit");
         let delta = a.encode_deltas_since(&StateVector::new()).unwrap();
         let report = b.apply_remote_deltas(&delta).unwrap();
-        assert!(report.rebuild_required, "A's submit sorts before B's applied one");
-        assert!(b.replication_needs_rebuild().unwrap());
-        // A, by contrast, can fold B's later event incrementally.
+        assert!(report.rebuilt, "A's submit sorts before B's applied one");
+        // The refold admitted both in canonical order, from the same first
+        // update number, with the metrics of a fresh engine.
+        assert_eq!(b.replicated_update_id(sa).unwrap(), Some(first));
+        assert_eq!(b.replicated_update_id(sb).unwrap(), Some(UpdateId(first.0 + 1)));
+        assert_eq!(b.metrics().workload_size, 2);
+        // A, by contrast, folds B's later event incrementally.
         let delta = b.encode_deltas_since(&a.state_vector().unwrap()).unwrap();
         let report = a.apply_remote_deltas(&delta).unwrap();
-        assert!(!report.rebuild_required);
-        // B refuses new work until rebuilt.
-        assert_eq!(
-            b.submit_replicated(insert_city("Rome Office")).unwrap_err(),
-            SyncError::RebuildRequired
-        );
+        assert!(!report.rebuilt);
+        let a_bytes = a.read(youtopia_storage::wal::serialize_database);
+        assert_eq!(a_bytes, b.read(youtopia_storage::wal::serialize_database));
+        // B takes new work at once.
+        let sc = b.submit_replicated(insert_city("Rome Office")).unwrap();
+        assert_eq!(b.replicated_update_id(sc).unwrap(), Some(UpdateId(first.0 + 2)));
+        assert!(b.is_quiescent());
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// A fail-stopped replica stays stopped: a batch landing behind its fold
+    /// is refused with the engine's error instead of refolding the failure
+    /// away.
+    #[test]
+    fn a_fail_stopped_replica_refuses_replicated_work() {
+        let a = replica(0);
+        let (db, mappings) = travel();
+        let b = EngineBuilder::new()
+            .replicated(NodeId(1))
+            .max_total_steps(0)
+            .build(db, mappings)
+            .unwrap();
+        a.submit_replicated(insert_city("Winery Tours HQ")).unwrap();
+        let err = b.submit_replicated(insert_city("Maid of the Mist HQ"));
+        assert!(matches!(err, Err(SyncError::Engine(_))), "{err:?}");
+        // A's submit sorts before B's failed one.
+        let delta = a.encode_deltas_since(&StateVector::new()).unwrap();
+        let applied = b.apply_remote_deltas(&delta);
+        assert!(matches!(applied, Err(SyncError::Engine(_))), "{applied:?}");
+        let err = b.submit_replicated(insert_city("Rome Office"));
+        assert!(matches!(err, Err(SyncError::Engine(_))), "{err:?}");
+        assert!(b.error().is_some());
         a.shutdown();
         b.shutdown();
     }

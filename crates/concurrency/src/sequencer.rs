@@ -17,6 +17,7 @@ use crate::engine::{
 };
 use crate::log::{ReadLog, WriteLog};
 use crate::metrics::RunMetrics;
+use crate::replicate::ReplicationState;
 
 /// The change a rollback performs when it undoes `change`: rolling back an
 /// insert deletes the tuple, rolling back a delete revives it, rolling back a
@@ -79,6 +80,9 @@ pub(crate) struct Core {
     pub(crate) next_token: u64,
     /// WAL writer, counters and replay flag; `None` on a plain engine.
     pub(crate) durable: Option<DurableEngineState>,
+    /// Event logs and canonical fold bookkeeping; `None` unless the engine
+    /// is a replica. See `crate::replicate`.
+    pub(crate) replica: Option<ReplicationState>,
 }
 
 impl Core {
@@ -106,6 +110,7 @@ impl Core {
             unanswered: 0,
             next_token: 0,
             durable,
+            replica: None,
         }
     }
 
@@ -469,7 +474,13 @@ impl EngineShared {
             if self.stop.load(Ordering::SeqCst) || done(&core) {
                 return Ok(());
             }
-            match self.det_action(&mut core) {
+            // A replica's fold acts first; it leaves every other engine, and
+            // any update it neither feeds nor admits, to the sequencer.
+            let progress = match self.fold_action(&mut core) {
+                Some(progress) => Ok(progress),
+                None => self.det_action(&mut core),
+            };
+            match progress {
                 Ok(DetProgress::Acted) => {}
                 Ok(DetProgress::Idle | DetProgress::AwaitingAnswer) => return Ok(()),
                 Err(e) => {

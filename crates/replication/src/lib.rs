@@ -13,9 +13,9 @@
 //! databases**, no matter the topology, delivery order, duplication, or
 //! partition history.
 //!
-//! * [`ReplicaNode`] — one engine plus its rebuild policy: when events land
-//!   behind the canonical fold (concurrent activity across a partition), the
-//!   node replays its merged logs against the genesis database.
+//! * [`ReplicaNode`] — one replicated engine: when events land behind the
+//!   canonical fold (concurrent activity across a partition), the engine
+//!   refolds its merged logs in place from the genesis database.
 //! * [`ReplicaSet`] — N nodes wired by a [`Topology`] over in-process links
 //!   with injectable [`LinkFaults`] (reorder, duplication) and explicit
 //!   [`partition`](ReplicaSet::partition) / [`heal`](ReplicaSet::heal).

@@ -13,9 +13,10 @@
 //! 1. the frontier question answered on node 0 is *folded* on node 1, never
 //!    re-asked — answers travel as replication events alongside submits;
 //! 2. after the same events are delivered (in whatever order), both nodes
-//!    render **byte-identical** databases. Node 0's fold admitted its delete
-//!    before hearing about node 1's concurrent tour, so healing forces it to
-//!    rebuild onto the canonical Lamport order — visible in the rebuild count.
+//!    render **byte-identical** databases. Node 1's fold admitted its tour
+//!    before hearing about node 0's concurrent, canonically earlier delete,
+//!    so healing makes its engine refold in place from genesis onto the
+//!    canonical Lamport order — visible in the rebuild count.
 //!
 //! Run with `cargo run --example two_node_sync`.
 

@@ -50,7 +50,7 @@ stage_stress() {
     cargo test -q --release --test determinism
     echo "==> [stress] dev-profile repeat (caller races that only unoptimised builds have shown)"
     for run in 1 2 3; do
-        cargo test -q --test engine_equivalence --test engine_recovery --test parallel_stress --test viewmaint_equivalence
+        cargo test -q --test engine_equivalence --test engine_recovery --test parallel_stress --test viewmaint_equivalence --test replication_convergence
     done
     echo "==> [stress] million-user-day survival scenario"
     cargo test -q --release -p youtopia-workload scenario

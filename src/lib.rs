@@ -78,10 +78,9 @@ pub use youtopia_replication as replication;
 pub use youtopia_workload as workload;
 
 pub use youtopia_concurrency::{
-    AnswerOutcome, ClientId, ConcurrentRun, DurabilityConfig, EngineBuilder, EngineError,
-    ExchangeEngine, Priority, RecoveryError, ResolverPump, RetryAfter, RunMetrics, SchedulerConfig,
-    SubmitError, SweepReport, TrackerKind, UpdateExchange, UpdateHandle, UpdateStatus,
-    ViolationIndexStats,
+    AnswerOutcome, ClientId, ConcurrentRun, DurabilityConfig, EngineBuilder, ExchangeEngine,
+    Priority, RecoveryError, ResolverPump, RetryAfter, RunMetrics, SchedulerConfig, SubmitError,
+    SweepReport, TrackerKind, UpdateExchange, UpdateHandle, UpdateStatus, ViolationIndexStats,
 };
 pub use youtopia_core::{
     AutoDecision, ChaseError, EscalationPolicy, ExpandResolver, FrontierDecision, FrontierRequest,

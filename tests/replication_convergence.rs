@@ -125,6 +125,121 @@ fn answers_replicate_so_questions_are_never_reasked() {
     set.assert_identical();
 }
 
+/// A refold renders what a fresh replica renders. A seeded history of
+/// submits and answers on two replicas (both sides asking and answering the
+/// same questions, so answers also compete) is delivered to a third replica
+/// one event at a time, origin 1's log before origin 0's, so origin 0's
+/// canonically smaller events land behind the fold. After every delivery the
+/// third replica must agree with a replica built fresh and given the same
+/// event set in one batch: rendered bytes, the update id of every submit and
+/// the workload size of its metrics.
+#[test]
+fn a_refold_renders_what_a_fresh_replica_renders() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use youtopia::chase::replication::DeltaEntry;
+    use youtopia::replication::{DeltaBatch, NodeId, ReplicaNode, ReplicationEvent, StateVector};
+
+    let mut rng = StdRng::seed_from_u64(0x4ef0);
+    let mut set = build_set(2, Topology::FullMesh, LinkFaults::default(), 17);
+    let (db, _) = genesis();
+    let ops = op_pool(&db);
+    let answer = |set: &mut ReplicaSet, node: usize, seed: u64| {
+        let mut resolver = youtopia::RandomResolver::seeded(seed);
+        set.node_mut(node).answer_pending(&mut resolver).unwrap();
+    };
+    for round in 0..6 {
+        for node in 0..2 {
+            set.submit(node, ops[rng.gen_range(0..ops.len())].clone()).unwrap();
+            if rng.gen_bool(0.3) {
+                answer(&mut set, node, rng.gen());
+            }
+        }
+        if round % 2 == 1 {
+            // Both sides now hold the same events and stall on the same
+            // question: answering it on both makes the answers compete.
+            set.sync_round().unwrap();
+            for node in 0..2 {
+                answer(&mut set, node, rng.gen());
+            }
+        }
+    }
+    set.sync_round().unwrap();
+    let history = set.node(0).deltas_since(&StateVector::new()).unwrap();
+    assert_eq!(history.entries.len(), 2, "node 0 holds both origins' logs");
+    let submits: Vec<_> = history
+        .entries
+        .iter()
+        .flat_map(|e| {
+            e.events
+                .iter()
+                .filter(|ev| matches!(ev, ReplicationEvent::Submit { .. }))
+                .map(|ev| ev.stamp(e.origin))
+        })
+        .collect();
+    let mut questions: Vec<_> = history
+        .entries
+        .iter()
+        .flat_map(|e| &e.events)
+        .filter_map(|ev| match ev {
+            ReplicationEvent::Answer { target, position, .. } => Some((*target, *position)),
+            ReplicationEvent::Submit { .. } => None,
+        })
+        .collect();
+    let answers = questions.len();
+    questions.sort();
+    questions.dedup();
+    assert!(questions.len() < answers, "some question was answered on both sides");
+
+    let fresh_replica = || {
+        let (db, mappings) = genesis();
+        ReplicaNode::new(NodeId(2), db, mappings)
+    };
+    let mut third = fresh_replica();
+    let mut delivered = StateVector::new();
+    let mut refolds = 0;
+    for entry in history.entries.iter().rev() {
+        for (seq, event) in entry.events.iter().enumerate() {
+            let one = DeltaEntry {
+                origin: entry.origin,
+                first_seq: seq as u64,
+                events: vec![event.clone()],
+            };
+            let report = third.apply(&DeltaBatch { entries: vec![one] }).unwrap();
+            assert_eq!(report.appended, 1);
+            refolds += usize::from(report.rebuilt);
+            delivered.set(entry.origin, seq as u64 + 1);
+
+            let prefix = history.entries.iter().map(|e| DeltaEntry {
+                origin: e.origin,
+                first_seq: 0,
+                events: e.events[..delivered.get(e.origin) as usize].to_vec(),
+            });
+            let mut fresh = fresh_replica();
+            fresh.apply(&DeltaBatch { entries: prefix.collect() }).unwrap();
+            assert_eq!(fresh.rebuilds(), 0, "one batch never lands behind its own fold");
+            assert_eq!(third.state_vector().unwrap(), delivered);
+            assert_eq!(fresh.state_vector().unwrap(), delivered);
+            assert_eq!(third.rendered(), fresh.rendered(), "after {delivered:?}");
+            for &stamp in &submits {
+                assert_eq!(
+                    third.engine().replicated_update_id(stamp).unwrap(),
+                    fresh.engine().replicated_update_id(stamp).unwrap(),
+                    "submit {stamp:?} after {delivered:?}"
+                );
+            }
+            assert_eq!(
+                third.engine().metrics().workload_size,
+                fresh.engine().metrics().workload_size
+            );
+            fresh.shutdown();
+        }
+    }
+    assert!(refolds >= 1, "origin 0's events must land behind the fold");
+    assert_eq!(third.rebuilds(), refolds);
+    third.shutdown();
+}
+
 // Convergence survives the full fault matrix: any node count, topology,
 // schedule interleaving, hostile links (reorder + duplicates), and an
 // optional partition across the first half of the schedule.
