@@ -1,8 +1,12 @@
 //! Micro-benchmarks for the storage substrate: inserts, visibility-filtered
-//! scans, index probes, null-replacement and specificity checks.
+//! scans, index probes, null-replacement, specificity checks and snapshot
+//! encode/decode.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use youtopia_storage::{is_more_specific, Database, NullId, UpdateId, Value, Write};
+use youtopia_storage::{
+    deserialize_database, is_more_specific, serialize_database, Database, NullId, UpdateId, Value,
+    Write,
+};
 
 fn populated(rows: usize) -> Database {
     let mut db = Database::new();
@@ -118,11 +122,57 @@ fn bench_specificity(c: &mut Criterion) {
     group.finish();
 }
 
+/// Two relations of `rows` tuples each whose constants cycle through
+/// `distinct` strings. Every tenth `R` tuple holds a labeled null that is
+/// replaced afterwards, so its chain has two versions.
+fn snapshot_db(rows: usize, distinct: usize) -> Database {
+    let mut db = Database::new();
+    let r = db.add_relation("R", ["a", "b", "c"]).unwrap();
+    let s = db.add_relation("S", ["a", "b"]).unwrap();
+    let constant = |i: usize| Value::constant(&format!("c{}", i % distinct));
+    let mut nulls = Vec::new();
+    for i in 0..rows {
+        let null = (i % 10 == 0).then(|| db.fresh_null());
+        nulls.extend(null);
+        let last = null.map_or_else(|| constant(3 * i + 2), Value::Null);
+        let writer = UpdateId(1 + (i % 7) as u64);
+        let values = vec![constant(3 * i), constant(3 * i + 1), last];
+        db.apply(&Write::Insert { relation: r, values }, writer).unwrap();
+        let values = vec![constant(2 * i), constant(i)];
+        db.apply(&Write::Insert { relation: s, values }, writer).unwrap();
+    }
+    for (i, null) in nulls.into_iter().enumerate() {
+        db.apply(&Write::NullReplace { null, replacement: constant(i) }, UpdateId(8)).unwrap();
+    }
+    db
+}
+
+/// Snapshot codec in two shapes: few constants used over and over (the
+/// paper fixture's shape) and mostly-unique constants (a database grown by
+/// long cascades).
+fn bench_snapshots(c: &mut Criterion) {
+    let mut group = c.benchmark_group("storage/snapshot");
+    for (shape, distinct) in [("repeated", 64), ("unique", usize::MAX)] {
+        let db = snapshot_db(5_000, distinct);
+        let bytes = serialize_database(&db);
+        group.bench_with_input(BenchmarkId::new("encode", shape), &db, |b, db| {
+            b.iter(|| serialize_database(db).len())
+        });
+        group.bench_with_input(BenchmarkId::new("decode", shape), &bytes, |b, bytes| {
+            // Decoded databases are dropped after the batch, untimed.
+            let mut decoded = Vec::new();
+            b.iter(|| decoded.push(deserialize_database(bytes).unwrap()));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_inserts,
     bench_scans_and_probes,
     bench_null_replacement,
-    bench_specificity
+    bench_specificity,
+    bench_snapshots
 );
 criterion_main!(benches);

@@ -42,6 +42,7 @@
 pub mod database;
 pub mod error;
 pub mod feed;
+mod fxhash;
 pub mod query;
 pub mod relation;
 pub mod schema;

@@ -1,9 +1,10 @@
 //! Per-relation tuple storage: version chains plus a column index and a
 //! per-reader visible-set cache.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::schema::RelationId;
 use crate::tuple::{TupleData, TupleId};
 use crate::value::Value;
@@ -49,7 +50,7 @@ pub struct RelationStore {
     /// Column index: for each attribute position, value → tuple ids whose
     /// *some* version carries that value at that position. Entries are never
     /// removed (stale-tolerant); lookups re-check visible data.
-    index: Vec<HashMap<Value, Vec<TupleId>>>,
+    index: Vec<FxHashMap<Value, Vec<TupleId>>>,
     /// Write epoch: bumped on every mutation of this relation (insert, new
     /// version, rollback). Readers that cached derived state (visible sets,
     /// violation checks, repair plans) validate it with a single integer
@@ -60,11 +61,11 @@ pub struct RelationStore {
     /// readers with number ≥ `w`). Behind a mutex (not a `RefCell`) so
     /// `&RelationStore` stays `Sync` and the parallel experiment sweep can
     /// share a fixture database across worker threads.
-    visible_cache: Mutex<HashMap<UpdateId, VisibleRows>>,
+    visible_cache: Mutex<FxHashMap<UpdateId, VisibleRows>>,
     /// reader → visible-row count. Separate from the row cache so count-only
     /// paths (`visible_count`, `total_visible`) never pay for materialising
     /// rows.
-    count_cache: Mutex<HashMap<UpdateId, usize>>,
+    count_cache: Mutex<FxHashMap<UpdateId, usize>>,
     /// (reader, column, value) → visible candidate rows: the per-column
     /// *visible-value* memo. Candidate probes dominate the read half of a
     /// chase step (one per join leg per violation query), and between writes
@@ -72,7 +73,7 @@ pub struct RelationStore {
     /// bucket-walk + version-chain filter into one hash lookup. Invalidated
     /// exactly like the visible-set memos: a write by update `w` drops entries
     /// of readers ≥ `w`.
-    candidate_cache: Mutex<HashMap<(UpdateId, usize, Value), VisibleRows>>,
+    candidate_cache: Mutex<FxHashMap<(UpdateId, usize, Value), VisibleRows>>,
 }
 
 impl Clone for RelationStore {
@@ -85,9 +86,9 @@ impl Clone for RelationStore {
             tuples: self.tuples.clone(),
             index: self.index.clone(),
             epoch: self.epoch,
-            visible_cache: Mutex::new(HashMap::new()),
-            count_cache: Mutex::new(HashMap::new()),
-            candidate_cache: Mutex::new(HashMap::new()),
+            visible_cache: Mutex::default(),
+            count_cache: Mutex::default(),
+            candidate_cache: Mutex::default(),
         }
     }
 }
@@ -99,11 +100,11 @@ impl RelationStore {
             id,
             arity,
             tuples: BTreeMap::new(),
-            index: vec![HashMap::new(); arity],
+            index: vec![FxHashMap::default(); arity],
             epoch: 0,
-            visible_cache: Mutex::new(HashMap::new()),
-            count_cache: Mutex::new(HashMap::new()),
-            candidate_cache: Mutex::new(HashMap::new()),
+            visible_cache: Mutex::default(),
+            count_cache: Mutex::default(),
+            candidate_cache: Mutex::default(),
         }
     }
 
@@ -147,7 +148,7 @@ impl RelationStore {
             .retain(|(reader, _, _), _| *reader < writer);
     }
 
-    fn cache(&self) -> MutexGuard<'_, HashMap<UpdateId, VisibleRows>> {
+    fn cache(&self) -> MutexGuard<'_, FxHashMap<UpdateId, VisibleRows>> {
         self.visible_cache.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -197,6 +198,34 @@ impl RelationStore {
             }
             None => false,
         }
+    }
+
+    /// Installs decoded version chains into this empty store in one pass and
+    /// returns how many versions they hold. `chains` must be in strictly
+    /// increasing tuple-id order.
+    ///
+    /// Leaves exactly what inserting each chain's first version and pushing
+    /// the rest, tuple by tuple, would: the same chains, index buckets in the
+    /// same first-append order, and the epoch at the version count.
+    pub(crate) fn restore_chains(&mut self, chains: Vec<(TupleId, VersionChain)>) -> u64 {
+        debug_assert!(self.tuples.is_empty() && self.epoch == 0, "restoring into a used store");
+        debug_assert!(chains.windows(2).all(|w| w[0].0 < w[1].0), "chains out of id order");
+        let mut versions = 0u64;
+        for (tuple, chain) in &chains {
+            for data in chain.versions().iter().filter_map(|v| v.data.as_ref()) {
+                self.index_values(*tuple, data);
+            }
+            versions += chain.versions().len() as u64;
+        }
+        self.tuples = chains.into_iter().collect();
+        self.epoch = versions;
+        versions
+    }
+
+    /// The column index (referee tests compare it bucket by bucket).
+    #[cfg(test)]
+    pub(crate) fn column_index(&self) -> &[FxHashMap<Value, Vec<TupleId>>] {
+        &self.index
     }
 
     fn index_values(&mut self, tuple: TupleId, data: &TupleData) {
@@ -273,7 +302,10 @@ impl RelationStore {
         let bucket =
             self.index.get(column).and_then(|m| m.get(&value)).map_or(&[][..], Vec::as_slice);
         let short = bucket.len() <= PREFIX_SCAN_MAX;
-        let mut seen = HashSet::with_capacity(if short { 0 } else { bucket.len() });
+        let mut seen = FxHashSet::with_capacity_and_hasher(
+            if short { 0 } else { bucket.len() },
+            Default::default(),
+        );
         for (i, &tid) in bucket.iter().enumerate() {
             let recurs = if short { bucket[..i].contains(&tid) } else { !seen.insert(tid) };
             if recurs {
@@ -344,6 +376,11 @@ impl RelationStore {
     /// Iterates over all logical tuple ids (deterministic order).
     pub fn tuple_ids(&self) -> impl Iterator<Item = TupleId> + '_ {
         self.tuples.keys().copied()
+    }
+
+    /// Iterates over every logical tuple's version chain, in id order.
+    pub(crate) fn chains(&self) -> impl Iterator<Item = (TupleId, &VersionChain)> + '_ {
+        self.tuples.iter().map(|(id, chain)| (*id, chain))
     }
 }
 

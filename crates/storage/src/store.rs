@@ -8,8 +8,9 @@
 //! path a single owner: every mutation funnels through `VersionStore`, which
 //! is what lets the visible-set caches be invalidated exactly once per write.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::relation::RelationStore;
 use crate::schema::RelationId;
 use crate::tuple::{self, TupleData, TupleId};
@@ -30,10 +31,10 @@ pub const DELTA_BACKLOG_CAP: usize = 32 * 1024;
 pub struct VersionStore {
     relations: Vec<RelationStore>,
     /// Which relation each tuple id belongs to.
-    tuple_locations: HashMap<TupleId, RelationId>,
+    tuple_locations: FxHashMap<TupleId, RelationId>,
     /// Tuples whose some version contains a given labeled null
     /// (stale-tolerant: lookups re-check visible data).
-    null_occurrences: HashMap<NullId, BTreeSet<TupleId>>,
+    null_occurrences: FxHashMap<NullId, BTreeSet<TupleId>>,
     /// Delta number of the oldest retained entry of `deltas`: entry `i` of the
     /// queue is delta `delta_base + i`. Monotonically increasing; advanced by
     /// truncation (and by the cap) so cursors can detect a gap.
@@ -51,8 +52,8 @@ impl Default for VersionStore {
     fn default() -> VersionStore {
         VersionStore {
             relations: Vec::new(),
-            tuple_locations: HashMap::new(),
-            null_occurrences: HashMap::new(),
+            tuple_locations: FxHashMap::default(),
+            null_occurrences: FxHashMap::default(),
             delta_base: 0,
             deltas: VecDeque::new(),
             delta_backlog_cap: DELTA_BACKLOG_CAP,
@@ -137,7 +138,7 @@ impl VersionStore {
     /// `[since, delta_seq())`, or `None` when the backlog was truncated past
     /// `since` (see [`VersionStore::deltas_since`]).
     pub fn dirty_in_window(&self, since: u64, interest: &[RelationId]) -> Option<Vec<RelationId>> {
-        let window: HashSet<RelationId> = self.deltas_since(since)?.collect();
+        let window: FxHashSet<RelationId> = self.deltas_since(since)?.collect();
         Some(interest.iter().copied().filter(|r| window.contains(r)).collect())
     }
 
@@ -168,6 +169,34 @@ impl VersionStore {
         self.relations[relation.0 as usize].insert_new(tuple, version);
         self.tuple_locations.insert(tuple, relation);
         self.note_delta(relation);
+    }
+
+    /// Installs a decoded relation's version chains (strictly increasing tuple
+    /// ids) into its empty storage in one pass: chains, column index, null
+    /// index and tuple locations. Leaves what inserting every chain's first
+    /// version and pushing the rest would, with `relation_epoch` and
+    /// [`VersionStore::delta_seq`] advanced by the version count, except that
+    /// the new deltas are truncated on arrival: no cursor can predate a
+    /// restore. Fails with the first tuple id already placed in another
+    /// relation.
+    pub(crate) fn restore_relation(
+        &mut self,
+        relation: RelationId,
+        chains: Vec<(TupleId, VersionChain)>,
+    ) -> Result<(), TupleId> {
+        self.tuple_locations.reserve(chains.len());
+        for (tuple, chain) in &chains {
+            if self.tuple_locations.insert(*tuple, relation).is_some() {
+                return Err(*tuple);
+            }
+            for data in chain.versions().iter().filter_map(|v| v.data.as_ref()) {
+                self.register_nulls(*tuple, data);
+            }
+        }
+        let versions = self.relations[relation.0 as usize].restore_chains(chains);
+        self.truncate_delta_backlog();
+        self.delta_base += versions;
+        Ok(())
     }
 
     /// Appends a version to an existing tuple, keeping the null index fresh.

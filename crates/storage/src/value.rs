@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
 /// An interned constant string.
 ///
@@ -75,6 +75,52 @@ impl Symbol {
     /// Raw numeric id, useful for dense side tables.
     pub fn raw(&self) -> u32 {
         self.0
+    }
+}
+
+/// One interner read guard held across a whole snapshot encode or decode, so
+/// a database's constants cost a hash lookup or an index each instead of a
+/// lock round-trip each.
+///
+/// While a `SymbolTable` is alive its thread must not touch the interner any
+/// other way — no [`Symbol::intern`], [`Symbol::as_str`] or `Debug`/`Display`
+/// of a [`Symbol`] or [`Value`]: a second read lock taken while a writer is
+/// queued deadlocks std's `RwLock`.
+pub(crate) struct SymbolTable {
+    /// `None` only inside [`SymbolTable::intern`]'s miss path.
+    guard: Option<RwLockReadGuard<'static, Interner>>,
+}
+
+impl SymbolTable {
+    /// Takes the interner's read guard.
+    pub(crate) fn lock() -> SymbolTable {
+        SymbolTable { guard: Some(Self::read()) }
+    }
+
+    fn read() -> RwLockReadGuard<'static, Interner> {
+        global_interner().read().expect("interner poisoned")
+    }
+
+    fn interner(&self) -> &Interner {
+        self.guard.as_ref().expect("the guard is only released inside intern")
+    }
+
+    /// The symbol of `s`. A hit costs one lookup under the held guard. A miss
+    /// releases the guard, interns under the write lock and takes the guard
+    /// again.
+    pub(crate) fn intern(&mut self, s: &str) -> Symbol {
+        if let Some(&id) = self.interner().map.get(s) {
+            return Symbol(id);
+        }
+        self.guard = None;
+        let id = global_interner().write().expect("interner poisoned").intern(s);
+        self.guard = Some(Self::read());
+        Symbol(id)
+    }
+
+    /// The string `symbol` interns, borrowed from the held guard.
+    pub(crate) fn name(&self, symbol: Symbol) -> &str {
+        &self.interner().names[symbol.0 as usize]
     }
 }
 
@@ -256,6 +302,20 @@ mod tests {
         assert_eq!(v, v2);
         let n: Value = NullId(1).into();
         assert!(n.is_null());
+    }
+
+    #[test]
+    fn a_symbol_table_interns_and_names_under_one_guard() {
+        let known = Symbol::intern("table-known");
+        let mut table = SymbolTable::lock();
+        assert_eq!(table.intern("table-known"), known);
+        // A miss re-takes the guard around the write lock.
+        let fresh = table.intern("table-fresh");
+        assert_eq!(table.intern("table-fresh"), fresh);
+        assert_eq!(table.name(fresh), "table-fresh");
+        assert_eq!(table.name(known), "table-known");
+        drop(table);
+        assert_eq!(Symbol::intern("table-fresh"), fresh);
     }
 
     #[test]

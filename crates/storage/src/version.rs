@@ -64,6 +64,12 @@ impl VersionChain {
         VersionChain { versions: vec![initial] }
     }
 
+    /// A chain of decoded `versions`, oldest first (snapshot restore).
+    pub(crate) fn from_versions(versions: Vec<TupleVersion>) -> VersionChain {
+        debug_assert!(!versions.is_empty(), "a chain holds at least one version");
+        VersionChain { versions }
+    }
+
     /// Appends a version to the chain.
     pub fn push(&mut self, version: TupleVersion) {
         self.versions.push(version);

@@ -70,8 +70,6 @@ stage_recovery() {
 stage_replication() {
     echo "==> [replication] convergence suite (smokes + proptest fault matrix)"
     cargo test -q --release --test replication_convergence
-    echo "==> [replication] partition-storm stress (ignored tests)"
-    cargo test -q --release --test replication_convergence -- --ignored
 }
 
 stage_bench() {

@@ -289,10 +289,8 @@ proptest! {
 }
 
 /// Partition storm: repeatedly sever a random link, edit on both sides of the
-/// cut, heal, and require byte-identical convergence every time. Expensive —
-/// run with `cargo test -- --ignored`.
+/// cut, heal, and require byte-identical convergence every time.
 #[test]
-#[ignore = "partition-storm stress; minutes of rebuild churn"]
 fn partition_storm_converges_every_generation() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
