@@ -33,16 +33,6 @@ pub enum TrackerKind {
     Coarse,
     /// Exact dependencies for every read query.
     Precise,
-    /// The per-update hybrid policy suggested at the end of Section 6: an
-    /// update starts out tracked by `COARSE`, and switches to `PRECISE` once
-    /// it has already been aborted `promote_after` times — "an update which is
-    /// particularly important and which should not be aborted spuriously …
-    /// can have its read dependencies determined using PRECISE".
-    Hybrid {
-        /// Number of aborts after which an update's reads are tracked with
-        /// `PRECISE` instead of `COARSE`.
-        promote_after: usize,
-    },
 }
 
 impl TrackerKind {
@@ -52,7 +42,6 @@ impl TrackerKind {
             TrackerKind::Naive => "NAIVE",
             TrackerKind::Coarse => "COARSE",
             TrackerKind::Precise => "PRECISE",
-            TrackerKind::Hybrid { .. } => "HYBRID",
         }
     }
 
@@ -62,7 +51,6 @@ impl TrackerKind {
             TrackerKind::Naive => Box::new(NaiveTracker),
             TrackerKind::Coarse => Box::new(CoarseTracker::default()),
             TrackerKind::Precise => Box::new(PreciseTracker::default()),
-            TrackerKind::Hybrid { promote_after } => Box::new(HybridTracker::new(*promote_after)),
         }
     }
 
@@ -115,12 +103,6 @@ pub trait DependencyTracker: Send {
     /// Clears all bookkeeping for an update (called when it aborts: after the
     /// restart it re-accumulates dependencies from scratch).
     fn clear_update(&mut self, update: UpdateId);
-
-    /// Informs the tracker that an update was aborted (called before
-    /// [`DependencyTracker::clear_update`]). Most trackers ignore this; the
-    /// hybrid tracker uses it to promote repeatedly-aborted updates to
-    /// `PRECISE` tracking.
-    fn note_abort(&mut self, _update: UpdateId) {}
 }
 
 /// The strawman: when update `i` aborts, abort every update numbered above it.
@@ -294,96 +276,6 @@ impl DependencyTracker for PreciseTracker {
     }
 }
 
-/// The per-update hybrid policy of Section 6: `COARSE` by default, `PRECISE`
-/// for updates that have already been aborted at least `promote_after` times.
-#[derive(Clone, Debug)]
-pub struct HybridTracker {
-    coarse: CoarseTracker,
-    precise: PreciseTracker,
-    abort_counts: HashMap<UpdateId, usize>,
-    promote_after: usize,
-}
-
-impl HybridTracker {
-    /// Creates a hybrid tracker that promotes an update to `PRECISE` tracking
-    /// after it has aborted `promote_after` times.
-    pub fn new(promote_after: usize) -> HybridTracker {
-        HybridTracker {
-            coarse: CoarseTracker::default(),
-            precise: PreciseTracker::default(),
-            abort_counts: HashMap::new(),
-            promote_after,
-        }
-    }
-
-    /// Whether an update's reads are currently tracked precisely.
-    pub fn is_promoted(&self, update: UpdateId) -> bool {
-        self.abort_counts.get(&update).copied().unwrap_or(0) >= self.promote_after
-    }
-
-    /// How many times an update has aborted so far.
-    pub fn abort_count(&self, update: UpdateId) -> usize {
-        self.abort_counts.get(&update).copied().unwrap_or(0)
-    }
-}
-
-impl DependencyTracker for HybridTracker {
-    fn name(&self) -> &'static str {
-        "HYBRID"
-    }
-
-    fn record_writes(&mut self, writer: UpdateId, writes: &[AppliedWrite]) {
-        self.coarse.record_writes(writer, writes);
-        self.precise.record_writes(writer, writes);
-    }
-
-    fn record_reads(
-        &mut self,
-        reader: UpdateId,
-        reads: &[ReadQuery],
-        write_log: &WriteLog,
-        view: &dyn DataView,
-        mappings: &MappingSet,
-    ) {
-        if self.is_promoted(reader) {
-            self.precise.record_reads(reader, reads, write_log, view, mappings);
-        } else {
-            self.coarse.record_reads(reader, reads, write_log, view, mappings);
-        }
-    }
-
-    fn dependents_of(&self, aborted: UpdateId, all_updates: &[UpdateId]) -> Vec<UpdateId> {
-        let mut out = self.coarse.dependents_of(aborted, all_updates);
-        for d in self.precise.dependents_of(aborted, all_updates) {
-            if !out.contains(&d) {
-                out.push(d);
-            }
-        }
-        out.sort();
-        out
-    }
-
-    fn dependencies_of(&self, reader: UpdateId) -> Vec<UpdateId> {
-        let mut out = self.coarse.dependencies_of(reader);
-        for d in self.precise.dependencies_of(reader) {
-            if !out.contains(&d) {
-                out.push(d);
-            }
-        }
-        out.sort();
-        out
-    }
-
-    fn clear_update(&mut self, update: UpdateId) {
-        self.coarse.clear_update(update);
-        self.precise.clear_update(update);
-    }
-
-    fn note_abort(&mut self, update: UpdateId) {
-        *self.abort_counts.entry(update).or_insert(0) += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,57 +400,7 @@ mod tests {
         assert_eq!(TrackerKind::Naive.build().name(), "NAIVE");
         assert_eq!(TrackerKind::Coarse.build().name(), "COARSE");
         assert_eq!(TrackerKind::Precise.build().name(), "PRECISE");
-        assert_eq!(TrackerKind::Hybrid { promote_after: 2 }.build().name(), "HYBRID");
         assert_eq!(TrackerKind::all().len(), 3);
         assert_eq!(TrackerKind::Precise.to_string(), "PRECISE");
-    }
-
-    #[test]
-    fn hybrid_promotes_after_repeated_aborts() {
-        let (db, mappings, writes, reads) = scenario();
-        let mut log = WriteLog::new();
-        log.push_all(&writes);
-
-        let mut tracker = HybridTracker::new(2);
-        tracker.record_writes(UpdateId(1), &writes);
-        // Also log an unrelated write by update 2: COARSE will blame it,
-        // PRECISE will not.
-        let mut db2 = db.clone();
-        let s = db2.relation_id("S").unwrap();
-        let w2 = db2
-            .apply_all(
-                &[Write::Insert {
-                    relation: s,
-                    values: vec![
-                        Value::constant("ZZZ"),
-                        Value::constant("Nowhere"),
-                        Value::constant("Nowhere"),
-                    ],
-                }],
-                UpdateId(2),
-            )
-            .unwrap();
-        tracker.record_writes(UpdateId(2), &w2);
-        log.push_all(&w2);
-
-        // Before any aborts: coarse behaviour (depends on updates 1 and 2).
-        assert!(!tracker.is_promoted(UpdateId(3)));
-        let snap = db2.snapshot(UpdateId(3));
-        tracker.record_reads(UpdateId(3), &reads, &log, &snap, &mappings);
-        assert_eq!(tracker.dependencies_of(UpdateId(3)), vec![UpdateId(1), UpdateId(2)]);
-        assert_eq!(tracker.dependents_of(UpdateId(2), &[]), vec![UpdateId(3)]);
-
-        // Two aborts later the update is promoted and re-recorded reads are
-        // tracked precisely: only update 1 remains a dependency.
-        tracker.note_abort(UpdateId(3));
-        tracker.clear_update(UpdateId(3));
-        assert_eq!(tracker.abort_count(UpdateId(3)), 1);
-        assert!(!tracker.is_promoted(UpdateId(3)));
-        tracker.note_abort(UpdateId(3));
-        tracker.clear_update(UpdateId(3));
-        assert!(tracker.is_promoted(UpdateId(3)));
-        tracker.record_reads(UpdateId(3), &reads, &log, &snap, &mappings);
-        assert_eq!(tracker.dependencies_of(UpdateId(3)), vec![UpdateId(1)]);
-        assert_eq!(tracker.name(), "HYBRID");
     }
 }

@@ -61,9 +61,7 @@ pub mod viewmaint;
 
 pub use builder::EngineBuilder;
 pub use conflict::{change_conflicts_with_reader_keyed, direct_conflicts, DirectConflict};
-pub use deps::{
-    CoarseTracker, DependencyTracker, HybridTracker, NaiveTracker, PreciseTracker, TrackerKind,
-};
+pub use deps::{CoarseTracker, DependencyTracker, NaiveTracker, PreciseTracker, TrackerKind};
 pub use durable::{decode_record, DurabilityConfig, RecoveryError, WalRecord};
 pub use engine::{
     AnswerOutcome, ClientId, ExchangeEngine, Priority, ResolverPump, RetryAfter, SubmitError,

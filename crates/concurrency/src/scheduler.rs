@@ -333,7 +333,6 @@ impl ConcurrentRun {
             slot.exec.reset_for_restart();
             self.read_log.clear(victim);
             self.write_log.remove_update(victim);
-            self.tracker.note_abort(victim);
             self.tracker.clear_update(victim);
             self.metrics.aborts += 1;
         }

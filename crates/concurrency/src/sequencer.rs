@@ -357,7 +357,6 @@ impl EngineShared {
         // re-reads what the victims aborted with it are rewriting and
         // cascades with them again. `ConcurrentRun` applies the same rule.
         slot.sit_out = usize::from(revive);
-        core.tracker.note_abort(victim);
         core.tracker.clear_update(victim);
         core.metrics.aborts += 1;
         let undone_readers = self.validate_rollback(core, victim, &rolled_back);

@@ -1,5 +1,5 @@
 //! Per-relation tuple storage: version chains plus a column index and a
-//! per-reader visible-set cache.
+//! per-reader row memo.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -10,19 +10,13 @@ use crate::tuple::{TupleData, TupleId};
 use crate::value::Value;
 use crate::version::{TupleVersion, UpdateId, VersionChain};
 
-/// Upper bound on distinct readers memoised per relation between writes. The
-/// cache is cleared wholesale on every mutation, so the bound only matters for
-/// long read-mostly phases with very many concurrent readers.
+/// Upper bound on distinct readers in one relation's row memo. A write drops
+/// every reader that can see it, so the bound only matters for long
+/// read-mostly phases with very many concurrent readers.
 const VISIBLE_CACHE_MAX_READERS: usize = 128;
 
 /// The memoised visible rows of one relation for one reader.
 type VisibleRows = Arc<Vec<(TupleId, TupleData)>>;
-
-/// Upper bound on memoised `(reader, column, value)` candidate probes per
-/// relation between writes. Probes are much more numerous than full scans
-/// (every violation-query join leg issues one), so the bound is wider than
-/// [`VISIBLE_CACHE_MAX_READERS`].
-const CANDIDATE_CACHE_MAX_ENTRIES: usize = 1024;
 
 /// Buckets up to this long are de-duplicated by scanning their own prefix,
 /// which allocates nothing and beats hashing at this size; longer ones go
@@ -35,13 +29,12 @@ const PREFIX_SCAN_MAX: usize = 32;
 /// deterministic (ids are assigned in insertion order), which keeps chase runs
 /// and experiments reproducible under a fixed seed.
 ///
-/// Reads are accelerated by a *visible-set cache*: the first
-/// [`RelationStore::scan`] (or [`RelationStore::visible_count`]) for a given
-/// reader materialises that reader's visible rows once; subsequent reads by
-/// the same reader are served from the cache until the next write to this
-/// relation invalidates it. Violation-query evaluation performs many scans and
-/// candidate probes per chase step between writes, so this removes the
-/// walk-every-version-chain cost from the hot read path.
+/// A probe ([`RelationStore::candidates`]) reads one column-index bucket and
+/// re-checks each entry's visible version, so it costs what it returns and is
+/// not memoised. A full [`RelationStore::scan`] walks every version chain, so
+/// the first scan by a given reader materialises that reader's visible rows
+/// once (the *row memo*) and later scans by the same reader are served from it
+/// until a write visible to that reader invalidates it.
 #[derive(Debug)]
 pub struct RelationStore {
     id: RelationId,
@@ -52,34 +45,28 @@ pub struct RelationStore {
     /// removed (stale-tolerant); lookups re-check visible data.
     index: Vec<FxHashMap<Value, Vec<TupleId>>>,
     /// Write epoch: bumped on every mutation of this relation (insert, new
-    /// version, rollback). Readers that cached derived state (visible sets,
-    /// violation checks, repair plans) validate it with a single integer
-    /// compare instead of re-reading the data.
+    /// version, rollback). Readers that cached derived state (violation
+    /// checks, repair plans) validate it with a single integer compare
+    /// instead of re-reading the data.
     epoch: u64,
     /// reader → visible rows, invalidated on every mutation *visible to that
     /// reader* (a write by update `w` can only change the visible set of
     /// readers with number ≥ `w`). Behind a mutex (not a `RefCell`) so
     /// `&RelationStore` stays `Sync` and the parallel experiment sweep can
     /// share a fixture database across worker threads.
+    ///
+    /// The one memo kept, because the scans it serves repeat: on a 2-core box
+    /// (10 s `perf` runs, 16 alternating pairs) deleting it too moved
+    /// `durable_crash`'s `latency_p99_ms` from 7.64 to 9.17 ms (+20.0 %, worse
+    /// in every pair), though `deep_cascade` read +24.1 % `updates_per_s`.
     visible_cache: Mutex<FxHashMap<UpdateId, VisibleRows>>,
-    /// reader → visible-row count. Separate from the row cache so count-only
-    /// paths (`visible_count`, `total_visible`) never pay for materialising
-    /// rows.
-    count_cache: Mutex<FxHashMap<UpdateId, usize>>,
-    /// (reader, column, value) → visible candidate rows: the per-column
-    /// *visible-value* memo. Candidate probes dominate the read half of a
-    /// chase step (one per join leg per violation query), and between writes
-    /// the same probes repeat across steps; memoising them turns the repeated
-    /// bucket-walk + version-chain filter into one hash lookup. Invalidated
-    /// exactly like the visible-set memos: a write by update `w` drops entries
-    /// of readers ≥ `w`.
-    candidate_cache: Mutex<FxHashMap<(UpdateId, usize, Value), VisibleRows>>,
 }
 
 impl Clone for RelationStore {
     fn clone(&self) -> RelationStore {
-        // The cache is a pure memo: a clone starts cold. The epoch is carried
-        // over so epoch-validated state behaves the same on either copy.
+        // The row memo is a pure memo: a clone starts cold. The epoch is
+        // carried over so epoch-validated state behaves the same on either
+        // copy.
         RelationStore {
             id: self.id,
             arity: self.arity,
@@ -87,8 +74,6 @@ impl Clone for RelationStore {
             index: self.index.clone(),
             epoch: self.epoch,
             visible_cache: Mutex::default(),
-            count_cache: Mutex::default(),
-            candidate_cache: Mutex::default(),
         }
     }
 }
@@ -103,8 +88,6 @@ impl RelationStore {
             index: vec![FxHashMap::default(); arity],
             epoch: 0,
             visible_cache: Mutex::default(),
-            count_cache: Mutex::default(),
-            candidate_cache: Mutex::default(),
         }
     }
 
@@ -120,17 +103,17 @@ impl RelationStore {
 
     /// The relation's write epoch: monotonically increasing, bumped on every
     /// mutation. Equal epochs guarantee identical relation contents, so any
-    /// derived state (cached visible sets, still-violated checks, memoised
-    /// repair plans) can be validated with one integer compare.
+    /// derived state (still-violated checks, memoised repair plans) can be
+    /// validated with one integer compare.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
     /// Registers a mutation performed by `writer`: bumps the write epoch and
-    /// drops the memoised visible sets and counts of every reader the
-    /// mutation is visible to. A version written by update `w` is only ever
-    /// visible to readers with number ≥ `w`, so lower-numbered readers' memos
-    /// are still exact and survive the write.
+    /// drops the memoised rows of every reader the mutation is visible to. A
+    /// version written by update `w` is only ever visible to readers with
+    /// number ≥ `w`, so lower-numbered readers' memos are still exact and
+    /// survive the write.
     fn note_mutation(&mut self, writer: UpdateId) {
         self.epoch += 1;
         // `get_mut` needs no lock: `&mut self` proves exclusive access.
@@ -138,14 +121,6 @@ impl RelationStore {
             .get_mut()
             .unwrap_or_else(|e| e.into_inner())
             .retain(|reader, _| *reader < writer);
-        self.count_cache
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .retain(|reader, _| *reader < writer);
-        self.candidate_cache
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .retain(|(reader, _, _), _| *reader < writer);
     }
 
     fn cache(&self) -> MutexGuard<'_, FxHashMap<UpdateId, VisibleRows>> {
@@ -258,43 +233,23 @@ impl RelationStore {
         (*self.visible_rows(reader)).clone()
     }
 
-    /// Number of tuples visible to `reader`. Served from the row cache when a
-    /// scan already materialised it, and from a count memo otherwise —
-    /// counting never materialises rows.
+    /// Number of tuples visible to `reader`, counted by walking the version
+    /// chains (no engine path counts rows, so nothing memoises it).
     pub fn visible_count(&self, reader: UpdateId) -> usize {
-        if let Some(rows) = self.cache().get(&reader) {
-            return rows.len();
-        }
-        let mut counts = self.count_cache.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(&count) = counts.get(&reader) {
-            return count;
-        }
-        let count = self.tuples.values().filter(|c| c.visible_data(reader).is_some()).count();
-        if counts.len() >= VISIBLE_CACHE_MAX_READERS {
-            counts.clear();
-        }
-        counts.insert(reader, count);
-        count
+        self.tuples.values().filter(|c| c.visible_data(reader).is_some()).count()
     }
 
-    /// Tuples visible to `reader` whose value at `column` equals `value`,
-    /// memoised per `(reader, column, value)` until the next write visible to
-    /// that reader.
+    /// Tuples visible to `reader` whose value at `column` equals `value`.
     ///
     /// Uses the column index as a candidate filter and re-checks against the
-    /// visible version, so stale index entries are harmless.
+    /// visible version, so stale index entries are harmless. Reads only that
+    /// one bucket and takes no lock: a probe costs what it returns.
     pub fn candidates(
         &self,
         column: usize,
         value: Value,
         reader: UpdateId,
     ) -> Vec<(TupleId, TupleData)> {
-        {
-            let memo = self.candidate_cache.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(rows) = memo.get(&(reader, column, value)) {
-                return (**rows).clone();
-            }
-        }
         let mut out = Vec::new();
         // Bucket order is the index's *append* order (stale entries included,
         // so a re-versioned tuple can recur anywhere behind its first entry);
@@ -317,11 +272,6 @@ impl RelationStore {
                 }
             }
         }
-        let mut memo = self.candidate_cache.lock().unwrap_or_else(|e| e.into_inner());
-        if memo.len() >= CANDIDATE_CACHE_MAX_ENTRIES {
-            memo.clear();
-        }
-        memo.insert((reader, column, value), Arc::new(out.clone()));
         out
     }
 
@@ -624,57 +574,14 @@ mod tests {
     }
 
     #[test]
-    fn candidate_memo_is_invalidated_per_reader() {
-        let mut store = RelationStore::new(RelationId(0), 1);
-        let a = V::constant("a");
-        store.insert_new(TupleId(1), version(1, 1, Some(&[a])));
-        // Prime the memo for a low- and a high-numbered reader.
-        assert_eq!(store.candidates(0, a, UpdateId(2)).len(), 1);
-        assert_eq!(store.candidates(0, a, UpdateId(9)).len(), 1);
-        // A write by update 5 must only invalidate reader 9's memo.
-        store.insert_new(TupleId(2), version(5, 2, Some(&[a])));
-        {
-            let memo = store.candidate_cache.lock().unwrap();
-            assert!(memo.contains_key(&(UpdateId(2), 0, a)));
-            assert!(!memo.contains_key(&(UpdateId(9), 0, a)));
-        }
-        assert_eq!(store.candidates(0, a, UpdateId(2)).len(), 1);
-        assert_eq!(store.candidates(0, a, UpdateId(9)).len(), 2);
-        // Memoised and recomputed answers agree after a rollback, too.
-        store.remove_versions_of(UpdateId(5));
-        assert_eq!(store.candidates(0, a, UpdateId(9)).len(), 1);
-        // A clone starts cold but answers identically.
-        let clone = store.clone();
-        assert!(clone.candidate_cache.lock().unwrap().is_empty());
-        assert_eq!(clone.candidates(0, a, UpdateId(9)), store.candidates(0, a, UpdateId(9)));
-    }
-
-    #[test]
-    fn candidate_memo_bounds_entries() {
-        let mut store = RelationStore::new(RelationId(0), 1);
-        let a = V::constant("a");
-        store.insert_new(TupleId(1), version(1, 1, Some(&[a])));
-        for reader in 0..(2 * CANDIDATE_CACHE_MAX_ENTRIES as u64) {
-            let expected = usize::from(reader >= 1);
-            assert_eq!(store.candidates(0, a, UpdateId(reader)).len(), expected);
-        }
-        let memo = store.candidate_cache.lock().unwrap();
-        assert!(!memo.is_empty() && memo.len() <= CANDIDATE_CACHE_MAX_ENTRIES);
-    }
-
-    #[test]
     fn visible_cache_bounds_reader_entries() {
         let mut store = RelationStore::new(RelationId(0), 1);
         store.insert_new(TupleId(1), version(1, 1, Some(&[V::constant("a")])));
         for reader in 0..(2 * VISIBLE_CACHE_MAX_READERS as u64) {
             let expected = usize::from(reader >= 1);
-            // `visible_count` populates the count memo, `scan` the row cache;
-            // both must respect the per-relation reader bound.
-            assert_eq!(store.visible_count(UpdateId(reader)), expected);
             assert_eq!(store.scan(UpdateId(reader)).len(), expected);
         }
-        assert!(store.cache().len() <= VISIBLE_CACHE_MAX_READERS);
-        let counts = store.count_cache.lock().unwrap();
-        assert!(!counts.is_empty() && counts.len() <= VISIBLE_CACHE_MAX_READERS);
+        let cache = store.cache();
+        assert!(!cache.is_empty() && cache.len() <= VISIBLE_CACHE_MAX_READERS);
     }
 }

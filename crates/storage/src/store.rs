@@ -1,12 +1,12 @@
 //! The multiversion tuple store, split out of [`crate::Database`].
 //!
 //! [`VersionStore`] owns everything that holds tuple *data*: the per-relation
-//! [`RelationStore`]s (version chains, column indexes and the per-reader
-//! visible-set caches), the tuple → relation map and the labeled-null
+//! [`RelationStore`]s (version chains, column indexes and the per-reader row
+//! memo that full scans fill), the tuple → relation map and the labeled-null
 //! occurrence index. [`crate::Database`] keeps the catalog and the id
 //! allocators and delegates all data access here. The split gives the read
 //! path a single owner: every mutation funnels through `VersionStore`, which
-//! is what lets the visible-set caches be invalidated exactly once per write.
+//! is what lets the row memos be invalidated exactly once per write.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -98,9 +98,8 @@ impl VersionStore {
     /// The write epoch of a relation: bumped on every mutation of that
     /// relation (insert, new version, rollback), `0` for unknown relations.
     /// Equal epochs guarantee identical relation contents, which lets derived
-    /// state — the chase's violation queue, memoised repair plans, readers'
-    /// visible-set memos — validate with an integer compare instead of
-    /// re-evaluating queries.
+    /// state — the chase's violation queue, memoised repair plans — validate
+    /// with an integer compare instead of re-evaluating queries.
     pub fn relation_epoch(&self, relation: RelationId) -> u64 {
         self.relation(relation).map(|s| s.epoch()).unwrap_or(0)
     }

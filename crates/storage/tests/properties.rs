@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use youtopia_storage::{
-    is_more_specific, specialization, substitute_nulls, Database, NullId, UpdateId, Value, Write,
+    is_more_specific, specialization, substitute_nulls, Database, NullId, RelationId, TupleData,
+    TupleId, UpdateId, Value, Write,
 };
 
 /// Strategy producing a value: constant from a small pool, or a labeled null.
@@ -98,31 +99,109 @@ proptest! {
             prop_assert!(!data.contains(&Value::Null(NullId(null))));
         }
     }
+}
 
-    /// Candidate (index) lookups agree with a full scan filter.
-    #[test]
-    fn candidates_agree_with_scan(tuples in prop::collection::vec(tuple_strategy(2), 0..12), probe in value_strategy(), col in 0usize..2) {
-        let mut db = Database::new();
-        let rel = db.add_relation("R", ["a", "b"]).unwrap();
-        for t in &tuples {
-            db.apply(&Write::Insert { relation: rel, values: t.clone() }, UpdateId(1)).unwrap();
+/// Every row of `rel` visible to `reader`, read straight off the version
+/// chains: the reference the store's read paths are checked against.
+fn chain_rows(db: &Database, rel: RelationId, reader: UpdateId) -> Vec<(TupleId, TupleData)> {
+    let store = db.version_store().relation(rel).unwrap();
+    store
+        .tuple_ids()
+        .filter_map(|t| store.chain(t)?.visible_data(reader).map(|d| (t, d.clone())))
+        .collect()
+}
+
+/// Checks `scan`, `visible_count` and `candidates` against [`chain_rows`] at
+/// readers below, between and above the writers 1–6, probing every value any
+/// version of `rel` ever held (stale index entries included).
+fn assert_reads_match_chains(db: &Database, rel: RelationId) {
+    let store = db.version_store().relation(rel).unwrap();
+    let mut probes: Vec<(usize, Value)> = store
+        .tuple_ids()
+        .flat_map(|t| store.chain(t).unwrap().versions())
+        .filter_map(|v| v.data.as_ref())
+        .flat_map(|d| d.iter().copied().enumerate())
+        .collect();
+    probes.sort();
+    probes.dedup();
+    for reader in [0, 1, 3, 5].map(UpdateId).into_iter().chain([UpdateId::OMNISCIENT]) {
+        let rows = chain_rows(db, rel, reader);
+        assert_eq!(db.scan(rel, reader), rows, "scan of {rel} at {reader:?}");
+        assert_eq!(db.visible_count(rel, reader), rows.len(), "count of {rel} at {reader:?}");
+        for &(column, value) in &probes {
+            let mut got = db.candidates(rel, column, value, reader);
+            got.sort_by_key(|(t, _)| *t);
+            let want: Vec<_> = rows.iter().filter(|(_, d)| d[column] == value).cloned().collect();
+            assert_eq!(got, want, "{rel}[{column}] = {value:?} at {reader:?}");
         }
-        let reader = UpdateId::OMNISCIENT;
-        let mut from_scan: Vec<_> = db
-            .scan(rel, reader)
-            .into_iter()
-            .filter(|(_, data)| data[col] == probe)
-            .map(|(id, _)| id)
-            .collect();
-        let mut from_index: Vec<_> = db.candidates(rel, col, probe, reader).into_iter().map(|(id, _)| id).collect();
-        from_scan.sort();
-        from_index.sort();
-        prop_assert_eq!(from_scan, from_index);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Reads interleaved with a history of inserts, deletes, null
+    /// replacements and rollbacks by updates 1–6 always answer what the
+    /// version chains hold. Reading before each write fills the row memo, so
+    /// every write lands on a warm memo and must invalidate exactly the
+    /// readers that can see it.
+    #[test]
+    fn reads_between_writes_match_the_version_chains(
+        ops in prop::collection::vec((0u8..5, 0u64..1_000, 0u64..1_000), 0..40)
+    ) {
+        let mut db = Database::new();
+        let r = db.add_relation("R", ["a", "b"]).unwrap();
+        let s = db.add_relation("S", ["c"]).unwrap();
+        let check = |db: &Database| {
+            assert_reads_match_chains(db, r);
+            assert_reads_match_chains(db, s);
+        };
+        for (kind, pick, other) in ops {
+            check(&db);
+            let writer = UpdateId(1 + pick % 6);
+            let value = |k: u64, db: &Database| match k % 4 {
+                0 => Value::Null(db.fresh_null()),
+                1 => Value::Null(NullId(k % (db.null_counter() + 1))),
+                _ => Value::constant(&format!("k{}", k % 5)),
+            };
+            let _ = match kind {
+                0 => {
+                    let values = vec![value(other, &db), value(other / 7, &db)];
+                    db.apply(&Write::Insert { relation: r, values }, writer)
+                }
+                1 => {
+                    let values = vec![value(other, &db)];
+                    db.apply(&Write::Insert { relation: s, values }, writer)
+                }
+                2 => {
+                    let relation = if other % 2 == 0 { r } else { s };
+                    let rows = chain_rows(&db, relation, UpdateId::OMNISCIENT);
+                    if rows.is_empty() {
+                        continue;
+                    }
+                    let tuple = rows[(other as usize / 2) % rows.len()].0;
+                    db.apply(&Write::Delete { relation, tuple }, writer)
+                }
+                3 => {
+                    let null = NullId(other % (db.null_counter() + 1));
+                    let replacement = value(other / 3, &db);
+                    if replacement == Value::Null(null) {
+                        continue;
+                    }
+                    db.apply(&Write::NullReplace { null, replacement }, writer)
+                }
+                _ => {
+                    db.rollback_update(writer);
+                    Ok(Vec::new())
+                }
+            };
+            check(&db);
+        }
     }
 }
 
 /// `Database` (and everything reachable from a shared borrow of it — the
-/// memoising caches included) must stay `Send + Sync`: the engine keeps it
+/// row memo included) must stay `Send + Sync`: the engine keeps it
 /// behind one mutex that whichever caller thread holds it reads and writes,
 /// and a `&Database` may cross threads.
 #[test]
@@ -133,13 +212,13 @@ fn database_and_views_are_send_and_sync() {
     assert_send_sync::<youtopia_storage::Snapshot<'static>>();
 }
 
-/// Real-contention audit of the per-relation memo caches: many threads hammer
-/// `scan` / `visible_count` / `candidates` / `fresh_null` on one shared
-/// database at different reader numbers (so they race on inserting into the
-/// `Mutex`-guarded visible-set and count caches) and every answer must match
-/// the single-threaded truth computed up front.
+/// Real-contention audit of the shared read path: many threads hammer `scan` /
+/// `visible_count` / `candidates` / `fresh_null` on one shared database at
+/// different reader numbers (so they race on filling the `Mutex`-guarded row
+/// memo and on the null counter) and every answer must match the
+/// single-threaded truth computed up front.
 #[test]
-fn memo_caches_answer_correctly_under_contention() {
+fn shared_reads_answer_correctly_under_contention() {
     let mut db = Database::new();
     let rel = db.add_relation("R", ["a", "b"]).unwrap();
     for i in 0..200u64 {
