@@ -366,16 +366,14 @@ fn disjoint_chains(chains: usize, depth: usize) -> (Database, MappingSet) {
     (db, mappings)
 }
 
-/// The shared violation index under concurrent live updates: 16 disjoint
-/// chain cascades submitted to a deterministic engine in waves of
-/// 1, 4 or 16, so every configuration performs the *same* chase steps and
-/// only the number of concurrently live updates differs. With the shared
-/// delta feed, an update's per-step detection cost depends on the deltas
-/// committed since its own cursor — filtered by relation interest, so the
-/// other chains' writes are skipped in O(1) per delta — and the three
-/// medians must stay flat (the acceptance bar is 16 within 1.5× of 1).
-/// Under the per-update baseline this was the regime where detection work
-/// scaled with the number of concurrent updates.
+/// Dirty checks under concurrent live updates: 16 disjoint chain cascades
+/// submitted to a deterministic engine in waves of 1, 4 or 16, so every
+/// configuration performs the *same* chase steps and only the number of
+/// concurrently live updates differs. Each step compares the write epoch of
+/// every relation its own queue watches against the watermark it stored
+/// there, so its detection cost depends on its own queue, not on the other
+/// chains' writes, and the three medians must stay flat (the acceptance bar
+/// is 16 within 1.5× of 1).
 fn bench_shared_index(c: &mut Criterion) {
     const CHAINS: usize = 16;
     const DEPTH: usize = 24;

@@ -53,7 +53,7 @@
 //! (Algorithm 3) over the live updates, one action (at most one chase step)
 //! per visit, with the same rules — a terminated update an abort revives
 //! sits out the rest of the round. The chase is fixed too: every execution
-//! maintains its violation queue from the delta feed
+//! re-checks only the queued violations of relations whose write epoch moved
 //! ([`ChaseMode::Incremental`](youtopia_core::ChaseMode)); the full-recheck
 //! chase survives only in `ConcurrentRun`, as the test oracle the
 //! equivalence suites compare the engine against. One choice sits on top of
@@ -87,7 +87,7 @@ use youtopia_core::{
 };
 use youtopia_mappings::MappingSet;
 use youtopia_storage::wal::{read_wal, serialize_database, write_file_atomic, WalWriter};
-use youtopia_storage::{Database, UpdateId};
+use youtopia_storage::{Database, StorageError, UpdateId};
 
 use crate::deps::TrackerKind;
 use crate::durable::{
@@ -226,6 +226,10 @@ pub enum SubmitError {
     /// event log and silently diverge the node from its peers. Use
     /// [`ExchangeEngine::submit_replicated`].
     Replicated,
+    /// An operation of the submission does not fit the catalog (unknown
+    /// relation, wrong arity); the whole batch was refused, nothing was
+    /// logged, and the engine keeps serving.
+    Invalid(StorageError),
 }
 
 impl std::fmt::Display for SubmitError {
@@ -242,6 +246,7 @@ impl std::fmt::Display for SubmitError {
             SubmitError::Replicated => {
                 write!(f, "engine is a replica: submit through submit_replicated")
             }
+            SubmitError::Invalid(e) => write!(f, "invalid submission: {e}"),
         }
     }
 }
@@ -1033,8 +1038,9 @@ impl ExchangeEngine {
     /// batch submitted to an idle deterministic engine chases exactly like the
     /// same batch under [`ConcurrentRun`](crate::ConcurrentRun). Fails with
     /// [`SubmitError::Saturated`] when the admission cap would be exceeded
-    /// (nothing is admitted) and [`SubmitError::ShutDown`] after shutdown or a
-    /// fatal error.
+    /// (nothing is admitted), [`SubmitError::Invalid`] when an operation
+    /// does not fit the catalog (nothing is logged or admitted) and
+    /// [`SubmitError::ShutDown`] after shutdown or a fatal error.
     ///
     /// **Backoff contract:** a `Saturated` rejection carries a typed
     /// [`RetryAfter`] hint — the number of in-flight completions the caller
@@ -1086,6 +1092,9 @@ impl ExchangeEngine {
         }
         if shared.config.replica.is_some() {
             return Err(SubmitError::Replicated);
+        }
+        for op in &ops {
+            core.db.check_write(&op.to_write()).map_err(SubmitError::Invalid)?;
         }
         shared.check_admission(&mut core, client, ops.len())?;
         let base = core.total();
@@ -1335,14 +1344,6 @@ impl ExchangeEngine {
         let core = self.shared.enter();
         let slot = self.shared.lookup(&core, update)?;
         Ok(slot.exec.is_terminated().then(|| UpdateReport::for_execution(&slot.exec)))
-    }
-
-    /// Observes the shared violation index: the delta feed's sequence number
-    /// and its retained backlog (see [`crate::viewmaint`] for the maintenance
-    /// model). The backlog is bounded by the cap and cleared whenever
-    /// quiescence GC runs.
-    pub fn violation_index(&self) -> crate::viewmaint::ViolationIndexStats {
-        self.read(crate::viewmaint::stats)
     }
 
     /// The priority number the next submission will receive.

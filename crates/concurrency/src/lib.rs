@@ -57,7 +57,6 @@ pub mod metrics;
 pub mod replicate;
 pub mod scheduler;
 mod sequencer;
-pub mod viewmaint;
 
 pub use builder::EngineBuilder;
 pub use conflict::{change_conflicts_with_reader_keyed, direct_conflicts, DirectConflict};
@@ -72,4 +71,3 @@ pub use log::{ReadLog, WriteLog};
 pub use metrics::{AveragedMetrics, RunMetrics};
 pub use replicate::{SyncError, SyncReport};
 pub use scheduler::{ConcurrentRun, SchedulerConfig};
-pub use viewmaint::ViolationIndexStats;

@@ -25,7 +25,7 @@
 //!   *position*; conflicting answers for the same `(update, position)` are
 //!   resolved canonically (minimal event stamp wins, everywhere);
 //! * remote events enter through the existing admission/answer paths — the
-//!   deterministic sequencer, violation index and metrics all apply
+//!   deterministic sequencer, the chase and metrics all apply
 //!   unchanged — so equal event sets render byte-identical databases,
 //!   tuple ids, null ids and update numbers included.
 //!
@@ -59,7 +59,7 @@ use youtopia_core::replication::{
 };
 use youtopia_core::{ChaseError, FrontierDecision, FrontierToken, ResolutionOrigin, UpdateState};
 use youtopia_storage::wal::deserialize_database;
-use youtopia_storage::{Database, UpdateId};
+use youtopia_storage::{Database, StorageError, UpdateId};
 
 use crate::engine::{AnswerOutcome, EngineShared, ExchangeEngine};
 use crate::sequencer::{Core, DetProgress};
@@ -72,6 +72,9 @@ pub enum SyncError {
     NotReplicated,
     /// The underlying engine failed fatally while folding.
     Engine(ChaseError),
+    /// A submitted operation does not fit the catalog (unknown relation,
+    /// wrong arity); nothing was logged and the replica keeps serving.
+    Invalid(StorageError),
 }
 
 impl std::fmt::Display for SyncError {
@@ -79,6 +82,7 @@ impl std::fmt::Display for SyncError {
         match self {
             SyncError::NotReplicated => write!(f, "engine has no replica identity"),
             SyncError::Engine(e) => write!(f, "engine failed during replicated fold: {e}"),
+            SyncError::Invalid(e) => write!(f, "invalid submission: {e}"),
         }
     }
 }
@@ -446,9 +450,12 @@ impl ExchangeEngine {
     /// own log (peers will pull it) and folds it in locally. Returns the
     /// event stamp — the update's identity across the whole replica set
     /// (resolve it to this engine's update id with
-    /// [`replicated_update_id`](Self::replicated_update_id)).
+    /// [`replicated_update_id`](Self::replicated_update_id)). An operation
+    /// that does not fit the catalog fails with [`SyncError::Invalid`]
+    /// before anything is logged.
     pub fn submit_replicated(&self, op: youtopia_core::InitialOp) -> Result<EventStamp, SyncError> {
         let mut core = self.enter_live_replica()?;
+        core.db.check_write(&op.to_write()).map_err(SyncError::Invalid)?;
         let stamp =
             replica_mut(&mut core).append_own(|lamport| ReplicationEvent::Submit { lamport, op });
         drop(core);
@@ -542,6 +549,19 @@ mod tests {
         let engine = replica(0);
         let err = engine.submit(delete_review()).unwrap_err();
         assert!(matches!(err, crate::engine::SubmitError::Replicated));
+        engine.shutdown();
+    }
+
+    /// A malformed submit is refused before it reaches the replica's own log,
+    /// so peers never pull it and the replica keeps serving.
+    #[test]
+    fn malformed_replicated_submits_are_refused_and_not_logged() {
+        let engine = replica(0);
+        let short = InitialOp::Insert { relation: RelationId(0), values: vec![] };
+        assert!(matches!(engine.submit_replicated(short), Err(SyncError::Invalid(_))));
+        assert_eq!(engine.state_vector().unwrap(), StateVector::new());
+        let stamp = engine.submit_replicated(insert_city("Bern")).unwrap();
+        assert_eq!(stamp, EventStamp { lamport: 1, origin: NodeId(0) });
         engine.shutdown();
     }
 

@@ -78,12 +78,6 @@ impl SchedulerConfig {
         self.frontier_delay_rounds = rounds;
         self
     }
-
-    /// Replaces the global step valve.
-    pub fn with_max_total_steps(mut self, max_total_steps: usize) -> SchedulerConfig {
-        self.max_total_steps = max_total_steps;
-        self
-    }
 }
 
 struct Slot {

@@ -403,14 +403,6 @@ impl EngineShared {
         core.read_log = ReadLog::default();
         core.write_log = WriteLog::default();
         core.tracker = self.config.tracker.build();
-        // The shared violation index's delta backlog is dead for the same
-        // reason: only live executions hold cursors into it, and there are
-        // none. Dropping it (rather than letting the cap drain it lazily)
-        // means a huge quiescent workload cannot leave buffered deltas pinned
-        // across idle periods; any later-admitted update starts at the
-        // post-truncation sequence, and a stale cursor would surface as a gap
-        // (all-dirty fallback), not a missed delta.
-        crate::viewmaint::clear(&mut core.db);
         self.compact(core);
         // Quiescence is a durability point: any group-commit window still
         // open is flushed so an idle engine never sits on unsynced records.

@@ -206,15 +206,11 @@ pub struct UpdateExecution {
     next_viol_seq: u64,
     /// Hash membership of the queue (dedup of re-discovered violations).
     queued_set: HashSet<Violation>,
-    /// relation → enqueue numbers of the queued violations reading it.
-    queue_index: HashMap<RelationId, BTreeSet<u64>>,
-    /// This execution's cursor into the store's committed-delta feed
-    /// ([`Database::delta_seq`] / [`Database::dirty_relations`]): every delta
-    /// below it has been folded into the queue's bookkeeping. Advanced at the
-    /// end of each step's queue maintenance, so a step's detection cost is
-    /// proportional to what changed since this update's previous step and
-    /// independent of how many updates are live.
-    delta_cursor: u64,
+    /// relation → (the relation's write epoch when this execution last
+    /// looked, enqueue numbers of the queued violations reading it). A step
+    /// re-examines the violations of exactly the relations whose epoch moved
+    /// past that watermark.
+    queue_index: HashMap<RelationId, (u64, BTreeSet<u64>)>,
     pending_frontier: Option<FrontierRequest>,
     stats: UpdateStats,
 }
@@ -246,7 +242,6 @@ impl UpdateExecution {
             next_viol_seq: 0,
             queued_set: HashSet::new(),
             queue_index: HashMap::new(),
-            delta_cursor: 0,
             pending_frontier: None,
             stats: UpdateStats::default(),
         }
@@ -360,8 +355,12 @@ impl UpdateExecution {
             read_relations.iter().map(|r| db.relation_epoch(*r)).collect();
         let seq = self.next_viol_seq;
         self.next_viol_seq += 1;
-        for &relation in &read_relations {
-            self.queue_index.entry(relation).or_default().insert(seq);
+        for (&relation, &epoch) in read_relations.iter().zip(&checked_epochs) {
+            self.queue_index
+                .entry(relation)
+                .or_insert_with(|| (epoch, BTreeSet::new()))
+                .1
+                .insert(seq);
         }
         self.queued_set.insert(violation.clone());
         self.viol_queue
@@ -374,7 +373,7 @@ impl UpdateExecution {
         let Some(entry) = self.viol_queue.remove(&seq) else { return };
         self.queued_set.remove(&entry.violation);
         for relation in entry.read_relations {
-            if let Some(seqs) = self.queue_index.get_mut(&relation) {
+            if let Some((_, seqs)) = self.queue_index.get_mut(&relation) {
                 seqs.remove(&seq);
                 if seqs.is_empty() {
                     self.queue_index.remove(&relation);
@@ -389,32 +388,17 @@ impl UpdateExecution {
     /// cover this step's own writes as well as writes and rollbacks other
     /// updates performed since our previous step.
     ///
-    /// The change signal is the store's delta feed, replayed from this
-    /// execution's cursor (cost: the window it missed). That is an
-    /// over-approximation of "some queued violation's checked epoch moved";
-    /// the per-entry epoch compare below filters exactly.
+    /// The change signal is each watched relation's write epoch against the
+    /// watermark stored beside its enqueue numbers (cost: one integer compare
+    /// per watched relation). A moved relation over-approximates "some queued
+    /// violation's checked epoch moved"; the per-entry epoch compare below
+    /// filters exactly.
     fn recheck_touched(&mut self, db: &Database, view: &dyn DataView, mappings: &MappingSet) {
-        if self.queue_index.is_empty() {
-            // Nothing queued, nothing to validate: jump the cursor over the
-            // whole backlog without scanning it. This is what makes a freshly
-            // admitted execution's first step O(1) in the feed regardless of
-            // history length.
-            self.delta_cursor = db.delta_seq();
-            return;
-        }
-        let interest: Vec<RelationId> = self.queue_index.keys().copied().collect();
-        let dirty = db
-            .dirty_relations(self.delta_cursor, &interest)
-            // The backlog was truncated past our cursor: every indexed
-            // relation is a candidate; the per-entry compare below filters.
-            .unwrap_or(interest);
-        self.delta_cursor = db.delta_seq();
-        if dirty.is_empty() {
-            return;
-        }
         let mut candidates: BTreeSet<u64> = BTreeSet::new();
-        for relation in &dirty {
-            if let Some(seqs) = self.queue_index.get(relation) {
+        for (relation, (seen, seqs)) in &mut self.queue_index {
+            let now = db.relation_epoch(*relation);
+            if now != *seen {
+                *seen = now;
                 candidates.extend(seqs.iter().copied());
             }
         }
@@ -427,8 +411,8 @@ impl UpdateExecution {
                     .zip(entry.checked_epochs.iter())
                     .all(|(r, e)| db.relation_epoch(*r) == *e);
                 if unchanged {
-                    // The dirty relation's epoch moved for someone else; every
-                    // epoch this violation reads is unchanged.
+                    // Every epoch this violation reads matches its stamp:
+                    // nothing it depends on changed.
                     continue;
                 }
                 if entry.violation.still_violated(view, mappings.get(entry.violation.mapping)) {

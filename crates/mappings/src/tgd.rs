@@ -250,13 +250,6 @@ impl MappingSet {
         &self.plans
     }
 
-    /// The shared handle to the compiled plans: cloning it is one reference
-    /// count, so engine-scope consumers (one per engine, per facade, per
-    /// recovery pass) can hold the cache without duplicating it.
-    pub fn plans_arc(&self) -> Arc<CompiledPlans> {
-        Arc::clone(&self.plans)
-    }
-
     /// Validates every mapping against the catalog.
     pub fn validate(&self, catalog: &Catalog) -> Result<(), MappingError> {
         for t in &self.tgds {

@@ -122,6 +122,29 @@ impl Database {
         s
     }
 
+    /// Checks `write` against the catalog without applying it: its relation
+    /// exists and an insert matches the relation's arity.
+    /// [`Database::apply`] fails exactly when this does.
+    pub fn check_write(&self, write: &Write) -> Result<(), StorageError> {
+        match write {
+            Write::Insert { relation, values } => {
+                let expected = self.catalog.try_schema(*relation)?.arity();
+                if values.len() != expected {
+                    return Err(StorageError::ArityMismatch {
+                        relation: *relation,
+                        expected,
+                        actual: values.len(),
+                    });
+                }
+            }
+            Write::Delete { relation, .. } => {
+                self.catalog.try_schema(*relation)?;
+            }
+            Write::NullReplace { .. } => {}
+        }
+        Ok(())
+    }
+
     /// Applies a logical write on behalf of `writer`, returning the concrete
     /// per-tuple changes.
     ///
@@ -136,16 +159,9 @@ impl Database {
         write: &Write,
         writer: UpdateId,
     ) -> Result<Vec<TupleChange>, StorageError> {
+        self.check_write(write)?;
         match write {
             Write::Insert { relation, values } => {
-                let schema_arity = self.catalog.try_schema(*relation)?.arity();
-                if values.len() != schema_arity {
-                    return Err(StorageError::ArityMismatch {
-                        relation: *relation,
-                        expected: schema_arity,
-                        actual: values.len(),
-                    });
-                }
                 let tuple = TupleId(self.next_tuple);
                 self.next_tuple += 1;
                 let seq = self.next_seq();
@@ -158,10 +174,7 @@ impl Database {
                 Ok(vec![TupleChange::Inserted { relation: *relation, tuple, values: data }])
             }
             Write::Delete { relation, tuple } => {
-                let store = self
-                    .store
-                    .relation(*relation)
-                    .ok_or(StorageError::UnknownRelation(*relation))?;
+                let store = self.store.relation(*relation).expect("checked above");
                 if !store.contains(*tuple) {
                     // Tuple id never existed in this relation.
                     return Ok(Vec::new());
@@ -265,21 +278,6 @@ impl Database {
     /// changed?" is one integer compare per relation.
     pub fn relation_epoch(&self, relation: RelationId) -> u64 {
         self.store.relation_epoch(relation)
-    }
-
-    /// Number of retained write-delta entries (see
-    /// [`VersionStore::delta_backlog_len`]); used by the engine's quiescence
-    /// GC diagnostics and memory-bound tests.
-    pub fn delta_backlog_len(&self) -> usize {
-        self.store.delta_backlog_len()
-    }
-
-    /// Drops the write-delta backlog of the shared violation feed (see
-    /// [`VersionStore::truncate_delta_backlog`]). Safe at any time — stale
-    /// cursors observe a gap and fall back to full revalidation — but meant
-    /// for engine quiescence, where no live cursor exists.
-    pub fn truncate_delta_backlog(&mut self) {
-        self.store.truncate_delta_backlog()
     }
 
     /// All tuples of `relation` visible to `reader`.

@@ -15,9 +15,7 @@
 //!   null-replacement ([`Write`]);
 //! * a conjunctive-query engine ([`query`]) used for violation and correction
 //!   queries, plus [`OverlaySnapshot`] for *what-if* evaluation of a single
-//!   write (used by conflict detection and the `PRECISE` tracker);
-//! * the committed-write delta feed ([`mod@feed`]) that the chase's shared
-//!   violation index replays.
+//!   write (used by conflict detection and the `PRECISE` tracker).
 //!
 //! Higher layers: `youtopia-mappings` (tgds and violations), `youtopia-core`
 //! (the cooperative chase) and `youtopia-concurrency` (optimistic concurrency
@@ -41,7 +39,6 @@
 
 pub mod database;
 pub mod error;
-pub mod feed;
 mod fxhash;
 pub mod query;
 pub mod relation;
@@ -61,7 +58,7 @@ pub use query::{
 pub use relation::RelationStore;
 pub use schema::{Catalog, RelationId, RelationSchema};
 pub use snapshot::{DataView, OverlaySnapshot, Snapshot, TupleOverride};
-pub use store::{VersionStore, DELTA_BACKLOG_CAP};
+pub use store::VersionStore;
 pub use tuple::{
     contains_null, is_more_specific, nulls_of, specialization, specificity_equivalent,
     substitute_nulls, Tuple, TupleData, TupleId,

@@ -35,14 +35,6 @@ impl Term {
     pub fn constant(value: &str) -> Term {
         Term::Const(Value::constant(value))
     }
-
-    /// Returns the variable symbol if this term is a variable.
-    pub fn as_var(&self) -> Option<Symbol> {
-        match self {
-            Term::Var(v) => Some(*v),
-            Term::Const(_) => None,
-        }
-    }
 }
 
 impl fmt::Debug for Term {

@@ -175,14 +175,13 @@ impl RelationStore {
         }
     }
 
-    /// Installs decoded version chains into this empty store in one pass and
-    /// returns how many versions they hold. `chains` must be in strictly
-    /// increasing tuple-id order.
+    /// Installs decoded version chains into this empty store in one pass.
+    /// `chains` must be in strictly increasing tuple-id order.
     ///
     /// Leaves exactly what inserting each chain's first version and pushing
     /// the rest, tuple by tuple, would: the same chains, index buckets in the
     /// same first-append order, and the epoch at the version count.
-    pub(crate) fn restore_chains(&mut self, chains: Vec<(TupleId, VersionChain)>) -> u64 {
+    pub(crate) fn restore_chains(&mut self, chains: Vec<(TupleId, VersionChain)>) {
         debug_assert!(self.tuples.is_empty() && self.epoch == 0, "restoring into a used store");
         debug_assert!(chains.windows(2).all(|w| w[0].0 < w[1].0), "chains out of id order");
         let mut versions = 0u64;
@@ -194,7 +193,6 @@ impl RelationStore {
         }
         self.tuples = chains.into_iter().collect();
         self.epoch = versions;
-        versions
     }
 
     /// The column index (referee tests compare it bucket by bucket).

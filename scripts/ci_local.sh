@@ -44,7 +44,7 @@ stage_stress() {
     cargo test -q --release --test parallel_stress
     echo "==> [stress] engine equivalence (batch engine = ConcurrentRun; live session; skipping policy; waiters)"
     cargo test -q --release --test engine_equivalence
-    echo "==> [stress] violation-index equivalence (engine = full-recheck ConcurrentRun oracle; drained backlog)"
+    echo "==> [stress] epoch-watermark equivalence (engine = full-recheck ConcurrentRun oracle; long-lived engines complete every cycle)"
     cargo test -q --release --test viewmaint_equivalence
     echo "==> [stress] determinism (seeds, sweep threads, engine vs reference per cell)"
     cargo test -q --release --test determinism

@@ -80,7 +80,7 @@ pub use youtopia_workload as workload;
 pub use youtopia_concurrency::{
     AnswerOutcome, ClientId, ConcurrentRun, DurabilityConfig, EngineBuilder, ExchangeEngine,
     Priority, RecoveryError, ResolverPump, RetryAfter, RunMetrics, SchedulerConfig, SubmitError,
-    SweepReport, TrackerKind, UpdateExchange, UpdateHandle, UpdateStatus, ViolationIndexStats,
+    SweepReport, TrackerKind, UpdateExchange, UpdateHandle, UpdateStatus,
 };
 pub use youtopia_core::{
     AutoDecision, ChaseError, EscalationPolicy, ExpandResolver, FrontierDecision, FrontierRequest,

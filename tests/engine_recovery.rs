@@ -34,8 +34,8 @@ use youtopia::workload::{build_fixture, generate_workload, ExperimentConfig, Wor
 use youtopia::{
     AnswerOutcome, AutoDecision, Database, DurabilityConfig, EngineBuilder, EscalationPolicy,
     ExchangeEngine, FrontierResolver, FrontierToken, InitialOp, LookupError, MappingSet,
-    RandomResolver, RecoveryError, ResolutionOrigin, ResolverPump, RunMetrics, TrackerKind,
-    UpdateId, UpdateStatus, Value,
+    RandomResolver, RecoveryError, ResolutionOrigin, ResolverPump, RunMetrics, SubmitError,
+    TrackerKind, UpdateId, UpdateStatus, Value,
 };
 
 // ---------------------------------------------------------------------------
@@ -661,6 +661,56 @@ fn recovery_rejects_a_headerless_log() {
     match reference.builder.clone().durable(durability).recover(reference.mappings.clone()) {
         Err(RecoveryError::Corrupt(_)) => {}
         other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Malformed submissions are refused, not fatal
+// ---------------------------------------------------------------------------
+
+/// A batch holding an insert of the wrong arity or a delete from an unknown
+/// relation is refused whole with `SubmitError::Invalid` before anything is
+/// logged or admitted. A plain engine keeps serving, and a durable engine's
+/// directory recovers and takes the next valid submission.
+#[test]
+fn malformed_submissions_are_refused_and_the_engine_keeps_serving() {
+    let dir = TempDir::new("malformed");
+    let (db, mappings, k) = trivial_fixture();
+    let valid = |i: u64| InitialOp::Insert {
+        relation: k,
+        values: vec![Value::constant(&format!("k{i}")), Value::constant("v")],
+    };
+    let malformed = [
+        InitialOp::Insert { relation: k, values: vec![Value::constant("short")] },
+        InitialOp::Delete { relation: youtopia::RelationId(9), tuple: youtopia::TupleId(0) },
+    ];
+    for durable in [false, true] {
+        let builder = EngineBuilder::new().first_update_number(1_000);
+        let builder = match durable {
+            true => builder.durable(DurabilityConfig::new(dir.path())),
+            false => builder,
+        };
+        let engine = builder.clone().build(db.clone(), mappings.clone()).expect("engine starts");
+        assert!(engine.submit(valid(0)).expect("admission").wait().expect("ends").terminated);
+        for op in &malformed {
+            match engine.submit_batch(vec![valid(1), op.clone()]) {
+                Err(SubmitError::Invalid(_)) => {}
+                other => panic!("durable {durable}: expected Invalid, got {other:?}"),
+            }
+        }
+        engine.drive().expect("the engine keeps serving");
+        assert!(engine.submit(valid(1)).expect("admission").wait().expect("ends").terminated);
+        let (final_db, _, metrics) = engine.shutdown();
+        assert_eq!(metrics.workload_size, 2, "durable {durable}: refused batches not admitted");
+        assert_eq!(final_db.visible_count(k, UpdateId::OMNISCIENT), 2);
+        if durable {
+            let recovered = builder.recover(mappings.clone()).expect("recovery succeeds");
+            assert!(
+                recovered.submit(valid(2)).expect("admission").wait().expect("ends").terminated
+            );
+            let (recovered_db, _, _) = recovered.shutdown();
+            assert_eq!(recovered_db.visible_count(k, UpdateId::OMNISCIENT), 3);
+        }
     }
 }
 

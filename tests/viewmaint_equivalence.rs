@@ -1,22 +1,22 @@
-//! Differential and lifecycle tests for the engine-shared violation index
-//! ([`youtopia::concurrency::viewmaint`]).
+//! Differential and lifecycle tests for the chase's epoch-watermark dirty
+//! check ([`ChaseMode::Incremental`]).
 //!
-//! * **Oracle equivalence** — the shared violation index only decides *which*
-//!   queued violations a step re-validates, never what any update does: for
-//!   every generated workload and tracker, an engine (which always maintains
-//!   its queues from the delta feed, [`ChaseMode::Incremental`]) must be
-//!   byte-identical to the single-threaded [`ConcurrentRun`] reference
-//!   re-validating every queue in full ([`ChaseMode::FullRecheck`], the test
-//!   oracle, which never consults the feed) — the same final database (up to
-//!   the names of labeled nulls), the same per-update statistics (hence the
-//!   same abort sets) and the same [`RunMetrics`] modulo wall clock. Exact
-//!   null names and the null counter are pinned where both sides chase in the
-//!   same mode: `tests/engine_equivalence.rs` renders them byte-exactly for
-//!   the engine ≡ an Incremental reference.
-//! * **Bounded backlog** — a long-lived engine cycling through tens of
-//!   thousands of trivial updates must not accumulate delta-log backlog: the
-//!   quiescence GC truncates the shared feed whenever no cursor can still
-//!   need it — after trivial cycles and after a real chased workload alike.
+//! * **Oracle equivalence** — the watermarks only decide *which* queued
+//!   violations a step re-validates, never what any update does: for every
+//!   generated workload and tracker, an engine (which always re-checks only
+//!   the violations of relations whose write epoch moved,
+//!   [`ChaseMode::Incremental`]) must be byte-identical to the
+//!   single-threaded [`ConcurrentRun`] reference re-validating every queue in
+//!   full ([`ChaseMode::FullRecheck`], the test oracle) — the same final
+//!   database (up to the names of labeled nulls), the same per-update
+//!   statistics (hence the same abort sets) and the same [`RunMetrics`]
+//!   modulo wall clock. Exact null names and the null counter are pinned
+//!   where both sides chase in the same mode: `tests/engine_equivalence.rs`
+//!   renders them byte-exactly for the engine ≡ an Incremental reference.
+//! * **Long-lived engines** — an engine cycling through sixteen thousand
+//!   trivial updates, each one quiescence GC, completes every one of them,
+//!   and a real chased workload drains to a database that satisfies every
+//!   mapping.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -24,11 +24,10 @@ use proptest::prelude::*;
 use youtopia::chase::ChaseMode;
 use youtopia::concurrency::{RunMetrics, SchedulerConfig};
 use youtopia::mappings::satisfies_all;
-use youtopia::storage::DELTA_BACKLOG_CAP;
 use youtopia::workload::{build_fixture, generate_workload, ExperimentConfig, WorkloadKind};
 use youtopia::{
-    ConcurrentRun, Database, EngineBuilder, ExchangeEngine, InitialOp, MappingSet, NullId,
-    RandomResolver, ResolverPump, TrackerKind, UpdateId, UpdateStatus, Value,
+    ConcurrentRun, Database, EngineBuilder, InitialOp, MappingSet, NullId, RandomResolver,
+    ResolverPump, TrackerKind, UpdateId, UpdateStatus, Value,
 };
 
 /// Strips the wall-clock field so metrics compare byte-exactly.
@@ -67,9 +66,9 @@ fn render(db: &Database) -> String {
 }
 
 /// Runs one generated workload through the `FullRecheck` reference scheduler,
-/// then through a feed-driven (`Incremental`) engine, asserting byte equality
+/// then through an (`Incremental`) engine, asserting byte equality
 /// throughout.
-fn feed_driven_engine_matches_full_recheck(seed: u64, tracker: TrackerKind, kind: WorkloadKind) {
+fn engine_matches_full_recheck(seed: u64, tracker: TrackerKind, kind: WorkloadKind) {
     let mut config = ExperimentConfig::tiny();
     config.seed = seed;
     let fixture = build_fixture(&config).expect("fixture builds");
@@ -85,7 +84,7 @@ fn feed_driven_engine_matches_full_recheck(seed: u64, tracker: TrackerKind, kind
     .take(16)
     .collect();
     let first_number = config.initial_tuples as u64 + 1_000;
-    // The reference never looks at the delta feed: every step re-runs
+    // The reference never looks at write epochs: every step re-runs
     // `still_violated` over the whole queue.
     let mut reference = ConcurrentRun::new(
         fixture.initial_db.clone(),
@@ -121,9 +120,6 @@ fn feed_driven_engine_matches_full_recheck(seed: u64, tracker: TrackerKind, kind
     let abort_set: BTreeSet<UpdateId> =
         stats.iter().filter(|(_, s)| s.restarts > 0).map(|(id, _)| *id).collect();
     assert_eq!(abort_set, ref_abort_set, "{label}: abort set");
-    let index = engine.violation_index();
-    assert_eq!(index.backlog_cap, DELTA_BACKLOG_CAP, "{label}: advertised cap");
-    assert!(index.backlog_len <= index.backlog_cap, "{label}: backlog within cap");
     let (db, _, metrics) = engine.shutdown();
     assert_eq!(scrub(metrics), scrub(ref_metrics), "{label}: metrics");
     assert_eq!(render(&db), render(&ref_db), "{label}: final database state");
@@ -136,14 +132,14 @@ proptest! {
     /// backward repairs) — the workhorse combination.
     #[test]
     fn precise_mixed_matches_the_full_recheck_oracle(seed in 0u64..10_000) {
-        feed_driven_engine_matches_full_recheck(seed, TrackerKind::Precise, WorkloadKind::Mixed);
+        engine_matches_full_recheck(seed, TrackerKind::Precise, WorkloadKind::Mixed);
     }
 
     /// COARSE over deep cascades: long violation queues, many epochs per
-    /// update — the regime where the shared feed does the most work.
+    /// update — the regime where the watermarks move most often.
     #[test]
     fn coarse_deep_cascade_matches_the_full_recheck_oracle(seed in 0u64..10_000) {
-        feed_driven_engine_matches_full_recheck(
+        engine_matches_full_recheck(
             seed,
             TrackerKind::Coarse,
             WorkloadKind::DeepCascade,
@@ -151,21 +147,20 @@ proptest! {
     }
 
     /// NAIVE over the skewed hot-relation workload: most deltas land on one
-    /// relation, so nearly every cursor window dirties the queued
-    /// violations that read it.
+    /// relation, so nearly every step finds that relation's watermark moved
+    /// and re-examines the queued violations that read it.
     #[test]
     fn naive_skewed_matches_the_full_recheck_oracle(seed in 0u64..10_000) {
-        feed_driven_engine_matches_full_recheck(seed, TrackerKind::Naive, WorkloadKind::Skewed);
+        engine_matches_full_recheck(seed, TrackerKind::Naive, WorkloadKind::Skewed);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Long-lived engines: the delta backlog stays bounded
+// Long-lived engines
 // ---------------------------------------------------------------------------
 
 /// A bare single-relation fixture whose updates terminate immediately (no
-/// mappings, so no chase beyond the initial operation) — every cycle still
-/// appends at least one entry to the shared delta feed.
+/// mappings, so no chase beyond the initial operation).
 fn trivial_fixture() -> (Database, MappingSet, youtopia::RelationId) {
     let mut db = Database::new();
     db.add_relation("K", ["key", "value"]).unwrap();
@@ -173,21 +168,10 @@ fn trivial_fixture() -> (Database, MappingSet, youtopia::RelationId) {
     (db, MappingSet::new(), k)
 }
 
-/// Asserts the quiescence GC has truncated the shared delta backlog. It is
-/// the tail of the action that retired the last update, and that action ran
-/// on the caller's own thread before it could observe quiescence.
-fn assert_drained_backlog(engine: &ExchangeEngine, context: &str) {
-    let left = engine.violation_index().backlog_len;
-    assert_eq!(left, 0, "{context}: backlog not drained at quiescence");
-}
-
-/// ≥16k submit/terminate cycles: each writes at least one delta, so without
-/// the quiescence GC the shared backlog would cross the assertion bound
-/// within the first ~1.5k cycles (and the `DELTA_BACKLOG_CAP` high-water
-/// mark soon after). With it, the feed is truncated every time the engine
-/// drains, and a long-lived engine holds O(1) delta memory.
+/// 16,384 submit/terminate cycles at retention 32, each ending in a
+/// quiescence GC: every cycle is counted and every insert stays visible.
 #[test]
-fn long_lived_engines_hold_bounded_delta_backlog() {
+fn long_lived_engines_complete_every_trivial_cycle() {
     let (db, mappings, k) = trivial_fixture();
     let engine = EngineBuilder::new()
         .tracker(TrackerKind::Precise)
@@ -196,9 +180,6 @@ fn long_lived_engines_hold_bounded_delta_backlog() {
         .build(db, mappings)
         .expect("non-durable engines build infallibly");
 
-    // Far below the cap: backlog may transiently hold the deltas of updates
-    // admitted since the last GC, but never thousands of dead entries.
-    let bound = 1_024;
     let cycles = 16_384u64;
     for i in 0..cycles {
         let handle = engine
@@ -208,33 +189,19 @@ fn long_lived_engines_hold_bounded_delta_backlog() {
             })
             .expect("admission");
         assert!(handle.wait().expect("trivial update terminates").terminated);
-        if i % 512 == 0 {
-            let index = engine.violation_index();
-            assert!(
-                index.backlog_len <= bound,
-                "cycle {i}: {} buffered deltas, bound {bound}",
-                index.backlog_len
-            );
-            assert_eq!(index.backlog_cap, DELTA_BACKLOG_CAP);
-        }
     }
     engine.wait_quiescent().expect("engine drains");
-    assert_drained_backlog(&engine, "trivial cycles");
-    // The sequence number itself never resets — cursors must keep advancing
-    // monotonically across truncations.
-    assert!(engine.violation_index().delta_seq >= cycles);
     let (final_db, _, metrics) = engine.shutdown();
     assert_eq!(metrics.workload_size, cycles as usize);
     assert_eq!(final_db.visible_count(k, UpdateId::OMNISCIENT), cycles as usize);
 }
 
-/// The bounded-backlog test above cycles trivial updates through a mapping-free
-/// database; this one drains a real chase — mixed inserts and deletes under
-/// PRECISE with delayed answers, so multi-step repairs and rollbacks feed the
-/// log — and the committed feed must still be empty once the engine is
-/// quiescent.
+/// The test above cycles trivial updates through a mapping-free database;
+/// this one drains a real chase — mixed inserts and deletes under PRECISE
+/// with delayed answers, so multi-step repairs and rollbacks move the
+/// watermarks — and the quiescent database must satisfy every mapping.
 #[test]
-fn chased_workload_drains_the_backlog_at_quiescence() {
+fn chased_workload_satisfies_every_mapping_at_quiescence() {
     let mut config = ExperimentConfig::tiny();
     config.seed = 2_718;
     let fixture = build_fixture(&config).expect("fixture builds");
@@ -258,7 +225,6 @@ fn chased_workload_drains_the_backlog_at_quiescence() {
     engine.submit_batch(ops).expect("uncapped submission");
     let mut resolver = RandomResolver::seeded(config.seed ^ 0xE61E);
     ResolverPump::new(&engine, &mut resolver).run_until_quiescent().unwrap();
-    assert_drained_backlog(&engine, "chased workload");
     let (db, mappings, _) = engine.shutdown();
     assert!(satisfies_all(&db.snapshot(UpdateId::OMNISCIENT), &mappings));
 }
