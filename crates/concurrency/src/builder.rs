@@ -31,9 +31,9 @@ use youtopia_core::EscalationPolicy;
 use youtopia_mappings::MappingSet;
 use youtopia_storage::Database;
 
-use crate::deps::TrackerKind;
 use crate::durable::{DurabilityConfig, RecoveryError};
 use crate::engine::{EngineConfig, ExchangeEngine};
+use crate::validation::TrackerKind;
 
 /// Fluent construction of an [`ExchangeEngine`] (durable or not). See the
 /// [module docs](self).

@@ -72,7 +72,7 @@
 //! Unlike the inline resolvers of the batch world, an answer can arrive long
 //! after the snapshot the user looked at: writes may commit in between. That
 //! is exactly the cooperative setting — the machinery that keeps it sound is
-//! unchanged: the request's plan-time reads are in the read log, the
+//! unchanged: the request's plan-time reads are stored for validation, the
 //! decision's correction queries are recorded under the same lock hold that
 //! applies them, and any conflicting later write aborts the update.
 
@@ -89,7 +89,6 @@ use youtopia_mappings::MappingSet;
 use youtopia_storage::wal::{read_wal, serialize_database, write_file_atomic, WalWriter};
 use youtopia_storage::{Database, StorageError, UpdateId};
 
-use crate::deps::TrackerKind;
 use crate::durable::{
     config_fingerprint, decode_record, decode_snapshot, encode_answer, encode_header,
     encode_snapshot, encode_submit, DurabilityConfig, DurableEngineState, RecoveryError,
@@ -97,6 +96,7 @@ use crate::durable::{
 };
 use crate::metrics::RunMetrics;
 use crate::sequencer::{Core, DetProgress};
+use crate::validation::TrackerKind;
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
@@ -595,7 +595,6 @@ impl EngineShared {
             let id = UpdateId(self.config.first_update_number + (base + i) as u64);
             let exec = UpdateExecution::new(id, op);
             core.slots.push_back(Slot::new(exec, None));
-            core.all_ids.push(id);
             core.live.insert(base + i);
             out.push(id);
         }
@@ -813,7 +812,9 @@ impl EngineShared {
                 }
                 // Recorded under the same lock hold as the resolution: a
                 // write committing later is validated against these reads.
-                self.record_reads(core, id, reads);
+                if !core.solo() {
+                    core.validation.record_reads(&core.db, &self.mappings, id, &reads);
+                }
             }
             Err(e) => {
                 // The execution restored its request; re-list it under the
@@ -994,7 +995,6 @@ impl ExchangeEngine {
             replaying: true,
         };
         let mut core = Core::new(db, &config, Some(durable));
-        core.all_ids = slots.iter().map(|slot| slot.exec.id()).collect();
         core.slots = slots;
         core.base = meta.slot_base as usize;
         core.next_token = meta.next_token;
@@ -1828,9 +1828,9 @@ mod tests {
     /// admitted into collected logs: the submit enters after the action that
     /// retired the last update, and that action ends with the quiescence GC.
     /// Checked right after each admission: nothing is left of the wave
-    /// before it in the write log, the read log or the tracker. One-update
-    /// waves through a durable engine add a WAL record and a snapshot check
-    /// to every retirement.
+    /// before it in the logged writes, the stored reads or the dependencies.
+    /// One-update waves through a durable engine add a WAL record and a
+    /// snapshot check to every retirement.
     #[test]
     fn callers_admit_each_wave_into_collected_logs() {
         const WAVES: u64 = 200;
@@ -1849,19 +1849,19 @@ mod tests {
                 {
                     let seq = engine.shared.enter();
                     assert!(
-                        seq.write_log.entries().iter().all(|w| w.update >= first),
+                        seq.validation.writers().all(|w| w >= first),
                         "wave {wave}: writes of earlier waves survived into this one"
                     );
                     for old in (first.0.saturating_sub(wave_size)..first.0).map(UpdateId) {
                         let reads = relations
                             .iter()
-                            .flat_map(|r| seq.read_log.reads_touching(old, *r))
+                            .flat_map(|r| seq.validation.reads_touching(old, *r))
                             .count();
                         assert_eq!(reads, 0, "wave {wave}: {old} still has stored reads");
                     }
                     for new in (first.0..first.0 + wave_size).map(UpdateId) {
                         assert!(
-                            seq.tracker.dependencies_of(new).iter().all(|d| *d >= first),
+                            seq.validation.dependencies_of(new).iter().all(|d| *d >= first),
                             "wave {wave}: {new} depends on an earlier wave"
                         );
                     }

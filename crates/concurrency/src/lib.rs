@@ -4,7 +4,11 @@
 //! (Sections 3–5 of the paper): the chase-step scheduler (Algorithms 3 and 4),
 //! retroactive read-query conflict detection, and the three cascading-abort
 //! dependency trackers `NAIVE`, `COARSE` and `PRECISE` whose behaviour the
-//! paper's experiments (Figures 3 and 4) compare.
+//! paper's experiments (Figures 3 and 4) compare. Algorithm 4's bookkeeping —
+//! each update's stored reads, logged writes and read dependencies, with the
+//! conflict check and the cascade over them — is one crate-private value,
+//! which the engine's sequencer and the [`ConcurrentRun`] reference each
+//! hold; [`TrackerKind`] picks the tracker.
 //!
 //! A [`ConcurrentRun`] takes a database, a mapping set and a batch of initial
 //! operations; it interleaves the resulting updates at chase-step granularity,
@@ -47,27 +51,23 @@
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod conflict;
-pub mod deps;
 pub mod durable;
 pub mod engine;
 pub mod exchange;
-pub mod log;
 pub mod metrics;
 pub mod replicate;
 pub mod scheduler;
 mod sequencer;
+mod validation;
 
 pub use builder::EngineBuilder;
-pub use conflict::{change_conflicts_with_reader_keyed, direct_conflicts, DirectConflict};
-pub use deps::{CoarseTracker, DependencyTracker, NaiveTracker, PreciseTracker, TrackerKind};
 pub use durable::{decode_record, DurabilityConfig, RecoveryError, WalRecord};
 pub use engine::{
     AnswerOutcome, ClientId, ExchangeEngine, Priority, ResolverPump, RetryAfter, SubmitError,
     SweepReport, UpdateHandle, UpdateStatus,
 };
 pub use exchange::{DbRef, DbRefMut, UpdateExchange};
-pub use log::{ReadLog, WriteLog};
 pub use metrics::{AveragedMetrics, RunMetrics};
 pub use replicate::{SyncError, SyncReport};
 pub use scheduler::{ConcurrentRun, SchedulerConfig};
+pub use validation::TrackerKind;

@@ -420,9 +420,16 @@ impl ExchangeEngine {
     /// are skipped, out-of-reach suffixes are reported as
     /// [`SyncReport::gaps`] (re-request from the returned position), and
     /// events landing behind the fold refold the engine in place
-    /// ([`SyncReport::rebuilt`]).
+    /// ([`SyncReport::rebuilt`]). A batch carrying a submit that does not fit
+    /// the catalog fails with [`SyncError::Invalid`] before any of it is
+    /// logged: folded in, it would fail-stop the replica for good.
     pub fn apply_remote_deltas(&self, batch: &DeltaBatch) -> Result<SyncReport, SyncError> {
         let mut core = self.enter_live_replica()?;
+        for event in batch.entries.iter().flat_map(|entry| &entry.events) {
+            if let ReplicationEvent::Submit { op, .. } = event {
+                core.db.check_write(&op.to_write()).map_err(SyncError::Invalid)?;
+            }
+        }
         let st = replica_mut(&mut core);
         let mut report = SyncReport::default();
         for entry in &batch.entries {
@@ -563,6 +570,38 @@ mod tests {
         let stamp = engine.submit_replicated(insert_city("Bern")).unwrap();
         assert_eq!(stamp, EventStamp { lamport: 1, origin: NodeId(0) });
         engine.shutdown();
+    }
+
+    /// A peer's malformed submit is refused with the whole batch: nothing is
+    /// logged, and the replica keeps accepting its own and its peers' valid
+    /// events.
+    #[test]
+    fn malformed_remote_submits_are_refused_and_not_logged() {
+        let engine = replica(0);
+        let peer = replica(1);
+        let short = InitialOp::Insert { relation: RelationId(0), values: vec![] };
+        let bad = DeltaBatch {
+            entries: vec![DeltaEntry {
+                origin: NodeId(1),
+                first_seq: 0,
+                events: vec![
+                    ReplicationEvent::Submit { lamport: 1, op: insert_city("Bern") },
+                    ReplicationEvent::Submit { lamport: 2, op: short },
+                ],
+            }],
+        };
+        assert!(matches!(engine.apply_remote_deltas(&bad), Err(SyncError::Invalid(_))));
+        assert_eq!(engine.state_vector().unwrap(), StateVector::new());
+
+        engine.submit_replicated(insert_city("Basel")).unwrap();
+        peer.submit_replicated(insert_city("Bern")).unwrap();
+        let batch = peer.encode_deltas_since(&engine.state_vector().unwrap()).unwrap();
+        let report = engine.apply_remote_deltas(&batch).unwrap();
+        assert_eq!(report.appended, 1);
+        assert_eq!(engine.state_vector().unwrap().get(NodeId(1)), 1);
+        assert!(engine.error().is_none());
+        engine.shutdown();
+        peer.shutdown();
     }
 
     #[test]

@@ -12,15 +12,13 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 
 use youtopia_core::{
-    ChaseError, ChaseMode, FrontierResolver, InitialOp, ReadQuery, UpdateExecution, UpdateState,
+    ChaseError, ChaseMode, FrontierResolver, InitialOp, UpdateExecution, UpdateState,
 };
 use youtopia_mappings::MappingSet;
-use youtopia_storage::{Database, TupleChange, UpdateId};
+use youtopia_storage::{Database, UpdateId};
 
-use crate::conflict::change_conflicts_with_reader_keyed;
-use crate::deps::{DependencyTracker, TrackerKind};
-use crate::log::{ReadLog, WriteLog};
 use crate::metrics::RunMetrics;
+use crate::validation::{TrackerKind, Validation};
 
 /// Configuration of a batch run ([`ConcurrentRun`]), which interleaves ready
 /// updates one chase step per visit — the round robin of every Section 6
@@ -93,10 +91,7 @@ pub struct ConcurrentRun {
     db: Database,
     mappings: MappingSet,
     slots: Vec<Slot>,
-    all_ids: Vec<UpdateId>,
-    read_log: ReadLog,
-    write_log: WriteLog,
-    tracker: Box<dyn DependencyTracker>,
+    validation: Validation,
     config: SchedulerConfig,
     metrics: RunMetrics,
 }
@@ -125,16 +120,12 @@ impl ConcurrentRun {
                 sit_out: 0,
             })
             .collect();
-        let all_ids = slots.iter().map(|s| s.exec.id()).collect();
         let metrics = RunMetrics { workload_size: slots.len(), ..RunMetrics::default() };
         ConcurrentRun {
             db,
             mappings,
             slots,
-            all_ids,
-            read_log: ReadLog::new(),
-            write_log: WriteLog::new(),
-            tracker: config.tracker.build(),
+            validation: Validation::new(config.tracker),
             config,
             metrics,
         }
@@ -207,7 +198,9 @@ impl ConcurrentRun {
         };
         let reads = self.slots[idx].exec.resolve_frontier(&self.mappings, decision)?;
         self.metrics.frontier_ops += 1;
-        self.record_reads(id, reads);
+        if !self.solo() {
+            self.validation.record_reads(&self.db, &self.mappings, id, &reads);
+        }
         Ok(())
     }
 
@@ -226,18 +219,21 @@ impl ConcurrentRun {
         };
         self.metrics.steps += 1;
         self.metrics.changes += outcome.writes.iter().map(|w| w.changes.len()).sum::<usize>();
-        let id = outcome.update;
 
-        // Log writes (for dependency tracking) and reads (for conflicts).
-        self.write_log.push_all(&outcome.writes);
-        self.tracker.record_writes(id, &outcome.writes);
-        self.record_reads(id, outcome.reads.clone());
-
-        // Algorithm 4: check every change against the stored reads of
-        // higher-numbered updates; cascade through the tracker.
-        let changes: Vec<TupleChange> =
-            outcome.writes.iter().flat_map(|w| w.changes.iter().cloned()).collect();
-        let to_abort = self.collect_aborts(id, &changes);
+        // Algorithm 4: log the step, then check every change against the
+        // stored reads of higher-numbered updates and cascade.
+        self.validation.log_writes(&outcome.writes);
+        if !self.solo() {
+            self.validation.record_reads(&self.db, &self.mappings, outcome.update, &outcome.reads);
+        }
+        let to_abort = self.validation.collect_aborts(
+            &self.db,
+            &self.mappings,
+            outcome.update,
+            &outcome.writes,
+            self.end(),
+            &mut self.metrics,
+        );
         self.perform_aborts(&to_abort);
 
         if outcome.frontier_request.is_some() {
@@ -246,70 +242,17 @@ impl ConcurrentRun {
         Ok(())
     }
 
-    fn record_reads(&mut self, reader: UpdateId, reads: Vec<ReadQuery>) {
-        // A lone update's reads are never consulted: no other update writes
-        // against them or reads from it. Skipping them (as the engine does
-        // for its only in-flight update) keeps a one-op run at the cost of
-        // its chase.
-        if reads.is_empty() || self.slots.len() == 1 {
-            return;
-        }
-        {
-            let snap = self.db.snapshot(reader);
-            self.tracker.record_reads(reader, &reads, &self.write_log, &snap, &self.mappings);
-        }
-        self.read_log.record(reader, reads, &self.mappings);
+    /// A lone update's reads are never consulted: no other update writes
+    /// against them or reads from it. Skipping them (as the engine does for
+    /// its only in-flight update) keeps a one-op run at the cost of its
+    /// chase.
+    fn solo(&self) -> bool {
+        self.slots.len() == 1
     }
 
-    /// Computes the consolidated abort set caused by a step's changes: direct
-    /// conflicts plus the transitive read-dependents of each directly
-    /// conflicting update. Also accounts the request metrics.
-    ///
-    /// The read log is keyed by relation, so each change only consults the
-    /// readers whose stored queries touch the changed relation (plus the
-    /// wildcard readers) instead of every higher-numbered reader.
-    fn collect_aborts(&mut self, writer: UpdateId, changes: &[TupleChange]) -> BTreeSet<UpdateId> {
-        let mut pending: BTreeSet<UpdateId> = BTreeSet::new();
-        if changes.is_empty() {
-            return pending;
-        }
-        for change in changes {
-            let relation = change.relation();
-            for reader in self.read_log.readers_above_touching(writer, relation) {
-                if !change_conflicts_with_reader_keyed(
-                    &self.db,
-                    &self.mappings,
-                    change,
-                    reader,
-                    &self.read_log,
-                ) {
-                    continue;
-                }
-                self.metrics.direct_conflict_requests += 1;
-                pending.insert(reader);
-                // Cascade: everyone who (transitively) read from the aborted
-                // reader must abort too. Every such request is counted, even
-                // when the target is already marked — matching the paper's
-                // description that updates are "frequently marked for abortion
-                // multiple times" before the consolidated abort happens.
-                let mut stack = vec![reader];
-                let mut visited: BTreeSet<UpdateId> = BTreeSet::new();
-                visited.insert(reader);
-                while let Some(a) = stack.pop() {
-                    for dependent in self.tracker.dependents_of(a, &self.all_ids) {
-                        if dependent <= writer {
-                            continue;
-                        }
-                        self.metrics.cascading_abort_requests += 1;
-                        pending.insert(dependent);
-                        if visited.insert(dependent) {
-                            stack.push(dependent);
-                        }
-                    }
-                }
-            }
-        }
-        pending
+    /// One past the highest update number in the run.
+    fn end(&self) -> UpdateId {
+        UpdateId(self.slots[0].exec.id().0 + self.slots.len() as u64)
     }
 
     /// Performs the consolidated aborts: roll back each update's writes, clear
@@ -325,9 +268,7 @@ impl ConcurrentRun {
             self.db.rollback_update(victim);
             slot.sit_out = usize::from(slot.exec.is_terminated());
             slot.exec.reset_for_restart();
-            self.read_log.clear(victim);
-            self.write_log.remove_update(victim);
-            self.tracker.clear_update(victim);
+            self.validation.forget(victim);
             self.metrics.aborts += 1;
         }
     }

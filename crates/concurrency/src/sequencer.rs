@@ -6,38 +6,16 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
 
-use youtopia_core::{ChaseError, ReadQuery, StepOutcome, UpdateState};
-use youtopia_storage::{Database, TupleChange, UpdateId};
+use youtopia_core::{ChaseError, StepOutcome, UpdateState};
+use youtopia_storage::{Database, UpdateId};
 
-use crate::conflict::direct_conflicts;
-use crate::deps::DependencyTracker;
 use crate::durable::DurableEngineState;
 use crate::engine::{
     lock, ClientAdmission, ClientId, EngineConfig, EngineShared, PendingEntry, Slot,
 };
-use crate::log::{ReadLog, WriteLog};
 use crate::metrics::RunMetrics;
 use crate::replicate::ReplicationState;
-
-/// The change a rollback performs when it undoes `change`: rolling back an
-/// insert deletes the tuple, rolling back a delete revives it, rolling back a
-/// modification swaps the images.
-fn invert_change(change: &TupleChange) -> TupleChange {
-    match change {
-        TupleChange::Inserted { relation, tuple, values } => {
-            TupleChange::Deleted { relation: *relation, tuple: *tuple, old: values.clone() }
-        }
-        TupleChange::Deleted { relation, tuple, old } => {
-            TupleChange::Inserted { relation: *relation, tuple: *tuple, values: old.clone() }
-        }
-        TupleChange::Modified { relation, tuple, old, new } => TupleChange::Modified {
-            relation: *relation,
-            tuple: *tuple,
-            old: new.clone(),
-            new: old.clone(),
-        },
-    }
-}
+use crate::validation::Validation;
 
 /// The engine's state, all of it behind the one lock (`EngineShared::core`):
 /// whoever holds it runs an action (`drive_until`) or enters between two
@@ -59,10 +37,8 @@ pub(crate) struct Core {
     pub(crate) base: usize,
     pub(crate) next: usize,
     pub(crate) live: BTreeSet<usize>,
-    pub(crate) all_ids: Vec<UpdateId>,
-    pub(crate) read_log: ReadLog,
-    pub(crate) write_log: WriteLog,
-    pub(crate) tracker: Box<dyn DependencyTracker>,
+    /// The reads, writes and dependencies Algorithm 4 validates against.
+    pub(crate) validation: Validation,
     /// Outstanding frontier requests, keyed by token (= publish order).
     pub(crate) pending: BTreeMap<u64, PendingEntry>,
     /// Per-client fair-share admission state. Anonymous submissions (no
@@ -98,10 +74,7 @@ impl Core {
             base: 0,
             next: 0,
             live: BTreeSet::new(),
-            all_ids: Vec::new(),
-            read_log: ReadLog::default(),
-            write_log: WriteLog::default(),
-            tracker: config.tracker.build(),
+            validation: Validation::new(config.tracker),
             pending: BTreeMap::new(),
             admission: BTreeMap::new(),
             metrics: RunMetrics::default(),
@@ -133,6 +106,19 @@ impl Core {
     /// a pending entry, which name no evicted slot.
     fn live_slot(&mut self, idx: usize) -> &mut Slot {
         self.slot_mut(idx).expect("live slots are retained")
+    }
+
+    /// Whether at most one update is in flight. That one is the
+    /// lowest-numbered, and stays so forever (priority numbers are monotone
+    /// and terminated updates below it can never run again), so its stored
+    /// reads could only be consulted when a *lower*-numbered writer
+    /// validates — there will be none — and recording them (the dependency
+    /// walk is the expensive half of a step) is pure overhead. Updates
+    /// submitted later are numbered above it and record normally. This is
+    /// what keeps the one-at-a-time `UpdateExchange` façade at near
+    /// single-threaded cost.
+    pub(crate) fn solo(&self) -> bool {
+        self.active <= 1
     }
 
     /// Whether nothing is running, queued or awaiting an answer.
@@ -186,31 +172,6 @@ impl EngineShared {
     // Step machinery
     // ------------------------------------------------------------------
 
-    /// Records the read queries a step (or frontier resolution) performed:
-    /// dependencies first, then the retained read log. Recording inside the
-    /// action that read is what guarantees any later write sees these reads
-    /// when it validates.
-    pub(crate) fn record_reads(&self, core: &mut Core, reader: UpdateId, reads: Vec<ReadQuery>) {
-        if reads.is_empty() {
-            return;
-        }
-        // Solo fast path: if `reader` is the only in-flight update it is the
-        // lowest-numbered one, and stays so forever (priority numbers are
-        // monotone and terminated updates below it can never run again). Its
-        // stored reads could only ever be consulted when a *lower*-numbered
-        // writer validates — no such writer will ever exist — so recording
-        // them (and the tracker's dependency walk, the expensive half of a
-        // step) is pure overhead. Updates submitted later get numbered above
-        // `reader` and record normally. This is what keeps the one-at-a-time
-        // `UpdateExchange` façade at near single-threaded cost.
-        if core.active <= 1 {
-            return;
-        }
-        let snap = core.db.snapshot(reader);
-        core.tracker.record_reads(reader, &reads, &core.write_log, &snap, &self.mappings);
-        core.read_log.record(reader, reads, &self.mappings);
-    }
-
     /// Executes one chase step for the slot at `idx`, then logs it and
     /// collects the conflicts it caused. Returns the step outcome and the
     /// consolidated abort set — the caller executes the aborts in the same
@@ -234,101 +195,47 @@ impl EngineShared {
         core.metrics.changes += outcome.writes.iter().map(|w| w.changes.len()).sum::<usize>();
         let id = outcome.update;
 
-        // Log writes (for dependency tracking) and reads (for conflicts).
-        core.write_log.push_all(&outcome.writes);
-        core.tracker.record_writes(id, &outcome.writes);
-        self.record_reads(core, id, outcome.reads.clone());
-
-        // Algorithm 4: check every change against the stored reads of
-        // higher-numbered updates; cascade through the tracker.
-        let changes: Vec<TupleChange> =
-            outcome.writes.iter().flat_map(|w| w.changes.iter().cloned()).collect();
-        let to_abort = self.collect_aborts(core, id, &changes);
+        // Algorithm 4: log the step, then check every change against the
+        // stored reads of higher-numbered updates and cascade.
+        core.validation.log_writes(&outcome.writes);
+        if !core.solo() {
+            core.validation.record_reads(&core.db, &self.mappings, id, &outcome.reads);
+        }
+        let end = UpdateId(self.config.first_update_number + core.total() as u64);
+        let to_abort = core.validation.collect_aborts(
+            &core.db,
+            &self.mappings,
+            id,
+            &outcome.writes,
+            end,
+            &mut core.metrics,
+        );
         Ok((outcome, to_abort))
     }
 
-    /// Computes the consolidated abort set caused by a step's changes —
-    /// direct conflicts plus the transitive read-dependents of each directly
-    /// conflicting update — with the same candidate walk and request
-    /// accounting as the single-threaded scheduler.
-    fn collect_aborts(
-        &self,
-        core: &mut Core,
-        writer: UpdateId,
-        changes: &[TupleChange],
-    ) -> BTreeSet<UpdateId> {
-        let mut pending: BTreeSet<UpdateId> = BTreeSet::new();
-        let conflicts = direct_conflicts(&core.db, &self.mappings, writer, changes, &core.read_log);
-        core.metrics.direct_conflict_requests += conflicts.len();
-        for reader in conflicts.into_iter().map(|c| c.reader) {
-            pending.insert(reader);
-            // Cascade: everyone who (transitively) read from the aborted
-            // reader must abort too; every request is counted, even when
-            // the target is already marked (see ConcurrentRun).
-            let mut stack = vec![reader];
-            let mut visited: BTreeSet<UpdateId> = BTreeSet::new();
-            visited.insert(reader);
-            while let Some(a) = stack.pop() {
-                for dependent in core.tracker.dependents_of(a, &core.all_ids) {
-                    if dependent <= writer {
-                        continue;
-                    }
-                    core.metrics.cascading_abort_requests += 1;
-                    pending.insert(dependent);
-                    if visited.insert(dependent) {
-                        stack.push(dependent);
-                    }
-                }
-            }
-        }
-        pending
-    }
-
-    /// A rollback is a write like any other: returns the updates whose
-    /// recorded reads it retroactively invalidated (checked exactly, per read
-    /// query — never via the tracker, whose conservative answers would make
-    /// abort waves feed on themselves under `NAIVE`). The caller feeds them
-    /// back into the abort worklist.
-    fn validate_rollback(
-        &self,
-        core: &mut Core,
-        victim: UpdateId,
-        rolled_back: &[TupleChange],
-    ) -> Vec<UpdateId> {
-        let mut undone_readers: Vec<UpdateId> = Vec::new();
-        if rolled_back.is_empty() {
-            return undone_readers;
-        }
-        for conflict in
-            direct_conflicts(&core.db, &self.mappings, victim, rolled_back, &core.read_log)
-        {
-            if !undone_readers.contains(&conflict.reader) {
-                undone_readers.push(conflict.reader);
-            }
-        }
-        core.metrics.direct_conflict_requests += undone_readers.len();
-        undone_readers
-    }
-
     /// Rolls the slot at `idx` back: undoes its writes, withdraws its
-    /// published frontier token and drops its logged reads and writes.
-    /// Returns the update and, when `validate`, the inverses of its logged
-    /// changes — the rollback, to be validated like a write.
-    fn roll_back(core: &mut Core, idx: usize, validate: bool) -> (UpdateId, Vec<TupleChange>) {
+    /// published frontier token and forgets its reads, writes and
+    /// dependencies. When `validate`, the rollback is checked like a write:
+    /// returns the updates whose stored reads it retroactively changed, for
+    /// the caller to feed back into the abort worklist.
+    fn roll_back(&self, core: &mut Core, idx: usize, validate: bool) -> Vec<UpdateId> {
         let victim = core.live_slot(idx).exec.id();
-        let rolled_back = if validate {
-            core.write_log.changes_of(victim).map(invert_change).collect()
-        } else {
-            Vec::new()
-        };
         core.db.rollback_update(victim);
         if let Some(token) = core.live_slot(idx).published.take() {
             core.pending.remove(&token.0);
             core.unanswered -= 1;
         }
-        core.read_log.clear(victim);
-        core.write_log.remove_update(victim);
-        (victim, rolled_back)
+        let writes = core.validation.forget(victim);
+        if !validate {
+            return Vec::new();
+        }
+        core.validation.rollback_conflicts(
+            &core.db,
+            &self.mappings,
+            victim,
+            &writes,
+            &mut core.metrics,
+        )
     }
 
     /// Performs the consolidated abort of the slot at `idx`: roll back its
@@ -349,7 +256,7 @@ impl EngineShared {
         // single-threaded reference, so no reader can slip in between and
         // validating would only skew reference metrics. The dependents of a
         // budget failure, which fires outside any validation, pass `true`.
-        let (victim, rolled_back) = Self::roll_back(core, idx, validate);
+        let undone_readers = self.roll_back(core, idx, validate);
         let slot = core.live_slot(idx);
         slot.exec.reset_for_restart();
         // A revived victim sits out its next visit, which is the rest of this
@@ -357,9 +264,7 @@ impl EngineShared {
         // re-reads what the victims aborted with it are rewriting and
         // cascades with them again. `ConcurrentRun` applies the same rule.
         slot.sit_out = usize::from(revive);
-        core.tracker.clear_update(victim);
         core.metrics.aborts += 1;
-        let undone_readers = self.validate_rollback(core, victim, &rolled_back);
         if revive {
             core.active += 1;
         }
@@ -378,10 +283,9 @@ impl EngineShared {
         // invalidate reads other updates already performed, so it is always
         // validated like a write and the caller must abort the returned
         // dependents.
-        let (victim, rolled_back) = Self::roll_back(core, idx, true);
-        core.tracker.clear_update(victim);
+        let dependents = self.roll_back(core, idx, true);
         core.live_slot(idx).failed = Some(error);
-        self.validate_rollback(core, victim, &rolled_back)
+        dependents
     }
 
     /// Quiescence garbage collection: once nothing is active or awaiting an
@@ -400,9 +304,7 @@ impl EngineShared {
         if core.active != 0 {
             return;
         }
-        core.read_log = ReadLog::default();
-        core.write_log = WriteLog::default();
-        core.tracker = self.config.tracker.build();
+        core.validation = Validation::new(self.config.tracker);
         self.compact(core);
         // Quiescence is a durability point: any group-commit window still
         // open is flushed so an idle engine never sits on unsynced records.
@@ -432,13 +334,7 @@ impl EngineShared {
             let slot = core.slots.pop_front().expect("front exists");
             core.base += 1;
             slot.detach();
-            let id = slot.exec.id();
-            core.read_log.clear(id);
-            core.write_log.remove_update(id);
-            core.tracker.clear_update(id);
-            if let Ok(pos) = core.all_ids.binary_search(&id) {
-                core.all_ids.remove(pos);
-            }
+            core.validation.forget(slot.exec.id());
         }
     }
 

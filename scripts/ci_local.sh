@@ -56,6 +56,8 @@ stage_stress() {
     cargo test -q --release -p youtopia-workload scenario
     echo "==> [stress] fig3 smoke"
     cargo run -p youtopia-bench --bin fig3 --release -- --runs 1 --updates 20 --no-naive
+    echo "==> [stress] figure counts (fig3/fig4 quick, all trackers, pinned to bench-baselines)"
+    scripts/paper_figs.sh
 }
 
 stage_recovery() {
